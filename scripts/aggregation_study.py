@@ -35,7 +35,6 @@ def parse_args():
     parser.add_argument("--seeds", default="1", help="comma-separated master seeds")
     parser.add_argument("--scenarios", type=int, default=None, help="scenario count override")
     parser.add_argument("--resolution", type=int, default=None, help="lattice resolution override")
-    parser.add_argument("--threads", type=int, default=4)
     return parser.parse_args()
 
 
@@ -48,7 +47,7 @@ def search_variant(variant, seed, args):
         cfg["grid"]["resolution"] = args.resolution
     plan = build_run(resolve_config(cfg))
     oracle = membership_oracle(plan.model, plan.acceptance)
-    return grid_search(oracle, plan.grid, threads=args.threads)
+    return grid_search(oracle, plan.grid)
 
 
 def describe(variant, approx):

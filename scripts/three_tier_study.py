@@ -29,7 +29,6 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scenarios", type=int, default=None)
     parser.add_argument("--resolution", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=4)
     return parser.parse_args()
 
 
@@ -42,7 +41,7 @@ def search_alpha(alpha, args):
         cfg["grid"]["resolution"] = args.resolution
     plan = build_run(resolve_config(cfg))
     oracle = membership_oracle(plan.model, plan.acceptance)
-    return grid_search(oracle, plan.grid, threads=args.threads)
+    return grid_search(oracle, plan.grid)
 
 
 def main():

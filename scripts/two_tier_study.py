@@ -31,7 +31,6 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--scenarios", type=int, default=None)
     parser.add_argument("--resolution", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=4)
     return parser.parse_args()
 
 
@@ -44,7 +43,7 @@ def search_variant(variant, args):
         cfg["grid"]["resolution"] = args.resolution
     plan = build_run(resolve_config(cfg))
     oracle = membership_oracle(plan.model, plan.acceptance)
-    return plan, grid_search(oracle, plan.grid, threads=args.threads)
+    return plan, grid_search(oracle, plan.grid)
 
 
 def ear_cell(approx, w):

@@ -43,7 +43,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
-_MONO_SLACK = 1e-12  # float headroom for assertions on mathematically monotone quantities
+_MONO_SLACK = 1e-12  # float headroom for checks on mathematically monotone quantities
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,10 @@ def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     price_top = float(f(0.0))
     price_floor = float(f(float(s.sum(axis=0).max(initial=0.0))))
-    assert price_floor > 0.0
+    if not price_floor > 0.0:
+        raise ModelError(
+            f"inverse demand must stay strictly positive, got {price_floor} at the largest sale"
+        )
 
     p = np.broadcast_to(pbar, (n, m)).copy()
     pi = np.full(m, price_top)
@@ -310,9 +313,12 @@ def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
         pi_new = np.asarray(f(sold), dtype=float)
 
         # the map is monotone and we started at the top, so iterates only move down
-        assert (p_new <= p_cur + _MONO_SLACK).all(), "payment iterate increased"
-        assert (pi_new <= pi_cur + _MONO_SLACK).all(), "price iterate increased"
-        assert (pi_new >= price_floor - _MONO_SLACK).all()
+        if not (p_new <= p_cur + _MONO_SLACK).all():
+            raise ModelError("clearing map is not monotone: a payment iterate increased")
+        if not (pi_new <= pi_cur + _MONO_SLACK).all():
+            raise ModelError("clearing map is not monotone: a price iterate increased")
+        if not (pi_new >= price_floor - _MONO_SLACK).all():
+            raise ModelError("clearing price fell below the inverse demand at the largest sale")
 
         col_residual = np.maximum(np.abs(p_new - p_cur).max(axis=0), np.abs(pi_new - pi_cur))
         p[:, cols] = p_new
@@ -431,7 +437,8 @@ class NetworkValueModel:
         self.last_iterations = iterations
         e0 = self._society_shares @ p
         cap = self.total_promised_to_society
-        assert (e0 >= -1e-9).all() and (e0 <= cap + max(1e-9, 1e-12 * cap)).all()
+        if not ((e0 >= -1e-9).all() and (e0 <= cap + max(1e-9, 1e-12 * cap)).all()):
+            raise ModelError(f"society equity left the range [0, {cap}] of its promised payments")
         return e0
 
     def with_scenarios(

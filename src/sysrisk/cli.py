@@ -82,7 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="W",
         help="weight vectors like '1,1;10,90' (semicolon separates vectors)",
     )
-    over.add_argument("--threads", type=int, metavar="T", help="worker thread override")
+    over.add_argument(
+        "--threads",
+        type=int,
+        metavar="T",
+        help="ignored (the search is sequential); validated and recorded so old runs replay",
+    )
 
     run = sub.add_parser("run", parents=[common], help="execute a full run")
     run.set_defaults(handler=cmd_run)
@@ -278,11 +283,10 @@ def cmd_run(args) -> int:
     print(f"run {resolved['name']!r}: {res} lattice, {resolved['scenarios']['count']} scenarios")
 
     oracle = membership_oracle(plan.model, plan.acceptance)
-    threads = resolved["threads"]
     try:
-        approx = grid_search(oracle, plan.grid, threads=threads)
+        approx = grid_search(oracle, plan.grid)
         if resolved["refine"] > 1:
-            approx = refine(oracle, approx, resolved["refine"], threads=threads)
+            approx = refine(oracle, approx, resolved["refine"])
     except ConvergenceError as exc:
         _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)

@@ -184,6 +184,8 @@ def resolve_config(cfg: dict) -> dict:
     if seed is None:
         seed = _fresh_seed()
     out["seed"] = seed
+    # threads no longer changes anything (the search is sequential); it is still
+    # validated and recorded so that configs and manifests written with it replay
     out["threads"] = _get_int(cfg, "config", "threads", default=1, minimum=1)
     out["refine"] = _get_int(cfg, "config", "refine", default=1, minimum=1)
 

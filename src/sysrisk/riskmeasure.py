@@ -6,7 +6,26 @@ deterministic and monotone, so R restricted to a box is completely described
 by its staircase boundary. The search labels every lattice point while
 calling the oracle as rarely as possible: each verdict is propagated to the
 full upper or lower orthant it implies, a diagonal bisection seeds the
-labels, and each remaining grid column is closed by binary search.
+labels, and a galloping walk then follows the staircase of every 2-D slice.
+
+The walk runs over the last two axes, once per index prefix of the other
+axes in lexicographic order. Column i is the line along the last axis at
+index i of the second-to-last; row j is the line along the second-to-last
+axis at index j of the last. The walk bisects column 0 for its threshold
+t, the first acceptable index. It then alternates two legs. A horizontal
+leg gallops along row t - 1 (steps 1, 2, 4, ..., then bisection) to the
+first column acceptable there; every column it passes has the same
+threshold t. A vertical leg gallops down that column from its known
+acceptable point to the column's own threshold. The walk ends when a leg runs off the slice or
+the threshold reaches 0. Every leg searches only the unknown gap its line
+still has, so points labelled earlier (by propagation from other prefixes,
+by the diagonal seed, or painted by refine) cost nothing. A 1-D lattice is
+a single bisection of its one line, which the diagonal seed has already
+closed.
+
+On the presets at their seed 1 the walk asks the oracle 37 times on
+agg_lognormal:exp_sensitive, where bisecting every column asked 258 times;
+53 against 133 on two_tier:B2 and 24 against 47 on three_tier:alpha=0.6.
 
 The result is certified as a sandwich: the minimal acceptable lattice points
 (inner frontier) are inside R, and every maximal unacceptable point moved up
@@ -16,10 +35,7 @@ the true boundary lies within one spacing of the reported one.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -237,12 +253,11 @@ def membership_oracle(model, spec: AcceptanceSpec):
 
 
 class _LabelStore:
-    """Shared lattice labels; every oracle verdict is propagated to the orthant it implies.
+    """Lattice labels; every oracle verdict is propagated to the orthant it implies.
 
-    Thread-safe for monotone oracles: concurrent writes only ever store
-    values consistent with ground truth, so races cost duplicate oracle
-    calls at worst. A verdict that contradicts existing labels means the
-    oracle is not monotone and raises ModelError.
+    For a monotone oracle the labels are ground truth whatever order the
+    points are queried in. A verdict that contradicts existing labels means
+    the oracle is not monotone and raises ModelError.
     """
 
     def __init__(self, oracle, grid: GridSpec, labels: np.ndarray | None = None):
@@ -253,7 +268,6 @@ class _LabelStore:
             labels = np.full(grid.resolution, UNKNOWN, dtype=np.int8)
         self.labels = labels
         self.calls = 0
-        self._lock = threading.Lock()
 
     def point(self, idx) -> np.ndarray:
         return np.array([self.axes[d][i] for d, i in enumerate(idx)])
@@ -263,8 +277,7 @@ class _LabelStore:
         if cached != UNKNOWN:
             return int(cached)
         verdict = ACCEPTABLE if self.oracle(self.point(idx)) else UNACCEPTABLE
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
         self.mark(idx, verdict)
         return verdict
 
@@ -305,35 +318,64 @@ def _seed_labels(store: _LabelStore) -> str | None:
     return None
 
 
-def _resolve_column(store: _LabelStore, prefix: tuple[int, ...]) -> None:
-    """Binary-search the acceptability threshold along the last axis of one column.
+def _threshold(store: _LabelStore, line: tuple, gallop: int) -> int:
+    """First acceptable position on one lattice line, or the line length if there is none.
 
+    line indexes store.labels with exactly one slice, the axis searched.
     Orthant propagation only ever writes a low block of unacceptable labels
-    and a high block of acceptable ones into any column, so the unknown gap
-    between them is contiguous and a plain bisection closes it.
+    and a high block of acceptable ones into a line, so the unknown gap
+    between them is contiguous and only its points are queried. gallop=+1
+    probes up from the low end of the gap in steps 1, 2, 4, ..., gallop=-1
+    probes down from the high end, until a verdict flips; bisection then
+    closes what is left. gallop=0 bisects from the start.
     """
-    column = store.labels[prefix]
-    ones = np.flatnonzero(column == ACCEPTABLE)
-    hi = int(ones[0]) if ones.size else column.size
-    zeros = np.flatnonzero(column == UNACCEPTABLE)
+    labels = store.labels[line]
+    ones = np.flatnonzero(labels == ACCEPTABLE)
+    hi = int(ones[0]) if ones.size else labels.size
+    zeros = np.flatnonzero(labels == UNACCEPTABLE)
     lo = int(zeros[-1]) if zeros.size else -1
+    step = 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if store.query(prefix + (mid,)) == ACCEPTABLE:
-            hi = mid
+        if gallop > 0:
+            probe = min(lo + step, hi - 1)
+        elif gallop < 0:
+            probe = max(hi - step, lo + 1)
         else:
-            lo = mid
+            probe = (lo + hi) // 2
+        step *= 2
+        idx = tuple(probe if isinstance(s, slice) else s for s in line)
+        if store.query(idx) == ACCEPTABLE:
+            hi = probe
+            gallop = min(gallop, 0)
+        else:
+            lo = probe
+            gallop = max(gallop, 0)
+    return hi
 
 
-def _sweep_columns(store: _LabelStore, threads: int) -> None:
+def _walk(store: _LabelStore) -> None:
+    """Label every UNKNOWN point by walking the staircase of each 2-D slice.
+
+    Worst case per r1 x r2 slice, whatever is already labelled: at most
+    ceil(log2(r2 + 1)) + floor(3 * (r1 + r2) / 2) oracle calls. Column 0
+    is a bisection over at most r2 unknown points. A leg that moves the
+    walk d steps (d columns, or a threshold drop of d) probes offsets 1, 3,
+    7, ... and then bisects: 2 * ceil(log2(d + 1)) - 1 calls, never more
+    than 3d/2. The horizontal legs move at most r1 columns in total and the
+    vertical legs drop the threshold by at most r2.
+    """
     res = store.grid.resolution
-    prefixes = list(product(*[range(r) for r in res[:-1]]))  # lexicographic for reproducibility
-    if threads <= 1:
-        for prefix in prefixes:
-            _resolve_column(store, prefix)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda p: _resolve_column(store, p), prefixes))
+    if len(res) == 1:
+        _threshold(store, (slice(None),), 0)
+        return
+    rows = res[-2]
+    for prefix in np.ndindex(*res[:-2]):  # lexicographic for reproducibility
+        t = _threshold(store, prefix + (0, slice(None)), 0)
+        while t > 0:
+            i = _threshold(store, prefix + (slice(None), t - 1), +1)
+            if i == rows:
+                break
+            t = _threshold(store, prefix + (i, slice(None)), -1)
 
 
 def _extract_frontiers(labels: np.ndarray):
@@ -366,7 +408,8 @@ def _extract_frontiers(labels: np.ndarray):
 def _finalize(store: _LabelStore, degenerate: str | None) -> GridApproximation:
     labels = store.labels
     grid = store.grid
-    assert (labels != UNKNOWN).all(), "grid search left unlabeled points"
+    if (labels == UNKNOWN).any():
+        raise ModelError("grid search left unlabeled points")
     if degenerate is None:
         if (labels == ACCEPTABLE).all():
             degenerate = "all_in"
@@ -445,27 +488,26 @@ def diagonal_bisection(oracle, grid: GridSpec) -> DiagonalResult:
     return DiagonalResult(None, store.point((lo,) * nd), store.point((hi,) * nd))
 
 
-def grid_search(oracle, grid: GridSpec, threads: int = 1) -> GridApproximation:
+def grid_search(oracle, grid: GridSpec) -> GridApproximation:
     """Label the whole lattice and extract the frontier sandwich.
 
     The oracle must be monotone (true at k stays true at any k' >= k); this
-    is asserted opportunistically whenever propagation overlaps. Labels are
-    ground truth regardless of evaluation order, so the threaded sweep is
-    deterministic in its output; only the oracle call count may vary.
+    is checked opportunistically whenever propagation overlaps. Labels are
+    ground truth regardless of evaluation order.
     """
     store = _LabelStore(oracle, grid)
     degenerate = _seed_labels(store)
     if degenerate is None:
-        _sweep_columns(store, threads)
+        _walk(store)
     return _finalize(store, degenerate)
 
 
-def refine(oracle, approximation: GridApproximation, subdivision_factor: int, threads: int = 1) -> GridApproximation:
+def refine(oracle, approximation: GridApproximation, subdivision_factor: int) -> GridApproximation:
     """Subdivide the lattice and re-search only where the frontier can hide.
 
     Every fine point inside a coarse cell whose lower corner was acceptable
     is acceptable; inside a cell whose upper corner was unacceptable,
-    unacceptable. Only cells straddling the frontier are swept again. Labels
+    unacceptable. Only cells straddling the frontier are walked again. Labels
     at coincident lattice points are inherited, never re-queried; for
     power-of-two factors the coincident coordinates are bit-identical
     (other factors may drift by one ulp). oracle_calls accumulates across
@@ -495,7 +537,7 @@ def refine(oracle, approximation: GridApproximation, subdivision_factor: int, th
     store = _LabelStore(oracle, fine_grid, labels=fine_labels)
     store.calls = coarse.oracle_calls
     if (fine_labels == UNKNOWN).any():
-        _sweep_columns(store, threads)
+        _walk(store)
     return _finalize(store, None)
 
 

@@ -55,15 +55,14 @@ import oracles
 UNIT = ConstantPrice(1.0)
 
 
-def _search_preset(name, seed=None, mode=None, threads=4):
+def _search_preset(name, seed=None, mode=None):
     cfg = preset_config(name)
     if seed is not None:
         cfg["seed"] = seed
     if mode is not None:
         cfg["model"]["aggregation"]["mode"] = mode
     plan = build_run(resolve_config(cfg))
-    approx = grid_search(membership_oracle(plan.model, plan.acceptance),
-                         plan.grid, threads=threads)
+    approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
     return plan, approx
 
 

@@ -27,6 +27,7 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
+from sysrisk.clearing import _clear_batch
 import oracles
 
 UNIT_PRICE = ConstantPrice(1.0)
@@ -275,6 +276,15 @@ def test_convergence_error_carries_residual():
     net = two_firm_chain()
     with pytest.raises(ConvergenceError, match="residual"):
         clear(net, [0.5, 0.2], [0.0, 0.0], UNIT_PRICE, max_iter=1)
+
+
+def test_clearing_rejects_non_monotone_price_map():
+    # a price that rises with sales breaks the monotone map; clear() refuses
+    # such curves up front, so drive the batch solver directly
+    x = np.array([[0.5], [0.0]])
+    s = np.array([[1.0], [1.0]])
+    with pytest.raises(ModelError, match="price iterate increased"):
+        _clear_batch(two_firm_chain(), x, s, lambda y: 1.0 + np.asarray(y, dtype=float), 1e-12, 100)
 
 
 def test_clear_input_validation():

@@ -1,5 +1,6 @@
 """Grid search engine: labels, frontiers, refinement, EAR extraction, probes."""
 
+import itertools
 import json
 import math
 
@@ -18,6 +19,7 @@ from sysrisk import (
     ParameterError,
     PinnedAllocationModel,
     ScenarioMatrix,
+    build_run,
     diagonal_bisection,
     ear,
     ear_record,
@@ -25,12 +27,14 @@ from sysrisk import (
     make_cvm,
     membership,
     membership_oracle,
+    preset_config,
     quasiconvexity_probe,
     refine,
+    resolve_config,
     write_frontier_csv,
     write_labels_csv,
 )
-from sysrisk.riskmeasure import ACCEPTABLE, UNACCEPTABLE, _LabelStore
+from sysrisk.riskmeasure import ACCEPTABLE, UNACCEPTABLE, _finalize, _LabelStore, _walk
 
 BOX04 = GridSpec([0.0, 0.0], [4.0, 4.0], 5)
 
@@ -48,6 +52,38 @@ def staircase_oracle(labels, grid):
         return bool(labels[idx])
 
     return oracle
+
+
+def random_staircase(rng, shape, max_corners=4):
+    """Monotone truth from random corners, none at the origin, so it is not all acceptable."""
+    while True:
+        corners = [
+            tuple(int(rng.integers(0, r)) for r in shape)
+            for _ in range(int(rng.integers(1, max_corners + 1)))
+        ]
+        if all(any(c) for c in corners):
+            return oracles.upper_set_from_corners(shape, corners)
+
+
+def unit_grid(shape):
+    return GridSpec([0.0] * len(shape), [float(r - 1) for r in shape], shape)
+
+
+def walk_bound(r1, r2):
+    """The worst case stated in riskmeasure._walk for one r1 x r2 slice."""
+    return math.ceil(math.log2(r2 + 1)) + 3 * (r1 + r2) // 2
+
+
+def seed_bound(shape):
+    """Corner checks, the diagonal end point and the diagonal bisection of _seed_labels."""
+    return 3 + math.ceil(math.log2(min(shape) - 1))
+
+
+def assert_matches_truth(approx, truth):
+    assert np.array_equal(approx.labels, truth)
+    ref_inner, ref_outer = oracles.frontier_scan(truth)
+    assert np.array_equal(approx.inner_indices, ref_inner)
+    assert np.array_equal(approx.outer_indices, ref_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +264,93 @@ def test_grid_search_sandwich_at_three_spacings():
         assert (outer_totals <= 2.0 - h + 1e-12).all()
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_random_staircases_match_oracle_frontiers(threads):
+def test_random_staircases_match_oracle_frontiers():
     rng = np.random.default_rng(88)
-    for trial in range(10):
-        shape = (6, 6) if trial % 2 == 0 else (5, 4)
-        n_corners = int(rng.integers(1, 4))
-        corners = [tuple(rng.integers(0, s) for s in shape) for _ in range(n_corners)]
-        truth = oracles.upper_set_from_corners(shape, corners)
-        if truth[(0,) * len(shape)] == 1 or truth[tuple(s - 1 for s in shape)] == 0:
-            continue
-        grid = GridSpec([0.0] * 2, [float(s - 1) for s in shape], shape)
-        approx = grid_search(staircase_oracle(truth, grid), grid, threads=threads)
-        assert np.array_equal(approx.labels, truth)
-        ref_inner, ref_outer = oracles.frontier_scan(truth)
-        assert np.array_equal(approx.inner_indices, ref_inner)
-        assert np.array_equal(approx.outer_indices, ref_outer)
+    for trial in range(40):
+        shape = [(6, 6), (5, 4), (3, 11), (17, 17), (2, 9)][trial % 5]
+        truth = random_staircase(rng, shape)
+        grid = unit_grid(shape)
+        approx = grid_search(staircase_oracle(truth, grid), grid)
+        assert_matches_truth(approx, truth)
         assert approx.oracle_calls <= truth.size
+        assert approx.oracle_calls <= seed_bound(shape) + walk_bound(*shape)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (9,), (16,), (33,)])
+def test_one_dimensional_lattices(shape):
+    (r,) = shape
+    grid = unit_grid(shape)
+    for t in range(1, r):  # first acceptable index; 0 and r are degenerate boxes
+        truth = (np.arange(r) >= t).astype(np.int8)
+        approx = grid_search(staircase_oracle(truth, grid), grid)
+        assert_matches_truth(approx, truth)
+        # the diagonal seed is the whole lattice: nothing is left to walk
+        assert approx.oracle_calls <= 2 + math.ceil(math.log2(r - 1))
+    for t in range(r + 1):  # the walk alone bisects its one line
+        truth = (np.arange(r) >= t).astype(np.int8)
+        store = _LabelStore(staircase_oracle(truth, grid), grid)
+        _walk(store)
+        assert np.array_equal(store.labels, truth)
+        assert store.calls <= math.ceil(math.log2(r + 1))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (3, 4), (4, 4), (5, 5), (4, 6)])
+def test_walk_call_bound_holds_on_every_small_staircase(shape):
+    r1, r2 = shape
+    grid = unit_grid(shape)
+    for thresholds in itertools.combinations_with_replacement(range(r2 + 1), r1):
+        # every non-increasing threshold sequence, degenerate boxes included
+        corners = [(i, t) for i, t in enumerate(reversed(thresholds)) if t < r2]
+        truth = oracles.upper_set_from_corners(shape, corners)
+        store = _LabelStore(staircase_oracle(truth, grid), grid)
+        _walk(store)
+        assert np.array_equal(store.labels, truth)
+        assert store.calls <= walk_bound(r1, r2)
+
+
+def test_walk_call_bound_on_random_slices():
+    rng = np.random.default_rng(89)
+    for trial in range(60):
+        shape = tuple(int(v) for v in rng.integers(2, 41, size=2))
+        if trial % 3 == 0:
+            # a fine staircase of steps 2 wide and 2 high, the costliest galloping legs
+            r = int(rng.integers(4, 21))
+            shape = (r, r)
+            corners = [(2 * k, r - 2 * k - 1) for k in range(r // 2)]
+            truth = oracles.upper_set_from_corners(shape, corners)
+        else:
+            truth = random_staircase(rng, shape, max_corners=12)
+        grid = unit_grid(shape)
+        store = _LabelStore(staircase_oracle(truth, grid), grid)
+        _walk(store)
+        assert np.array_equal(store.labels, truth)
+        assert store.calls <= walk_bound(*shape)
+
+
+def test_walk_gallops_past_long_flat_stretches():
+    # one corner: column 0 plus three legs (along, down, along), each logarithmic
+    shape = (65, 65)
+    grid = unit_grid(shape)
+    leg = 2 * math.ceil(math.log2(65 + 1)) - 1
+    for corner in [(32, 20), (1, 63), (63, 1), (40, 40), (5, 50)]:
+        truth = oracles.upper_set_from_corners(shape, [corner])
+        store = _LabelStore(staircase_oracle(truth, grid), grid)
+        _walk(store)
+        assert np.array_equal(store.labels, truth)
+        assert store.calls <= math.ceil(math.log2(65 + 1)) + 3 * leg
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5), (4, 7, 3), (3, 4, 3, 5), (4, 4, 4, 4)])
+def test_higher_dimensional_staircases(shape):
+    rng = np.random.default_rng(90)
+    grid = unit_grid(shape)
+    slices = math.prod(shape[:-2])
+    for trial in range(8):
+        truth = random_staircase(rng, shape)
+        approx = grid_search(staircase_oracle(truth, grid), grid)
+        assert_matches_truth(approx, truth)
+        assert approx.oracle_calls <= seed_bound(shape) + slices * walk_bound(*shape[-2:])
+        assert approx.oracle_calls < truth.size
 
 
 def test_three_dimensional_staircase():
@@ -252,19 +358,63 @@ def test_three_dimensional_staircase():
     truth = oracles.upper_set_from_corners(shape, [(1, 2, 3), (3, 1, 0), (0, 4, 2)])
     grid = GridSpec([0.0] * 3, [4.0] * 3, 5)
     approx = grid_search(staircase_oracle(truth, grid), grid)
-    assert np.array_equal(approx.labels, truth)
-    ref_inner, ref_outer = oracles.frontier_scan(truth)
-    assert np.array_equal(approx.inner_indices, ref_inner)
-    assert np.array_equal(approx.outer_indices, ref_outer)
+    assert_matches_truth(approx, truth)
 
 
-def test_threaded_and_serial_labels_identical():
+@pytest.mark.parametrize(
+    "coarse_shape,factor", [((5, 5), 2), ((4, 6), 3), ((6, 5), 4), ((3, 4, 4), 2)]
+)
+def test_refine_walks_prepainted_lattices(coarse_shape, factor):
+    rng = np.random.default_rng(91)
+    fine_shape = tuple((r - 1) * factor + 1 for r in coarse_shape)
+    upper = [float(r - 1) for r in fine_shape]
+    coarse_grid = GridSpec([0.0] * len(coarse_shape), upper, coarse_shape)
+    fine_grid = unit_grid(fine_shape)
+    for trial in range(8):
+        truth = random_staircase(rng, fine_shape)
+        oracle = staircase_oracle(truth, fine_grid)
+        coarse = grid_search(oracle, coarse_grid)
+        fine = refine(oracle, coarse, factor)
+        assert fine.grid.resolution == fine_shape
+        if coarse.degenerate is not None:
+            continue
+        assert_matches_truth(fine, truth)
+        slices = math.prod(fine_shape[:-2])
+        assert fine.oracle_calls - coarse.oracle_calls <= slices * walk_bound(*fine_shape[-2:])
+
+
+def test_labels_independent_of_evaluation_order():
+    # stores that already hold verdicts queried in random orders, as refine
+    # and neighbouring slices leave them, walk to the same labels
+    rng = np.random.default_rng(92)
     grid = GridSpec([0.0, 0.0], [4.0, 4.0], 21)
-    serial = grid_search(half_space(3.3), grid, threads=1)
-    threaded = grid_search(half_space(3.3), grid, threads=4)
-    assert np.array_equal(serial.labels, threaded.labels)
-    assert np.array_equal(serial.inner_frontier, threaded.inner_frontier)
-    assert np.array_equal(serial.outer_frontier, threaded.outer_frontier)
+    oracle = half_space(3.3)
+    reference = grid_search(oracle, grid)
+    for trial in range(20):
+        store = _LabelStore(oracle, grid)
+        order = rng.permutation(reference.labels.size)[: int(rng.integers(0, 60))]
+        for flat in order:
+            store.query(np.unravel_index(flat, reference.labels.shape))
+        _walk(store)
+        assert np.array_equal(store.labels, reference.labels)
+        approx = _finalize(store, None)
+        assert np.array_equal(approx.inner_frontier, reference.inner_frontier)
+        assert np.array_equal(approx.outer_frontier, reference.outer_frontier)
+
+
+def test_finalize_rejects_unlabeled_points():
+    store = _LabelStore(half_space(2.0), BOX04)
+    store.query((2, 2))
+    with pytest.raises(ModelError, match="unlabeled"):
+        _finalize(store, None)
+
+
+def test_agg_sum_refine_call_budget():
+    # column bisection spent 436 calls on this preset; the walk must not spend more
+    plan = build_run(resolve_config(preset_config("agg_lognormal:sum")))
+    oracle = membership_oracle(plan.model, plan.acceptance)
+    approx = refine(oracle, grid_search(oracle, plan.grid), 4)
+    assert approx.oracle_calls <= 436
 
 
 def test_degenerate_boxes_are_flagged():
