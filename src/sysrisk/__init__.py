@@ -29,7 +29,6 @@ from .aggregation import (
     AggregationValueModel,
     GroupMap,
     aggregate,
-    make_cvm,
 )
 from .clearing import (
     ClearingResult,
@@ -39,11 +38,9 @@ from .clearing import (
     LinearSqrtPrice,
     NetworkValueModel,
     TabulatedPrice,
-    build_relative,
     clear,
     equity,
     make_inverse_demand,
-    make_network_cvm,
     read_edge_csv,
     validate_inverse_demand,
     write_edge_csv,
@@ -61,17 +58,14 @@ from .errors import (
 from .netgen import NetworkGenSpec, sample_network
 from .presets import preset_config, preset_names
 from .riskmeasure import (
-    DiagonalResult,
     EarResult,
     GridApproximation,
     GridSpec,
     PinnedAllocationModel,
     ProbeReport,
-    diagonal_bisection,
     ear,
     ear_record,
     grid_search,
-    membership,
     membership_oracle,
     quasiconvexity_probe,
     refine,
@@ -131,7 +125,6 @@ __all__ = [
     "AggregationSpec",
     "AggregationValueModel",
     "aggregate",
-    "make_cvm",
     # clearing
     "LiabilityNetwork",
     "ClearingResult",
@@ -141,11 +134,9 @@ __all__ = [
     "TabulatedPrice",
     "make_inverse_demand",
     "validate_inverse_demand",
-    "build_relative",
     "clear",
     "equity",
     "NetworkValueModel",
-    "make_network_cvm",
     "read_edge_csv",
     "write_edge_csv",
     # network generation
@@ -154,13 +145,10 @@ __all__ = [
     # grid search and rules
     "GridSpec",
     "GridApproximation",
-    "DiagonalResult",
     "EarResult",
     "ProbeReport",
     "PinnedAllocationModel",
-    "membership",
     "membership_oracle",
-    "diagonal_bisection",
     "grid_search",
     "refine",
     "ear",

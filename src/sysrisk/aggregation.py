@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ModelError, ParameterError
 from .scenarios import ScenarioMatrix
 
-__all__ = ["GroupMap", "AggregationSpec", "AggregationValueModel", "aggregate", "make_cvm"]
+__all__ = ["GroupMap", "AggregationSpec", "AggregationValueModel", "aggregate"]
 
 AGGREGATION_KINDS = ("sum", "loss", "exp")
 AGGREGATION_MODES = ("insensitive", "sensitive")
@@ -154,10 +154,3 @@ class AggregationValueModel:
             alpha * self.scenarios.values + (1.0 - alpha) * other.scenarios.values
         )
         return self.with_scenarios(mixed)
-
-
-def make_cvm(
-    scenarios: ScenarioMatrix, spec: AggregationSpec, groups: GroupMap
-) -> AggregationValueModel:
-    """Build an aggregation value model over a fixed scenario draw."""
-    return AggregationValueModel(scenarios, spec, groups)

@@ -31,11 +31,9 @@ __all__ = [
     "TabulatedPrice",
     "make_inverse_demand",
     "validate_inverse_demand",
-    "build_relative",
     "clear",
     "equity",
     "NetworkValueModel",
-    "make_network_cvm",
     "read_edge_csv",
     "write_edge_csv",
 ]
@@ -120,7 +118,7 @@ def make_inverse_demand(kind: str, **params):
         return ConstantPrice(**params)
     if kind == "linear_cap":
         return LinearCapPrice(**params)
-    if kind in ("linear_sqrt", "cifuentes_piecewise"):
+    if kind == "linear_sqrt":
         if params:
             raise ParameterError("linear_sqrt takes no parameters")
         return LinearSqrtPrice()
@@ -202,28 +200,34 @@ class LiabilityNetwork:
         return float(self.nominal[1:, 0].sum())
 
 
-def build_relative(nominal, groups: GroupMap | None = None) -> LiabilityNetwork:
-    """Wrap a nominal liability matrix, deriving totals and relative shares."""
-    return LiabilityNetwork(nominal, groups)
-
-
 def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
     """Load a network from an edge list CSV with header from,to,amount (node 0 = society)."""
     rows = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read edge list {path}: {exc.strerror}") from None
+    with fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "from,to,amount":
-            raise ConfigurationError(f"expected header 'from,to,amount', got {header!r}")
+            raise ConfigurationError(f"{path}: expected header 'from,to,amount', got {header!r}")
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise ConfigurationError(f"line {line_no}: expected 3 fields, got {len(parts)}")
-            rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                raise ConfigurationError(
+                    f"{path} line {line_no}: expected 3 fields, got {len(parts)}"
+                )
+            try:
+                rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path} line {line_no}: expected integer node ids and a number, got {line!r}"
+                ) from None
     if not rows:
-        raise ConfigurationError("edge list is empty")
+        raise ConfigurationError(f"{path}: edge list is empty")
     size = max(max(i, j) for i, j, _ in rows) + 1
     nominal = np.zeros((size, size))
     for i, j, amount in rows:
@@ -463,18 +467,3 @@ class NetworkValueModel:
             alpha * self.scenarios_s.values + (1.0 - alpha) * other.scenarios_s.values
         )
         return self.with_scenarios(mix_x, mix_s)
-
-
-def make_network_cvm(
-    network: LiabilityNetwork,
-    scenarios_x: ScenarioMatrix,
-    scenarios_s: ScenarioMatrix,
-    f,
-    groups: GroupMap | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> NetworkValueModel:
-    """Build the society-equity value model; groups defaults to the network's own map."""
-    if groups is not None and groups != network.groups:
-        network = LiabilityNetwork(network.nominal, groups)
-    return NetworkValueModel(network, scenarios_x, scenarios_s, f, tol, max_iter)

@@ -12,7 +12,7 @@ configuration on disk. Feeding a finished manifest back through
 
 Exit codes: 0 success, 2 configuration or validation problem,
 3 convergence failure, 4 degenerate search box (with guidance),
-1 other model errors.
+1 any other error during the search (a model error, for one).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     ConfigurationError,
     ConvergenceError,
     DegenerateBoxError,
-    ModelError,
     SysriskError,
 )
 from .presets import preset_config, preset_names
@@ -291,7 +290,7 @@ def cmd_run(args) -> int:
         _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ModelError as exc:
+    except SysriskError as exc:
         _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1

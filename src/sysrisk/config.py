@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .acceptance import AcceptanceSpec
-from .aggregation import AggregationSpec, GroupMap, make_cvm
+from .aggregation import AggregationSpec, AggregationValueModel, GroupMap
 from .clearing import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -27,7 +27,7 @@ from .clearing import (
     make_inverse_demand,
     read_edge_csv,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SysriskError
 from .netgen import NetworkGenSpec, sample_network
 from .riskmeasure import GridSpec, PinnedAllocationModel
 from .scenarios import (
@@ -72,6 +72,12 @@ def load_config(path) -> dict:
 
 def _fail(path: str, message: str):
     raise ConfigurationError(f"config error at {path}: {message}")
+
+
+def _reject_unknown(cfg: dict, path: str, allowed, what: str = "keys") -> None:
+    unknown = set(cfg) - set(allowed)
+    if unknown:
+        _fail(path, f"unknown {what} {sorted(unknown)}")
 
 
 def _expect_mapping(cfg, path: str) -> dict:
@@ -156,9 +162,7 @@ def _resolve_margin(mcfg, path: str) -> dict:
     out = {"type": kind}
     for key, default in fields.items():
         out[key] = _get_number(mcfg, path, key, default=default, required=default is None)
-    unknown = set(mcfg) - set(fields) - {"type"}
-    if unknown:
-        _fail(path, f"unknown margin keys {sorted(unknown)}")
+    _reject_unknown(mcfg, path, {"type", *fields}, what="margin keys")
     return out
 
 
@@ -174,9 +178,7 @@ def resolve_config(cfg: dict) -> dict:
         "name", "seed", "threads", "refine", "scenarios", "model",
         "acceptance", "grid", "ear", "output",
     }
-    unknown = set(cfg) - known_top
-    if unknown:
-        _fail("config", f"unknown top-level keys {sorted(unknown)}")
+    _reject_unknown(cfg, "config", known_top, what="top-level keys")
 
     out: dict = {}
     out["name"] = _get_str(cfg, "config", "name", default="run")
@@ -203,9 +205,7 @@ def resolve_config(cfg: dict) -> dict:
     if frac is not None and not 0.0 <= frac <= 1.0:
         _fail("scenarios.liquid_fraction", f"must lie in [0, 1], got {frac}")
     rsc["liquid_fraction"] = frac
-    unknown = set(sc) - {"count", "correlation", "seed", "margins", "liquid_fraction"}
-    if unknown:
-        _fail("scenarios", f"unknown keys {sorted(unknown)}")
+    _reject_unknown(sc, "scenarios", {"count", "correlation", "seed", "margins", "liquid_fraction"})
     out["scenarios"] = rsc
 
     # model
@@ -234,9 +234,7 @@ def resolve_config(cfg: dict) -> dict:
                              choices={"insensitive", "sensitive"}),
             "theta": _get_number(agg, "model.aggregation", "theta", default=2.0),
         }
-        unknown = set(agg) - {"kind", "mode", "theta"}
-        if unknown:
-            _fail("model.aggregation", f"unknown keys {sorted(unknown)}")
+        _reject_unknown(agg, "model.aggregation", {"kind", "mode", "theta"})
         rmodel["aggregation"] = ragg
     else:
         if "aggregation" in mc:
@@ -262,9 +260,8 @@ def resolve_config(cfg: dict) -> dict:
             if len(rgen["society_weights"]) != n_groups:
                 _fail("model.network.generate.society_weights",
                       f"expected {n_groups} entries")
-            unknown = set(gen) - {"seed", "probabilities", "weights", "society_weights"}
-            if unknown:
-                _fail("model.network.generate", f"unknown keys {sorted(unknown)}")
+            _reject_unknown(gen, "model.network.generate",
+                            {"seed", "probabilities", "weights", "society_weights"})
             rnet["generate"] = rgen
             rnet["edges_file"] = None
         else:
@@ -275,26 +272,22 @@ def resolve_config(cfg: dict) -> dict:
         demand = _expect_mapping(net.get("inverse_demand", None) or {"type": "constant"},
                                  "model.network.inverse_demand")
         dkind = _get_str(demand, "model.network.inverse_demand", "type", required=True)
-        rdemand = {"type": dkind}
-        for key, value in demand.items():
-            if key == "type":
-                continue
-            rdemand[key] = value
-        rnet["inverse_demand"] = rdemand
+        params = {key: value for key, value in demand.items() if key != "type"}
+        try:  # surface unknown kinds and bad parameters at validation time
+            make_inverse_demand(dkind, **params)
+        except (SysriskError, TypeError, ValueError) as exc:
+            _fail("model.network.inverse_demand", str(exc))
+        rnet["inverse_demand"] = {"type": dkind, **params}
         clearing = _expect_mapping(net.get("clearing", None) or {}, "model.network.clearing")
         rnet["clearing"] = {
             "tol": _get_number(clearing, "model.network.clearing", "tol", default=DEFAULT_TOL),
             "max_iter": _get_int(clearing, "model.network.clearing", "max_iter",
                                  default=DEFAULT_MAX_ITER, minimum=1),
         }
-        unknown = set(net) - {"generate", "edges_file", "inverse_demand", "clearing"}
-        if unknown:
-            _fail("model.network", f"unknown keys {sorted(unknown)}")
-        rnet_sorted = {k: rnet[k] for k in ("generate", "edges_file", "inverse_demand", "clearing")}
-        rmodel["network"] = rnet_sorted
-    unknown = set(mc) - {"type", "groups", "aggregation", "network"}
-    if unknown:
-        _fail("model", f"unknown keys {sorted(unknown)}")
+        _reject_unknown(net, "model.network",
+                        {"generate", "edges_file", "inverse_demand", "clearing"})
+        rmodel["network"] = rnet  # manifests keep this insertion order of the keys
+    _reject_unknown(mc, "model", {"type", "groups", "aggregation", "network"})
     if rsc["liquid_fraction"] is not None and mtype != "network":
         _fail("scenarios.liquid_fraction", "only meaningful for network models")
     out["model"] = rmodel
@@ -307,25 +300,16 @@ def resolve_config(cfg: dict) -> dict:
         "shift": _get_number(ac, "acceptance", "shift", default=0.0),
     }
     for key in _ACCEPTANCE_FIELDS:
-        if key == "loss":
-            racc[key] = _get_str(ac, "acceptance", key, default=None)
-        elif key == "utility":
-            racc[key] = _get_str(ac, "acceptance", key, default=None)
-        else:
-            racc[key] = _get_number(ac, "acceptance", key, default=None)
+        getter = _get_str if key in ("loss", "utility") else _get_number
+        racc[key] = getter(ac, "acceptance", key, default=None)
     frac = _get_number(ac, "acceptance", "shift_fraction_of_promised", default=None)
     if frac is not None and mtype != "network":
         _fail("acceptance.shift_fraction_of_promised", "only valid for network models")
     racc["shift_fraction_of_promised"] = frac
-    unknown = set(ac) - {"criterion", "shift", "shift_fraction_of_promised", *_ACCEPTANCE_FIELDS}
-    if unknown:
-        _fail("acceptance", f"unknown keys {sorted(unknown)}")
+    _reject_unknown(ac, "acceptance",
+                    {"criterion", "shift", "shift_fraction_of_promised", *_ACCEPTANCE_FIELDS})
     try:  # surface criterion/parameter mismatches at validation time
-        AcceptanceSpec(
-            criterion=racc["criterion"], shift=racc["shift"], lam=racc["lam"],
-            loss=racc["loss"], power=racc["power"], z=racc["z"], utility=racc["utility"],
-            utility_lam=racc["utility_lam"], level=racc["level"],
-        )
+        AcceptanceSpec(racc["criterion"], racc["shift"], **{k: racc[k] for k in _ACCEPTANCE_FIELDS})
     except Exception as exc:
         _fail("acceptance", str(exc))
     out["acceptance"] = racc
@@ -337,11 +321,13 @@ def resolve_config(cfg: dict) -> dict:
     rgrid["upper"] = _number_list(gc.get("upper"), "grid.upper")
     res = gc.get("resolution")
     if isinstance(res, int) and not isinstance(res, bool):
-        rgrid["resolution"] = [res] * len(rgrid["lower"])
-    else:
-        rgrid["resolution"] = [
-            int(v) for v in _number_list(res, "grid.resolution")
-        ]
+        res = [res] * len(rgrid["lower"])
+    if not isinstance(res, (list, tuple)) or not res:
+        _fail("grid.resolution", "expected an integer or a non-empty list of integers")
+    for i, v in enumerate(res):
+        if isinstance(v, bool) or not isinstance(v, int):
+            _fail(f"grid.resolution[{i}]", f"expected an integer, got {v!r}")
+    rgrid["resolution"] = list(res)
     rgrid["nonneg"] = _get_bool(gc, "grid", "nonneg", default=False)
     fixed_raw = gc.get("fixed") or {}
     fixed_raw = _expect_mapping(fixed_raw, "grid.fixed")
@@ -365,9 +351,15 @@ def resolve_config(cfg: dict) -> dict:
             _fail(f"grid.{key}", f"expected {free_dims} entries (free groups), got {len(rgrid[key])}")
     if len(rgrid["resolution"]) != free_dims:
         _fail("grid.resolution", f"expected {free_dims} entries, got {len(rgrid['resolution'])}")
-    unknown = set(gc) - {"lower", "upper", "resolution", "nonneg", "fixed"}
-    if unknown:
-        _fail("grid", f"unknown keys {sorted(unknown)}")
+    if mtype == "network":  # clearing takes no negative capital
+        for i, v in enumerate(rgrid["lower"]):
+            if v < 0 and not rgrid["nonneg"]:
+                _fail(f"grid.lower[{i}]", f"network models take no negative capital, got {v}; "
+                      "raise it to 0 or set grid.nonneg")
+        for key, value in rfixed.items():
+            if value < 0:
+                _fail(f"grid.fixed.{key}", f"network models take no negative capital, got {value}")
+    _reject_unknown(gc, "grid", {"lower", "upper", "resolution", "nonneg", "fixed"})
     try:
         GridSpec(rgrid["lower"], rgrid["upper"], rgrid["resolution"], rgrid["nonneg"])
     except Exception as exc:
@@ -387,9 +379,7 @@ def resolve_config(cfg: dict) -> dict:
         if any(v <= 0 for v in vec):
             _fail(f"ear.weights[{i}]", "weights must be strictly positive")
         rweights.append(vec)
-    unknown = set(ec) - {"weights"}
-    if unknown:
-        _fail("ear", f"unknown keys {sorted(unknown)}")
+    _reject_unknown(ec, "ear", {"weights"})
     out["ear"] = {"weights": rweights}
 
     # output
@@ -400,9 +390,7 @@ def resolve_config(cfg: dict) -> dict:
         "write_network": _get_bool(oc, "output", "write_network", default=False),
         "write_labels": _get_bool(oc, "output", "write_labels", default=True),
     }
-    unknown = set(oc) - {"directory", "write_scenarios", "write_network", "write_labels"}
-    if unknown:
-        _fail("output", f"unknown keys {sorted(unknown)}")
+    _reject_unknown(oc, "output", {"directory", "write_scenarios", "write_network", "write_labels"})
     return out
 
 
@@ -455,7 +443,7 @@ def build_run(resolved: dict) -> RunPlan:
     if resolved["model"]["type"] == "aggregation":
         agg = resolved["model"]["aggregation"]
         spec = AggregationSpec(kind=agg["kind"], mode=agg["mode"], theta=agg["theta"])
-        model = make_cvm(base, spec, groups)
+        model = AggregationValueModel(base, spec, groups)
     else:
         net_cfg = resolved["model"]["network"]
         if net_cfg["generate"] is not None:
@@ -468,7 +456,10 @@ def build_run(resolved: dict) -> RunPlan:
                 seed=gen["seed"],
             ))
         else:
-            network = read_edge_csv(net_cfg["edges_file"], groups)
+            try:
+                network = read_edge_csv(net_cfg["edges_file"], groups)
+            except SysriskError as exc:
+                _fail("model.network.edges_file", str(exc))
         demand_cfg = dict(net_cfg["inverse_demand"])
         f = make_inverse_demand(demand_cfg.pop("type"), **demand_cfg)
         frac = sc["liquid_fraction"]
@@ -487,11 +478,7 @@ def build_run(resolved: dict) -> RunPlan:
     shift = acc["shift"]
     if acc["shift_fraction_of_promised"] is not None:
         shift += acc["shift_fraction_of_promised"] * network.society_promised
-    spec = AcceptanceSpec(
-        criterion=acc["criterion"], shift=shift, lam=acc["lam"], loss=acc["loss"],
-        power=acc["power"], z=acc["z"], utility=acc["utility"],
-        utility_lam=acc["utility_lam"], level=acc["level"],
-    )
+    spec = AcceptanceSpec(acc["criterion"], shift, **{k: acc[k] for k in _ACCEPTANCE_FIELDS})
 
     search_model = model
     fixed = resolved["grid"]["fixed"]

@@ -45,13 +45,10 @@ from .errors import DegenerateBoxError, ModelError, ParameterError
 __all__ = [
     "GridSpec",
     "GridApproximation",
-    "DiagonalResult",
     "EarResult",
     "ProbeReport",
     "PinnedAllocationModel",
-    "membership",
     "membership_oracle",
-    "diagonal_bisection",
     "grid_search",
     "refine",
     "ear",
@@ -97,7 +94,10 @@ class GridSpec:
             up = np.repeat(up, ndim)
         if lo.size != up.size:
             raise ParameterError(f"lower has {lo.size} entries, upper {up.size}")
-        res = np.atleast_1d(np.asarray(resolution, dtype=int))
+        res = np.atleast_1d(np.asarray(resolution, dtype=float))
+        if not (np.isfinite(res).all() and (res == np.round(res)).all()):
+            raise ParameterError(f"resolution entries must be integers, got {resolution}")
+        res = res.astype(int)
         if res.size == 1 and ndim > 1:
             res = np.repeat(res, ndim)
         if res.size != ndim:
@@ -158,15 +158,6 @@ class GridApproximation:
     oracle_calls: int
     degenerate: str | None
     certified: bool
-
-
-@dataclass(frozen=True)
-class DiagonalResult:
-    """Bracketing pair on the box diagonal, or the degenerate verdict."""
-
-    degenerate: str | None
-    last_out: np.ndarray | None
-    first_in: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -232,11 +223,6 @@ class PinnedAllocationModel:
         for j, value in self.pinned.items():
             full[j] = value
         return self.model.samples_at(full)
-
-
-def membership(model, spec: AcceptanceSpec, k) -> bool:
-    """Is the model output at allocation k acceptable under the criterion?"""
-    return is_acceptable(model.samples_at(k), spec)
 
 
 def membership_oracle(model, spec: AcceptanceSpec):
@@ -405,6 +391,13 @@ def _extract_frontiers(labels: np.ndarray):
     return np.argwhere(minimal), np.argwhere(maximal)  # argwhere order is lexicographic
 
 
+def _coords(axes, idx: np.ndarray) -> np.ndarray:
+    """Coordinate rows of lattice index rows; an empty (0, ndim) array for none."""
+    if not idx.size:
+        return np.empty((0, len(axes)))
+    return np.column_stack([axis[idx[:, d]] for d, axis in enumerate(axes)])
+
+
 def _finalize(store: _LabelStore, degenerate: str | None) -> GridApproximation:
     labels = store.labels
     grid = store.grid
@@ -433,19 +426,13 @@ def _finalize(store: _LabelStore, degenerate: str | None) -> GridApproximation:
                     "point plus one spacing is inside the box but not acceptable"
                 )
 
-    axes = store.axes
-    to_coords = lambda idx: (
-        np.column_stack([axes[d][idx[:, d]] for d in range(nd)])
-        if idx.size
-        else np.empty((0, nd))
-    )
     labels_ro = labels.copy()
     labels_ro.setflags(write=False)
     return GridApproximation(
         grid=grid,
         labels=labels_ro,
-        inner_frontier=to_coords(inner_idx),
-        outer_frontier=to_coords(outer_idx),
+        inner_frontier=_coords(store.axes, inner_idx),
+        outer_frontier=_coords(store.axes, outer_idx),
         inner_indices=inner_idx,
         outer_indices=outer_idx,
         v=grid.spacing,
@@ -459,41 +446,14 @@ def _finalize(store: _LabelStore, degenerate: str | None) -> GridApproximation:
 # public search operations
 
 
-def diagonal_bisection(oracle, grid: GridSpec) -> DiagonalResult:
-    """Locate the acceptability threshold along the box diagonal.
-
-    Returns the last unacceptable and first acceptable lattice points on the
-    index diagonal (t, ..., t). If the box's bottom corner is already
-    acceptable or its top corner unacceptable, the box is degenerate and the
-    corresponding flag is returned instead. On non-square lattices the
-    diagonal may end before reaching the top corner without ever entering
-    the acceptance region; first_in is then None.
-    """
-    store = _LabelStore(oracle, grid)
-    nd = grid.ndim
-    res = grid.resolution
-    if store.query((0,) * nd) == ACCEPTABLE:
-        return DiagonalResult("all_in", None, None)
-    if store.query(tuple(r - 1 for r in res)) == UNACCEPTABLE:
-        return DiagonalResult("all_out", None, None)
-    lo, hi = 0, min(res) - 1
-    if store.query((hi,) * nd) == UNACCEPTABLE:
-        return DiagonalResult(None, store.point((hi,) * nd), None)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if store.query((mid,) * nd) == ACCEPTABLE:
-            hi = mid
-        else:
-            lo = mid
-    return DiagonalResult(None, store.point((lo,) * nd), store.point((hi,) * nd))
-
-
 def grid_search(oracle, grid: GridSpec) -> GridApproximation:
     """Label the whole lattice and extract the frontier sandwich.
 
-    The oracle must be monotone (true at k stays true at any k' >= k); this
-    is checked opportunistically whenever propagation overlaps. Labels are
-    ground truth regardless of evaluation order.
+    The oracle must be monotone (true at k stays true at any k' >= k). This
+    is not verified: only unlabelled points are queried, and no verdict at
+    such a point can contradict a propagated label, so a non-monotone oracle
+    gets the monotone labels its queried verdicts imply. For a monotone
+    oracle the labels are ground truth regardless of evaluation order.
     """
     store = _LabelStore(oracle, grid)
     degenerate = _seed_labels(store)
@@ -585,24 +545,27 @@ def quasiconvexity_probe(model_a, model_b, alpha: float, spec: AcceptanceSpec, g
     every lattice point acceptable under both inputs stays acceptable under
     the blend. With a concave aggregation (so blending can only improve
     outcomes) and a convex acceptance criterion no violations should occur;
-    non-concave models can and do violate, and the report lists where.
+    non-concave models can and do violate, and the report lists where, in
+    lexicographic lattice order.
+
+    The three lattices are labelled by grid_search, so model_a, model_b and
+    their blend must all be monotone in capital, as every value model the
+    library builds is. The search does not verify this: for a non-monotone
+    model the report reflects the labels its queried points imply, not a
+    point-by-point check.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
     blend = model_a.blend(model_b, alpha)
-    axes = grid.axes()
-    checked = 0
-    total = 0
-    violations = []
-    for idx in np.ndindex(*grid.resolution):
-        point = np.array([axes[d][i] for d, i in enumerate(idx)])
-        total += 1
-        if membership(model_a, spec, point) and membership(model_b, spec, point):
-            checked += 1
-            if not membership(blend, spec, point):
-                violations.append(point)
-    stacked = np.array(violations) if violations else np.empty((0, grid.ndim))
-    return ProbeReport(alpha=alpha, checked=checked, total_points=total, violations=stacked)
+    a, b, mixed = (
+        grid_search(membership_oracle(model, spec), grid).labels == ACCEPTABLE
+        for model in (model_a, model_b, blend)
+    )
+    both = a & b
+    violations = _coords(grid.axes(), np.argwhere(both & ~mixed))
+    return ProbeReport(
+        alpha=alpha, checked=int(both.sum()), total_points=both.size, violations=violations
+    )
 
 
 # ---------------------------------------------------------------------------

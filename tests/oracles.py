@@ -9,6 +9,7 @@ checks. A shared bug would have to be written twice to slip through.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -167,6 +168,23 @@ def frontier_scan(labels: np.ndarray):
         np.array(minimal, dtype=int).reshape(-1, nd),
         np.array(maximal, dtype=int).reshape(-1, nd),
     )
+
+
+def probe_scan(accepts_a, accepts_b, accepts_blend, axes):
+    """Quasi-convexity check point by point, in lexicographic lattice order.
+
+    Returns (checked, total_points, violation coordinates) for three boolean
+    oracles on the lattice spanned by axes.
+    """
+    checked, total, violations = 0, 0, []
+    for coords in itertools.product(*axes):
+        point = np.array(coords)
+        total += 1
+        if accepts_a(point) and accepts_b(point):
+            checked += 1
+            if not accepts_blend(point):
+                violations.append(point)
+    return checked, total, np.array(violations).reshape(-1, len(axes))
 
 
 def ear_scan(labels: np.ndarray, axes, w, rtol: float = 1e-9):

@@ -32,10 +32,10 @@ from sysrisk import (
     ConstantPrice,
     GridSpec,
     GroupMap,
+    LiabilityNetwork,
     LinearSqrtPrice,
     ScenarioMatrix,
     avar,
-    build_relative,
     build_run,
     clear,
     ear,
@@ -92,7 +92,7 @@ def test_criterion_1_clearing_matches_bottom_up_oracle():
         nominal = rng.uniform(0.0, 2.0, size=(n + 1, n + 1))
         nominal[0, :] = 0.0
         np.fill_diagonal(nominal, 0.0)
-        net = build_relative(nominal, groups=GroupMap([1] * n))
+        net = LiabilityNetwork(nominal, groups=GroupMap([1] * n))
         x = rng.uniform(0.05, 1.5, size=n)  # strictly positive cash
         top_down = clear(net, x, np.zeros(n), UNIT, tol=1e-13).p
         bottom_up = oracles.clear_bottom_up(net.nominal, x)
@@ -106,7 +106,7 @@ def test_criterion_2_hand_clearing_cases():
     nominal[1, 2] = 1.0
     nominal[1, 0] = 1.0
     nominal[2, 0] = 1.0
-    net = build_relative(nominal)
+    net = LiabilityNetwork(nominal)
     result = clear(net, x=[0.5, 0.2], s=[0.0, 0.0], f=UNIT)
     assert result.p == pytest.approx([0.5, 0.45], abs=1e-12)
     e = equity(net, [0.5, 0.2], [0.0, 0.0], UNIT)
@@ -116,7 +116,7 @@ def test_criterion_2_hand_clearing_cases():
     single = np.zeros((2, 2))
     single[1, 0] = 1.0
     fire = clear(
-        build_relative(single), x=[0.0], s=[1.0],
+        LiabilityNetwork(single), x=[0.0], s=[1.0],
         f=lambda y: 1.0 / (1.0 + np.asarray(y, dtype=float)),
     )
     assert fire.pi == pytest.approx(0.5, abs=1e-10)
@@ -293,7 +293,7 @@ def test_criterion_7_axiom_property_suites():
     nominal = net_rng.uniform(0.0, 2.0, size=(5, 5))
     nominal[0, :] = 0.0
     np.fill_diagonal(nominal, 0.0)
-    net = build_relative(nominal, groups=GroupMap([1] * 4))
+    net = LiabilityNetwork(nominal, groups=GroupMap([1] * 4))
     zeros = np.zeros(4)
     for _ in range(100):
         a = net_rng.uniform(0.0, 1.5, size=4)

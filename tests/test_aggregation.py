@@ -14,7 +14,6 @@ from sysrisk import (
     ParameterError,
     ScenarioMatrix,
     aggregate,
-    make_cvm,
 )
 
 SUM = AggregationSpec("sum", "insensitive")
@@ -108,11 +107,11 @@ def test_group_map_validation():
 
 def test_make_cvm_rejects_firm_count_mismatch():
     with pytest.raises(ConfigurationError):
-        make_cvm(random_matrix(0, n_firms=4), SUM, GroupMap([2, 3]))
+        AggregationValueModel(random_matrix(0, n_firms=4), SUM, GroupMap([2, 3]))
 
 
 def test_samples_at_rejects_wrong_allocation_size():
-    model = make_cvm(random_matrix(1, n_firms=4), SUM, GroupMap([2, 2]))
+    model = AggregationValueModel(random_matrix(1, n_firms=4), SUM, GroupMap([2, 2]))
     with pytest.raises(ParameterError):
         model.samples_at([1.0, 2.0, 3.0])
 
@@ -120,8 +119,8 @@ def test_samples_at_rejects_wrong_allocation_size():
 def test_sum_modes_identical_bit_for_bit():
     scen = random_matrix(11)
     groups = GroupMap([2, 4])
-    before = make_cvm(scen, AggregationSpec("sum", "sensitive"), groups)
-    after = make_cvm(scen, AggregationSpec("sum", "insensitive"), groups)
+    before = AggregationValueModel(scen, AggregationSpec("sum", "sensitive"), groups)
+    after = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), groups)
     rng = np.random.default_rng(12)
     for _ in range(30):
         k = rng.uniform(-3.0, 3.0, size=2)
@@ -132,7 +131,7 @@ def test_sum_sensitive_agrees_with_elementwise_route():
     # guard on the fast path: recompute Lambda(X + g(k)) without the identity
     scen = random_matrix(13)
     groups = GroupMap([3, 3])
-    model = make_cvm(scen, AggregationSpec("sum", "sensitive"), groups)
+    model = AggregationValueModel(scen, AggregationSpec("sum", "sensitive"), groups)
     rng = np.random.default_rng(14)
     for _ in range(20):
         k = rng.uniform(-2.0, 2.0, size=2)
@@ -143,8 +142,8 @@ def test_sum_sensitive_agrees_with_elementwise_route():
 def test_loss_sensitive_dominated_by_insensitive_on_nonneg_capital():
     scen = random_matrix(21)
     groups = GroupMap([2, 2, 2])
-    before = make_cvm(scen, AggregationSpec("loss", "sensitive"), groups)
-    after = make_cvm(scen, AggregationSpec("loss", "insensitive"), groups)
+    before = AggregationValueModel(scen, AggregationSpec("loss", "sensitive"), groups)
+    after = AggregationValueModel(scen, AggregationSpec("loss", "insensitive"), groups)
     rng = np.random.default_rng(22)
     for _ in range(30):
         k = rng.uniform(0.0, 3.0, size=3)
@@ -155,9 +154,9 @@ def test_loss_sensitive_dominated_by_insensitive_on_nonneg_capital():
 def test_modes_coincide_at_zero_capital(spec):
     scen = random_matrix(31)
     groups = GroupMap([3, 3])
-    model = make_cvm(scen, spec, groups)
+    model = AggregationValueModel(scen, spec, groups)
     twin_mode = "sensitive" if spec.mode == "insensitive" else "insensitive"
-    twin = make_cvm(scen, AggregationSpec(spec.kind, twin_mode, spec.theta), groups)
+    twin = AggregationValueModel(scen, AggregationSpec(spec.kind, twin_mode, spec.theta), groups)
     k0 = np.zeros(2)
     assert model.samples_at(k0) == pytest.approx(twin.samples_at(k0), abs=1e-12)
 
@@ -166,7 +165,7 @@ def test_modes_coincide_at_zero_capital(spec):
 def test_model_monotone_in_capital(spec):
     scen = random_matrix(41)
     groups = GroupMap([2, 4])
-    model = make_cvm(scen, spec, groups)
+    model = AggregationValueModel(scen, spec, groups)
     rng = np.random.default_rng(42)
     for _ in range(25):
         k = rng.uniform(-1.0, 2.0, size=2)
@@ -178,7 +177,7 @@ def test_model_monotone_in_capital(spec):
 def test_sensitive_models_midpoint_concave_in_capital(kind):
     scen = random_matrix(51, scale=1.0)
     groups = GroupMap([3, 3])
-    model = make_cvm(scen, AggregationSpec(kind, "sensitive"), groups)
+    model = AggregationValueModel(scen, AggregationSpec(kind, "sensitive"), groups)
     rng = np.random.default_rng(52)
     for _ in range(25):
         a = rng.uniform(-1.0, 1.5, size=2)
@@ -193,20 +192,20 @@ def test_insensitive_shift_is_exactly_linear():
     rng = np.random.default_rng(61)
     scen = ScenarioMatrix(rng.integers(-8, 9, size=(6, 40)).astype(float))
     groups = GroupMap([2, 4])
-    model = make_cvm(scen, AggregationSpec("loss", "insensitive"), groups)
+    model = AggregationValueModel(scen, AggregationSpec("loss", "insensitive"), groups)
     k = np.array([0.5, -1.25])
     m = np.array([0.25, 2.0])
     shift = 2 * 0.25 + 4 * 2.0
     assert np.array_equal(model.samples_at(k + m), model.samples_at(k) + shift)
     # random draws still satisfy the identity to float cancellation error
-    loose = make_cvm(random_matrix(62), AggregationSpec("loss", "insensitive"), groups)
+    loose = AggregationValueModel(random_matrix(62), AggregationSpec("loss", "insensitive"), groups)
     delta = loose.samples_at(k + m) - loose.samples_at(k)
     assert delta == pytest.approx(np.full(40, shift), abs=1e-12)
 
 
 def test_exp_sensitive_overflow_raises_model_error():
     scen = random_matrix(71, n_firms=2)
-    model = make_cvm(scen, AggregationSpec("exp", "sensitive"), GroupMap([1, 1]))
+    model = AggregationValueModel(scen, AggregationSpec("exp", "sensitive"), GroupMap([1, 1]))
     with pytest.raises(ModelError):
         model.samples_at([-500.0, -500.0])
 
@@ -219,8 +218,8 @@ def test_exp_sensitive_overflow_raises_model_error():
 def test_blend_superadditive_for_concave_aggregation(spec):
     # Lambda(alpha X + (1-alpha) X') >= alpha Lambda(X) + (1-alpha) Lambda(X')
     groups = GroupMap([3, 3])
-    a = make_cvm(random_matrix(81, scale=1.0), spec, groups)
-    b = make_cvm(random_matrix(82, scale=1.0), spec, groups)
+    a = AggregationValueModel(random_matrix(81, scale=1.0), spec, groups)
+    b = AggregationValueModel(random_matrix(82, scale=1.0), spec, groups)
     rng = np.random.default_rng(83)
     for _ in range(15):
         alpha = float(rng.uniform())
@@ -233,8 +232,8 @@ def test_blend_superadditive_for_concave_aggregation(spec):
 def test_blend_matches_direct_mixture_aggregation():
     groups = GroupMap([2, 2])
     spec = AggregationSpec("exp", "sensitive")
-    a = make_cvm(random_matrix(84, n_firms=4, scale=0.5), spec, groups)
-    b = make_cvm(random_matrix(85, n_firms=4, scale=0.5), spec, groups)
+    a = AggregationValueModel(random_matrix(84, n_firms=4, scale=0.5), spec, groups)
+    b = AggregationValueModel(random_matrix(85, n_firms=4, scale=0.5), spec, groups)
     alpha = 0.3
     k = np.array([0.2, 0.7])
     mixed_values = alpha * a.scenarios.values + (1 - alpha) * b.scenarios.values
@@ -245,8 +244,8 @@ def test_blend_matches_direct_mixture_aggregation():
 
 def test_blend_endpoint_alphas_recover_inputs():
     groups = GroupMap([2, 2])
-    a = make_cvm(random_matrix(86, n_firms=4), SUM, groups)
-    b = make_cvm(random_matrix(87, n_firms=4), SUM, groups)
+    a = AggregationValueModel(random_matrix(86, n_firms=4), SUM, groups)
+    b = AggregationValueModel(random_matrix(87, n_firms=4), SUM, groups)
     k = np.array([1.0, -1.0])
     assert a.blend(b, 1.0).samples_at(k) == pytest.approx(a.samples_at(k), abs=1e-12)
     assert a.blend(b, 0.0).samples_at(k) == pytest.approx(b.samples_at(k), abs=1e-12)
@@ -254,21 +253,25 @@ def test_blend_endpoint_alphas_recover_inputs():
 
 def test_blend_validation():
     groups = GroupMap([2, 2])
-    a = make_cvm(random_matrix(91, n_firms=4), SUM, groups)
-    b = make_cvm(random_matrix(92, n_firms=4), SUM, groups)
+    a = AggregationValueModel(random_matrix(91, n_firms=4), SUM, groups)
+    b = AggregationValueModel(random_matrix(92, n_firms=4), SUM, groups)
     with pytest.raises(ParameterError):
         a.blend(b, 1.5)
-    other_spec = make_cvm(random_matrix(92, n_firms=4), AggregationSpec("loss", "insensitive"), groups)
+    other_spec = AggregationValueModel(
+        random_matrix(92, n_firms=4), AggregationSpec("loss", "insensitive"), groups
+    )
     with pytest.raises(ConfigurationError):
         a.blend(other_spec, 0.5)
-    thinner = make_cvm(random_matrix(93, n_firms=4, n_scenarios=10), SUM, groups)
+    thinner = AggregationValueModel(random_matrix(93, n_firms=4, n_scenarios=10), SUM, groups)
     with pytest.raises(ConfigurationError):
         a.blend(thinner, 0.5)
 
 
 def test_with_scenarios_swaps_the_draw_only():
     groups = GroupMap([1, 3])
-    model = make_cvm(random_matrix(94, n_firms=4), AggregationSpec("loss", "sensitive"), groups)
+    model = AggregationValueModel(
+        random_matrix(94, n_firms=4), AggregationSpec("loss", "sensitive"), groups
+    )
     fresh = random_matrix(95, n_firms=4)
     swapped = model.with_scenarios(fresh)
     assert swapped.spec == model.spec

@@ -15,14 +15,13 @@ from sysrisk import (
     LinearCapPrice,
     LinearSqrtPrice,
     ModelError,
+    NetworkValueModel,
     ParameterError,
     ScenarioMatrix,
     TabulatedPrice,
-    build_relative,
     clear,
     equity,
     make_inverse_demand,
-    make_network_cvm,
     read_edge_csv,
     validate_inverse_demand,
     write_edge_csv,
@@ -39,14 +38,14 @@ def two_firm_chain():
     nominal[1, 2] = 1.0
     nominal[1, 0] = 1.0
     nominal[2, 0] = 1.0
-    return build_relative(nominal)
+    return LiabilityNetwork(nominal)
 
 
 def random_network(rng, n, scale=2.0):
     nominal = rng.uniform(0.0, scale, size=(n + 1, n + 1))
     nominal[0, :] = 0.0
     np.fill_diagonal(nominal, 0.0)
-    return build_relative(nominal, groups=GroupMap([1] * n))
+    return LiabilityNetwork(nominal, groups=GroupMap([1] * n))
 
 
 def reciprocal_demand(y):
@@ -108,7 +107,6 @@ def test_make_inverse_demand_kinds():
     assert isinstance(make_inverse_demand("constant", price=1.0), ConstantPrice)
     assert isinstance(make_inverse_demand("linear_cap", slope=1.0, floor=0.5), LinearCapPrice)
     assert isinstance(make_inverse_demand("linear_sqrt"), LinearSqrtPrice)
-    assert isinstance(make_inverse_demand("cifuentes_piecewise"), LinearSqrtPrice)
     assert isinstance(
         make_inverse_demand("tabulated", quantities=[0.0, 1.0], prices=[1.0, 0.5]),
         TabulatedPrice,
@@ -117,6 +115,8 @@ def test_make_inverse_demand_kinds():
         make_inverse_demand("linear_sqrt", slope=1.0)
     with pytest.raises(ParameterError):
         make_inverse_demand("quadratic")
+    with pytest.raises(ParameterError, match="unknown inverse demand kind"):
+        make_inverse_demand("cifuentes_piecewise")  # old alias of linear_sqrt
 
 
 def test_validate_rejects_revenue_decreasing_curve():
@@ -168,7 +168,7 @@ def test_equal_split_relative_shares():
     nominal = np.zeros((3, 3))
     nominal[1, 2] = 1.0
     nominal[1, 0] = 1.0
-    net = build_relative(nominal)
+    net = LiabilityNetwork(nominal)
     assert net.relative[1, 2] == 0.5
     assert net.relative[1, 0] == 0.5
     assert net.pbar[1] == 2.0
@@ -178,7 +178,7 @@ def test_equal_split_relative_shares():
 def test_zero_obligation_row_stays_zero():
     nominal = np.zeros((3, 3))
     nominal[1, 0] = 3.0
-    net = build_relative(nominal)
+    net = LiabilityNetwork(nominal)
     assert not net.relative[2].any()
     assert net.pbar[2] == 0.0
 
@@ -195,17 +195,17 @@ def test_relative_rows_sum_to_one_where_owing():
 
 def test_network_validation():
     with pytest.raises(ParameterError):
-        build_relative(np.zeros((2, 3)))
+        LiabilityNetwork(np.zeros((2, 3)))
     with pytest.raises(ParameterError):
-        build_relative(np.zeros((1, 1)))
+        LiabilityNetwork(np.zeros((1, 1)))
     with pytest.raises(ParameterError):
-        build_relative([[0.0, 0.0], [-1.0, 0.0]])
+        LiabilityNetwork([[0.0, 0.0], [-1.0, 0.0]])
     with pytest.raises(ParameterError):
-        build_relative([[0.0, 0.0], [1.0, 1.0]])  # diagonal
+        LiabilityNetwork([[0.0, 0.0], [1.0, 1.0]])  # diagonal
     with pytest.raises(ParameterError):
-        build_relative([[0.0, 1.0], [1.0, 0.0]])  # society owes
+        LiabilityNetwork([[0.0, 1.0], [1.0, 0.0]])  # society owes
     with pytest.raises(ParameterError):
-        build_relative([[0.0, 0.0], [math.nan, 0.0]])
+        LiabilityNetwork([[0.0, 0.0], [math.nan, 0.0]])
     with pytest.raises(ConfigurationError):
         LiabilityNetwork(np.zeros((3, 3)), groups=GroupMap([5]))
 
@@ -239,7 +239,7 @@ def test_two_firm_default_hand_case():
 def test_fire_sale_single_firm():
     nominal = np.zeros((2, 2))
     nominal[1, 0] = 1.0
-    net = build_relative(nominal)
+    net = LiabilityNetwork(nominal)
     result = clear(net, x=[0.0], s=[1.0], f=reciprocal_demand)
     assert result.pi == pytest.approx(0.5, abs=1e-10)
     assert result.p == pytest.approx([0.5], abs=1e-10)
@@ -364,7 +364,7 @@ def make_model(rng, n=3, m=25, groups=None, f=UNIT_PRICE, liquid=1.0):
     holdings = rng.uniform(0.0, 1.0, size=(n, m))
     sx = ScenarioMatrix(holdings * liquid)
     ss = ScenarioMatrix(holdings * (1.0 - liquid))
-    return make_network_cvm(net, sx, ss, f)
+    return NetworkValueModel(net, sx, ss, f)
 
 
 def test_model_saturates_at_large_capital():
@@ -422,11 +422,11 @@ def test_model_construction_validation():
     net = random_network(rng, 3)
     good = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 10)))
     with pytest.raises(ConfigurationError):
-        make_network_cvm(net, ScenarioMatrix(rng.uniform(0, 1, size=(2, 10))), good, UNIT_PRICE)
+        NetworkValueModel(net, ScenarioMatrix(rng.uniform(0, 1, size=(2, 10))), good, UNIT_PRICE)
     with pytest.raises(ConfigurationError):
-        make_network_cvm(net, good, ScenarioMatrix(rng.uniform(0, 1, size=(3, 9))), UNIT_PRICE)
+        NetworkValueModel(net, good, ScenarioMatrix(rng.uniform(0, 1, size=(3, 9))), UNIT_PRICE)
     with pytest.raises(ConfigurationError):
-        make_network_cvm(net, ScenarioMatrix(-good.values), good, UNIT_PRICE)
+        NetworkValueModel(net, ScenarioMatrix(-good.values), good, UNIT_PRICE)
 
     def bad_curve(y):
         y = np.asarray(y, dtype=float)
@@ -434,7 +434,7 @@ def test_model_construction_validation():
             return 1.0 / y**2
 
     with pytest.raises(ModelError):
-        make_network_cvm(net, good, good, bad_curve)
+        NetworkValueModel(net, good, good, bad_curve)
 
 
 def test_model_blend_mixes_both_holdings():
@@ -444,8 +444,8 @@ def test_model_blend_mixes_both_holdings():
     sa = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 12)))
     xb = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 12)))
     sb = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 12)))
-    a = make_network_cvm(net, xa, sa, LinearSqrtPrice())
-    b = make_network_cvm(net, xb, sb, LinearSqrtPrice())
+    a = NetworkValueModel(net, xa, sa, LinearSqrtPrice())
+    b = NetworkValueModel(net, xb, sb, LinearSqrtPrice())
     mixed = a.blend(b, 0.25)
     assert mixed.scenarios_x.values == pytest.approx(
         0.25 * xa.values + 0.75 * xb.values, abs=1e-15
@@ -456,20 +456,21 @@ def test_model_blend_mixes_both_holdings():
     with pytest.raises(ParameterError):
         a.blend(b, -0.1)
     other_net = random_network(np.random.default_rng(131), 3)
-    c = make_network_cvm(other_net, xb, sb, LinearSqrtPrice())
+    c = NetworkValueModel(other_net, xb, sb, LinearSqrtPrice())
     with pytest.raises(ConfigurationError):
         a.blend(c, 0.5)
 
 
 def test_make_network_cvm_group_override():
+    # the model searches over the groups of its network; regrouping means a new network
     rng = np.random.default_rng(139)
     net = random_network(rng, 4)
     sx = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(4, 8)))
     ss = ScenarioMatrix(np.zeros((4, 8)))
-    model = make_network_cvm(net, sx, ss, UNIT_PRICE, groups=GroupMap([1, 3]))
+    model = NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([1, 3])), sx, ss, UNIT_PRICE)
     assert model.n_groups == 2
     with pytest.raises(ConfigurationError):
-        make_network_cvm(net, sx, ss, UNIT_PRICE, groups=GroupMap([2, 1]))
+        LiabilityNetwork(net.nominal, GroupMap([2, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +510,20 @@ def test_edge_csv_errors(tmp_path):
     negative.write_text("from,to,amount\n-1,0,1.0\n")
     with pytest.raises(ConfigurationError):
         read_edge_csv(negative)
+
+
+def test_edge_csv_errors_name_the_file_and_line(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(ConfigurationError, match="cannot read edge list .*missing.csv"):
+        read_edge_csv(missing)
+    fractional = tmp_path / "f.csv"
+    fractional.write_text("from,to,amount\n1,0,1.0\n2.5,0,1.0\n")
+    with pytest.raises(ConfigurationError, match="f.csv line 3: expected integer node ids"):
+        read_edge_csv(fractional)
+    amount = tmp_path / "a.csv"
+    amount.write_text("from,to,amount\n1,0,lots\n")
+    with pytest.raises(ConfigurationError, match="a.csv line 2"):
+        read_edge_csv(amount)
 
 
 def test_clearing_result_is_frozen():

@@ -5,9 +5,10 @@ import json
 import pytest
 import yaml
 
+from sysrisk import cli
 from sysrisk.cli import main
 from sysrisk.config import config_hash, resolve_config
-from sysrisk.errors import ConfigurationError
+from sysrisk.errors import ConfigurationError, ParameterError
 from sysrisk.presets import preset_config, preset_names
 
 
@@ -226,6 +227,64 @@ def test_validate_grid_res_override_shows_in_lattice(tmp_path, capsys):
     assert "grid: 5x7 lattice" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("demand", [
+    {"type": "constant", "foo": 1},
+    {"type": "linear_cap", "slope": "x", "floor": 0.5},
+    {"type": "cifuentes_piecewise"},
+])
+def test_bad_demand_parameters_exit_2(tmp_path, capsys, demand):
+    outdir = tmp_path / "out"
+    cfg = small_net_cfg(outdir)
+    cfg["model"]["network"]["inverse_demand"] = demand
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert "model.network.inverse_demand" in capsys.readouterr().err
+    assert main(["run", "--config", path]) == 2
+    assert "model.network.inverse_demand" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("edges,fragment", [
+    (None, "cannot read edge list"),
+    ("from,to,amount\n1,0,1.0\nx,0,1.0\n", "line 3: expected integer node ids"),
+])
+def test_bad_edges_file_exits_2(tmp_path, capsys, edges, fragment):
+    outdir = tmp_path / "out"
+    cfg = small_net_cfg(outdir)
+    edges_path = tmp_path / "edges.csv"
+    if edges is not None:
+        edges_path.write_text(edges)
+    cfg["model"]["network"] = {"edges_file": str(edges_path)}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "model.network.edges_file" in err and fragment in err
+    assert main(["run", "--config", path]) == 2
+    assert fragment in capsys.readouterr().err
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+
+
+def test_negative_network_capital_exits_2(tmp_path, capsys):
+    cfg = preset_config("two_tier:B2")
+    cfg["grid"]["nonneg"] = False
+    cfg["grid"]["lower"] = [-1, -1]
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert "grid.lower[0]: network models take no negative capital" in capsys.readouterr().err
+
+
+def test_fractional_resolution_exits_2(tmp_path, capsys):
+    cfg = small_agg_cfg(tmp_path / "out")
+    cfg["model"]["groups"] = [1, 1]
+    cfg["scenarios"]["margins"] = cfg["scenarios"]["margins"] * 2
+    cfg["grid"] = {"lower": [0.0, 0.0], "upper": [4.0, 4.0], "resolution": [5.7, 5]}
+    cfg["ear"] = {"weights": [[1.0, 1.0]]}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert "grid.resolution[0]: expected an integer, got 5.7" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--grid-res", "x"),
     ("--grid-res", ""),
@@ -386,6 +445,20 @@ def test_run_model_failure_exits_1(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_run_other_search_error_exits_1(tmp_path, capsys, monkeypatch):
+    def failing_search(oracle, grid):
+        raise ParameterError("allocation outside the model's domain")
+
+    monkeypatch.setattr(cli, "grid_search", failing_search)
+    outdir = tmp_path / "out"
+    path = write_cfg(tmp_path, small_agg_cfg(outdir))
+    assert main(["run", "--config", path]) == 1
+    assert "outside the model's domain" in capsys.readouterr().err
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "outside the model's domain" in manifest["error"]
 
 
 def test_run_unparseable_config_exits_2(tmp_path, capsys):

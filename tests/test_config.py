@@ -9,7 +9,6 @@ from sysrisk.aggregation import (
     AggregationSpec,
     AggregationValueModel,
     GroupMap,
-    make_cvm,
 )
 from sysrisk.clearing import (
     DEFAULT_MAX_ITER,
@@ -460,6 +459,55 @@ def test_grid_fixed_validation():
     assert_rejects(cfg, "at least one group must remain free")
 
 
+def test_grid_resolution_entries_must_be_integers():
+    cfg = agg_config_two_groups()
+    cfg["grid"]["resolution"] = [5.7, 5]
+    assert_rejects(cfg, "grid.resolution[0]: expected an integer, got 5.7")
+    cfg["grid"]["resolution"] = [5, 5.0]
+    assert_rejects(cfg, "grid.resolution[1]: expected an integer, got 5.0")
+    cfg["grid"]["resolution"] = (5, 7)
+    assert resolve_config(cfg)["grid"]["resolution"] == [5, 7]
+
+
+def test_network_grid_rejects_negative_capital():
+    cfg = net_config()
+    cfg["grid"]["lower"] = [-1.0]
+    assert_rejects(cfg, "grid.lower[0]: network models take no negative capital")
+    cfg["grid"]["nonneg"] = True  # the clip to zero makes it admissible
+    assert resolve_config(cfg)["grid"]["lower"] == [-1.0]
+    cfg = net_config()
+    cfg["model"]["groups"] = [1, 2]
+    cfg["scenarios"]["margins"] = cfg["scenarios"]["margins"] * 2
+    cfg["model"]["network"]["generate"] = {
+        "probabilities": [[0.6, 0.6], [0.6, 0.6]],
+        "weights": [[1.5, 1.5], [1.5, 1.5]],
+        "society_weights": [2.0, 2.0],
+    }
+    cfg["grid"]["fixed"] = {"1": -0.5}
+    cfg["grid"]["nonneg"] = True  # does not clip pinned values
+    assert_rejects(cfg, "grid.fixed.1: network models take no negative capital")
+    agg = agg_config()
+    agg["grid"]["lower"] = [-1.0]
+    assert resolve_config(agg)["grid"]["lower"] == [-1.0]
+
+
+def test_inverse_demand_parameters_checked_at_resolve_time():
+    for demand, fragment in [
+        ({"type": "constant", "foo": 1}, "unexpected keyword argument 'foo'"),
+        ({"type": "linear_cap", "slope": "x", "floor": 0.5}, "'str'"),
+        ({"type": "cifuentes_piecewise"}, "unknown inverse demand kind"),
+        ({"type": "linear_sqrt", "slope": 1.0}, "linear_sqrt takes no parameters"),
+    ]:
+        cfg = net_config()
+        cfg["model"]["network"]["inverse_demand"] = demand
+        assert_rejects(cfg, "config error at model.network.inverse_demand: ")
+        assert_rejects(cfg, fragment)
+    cfg = net_config()
+    cfg["model"]["network"]["inverse_demand"] = {"type": "linear_cap", "floor": 0.5, "slope": 1.0}
+    demand = resolve_config(cfg)["model"]["network"]["inverse_demand"]
+    assert list(demand.items()) == [("type", "linear_cap"), ("floor", 0.5), ("slope", 1.0)]
+
+
 def test_grid_box_errors_surface_at_resolve_time():
     cfg = agg_config()
     cfg["grid"]["upper"] = [0.0]
@@ -563,7 +611,7 @@ def test_build_run_pins_groups():
     assert isinstance(plan.model, PinnedAllocationModel)
     assert plan.model.pinned == {1: 0.75}
     # the pinned adapter must agree with evaluating the full model directly
-    full = make_cvm(
+    full = AggregationValueModel(
         plan.scenario_matrix,
         AggregationSpec(kind="sum", mode="insensitive", theta=2.0),
         GroupMap([1, 1]),

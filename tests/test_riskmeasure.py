@@ -11,6 +11,7 @@ import oracles
 from sysrisk import (
     AcceptanceSpec,
     AggregationSpec,
+    AggregationValueModel,
     DegenerateBoxError,
     GridApproximation,
     GridSpec,
@@ -20,12 +21,10 @@ from sysrisk import (
     PinnedAllocationModel,
     ScenarioMatrix,
     build_run,
-    diagonal_bisection,
     ear,
     ear_record,
     grid_search,
-    make_cvm,
-    membership,
+    is_acceptable,
     membership_oracle,
     preset_config,
     quasiconvexity_probe,
@@ -127,6 +126,14 @@ def test_grid_spec_validation():
     assert high.ndim == 5
 
 
+def test_grid_spec_rejects_fractional_resolution():
+    with pytest.raises(ParameterError, match="resolution entries must be integers"):
+        GridSpec([0.0, 0.0], [1.0, 1.0], [5.7, 5])
+    with pytest.raises(ParameterError, match="resolution entries must be integers"):
+        GridSpec([0.0], [1.0], math.nan)
+    assert GridSpec([0.0, 0.0], [1.0, 1.0], [5.0, np.int64(3)]).resolution == (5, 3)
+
+
 # ---------------------------------------------------------------------------
 # membership
 
@@ -149,7 +156,7 @@ def test_membership_factory_binds_model_and_spec():
     spec = AcceptanceSpec("avar", lam=0.5)
     oracle = membership_oracle(model, spec)
     for k in ([0.0], [1.0], [2.0]):
-        assert oracle(k) == membership(model, spec, k)
+        assert oracle(k) == is_acceptable(model.samples_at(k), spec)
     # avar of (0,-2) at the 50% level is 2.0: acceptable exactly from k = 2 on
     assert not oracle([1.99])
     assert oracle([2.0])
@@ -159,11 +166,11 @@ def test_membership_factory_binds_model_and_spec():
 def test_membership_collapses_to_total_capital_for_insensitive_sum():
     rng = np.random.default_rng(1234)
     scen = ScenarioMatrix(rng.normal(0.0, 1.0, size=(100, 300)))
-    model = make_cvm(scen, AggregationSpec("sum", "insensitive"), GroupMap([50, 50]))
-    spec = AcceptanceSpec("avar", lam=0.1)
+    model = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), GroupMap([50, 50]))
+    oracle = membership_oracle(model, AcceptanceSpec("avar", lam=0.1))
 
     def at_total(t):
-        return membership(model, spec, [t / 2.0, t / 2.0])
+        return oracle([t / 2.0, t / 2.0])
 
     assert not at_total(0.0)
     assert at_total(2.0)
@@ -177,57 +184,10 @@ def test_membership_collapses_to_total_capital_for_insensitive_sum():
     threshold = hi
     # membership must depend on k only through its weighted total
     for k1, k2 in [(0.0, 0.8), (0.4, 0.4), (0.8, 0.0), (0.1, 0.7)]:
-        assert membership(model, spec, [k1, k2]) == at_total(k1 + k2)
+        assert oracle([k1, k2]) == at_total(k1 + k2)
     for t in np.linspace(0.0, 2.0, 21):
         if abs(t - threshold) > 1e-6:
             assert at_total(t) == (t > threshold)
-
-
-# ---------------------------------------------------------------------------
-# diagonal bisection
-
-
-def test_diagonal_bisection_half_space():
-    grid = GridSpec([-1.0, -1.0], [1.0, 1.0], 3)
-    result = diagonal_bisection(half_space(0.0), grid)
-    assert result.degenerate is None
-    assert np.array_equal(result.last_out, [-1.0, -1.0])
-    assert np.array_equal(result.first_in, [0.0, 0.0])
-
-
-def test_diagonal_bisection_degenerate_boxes():
-    always = diagonal_bisection(lambda k: True, BOX04)
-    assert always.degenerate == "all_in"
-    assert always.last_out is None and always.first_in is None
-    never = diagonal_bisection(lambda k: False, BOX04)
-    assert never.degenerate == "all_out"
-
-
-def test_diagonal_bisection_matches_exhaustive_scan():
-    rng = np.random.default_rng(77)
-    for trial in range(20):
-        threshold = float(rng.uniform(0.5, 7.5))
-        oracle = half_space(threshold)
-        result = diagonal_bisection(oracle, BOX04)
-        diag = [np.array([float(t), float(t)]) for t in range(5)]
-        flags = [oracle(p) for p in diag]
-        if all(flags):
-            assert result.degenerate == "all_in"
-        elif not any(flags):
-            assert result.degenerate == "all_out"
-        else:
-            first = next(i for i, f in enumerate(flags) if f)
-            assert np.array_equal(result.first_in, diag[first])
-            assert np.array_equal(result.last_out, diag[first - 1])
-
-
-def test_diagonal_bisection_short_diagonal_may_not_enter():
-    # 5 x 2 lattice: the index diagonal stops at (1, 1) = coords (1.0, 1.0)
-    grid = GridSpec([0.0, 0.0], [4.0, 1.0], (5, 2))
-    result = diagonal_bisection(half_space(3.5), grid)
-    assert result.degenerate is None
-    assert result.first_in is None
-    assert np.array_equal(result.last_out, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +202,19 @@ def test_half_space_frontiers_exact():
     assert np.array_equal(approx.inner_frontier, [[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
     assert np.array_equal(approx.outer_frontier, [[0.0, 1.0], [1.0, 0.0]])
     assert approx.oracle_calls < 25
+
+
+def test_grid_search_short_diagonal_lattice():
+    # 5 x 2 lattice: the index diagonal stops at (1, 1) = coords (1.0, 1.0) without
+    # entering the region, so the walk alone must find the boundary
+    grid = GridSpec([0.0, 0.0], [4.0, 1.0], (5, 2))
+    oracle = half_space(3.5)
+    axes = grid.axes()
+    truth = np.array([[oracle(np.array([x, y])) for y in axes[1]] for x in axes[0]], dtype=np.int8)
+    approx = grid_search(oracle, grid)
+    assert approx.degenerate is None
+    assert approx.labels[1, 1] == UNACCEPTABLE
+    assert_matches_truth(approx, truth)
 
 
 def test_half_space_labels_match_truth_everywhere():
@@ -448,7 +421,7 @@ def test_grid_level_cash_invariance():
     # at k - m reproduces the original labels exactly
     rng = np.random.default_rng(99)
     scen = ScenarioMatrix(rng.normal(0.0, 1.0, size=(4, 200)))
-    model = make_cvm(scen, AggregationSpec("loss", "insensitive"), GroupMap([2, 2]))
+    model = AggregationValueModel(scen, AggregationSpec("loss", "insensitive"), GroupMap([2, 2]))
     spec = AcceptanceSpec("avar", lam=0.2, shift=-1.0)
     oracle = membership_oracle(model, spec)
     base_grid = GridSpec([0.0, 0.0], [4.0, 4.0], 5)
@@ -649,7 +622,7 @@ def test_ear_record_is_json_ready():
 def test_pinned_model_holds_groups_fixed():
     rng = np.random.default_rng(444)
     scen = ScenarioMatrix(rng.normal(size=(6, 30)))
-    full = make_cvm(scen, AggregationSpec("loss", "sensitive"), GroupMap([2, 2, 2]))
+    full = AggregationValueModel(scen, AggregationSpec("loss", "sensitive"), GroupMap([2, 2, 2]))
     pinned = PinnedAllocationModel(full, {0: 0.5})
     assert pinned.n_groups == 2
     assert np.array_equal(pinned.samples_at([1.0, 2.0]), full.samples_at([0.5, 1.0, 2.0]))
@@ -660,7 +633,7 @@ def test_pinned_model_holds_groups_fixed():
 def test_pinned_model_validation():
     rng = np.random.default_rng(445)
     scen = ScenarioMatrix(rng.normal(size=(4, 10)))
-    model = make_cvm(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2]))
+    model = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2]))
     with pytest.raises(ParameterError):
         PinnedAllocationModel(model, {})
     with pytest.raises(ParameterError):
@@ -675,7 +648,7 @@ def test_pinned_model_validation():
 def test_pinned_model_searchable():
     rng = np.random.default_rng(446)
     scen = ScenarioMatrix(rng.normal(size=(6, 100)))
-    full = make_cvm(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2, 2]))
+    full = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2, 2]))
     pinned = PinnedAllocationModel(full, {2: 0.0})
     spec = AcceptanceSpec("avar", lam=0.2)
     approx = grid_search(membership_oracle(pinned, spec), GridSpec([0.0, 0.0], [20.0, 20.0], 9))
@@ -705,8 +678,12 @@ class _MaxModel:
 def _two_group_models(seed_a, seed_b):
     groups = GroupMap([2, 2])
     spec = AggregationSpec("sum", "sensitive")
-    a = make_cvm(ScenarioMatrix(np.random.default_rng(seed_a).normal(size=(4, 60))), spec, groups)
-    b = make_cvm(ScenarioMatrix(np.random.default_rng(seed_b).normal(size=(4, 60))), spec, groups)
+    a = AggregationValueModel(
+        ScenarioMatrix(np.random.default_rng(seed_a).normal(size=(4, 60))), spec, groups
+    )
+    b = AggregationValueModel(
+        ScenarioMatrix(np.random.default_rng(seed_b).normal(size=(4, 60))), spec, groups
+    )
     return a, b
 
 
@@ -739,6 +716,59 @@ def test_probe_flags_convex_aggregation():
     assert report.checked >= 1
     assert report.violations.shape[0] >= 1
     assert [0.0, 0.0] in report.violations.tolist()
+
+
+def test_probe_matches_pointwise_scan():
+    rng = np.random.default_rng(716)
+    grid = GridSpec([0.0, 0.0], [2.0, 2.0], 7)
+    cases = [(*_two_group_models(16, 17), AcceptanceSpec("avar", lam=lam)) for lam in (0.1, 0.5)]
+    for _ in range(12):  # convex max-aggregation pairs, which do violate
+        cases.append((
+            _MaxModel(rng.normal(-1.0, 1.0, size=(2, 5))),
+            _MaxModel(rng.normal(-1.0, 1.0, size=(2, 5))),
+            AcceptanceSpec("avar", lam=float(rng.uniform(0.2, 0.8))),
+        ))
+    violating = 0
+    for a, b, spec in cases:
+        for alpha in (0.0, 0.3, 0.5):
+            report = quasiconvexity_probe(a, b, alpha, spec, grid)
+            checked, total, violations = oracles.probe_scan(
+                *(membership_oracle(m, spec) for m in (a, b, a.blend(b, alpha))), grid.axes()
+            )
+            assert (report.checked, report.total_points) == (checked, total)
+            assert np.array_equal(report.violations, violations)
+            violating += violations.shape[0] > 0
+    assert violating > 0
+
+
+class _CountingModel:
+    """Pass-through model counting samples_at calls, blends included, in one shared list."""
+
+    def __init__(self, model, calls):
+        self.model = model
+        self.calls = calls
+        self.n_groups = model.n_groups
+
+    def samples_at(self, k):
+        self.calls.append(k)
+        return self.model.samples_at(k)
+
+    def blend(self, other, alpha):
+        return _CountingModel(self.model.blend(other.model, alpha), self.calls)
+
+
+def test_probe_costs_no_more_than_three_searches():
+    a, b = _two_group_models(18, 19)
+    spec = AcceptanceSpec("avar", lam=0.25)
+    grid = GridSpec([0.0, 0.0], [3.0, 3.0], 30)
+    searches = [grid_search(membership_oracle(m, spec), grid) for m in (a, b, a.blend(b, 0.5))]
+    assert all(s.degenerate is None for s in searches)
+    calls = []
+    counted = [_CountingModel(m, calls) for m in (a, b)]
+    report = quasiconvexity_probe(*counted, 0.5, spec, grid)
+    assert report.total_points == 900
+    assert len(calls) <= sum(s.oracle_calls for s in searches)
+    assert len(calls) < report.checked  # far fewer calls than points checked
 
 
 def test_probe_alpha_validation():
