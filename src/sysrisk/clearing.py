@@ -14,6 +14,8 @@ sequence whose limit is the greatest fixed point.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,12 @@ _MONO_SLACK = 1e-12  # float headroom for checks on mathematically monotone quan
 # inverse demand curves
 
 
+def _finite(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ConstantPrice:
     """No price impact: f(y) = price for all y."""
@@ -55,7 +63,7 @@ class ConstantPrice:
     price: float = 1.0
 
     def __post_init__(self):
-        if not self.price > 0:
+        if not _finite("price", self.price) > 0:
             raise ParameterError(f"price must be positive, got {self.price}")
 
     def __call__(self, y):
@@ -70,9 +78,9 @@ class LinearCapPrice:
     floor: float
 
     def __post_init__(self):
-        if self.slope < 0:
+        if _finite("slope", self.slope) < 0:
             raise ParameterError(f"slope must be >= 0, got {self.slope}")
-        if not 0 < self.floor <= 1:
+        if not 0 < _finite("floor", self.floor) <= 1:
             raise ParameterError(f"floor must lie in (0, 1], got {self.floor}")
 
     def __call__(self, y):
@@ -99,12 +107,15 @@ class TabulatedPrice:
     prices: tuple[float, ...]
 
     def __init__(self, quantities, prices):
-        q = tuple(float(v) for v in quantities)
-        p = tuple(float(v) for v in prices)
+        q = tuple(float(_finite(f"quantities[{i}]", v)) for i, v in enumerate(quantities))
+        p = tuple(float(_finite(f"prices[{i}]", v)) for i, v in enumerate(prices))
         if len(q) != len(p) or len(q) < 2:
             raise ParameterError("need at least two (quantity, price) knots")
         if any(b <= a for a, b in zip(q, q[1:])):
             raise ParameterError("quantities must be strictly increasing")
+        for i, price in enumerate(p):
+            if price <= 0:
+                raise ParameterError(f"prices[{i}] must be positive, got {price}")
         object.__setattr__(self, "quantities", q)
         object.__setattr__(self, "prices", p)
 

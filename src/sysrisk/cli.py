@@ -1,4 +1,4 @@
-"""Command line interface: validate configs and execute grid-search runs.
+"""Command line interface: validate configs, execute grid-search runs and sweep presets.
 
 A run takes one config (a YAML file or a built-in preset), generates the
 scenario set and the value model, labels the whole capital lattice with
@@ -8,10 +8,11 @@ plot-ready CSV datasets plus a JSON manifest. The manifest is written
 with status "running" before the heavy computation starts and finalized
 afterwards, so an interrupted run still leaves its full resolved
 configuration on disk. Feeding a finished manifest back through
---config reproduces the CSV outputs byte for byte.
+--config reproduces the CSV outputs byte for byte. A sweep searches
+several presets the same way and writes nothing.
 
 Exit codes: 0 success, 2 configuration or validation problem,
-3 convergence failure, 4 degenerate search box (with guidance),
+3 convergence failure, 4 degenerate search box (run only, with guidance),
 1 any other error during the search (a model error, for one).
 """
 
@@ -58,42 +59,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sysrisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    source = common.add_argument_group("config source (exactly one)")
-    source.add_argument("--config", metavar="PATH", help="YAML config file or recorded manifest")
-    source.add_argument(
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_argument_group("config source (exactly one)")
+    group.add_argument("--config", metavar="PATH", help="YAML config file or recorded manifest")
+    group.add_argument(
         "--preset",
         metavar="NAME",
         help="built-in configuration, e.g. two_tier:A1 (see list-presets)",
     )
-    over = common.add_argument_group("overrides")
-    over.add_argument("--seed", type=int, metavar="N", help="master seed override")
-    over.add_argument("--scenarios", type=int, metavar="M", help="scenario count override")
-    over.add_argument(
+    overrides = argparse.ArgumentParser(add_help=False)
+    group = overrides.add_argument_group("overrides")
+    group.add_argument("--seed", type=int, metavar="N", help="master seed override")
+    group.add_argument("--scenarios", type=int, metavar="M", help="scenario count override")
+    group.add_argument(
         "--grid-res",
         metavar="R[,R...]",
         help="lattice resolution override, scalar or one value per free dimension",
     )
-    over.add_argument("--refine", type=int, metavar="F", help="subdivision factor (1 = off)")
-    over.add_argument("--out", metavar="DIR", help="output directory override")
-    over.add_argument(
+    group.add_argument("--refine", type=int, metavar="F", help="subdivision factor (1 = off)")
+    group.add_argument(
         "--ear-weights",
         metavar="W",
         help="weight vectors like '1,1;10,90' (semicolon separates vectors)",
     )
-    over.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    group = output.add_argument_group("run settings")
+    group.add_argument("--out", metavar="DIR", help="output directory override")
+    group.add_argument(
         "--threads",
         type=int,
         metavar="T",
         help="ignored (the search is sequential); validated and recorded so old runs replay",
     )
 
-    run = sub.add_parser("run", parents=[common], help="execute a full run")
+    run = sub.add_parser("run", parents=[source, overrides, output], help="execute a full run")
     run.set_defaults(handler=cmd_run)
     val = sub.add_parser(
-        "validate", parents=[common], help="check a config and build its model, computing nothing"
+        "validate", parents=[source, overrides, output],
+        help="check a config and build its model, computing nothing",
     )
     val.set_defaults(handler=cmd_validate)
+    swp = sub.add_parser(
+        "sweep",
+        parents=[overrides],
+        help="search several presets, print one row each and their containment matrix",
+    )
+    swp.add_argument("presets", nargs="+", metavar="PRESET", help="preset name, e.g. two_tier:B2")
+    # a sweep writes nothing, so _apply_overrides finds no --out or --threads
+    swp.set_defaults(handler=cmd_sweep, out=None, threads=None)
     lst = sub.add_parser("list-presets", help="print the built-in preset names")
     lst.set_defaults(handler=cmd_list_presets)
     return parser
@@ -154,10 +167,6 @@ def _apply_overrides(raw: dict, args) -> dict:
     return raw
 
 
-def _resolve_from_args(args) -> dict:
-    return resolve_config(_apply_overrides(_load_raw(args), args))
-
-
 # ---------------------------------------------------------------------------
 # manifest handling
 
@@ -214,7 +223,7 @@ def cmd_list_presets(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        resolved = _resolve_from_args(args)
+        resolved = resolve_config(_apply_overrides(_load_raw(args), args))
         plan = build_run(resolved)
     except SysriskError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
@@ -259,17 +268,30 @@ def _degenerate_guidance(approx) -> str:
     )
 
 
+def _search(plan):
+    """Label the plan's lattice with grid_search, then refine it when the config asks."""
+    oracle = membership_oracle(plan.model, plan.acceptance)
+    approx = grid_search(oracle, plan.grid)
+    if plan.config["refine"] > 1:
+        approx = refine(oracle, approx, plan.config["refine"])
+    return approx
+
+
 def cmd_run(args) -> int:
     started = time.monotonic()
     try:
-        resolved = _resolve_from_args(args)
+        resolved = resolve_config(_apply_overrides(_load_raw(args), args))
     except SysriskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     outdir = resolved["output"]["directory"]
-    os.makedirs(outdir, exist_ok=True)
-    manifest_path, manifest = _start_manifest(resolved, outdir)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        manifest_path, manifest = _start_manifest(resolved, outdir)
+    except OSError as exc:
+        print(f"error: cannot write output directory {outdir}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     try:
         plan = build_run(resolved)
@@ -281,19 +303,12 @@ def cmd_run(args) -> int:
     res = "x".join(str(r) for r in plan.grid.resolution)
     print(f"run {resolved['name']!r}: {res} lattice, {resolved['scenarios']['count']} scenarios")
 
-    oracle = membership_oracle(plan.model, plan.acceptance)
     try:
-        approx = grid_search(oracle, plan.grid)
-        if resolved["refine"] > 1:
-            approx = refine(oracle, approx, resolved["refine"])
-    except ConvergenceError as exc:
-        _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        approx = _search(plan)
     except SysriskError as exc:
         _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ConvergenceError) else 1
 
     outputs = ["manifest.json", "inner_frontier.csv", "outer_frontier.csv"]
     write_frontier_csv(approx.inner_frontier, os.path.join(outdir, "inner_frontier.csv"))
@@ -351,6 +366,54 @@ def cmd_run(args) -> int:
         outputs=outputs,
     )
     print(f"wrote {outdir}/ ({', '.join(outputs)})")
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    try:
+        configs = [resolve_config(_apply_overrides(preset_config(n), args)) for n in args.presets]
+    except SysriskError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    width = max(len(cfg["name"]) for cfg in configs)
+    print(f"    {'preset':<{width}} acceptable {'points':^11} {'calls':>6}  first ear minimizer")
+    searched = []  # (lattice, acceptable mask) per preset
+    for i, cfg in enumerate(configs, 1):
+        try:
+            plan = build_run(cfg)
+        except SysriskError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            approx = _search(plan)
+            firsts = [] if approx.degenerate else [
+                ear(approx, w).minimizers[0] for w in plan.ear_weights
+            ]
+        except SysriskError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3 if isinstance(exc, ConvergenceError) else 1
+        acc = approx.labels == 1
+        rules = [
+            f"w={[float(v) for v in w]} ({', '.join(f'{v:.4f}' for v in first)})"
+            for w, first in zip(plan.ear_weights, firsts)
+        ]
+        if approx.degenerate:
+            rules = [f"degenerate ({approx.degenerate})"]
+        print(
+            f"{i:>3} {cfg['name']:<{width}} {acc.mean():10.3f} {acc.sum():>5d}/{acc.size:<5d}"
+            f" {approx.oracle_calls:>6d}  " + "  ".join(rules)
+        )
+        searched.append((approx.grid, acc))
+
+    print("containment: row i, column j counts the points acceptable under i but not under j "
+          "(0: region i lies inside region j; -: different lattices)")
+    print("    " + "".join(f"{j:>6d}" for j in range(1, len(searched) + 1)))
+    for i, (grid_i, acc_i) in enumerate(searched, 1):
+        print(f"{i:>3} " + "".join(
+            f"{np.count_nonzero(acc_i & ~acc_j):>6d}" if grid_i == grid_j else f"{'-':>6}"
+            for grid_j, acc_j in searched
+        ))
     return 0
 
 

@@ -56,11 +56,13 @@ _ACCEPTANCE_FIELDS = ("lam", "loss", "power", "z", "utility", "utility_lam", "le
 
 def load_config(path) -> dict:
     """Parse a YAML (or JSON) config file; a recorded manifest is accepted too."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path} does not contain a mapping")
     if "resolved_config" in doc:  # rerunning from a manifest

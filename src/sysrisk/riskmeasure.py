@@ -242,8 +242,12 @@ class _LabelStore:
     """Lattice labels; every oracle verdict is propagated to the orthant it implies.
 
     For a monotone oracle the labels are ground truth whatever order the
-    points are queried in. A verdict that contradicts existing labels means
-    the oracle is not monotone and raises ModelError.
+    points are queried in. Monotonicity of the oracle is an unchecked
+    precondition of grid_search and refine: query only asks about unlabelled
+    points, and no verdict there can contradict a propagated label, so a
+    non-monotone oracle yields the monotone labels its queried verdicts
+    imply. mark still raises ModelError when called directly with a
+    contradicting verdict.
     """
 
     def __init__(self, oracle, grid: GridSpec, labels: np.ndarray | None = None):

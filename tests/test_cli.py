@@ -2,13 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 from sysrisk import cli
 from sysrisk.cli import main
 from sysrisk.config import config_hash, resolve_config
-from sysrisk.errors import ConfigurationError, ParameterError
+from sysrisk.errors import ConfigurationError, ConvergenceError, ParameterError
 from sysrisk.presets import preset_config, preset_names
 
 
@@ -244,6 +245,36 @@ def test_bad_demand_parameters_exit_2(tmp_path, capsys, demand):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("demand,name", [
+    ({"type": "linear_cap", "slope": "x", "floor": 0.5}, "slope"),
+    ({"type": "linear_cap", "slope": True, "floor": 0.5}, "slope"),
+    ({"type": "linear_cap", "slope": float("nan"), "floor": 0.5}, "slope"),
+    ({"type": "constant", "price": "1"}, "price"),
+    ({"type": "constant", "price": float("inf")}, "price"),
+    ({"type": "tabulated", "quantities": [0, "a"], "prices": [1.0, 0.9]}, "quantities[1]"),
+    ({"type": "tabulated", "quantities": [0, 1], "prices": [1.0, -0.5]}, "prices[1]"),
+])
+def test_demand_parameter_errors_name_the_parameter(tmp_path, capsys, demand, name):
+    cfg = small_net_cfg(tmp_path / "out")
+    cfg["model"]["network"]["inverse_demand"] = demand
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert f"model.network.inverse_demand: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,fragment", [
+    ("missing", "cannot read"), ("directory", "cannot read"), ("binary", "cannot parse"),
+])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind, fragment):
+    path = tmp_path / "cfg.yaml"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe\x00")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"{fragment} {path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edges,fragment", [
     (None, "cannot read edge list"),
     ("from,to,amount\n1,0,1.0\nx,0,1.0\n", "line 3: expected integer node ids"),
@@ -401,6 +432,14 @@ def test_run_bad_config_exits_2_without_outputs(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_run_unwritable_output_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    path = write_cfg(tmp_path, small_agg_cfg(blocker))
+    assert main(["run", "--config", path]) == 2
+    assert f"cannot write output directory {blocker}" in capsys.readouterr().err
+
+
 def test_run_clearing_divergence_exits_3(tmp_path, capsys):
     outdir = tmp_path / "out"
     cfg = small_net_cfg(outdir)
@@ -466,3 +505,83 @@ def test_run_unparseable_config_exits_2(tmp_path, capsys):
     path.write_text("name: [unclosed\n  - ::\n")
     assert main(["run", "--config", str(path)]) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+
+AGG_FAMILY = [f"agg_lognormal:{v}" for v in (
+    "sum", "loss_insensitive", "loss_sensitive", "exp_insensitive", "exp_sensitive",
+)]
+ALPHAS = [f"three_tier:alpha={a}" for a in ("0", "0.2", "0.4", "0.6", "0.8", "1")]
+
+
+def run_preset(tmp_path, name, overrides):
+    """Exit code, oracle calls, lattice coordinates and acceptable mask of one `sysrisk run`."""
+    outdir = tmp_path / name.replace(":", "_")
+    rc = main(["run", "--preset", name, *overrides, "--out", str(outdir)])
+    calls = json.loads((outdir / "manifest.json").read_text())["oracle_calls"]
+    rows = [line.rsplit(",", 1) for line in (outdir / "labels.csv").read_text().splitlines()[1:]]
+    return rc, calls, [coords for coords, _ in rows], np.array([label == "1" for _, label in rows])
+
+
+@pytest.mark.parametrize("presets,overrides,inside", [
+    # loss-sensitive inside loss-insensitive; exp-insensitive inside every other model
+    (AGG_FAMILY, ["--scenarios", "200", "--grid-res", "6"],
+     [(2, 1)] + [(3, j) for j in range(5)]),
+    # B2 inside B4; each alpha's region inside the next alpha's
+    (["two_tier:B2", "two_tier:B4", *ALPHAS], ["--scenarios", "30", "--grid-res", "6"],
+     [(0, 1)] + [(i, i + 1) for i in range(2, 7)]),
+], ids=["aggregation", "networks"])
+def test_sweep_matches_runs(tmp_path, capsys, presets, overrides, inside):
+    runs = [run_preset(tmp_path, name, overrides) for name in presets]
+    capsys.readouterr()
+    assert main(["sweep", *presets, *overrides]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    split = next(i for i, line in enumerate(lines) if line.startswith("containment:"))
+    rows = [line.split() for line in lines[1:split]]
+    matrix = [line.split()[1:] for line in lines[split + 2:]]
+    assert len(rows) == len(matrix) == len(presets)
+
+    for row, name, (rc, calls, _, acc) in zip(rows, presets, runs):
+        assert row[1] == name
+        assert row[3] == f"{acc.sum()}/{acc.size}"
+        assert int(row[4]) == calls
+        assert row[5] == ("degenerate" if rc == 4 else "w=[1.0,")
+    for i, (_, _, coords_i, acc_i) in enumerate(runs):
+        for j, (_, _, coords_j, acc_j) in enumerate(runs):
+            expected = str(int((acc_i & ~acc_j).sum())) if coords_i == coords_j else "-"
+            assert matrix[i][j] == expected, (i, j)
+    for i, j in inside:
+        assert matrix[i][j] == "0", (presets[i], presets[j])
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["two_tier:A1", "four_tier"], "four_tier"),
+    (["two_tier:A1", "--grid-res", "x"], "--grid-res"),
+])
+def test_sweep_config_errors_exit_2_before_search(capsys, monkeypatch, argv, fragment):
+    monkeypatch.setattr(cli, "build_run", lambda cfg: pytest.fail("built a model"))
+    assert main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
+
+
+@pytest.mark.parametrize("error,code", [(ConvergenceError, 3), (ParameterError, 1)])
+def test_sweep_search_errors_exit_like_run(capsys, monkeypatch, error, code):
+    def failing_search(oracle, grid):
+        raise error("search failed")
+
+    monkeypatch.setattr(cli, "grid_search", failing_search)
+    assert main(["sweep", "agg_lognormal:sum", "--scenarios", "50"]) == code
+    assert "search failed" in capsys.readouterr().err
+
+
+def test_sweep_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "PRESET" in out and "--grid-res" in out
+    assert "--out" not in out and "--threads" not in out

@@ -494,7 +494,7 @@ def test_network_grid_rejects_negative_capital():
 def test_inverse_demand_parameters_checked_at_resolve_time():
     for demand, fragment in [
         ({"type": "constant", "foo": 1}, "unexpected keyword argument 'foo'"),
-        ({"type": "linear_cap", "slope": "x", "floor": 0.5}, "'str'"),
+        ({"type": "linear_cap", "slope": "x", "floor": 0.5}, "slope must be a finite number"),
         ({"type": "cifuentes_piecewise"}, "unknown inverse demand kind"),
         ({"type": "linear_sqrt", "slope": 1.0}, "linear_sqrt takes no parameters"),
     ]:
