@@ -530,10 +530,12 @@ def run_preset(tmp_path, name, overrides):
     # loss-sensitive inside loss-insensitive; exp-insensitive inside every other model
     (AGG_FAMILY, ["--scenarios", "200", "--grid-res", "6"],
      [(2, 1)] + [(3, j) for j in range(5)]),
-    # B2 inside B4; each alpha's region inside the next alpha's
-    (["two_tier:B2", "two_tier:B4", *ALPHAS], ["--scenarios", "30", "--grid-res", "6"],
-     [(0, 1)] + [(i, i + 1) for i in range(2, 7)]),
-], ids=["aggregation", "networks"])
+    # B2 inside B4; a three-tier lattice is not comparable with a two-tier one
+    (["two_tier:A1", "two_tier:B2", "two_tier:B4", ALPHAS[0]],
+     ["--scenarios", "30", "--grid-res", "6"], [(1, 2)]),
+    # each alpha's region inside the next alpha's
+    (ALPHAS, ["--scenarios", "30", "--grid-res", "6"], [(i, i + 1) for i in range(5)]),
+], ids=["aggregation", "two_tier", "three_tier"])
 def test_sweep_matches_runs(tmp_path, capsys, presets, overrides, inside):
     runs = [run_preset(tmp_path, name, overrides) for name in presets]
     capsys.readouterr()
@@ -578,9 +580,11 @@ def test_sweep_search_errors_exit_like_run(capsys, monkeypatch, error, code):
     assert "search failed" in capsys.readouterr().err
 
 
-def test_sweep_help(capsys):
+@pytest.mark.parametrize("presets", [AGG_FAMILY, ["two_tier:A1", "two_tier:B2"], ALPHAS],
+                         ids=["aggregation", "two_tier", "three_tier"])
+def test_sweep_help(capsys, presets):
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--help"])
+        main(["sweep", *presets, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "PRESET" in out and "--grid-res" in out
