@@ -68,7 +68,6 @@ from .riskmeasure import (
     grid_search,
     membership_oracle,
     quasiconvexity_probe,
-    refine,
     write_frontier_csv,
     write_labels_csv,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "PinnedAllocationModel",
     "membership_oracle",
     "grid_search",
-    "refine",
     "ear",
     "quasiconvexity_probe",
     "write_frontier_csv",

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import ConvergenceError, ParameterError
 
@@ -201,10 +202,15 @@ def ubsr(samples, loss_fn, z: float) -> float:
 
 
 def entropic_rho(samples, level: float) -> float:
-    """Entropic risk at a given acceptability level: shortfall risk with exponential loss and z = e^(-level)."""
+    """Entropic risk at a given acceptability level: log mean(e^(-M)) + level.
+
+    This is the closed form of shortfall risk with exponential loss and
+    z = e^(-level), evaluated by log-sum-exp so that no exponential overflows.
+    """
     if not np.isfinite(level):
         raise ParameterError("entropic level must be finite")
-    return ubsr(samples, ExpLoss(), float(np.exp(-level)))
+    m = _as_samples(samples)
+    return float(logsumexp(-m) - np.log(m.size) + level)
 
 
 def oce_rho(samples, utility_fn) -> float:

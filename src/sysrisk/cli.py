@@ -2,12 +2,12 @@
 
 A run takes one config (a YAML file or a built-in preset), generates the
 scenario set and the value model, labels the whole capital lattice with
-the monotone grid search, optionally refines it, extracts capital
-allocation rules for the configured weight vectors, and writes
-plot-ready CSV datasets plus a JSON manifest. The manifest is written
-with status "running" before the heavy computation starts and finalized
-afterwards, so an interrupted run still leaves its full resolved
-configuration on disk. Feeding a finished manifest back through
+the monotone grid search, extracts capital allocation rules for the
+configured weight vectors, and writes plot-ready CSV datasets plus a
+JSON manifest. A refine factor F makes the searched lattice (R-1)*F+1
+points per axis. The manifest is written with status "running" before
+the heavy computation starts and finalized afterwards, so an interrupted
+run still leaves its full resolved configuration on disk. Feeding a finished manifest back through
 --config reproduces the CSV outputs byte for byte. A sweep searches
 several presets the same way and writes nothing.
 
@@ -42,7 +42,6 @@ from .riskmeasure import (
     ear_record,
     grid_search,
     membership_oracle,
-    refine,
     write_frontier_csv,
     write_labels_csv,
 )
@@ -76,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="R[,R...]",
         help="lattice resolution override, scalar or one value per free dimension",
     )
-    group.add_argument("--refine", type=int, metavar="F", help="subdivision factor (1 = off)")
+    group.add_argument(
+        "--refine", type=int, metavar="F",
+        help="subdivision factor: search (R-1)*F+1 lattice points per axis (1 = off)",
+    )
     group.add_argument(
         "--ear-weights",
         metavar="W",
@@ -268,15 +270,6 @@ def _degenerate_guidance(approx) -> str:
     )
 
 
-def _search(plan):
-    """Label the plan's lattice with grid_search, then refine it when the config asks."""
-    oracle = membership_oracle(plan.model, plan.acceptance)
-    approx = grid_search(oracle, plan.grid)
-    if plan.config["refine"] > 1:
-        approx = refine(oracle, approx, plan.config["refine"])
-    return approx
-
-
 def cmd_run(args) -> int:
     started = time.monotonic()
     try:
@@ -304,7 +297,7 @@ def cmd_run(args) -> int:
     print(f"run {resolved['name']!r}: {res} lattice, {resolved['scenarios']['count']} scenarios")
 
     try:
-        approx = _search(plan)
+        approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
     except SysriskError as exc:
         _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
@@ -386,7 +379,7 @@ def cmd_sweep(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
-            approx = _search(plan)
+            approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
             firsts = [] if approx.degenerate else [
                 ear(approx, w).minimizers[0] for w in plan.ear_weights
             ]

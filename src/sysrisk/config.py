@@ -487,10 +487,12 @@ def build_run(resolved: dict) -> RunPlan:
     if fixed:
         pinned = {int(key) - 1: value for key, value in fixed.items()}
         search_model = PinnedAllocationModel(model, pinned)
+    # a refine factor F puts F - 1 points between neighbours of the configured lattice
+    factor = resolved["refine"]
     grid = GridSpec(
         resolved["grid"]["lower"],
         resolved["grid"]["upper"],
-        resolved["grid"]["resolution"],
+        [(r - 1) * factor + 1 for r in resolved["grid"]["resolution"]],
         nonneg_constraint=resolved["grid"]["nonneg"],
     )
     return RunPlan(

@@ -18,10 +18,9 @@ first column acceptable there; every column it passes has the same
 threshold t. A vertical leg gallops down that column from its known
 acceptable point to the column's own threshold. The walk ends when a leg runs off the slice or
 the threshold reaches 0. Every leg searches only the unknown gap its line
-still has, so points labelled earlier (by propagation from other prefixes,
-by the diagonal seed, or painted by refine) cost nothing. A 1-D lattice is
-a single bisection of its one line, which the diagonal seed has already
-closed.
+still has, so points labelled earlier (by propagation from other prefixes
+or by the diagonal seed) cost nothing. A 1-D lattice is a single bisection
+of its one line, which the diagonal seed has already closed.
 
 On the presets at their seed 1 the walk asks the oracle 37 times on
 agg_lognormal:exp_sensitive, where bisecting every column asked 258 times;
@@ -50,7 +49,6 @@ __all__ = [
     "PinnedAllocationModel",
     "membership_oracle",
     "grid_search",
-    "refine",
     "ear",
     "quasiconvexity_probe",
     "write_frontier_csv",
@@ -243,20 +241,18 @@ class _LabelStore:
 
     For a monotone oracle the labels are ground truth whatever order the
     points are queried in. Monotonicity of the oracle is an unchecked
-    precondition of grid_search and refine: query only asks about unlabelled
-    points, and no verdict there can contradict a propagated label, so a
+    precondition of grid_search: query only asks about unlabelled points,
+    and no verdict there can contradict a propagated label, so a
     non-monotone oracle yields the monotone labels its queried verdicts
     imply. mark still raises ModelError when called directly with a
     contradicting verdict.
     """
 
-    def __init__(self, oracle, grid: GridSpec, labels: np.ndarray | None = None):
+    def __init__(self, oracle, grid: GridSpec):
         self.oracle = oracle
         self.grid = grid
         self.axes = grid.axes()
-        if labels is None:
-            labels = np.full(grid.resolution, UNKNOWN, dtype=np.int8)
-        self.labels = labels
+        self.labels = np.full(grid.resolution, UNKNOWN, dtype=np.int8)
         self.calls = 0
 
     def point(self, idx) -> np.ndarray:
@@ -287,16 +283,17 @@ class _LabelStore:
         view[...] = verdict
 
 
-def _seed_labels(store: _LabelStore) -> str | None:
-    """Corner degeneracy checks, then diagonal bisection to seed both orthants."""
+def _seed_labels(store: _LabelStore) -> None:
+    """Corner checks, then diagonal bisection to seed both orthants.
+
+    An acceptable bottom corner or an unacceptable top corner labels the
+    whole box, so every later query of a degenerate box hits a propagated
+    label and costs nothing.
+    """
     res = store.grid.resolution
     nd = store.grid.ndim
-    bottom = (0,) * nd
-    top = tuple(r - 1 for r in res)
-    if store.query(bottom) == ACCEPTABLE:
-        return "all_in"
-    if store.query(top) == UNACCEPTABLE:
-        return "all_out"
+    store.query((0,) * nd)
+    store.query(tuple(r - 1 for r in res))
     lo, hi = 0, min(res) - 1
     if store.query((hi,) * nd) == ACCEPTABLE:  # cached for square grids (it is the top corner)
         while hi - lo > 1:
@@ -305,7 +302,6 @@ def _seed_labels(store: _LabelStore) -> str | None:
                 hi = mid
             else:
                 lo = mid
-    return None
 
 
 def _threshold(store: _LabelStore, line: tuple, gallop: int) -> int:
@@ -402,26 +398,24 @@ def _coords(axes, idx: np.ndarray) -> np.ndarray:
     return np.column_stack([axis[idx[:, d]] for d, axis in enumerate(axes)])
 
 
-def _finalize(store: _LabelStore, degenerate: str | None) -> GridApproximation:
+def _finalize(store: _LabelStore) -> GridApproximation:
     labels = store.labels
     grid = store.grid
     if (labels == UNKNOWN).any():
         raise ModelError("grid search left unlabeled points")
-    if degenerate is None:
-        if (labels == ACCEPTABLE).all():
-            degenerate = "all_in"
-        elif (labels == UNACCEPTABLE).all():
-            degenerate = "all_out"
+    degenerate = None
+    if (labels == ACCEPTABLE).all():
+        degenerate = "all_in"
+    elif (labels == UNACCEPTABLE).all():
+        degenerate = "all_out"
 
     nd = grid.ndim
     if degenerate is not None:
         inner_idx = np.empty((0, nd), dtype=int)
         outer_idx = np.empty((0, nd), dtype=int)
-        certified = True
     else:
         inner_idx, outer_idx = _extract_frontiers(labels)
         res = np.array(grid.resolution)
-        certified = True
         for o in outer_idx:
             stepped = o + 1
             if (stepped < res).all() and labels[tuple(stepped)] != ACCEPTABLE:
@@ -442,7 +436,7 @@ def _finalize(store: _LabelStore, degenerate: str | None) -> GridApproximation:
         v=grid.spacing,
         oracle_calls=store.calls,
         degenerate=degenerate,
-        certified=certified,
+        certified=True,
     )
 
 
@@ -460,49 +454,9 @@ def grid_search(oracle, grid: GridSpec) -> GridApproximation:
     oracle the labels are ground truth regardless of evaluation order.
     """
     store = _LabelStore(oracle, grid)
-    degenerate = _seed_labels(store)
-    if degenerate is None:
-        _walk(store)
-    return _finalize(store, degenerate)
-
-
-def refine(oracle, approximation: GridApproximation, subdivision_factor: int) -> GridApproximation:
-    """Subdivide the lattice and re-search only where the frontier can hide.
-
-    Every fine point inside a coarse cell whose lower corner was acceptable
-    is acceptable; inside a cell whose upper corner was unacceptable,
-    unacceptable. Only cells straddling the frontier are walked again. Labels
-    at coincident lattice points are inherited, never re-queried; for
-    power-of-two factors the coincident coordinates are bit-identical
-    (other factors may drift by one ulp). oracle_calls accumulates across
-    refinements.
-    """
-    factor = int(subdivision_factor)
-    if factor < 2:
-        raise ParameterError(f"subdivision factor must be at least 2, got {subdivision_factor}")
-    coarse = approximation
-    grid = coarse.grid
-    new_res = tuple((r - 1) * factor + 1 for r in grid.resolution)
-    fine_grid = GridSpec(
-        grid.lower, grid.upper, new_res, grid.nonneg_constraint, grid.allow_high_dim
-    )
-
-    floor_ix = [np.arange(nr) // factor for nr in new_res]
-    ceil_ix = [(np.arange(nr) + factor - 1) // factor for nr in new_res]
-    floor_labels = coarse.labels[np.ix_(*floor_ix)]
-    ceil_labels = coarse.labels[np.ix_(*ceil_ix)]
-    if ((floor_labels == ACCEPTABLE) & (ceil_labels == UNACCEPTABLE)).any():
-        raise ModelError("coarse labels are not monotone: cannot paint subdivided cells")
-
-    fine_labels = np.full(new_res, UNKNOWN, dtype=np.int8)
-    fine_labels[floor_labels == ACCEPTABLE] = ACCEPTABLE
-    fine_labels[ceil_labels == UNACCEPTABLE] = UNACCEPTABLE
-
-    store = _LabelStore(oracle, fine_grid, labels=fine_labels)
-    store.calls = coarse.oracle_calls
-    if (fine_labels == UNKNOWN).any():
-        _walk(store)
-    return _finalize(store, None)
+    _seed_labels(store)
+    _walk(store)
+    return _finalize(store)
 
 
 def ear(approximation: GridApproximation, w) -> EarResult:

@@ -73,7 +73,9 @@ class ShiftedLognormal:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
 
     def transform(self, z: np.ndarray) -> np.ndarray:
-        return np.exp(self.mu + self.sigma * np.asarray(z, dtype=float)) + self.b
+        # an overflow to inf is rejected by ScenarioMatrix as a GenerationError
+        with np.errstate(over="ignore"):
+            return np.exp(self.mu + self.sigma * np.asarray(z, dtype=float)) + self.b
 
 
 @dataclass(frozen=True)

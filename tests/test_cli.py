@@ -399,6 +399,19 @@ def test_run_overrides_land_in_manifest(tmp_path):
     assert manifest["lattice_points"] == 13  # resolution 7 refined by 2
 
 
+def test_run_refine_matches_direct_fine_lattice(tmp_path, capsys):
+    # refine 2 on the 7-point lattice is a search of the 13-point lattice itself
+    common = ["--preset", "agg_lognormal:loss_sensitive", "--scenarios", "200"]
+    refined, direct = tmp_path / "refined", tmp_path / "direct"
+    assert main(["validate", *common, "--grid-res", "7", "--refine", "2"]) == 0
+    assert "grid: 13x13 lattice" in capsys.readouterr().out
+    assert main(["run", *common, "--grid-res", "7", "--refine", "2", "--out", str(refined)]) == 0
+    assert "13x13 lattice" in capsys.readouterr().out
+    assert main(["run", *common, "--grid-res", "13", "--out", str(direct)]) == 0
+    for name in ("labels.csv", "inner_frontier.csv", "outer_frontier.csv", "ear.json"):
+        assert (refined / name).read_bytes() == (direct / name).read_bytes(), name
+
+
 def test_run_respects_write_flags(tmp_path):
     outdir = tmp_path / "out"
     cfg = small_agg_cfg(outdir)

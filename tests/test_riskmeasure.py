@@ -1,4 +1,4 @@
-"""Grid search engine: labels, frontiers, refinement, EAR extraction, probes."""
+"""Grid search engine: labels, frontiers, EAR extraction, probes."""
 
 import itertools
 import json
@@ -13,7 +13,6 @@ from sysrisk import (
     AggregationSpec,
     AggregationValueModel,
     DegenerateBoxError,
-    GridApproximation,
     GridSpec,
     GroupMap,
     ModelError,
@@ -28,7 +27,6 @@ from sysrisk import (
     membership_oracle,
     preset_config,
     quasiconvexity_probe,
-    refine,
     resolve_config,
     write_frontier_csv,
     write_labels_csv,
@@ -334,31 +332,10 @@ def test_three_dimensional_staircase():
     assert_matches_truth(approx, truth)
 
 
-@pytest.mark.parametrize(
-    "coarse_shape,factor", [((5, 5), 2), ((4, 6), 3), ((6, 5), 4), ((3, 4, 4), 2)]
-)
-def test_refine_walks_prepainted_lattices(coarse_shape, factor):
-    rng = np.random.default_rng(91)
-    fine_shape = tuple((r - 1) * factor + 1 for r in coarse_shape)
-    upper = [float(r - 1) for r in fine_shape]
-    coarse_grid = GridSpec([0.0] * len(coarse_shape), upper, coarse_shape)
-    fine_grid = unit_grid(fine_shape)
-    for trial in range(8):
-        truth = random_staircase(rng, fine_shape)
-        oracle = staircase_oracle(truth, fine_grid)
-        coarse = grid_search(oracle, coarse_grid)
-        fine = refine(oracle, coarse, factor)
-        assert fine.grid.resolution == fine_shape
-        if coarse.degenerate is not None:
-            continue
-        assert_matches_truth(fine, truth)
-        slices = math.prod(fine_shape[:-2])
-        assert fine.oracle_calls - coarse.oracle_calls <= slices * walk_bound(*fine_shape[-2:])
-
-
 def test_labels_independent_of_evaluation_order():
-    # stores that already hold verdicts queried in random orders, as refine
-    # and neighbouring slices leave them, walk to the same labels
+    # stores that already hold verdicts queried in random orders, as the
+    # diagonal seed and neighbouring slices leave them, walk to the same
+    # labels, and the walk's worst case holds whatever is already labelled
     rng = np.random.default_rng(92)
     grid = GridSpec([0.0, 0.0], [4.0, 4.0], 21)
     oracle = half_space(3.3)
@@ -368,9 +345,11 @@ def test_labels_independent_of_evaluation_order():
         order = rng.permutation(reference.labels.size)[: int(rng.integers(0, 60))]
         for flat in order:
             store.query(np.unravel_index(flat, reference.labels.shape))
+        queried = store.calls
         _walk(store)
+        assert store.calls - queried <= walk_bound(*grid.resolution)
         assert np.array_equal(store.labels, reference.labels)
-        approx = _finalize(store, None)
+        approx = _finalize(store)
         assert np.array_equal(approx.inner_frontier, reference.inner_frontier)
         assert np.array_equal(approx.outer_frontier, reference.outer_frontier)
 
@@ -379,15 +358,18 @@ def test_finalize_rejects_unlabeled_points():
     store = _LabelStore(half_space(2.0), BOX04)
     store.query((2, 2))
     with pytest.raises(ModelError, match="unlabeled"):
-        _finalize(store, None)
+        _finalize(store)
 
 
 def test_agg_sum_refine_call_budget():
-    # column bisection spent 436 calls on this preset; the walk must not spend more
-    plan = build_run(resolve_config(preset_config("agg_lognormal:sum")))
-    oracle = membership_oracle(plan.model, plan.acceptance)
-    approx = refine(oracle, grid_search(oracle, plan.grid), 4)
-    assert approx.oracle_calls <= 436
+    # refine 4 searches the 197 x 197 lattice directly; a coarse search followed
+    # by a walk of the subdivided coarse labels spent 339 calls there
+    raw = preset_config("agg_lognormal:sum")
+    raw["refine"] = 4
+    plan = build_run(resolve_config(raw))
+    assert plan.grid.resolution == (197, 197)
+    approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
+    assert approx.oracle_calls <= 339
 
 
 def test_degenerate_boxes_are_flagged():
@@ -443,82 +425,14 @@ def test_label_store_rejects_contradictory_marks():
         fresh.mark((2, 2), UNACCEPTABLE)
 
 
-# ---------------------------------------------------------------------------
-# refinement
-
-
-def test_refine_matches_direct_fine_search():
-    oracle = half_space(2.0)
-    coarse = grid_search(oracle, BOX04)
-    fine = refine(oracle, coarse, 2)
-    direct = grid_search(oracle, GridSpec([0.0, 0.0], [4.0, 4.0], 9))
-    assert fine.grid.resolution == (9, 9)
-    assert np.array_equal(fine.labels, direct.labels)
-    assert np.array_equal(fine.inner_frontier, direct.inner_frontier)
-    assert np.array_equal(fine.outer_frontier, direct.outer_frontier)
-    assert np.allclose(fine.v, 0.5)
-
-
-def test_refine_twice_equals_factor_four():
-    oracle = half_space(2.6)
-    base = grid_search(oracle, BOX04)
-    twice = refine(oracle, refine(oracle, base, 2), 2)
-    once = refine(oracle, base, 4)
-    assert twice.grid.resolution == once.grid.resolution
-    assert np.array_equal(twice.labels, once.labels)
-    assert np.array_equal(twice.inner_frontier, once.inner_frontier)
-
-
-def test_refine_never_contradicts_coarse_labels():
+def test_fine_lattice_agrees_with_coarse_at_coincident_points():
+    # the 13-point lattice over BOX04 holds the 5-point one at every third index
     rng = np.random.default_rng(111)
+    fine_grid = GridSpec([0.0, 0.0], [4.0, 4.0], 13)
     for _ in range(5):
-        threshold = float(rng.uniform(1.0, 7.0))
-        oracle = half_space(threshold)
-        coarse = grid_search(oracle, BOX04)
-        fine = refine(oracle, coarse, 3)
-        assert np.array_equal(fine.labels[::3, ::3], coarse.labels)
-
-
-def test_refine_accumulates_oracle_calls():
-    oracle = half_space(2.0)
-    coarse = grid_search(oracle, BOX04)
-    fine = refine(oracle, coarse, 2)
-    assert fine.oracle_calls > coarse.oracle_calls
-
-
-def test_refine_degenerate_box_stays_degenerate():
-    coarse = grid_search(lambda k: True, BOX04)
-    fine = refine(lambda k: True, coarse, 2)
-    assert fine.degenerate == "all_in"
-    assert (fine.labels == 1).all()
-    assert fine.oracle_calls == coarse.oracle_calls  # nothing left to ask
-
-
-def test_refine_rejects_small_factor():
-    coarse = grid_search(half_space(2.0), BOX04)
-    with pytest.raises(ParameterError):
-        refine(half_space(2.0), coarse, 1)
-
-
-def test_refine_rejects_tampered_labels():
-    coarse = grid_search(half_space(2.0), BOX04)
-    bad = np.array(coarse.labels)
-    bad[0, 0] = 1
-    bad[3, 3] = 0
-    doctored = GridApproximation(
-        grid=coarse.grid,
-        labels=bad,
-        inner_frontier=coarse.inner_frontier,
-        outer_frontier=coarse.outer_frontier,
-        inner_indices=coarse.inner_indices,
-        outer_indices=coarse.outer_indices,
-        v=coarse.v,
-        oracle_calls=coarse.oracle_calls,
-        degenerate=None,
-        certified=False,
-    )
-    with pytest.raises(ModelError, match="not monotone"):
-        refine(half_space(2.0), doctored, 2)
+        oracle = half_space(float(rng.uniform(1.0, 7.0)))
+        fine = grid_search(oracle, fine_grid)
+        assert np.array_equal(fine.labels[::3, ::3], grid_search(oracle, BOX04).labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario generation: copula correctness, margins, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,8 +161,10 @@ def test_apply_marginal_length_mismatch():
 
 def test_nonfinite_margin_output_rejected():
     z = np.full((1, 4), 400.0)  # exp overflows float64
-    with pytest.raises(GenerationError):
-        apply_marginal(z, [ShiftedLognormal(mu=500.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the GenerationError is the only report
+        with pytest.raises(GenerationError):
+            apply_marginal(z, [ShiftedLognormal(mu=500.0)])
 
 
 def test_generate_scenarios_group_expansion():
