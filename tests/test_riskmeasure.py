@@ -12,6 +12,7 @@ from sysrisk import (
     AcceptanceSpec,
     AggregationSpec,
     AggregationValueModel,
+    ConfigurationError,
     DegenerateBoxError,
     GridSpec,
     GroupMap,
@@ -332,6 +333,31 @@ def test_three_dimensional_staircase():
     assert_matches_truth(approx, truth)
 
 
+@pytest.mark.parametrize(
+    "coarse_shape,factor", [((5, 5), 2), ((4, 6), 3), ((6, 5), 4), ((3, 4, 4), 2)]
+)
+def test_refine_walks_prepainted_lattices(coarse_shape, factor):
+    # a refine factor F searches the (r-1)*F+1 lattice directly: its labels
+    # match the truth, hold the coarse labels at every F-th index, and the
+    # search stays within the diagonal seed plus one walk per slice
+    rng = np.random.default_rng(91)
+    fine_shape = tuple((r - 1) * factor + 1 for r in coarse_shape)
+    upper = [float(r - 1) for r in fine_shape]
+    coarse_grid = GridSpec([0.0] * len(coarse_shape), upper, coarse_shape)
+    fine_grid = unit_grid(fine_shape)
+    coincident = (slice(None, None, factor),) * len(coarse_shape)
+    slices = math.prod(fine_shape[:-2])
+    for trial in range(8):
+        truth = random_staircase(rng, fine_shape)
+        oracle = staircase_oracle(truth, fine_grid)
+        coarse = grid_search(oracle, coarse_grid)
+        fine = grid_search(oracle, fine_grid)
+        assert fine.grid.resolution == fine_shape
+        assert_matches_truth(fine, truth)
+        assert np.array_equal(fine.labels[coincident], coarse.labels)
+        assert fine.oracle_calls <= seed_bound(fine_shape) + slices * walk_bound(*fine_shape[-2:])
+
+
 def test_labels_independent_of_evaluation_order():
     # stores that already hold verdicts queried in random orders, as the
     # diagonal seed and neighbouring slices leave them, walk to the same
@@ -433,6 +459,31 @@ def test_fine_lattice_agrees_with_coarse_at_coincident_points():
         oracle = half_space(float(rng.uniform(1.0, 7.0)))
         fine = grid_search(oracle, fine_grid)
         assert np.array_equal(fine.labels[::3, ::3], grid_search(oracle, BOX04).labels)
+
+
+def test_refine_degenerate_box_stays_degenerate():
+    # the corner checks label a degenerate box whole, so a finer lattice
+    # costs no further oracle calls
+    fine_grid = GridSpec([0.0, 0.0], [4.0, 4.0], 9)
+    for oracle, flag, label in [(lambda k: True, "all_in", 1), (lambda k: False, "all_out", 0)]:
+        coarse = grid_search(oracle, BOX04)
+        fine = grid_search(oracle, fine_grid)
+        assert fine.degenerate == coarse.degenerate == flag
+        assert (fine.labels == label).all()
+        assert fine.inner_frontier.shape == fine.outer_frontier.shape == (0, 2)
+        assert fine.oracle_calls == coarse.oracle_calls
+
+
+def test_refine_rejects_small_factor():
+    # a factor of 1 searches the configured lattice; below 1 there is no lattice
+    raw = preset_config("agg_lognormal:sum")
+    for factor, resolution in [(1, (50, 50)), (2, (99, 99)), (3, (148, 148))]:
+        raw["refine"] = factor
+        assert build_run(resolve_config(raw)).grid.resolution == resolution
+    for factor in (0, -2):
+        raw["refine"] = factor
+        with pytest.raises(ConfigurationError, match="must be at least 1"):
+            resolve_config(raw)
 
 
 # ---------------------------------------------------------------------------
