@@ -32,6 +32,7 @@ from .aggregation import (
 )
 from .clearing import (
     ClearingResult,
+    ClearingStats,
     ConstantPrice,
     LiabilityNetwork,
     LinearCapPrice,
@@ -127,6 +128,7 @@ __all__ = [
     # clearing
     "LiabilityNetwork",
     "ClearingResult",
+    "ClearingStats",
     "ConstantPrice",
     "LinearCapPrice",
     "LinearSqrtPrice",

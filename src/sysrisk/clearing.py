@@ -7,9 +7,21 @@ owes and what it has (liquid assets, incoming payments, and illiquid assets
 marked at the clearing price), while the price is set by an inverse demand
 function of the total quantity of shares that distressed firms must sell.
 
-The solver iterates the monotone payment/price map from the top point
-(full payments, undisturbed price), producing a componentwise non-increasing
-sequence whose limit is the greatest fixed point.
+Both solvers return the greatest fixed point. Which one runs is a property
+of the input:
+
+- Constant price on the reachable range, f(0) == f(largest sale), as for
+  ConstantPrice or s == 0: the fixed point is piecewise linear in the
+  payments, and fictitious default (Eisenberg and Noe, Management Science
+  2001) finds it exactly. A few top-down sweeps give a default set inside
+  the true one; the scenario columns are grouped by default set, each group
+  takes one linear solve, and new defaults are added until the set stops
+  growing. tol bounds the final fixed-point residual |min(pbar, x + pi*s +
+  A'p) - p|; max_iter bounds the sweeps plus the solve rounds.
+- Price impact: the solver iterates the monotone payment/price map from the
+  top point (full payments, undisturbed price), a componentwise
+  non-increasing sequence whose limit is the greatest fixed point. A column
+  stops once its sup-norm step falls to tol; max_iter bounds the sweeps.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .scenarios import ScenarioMatrix
 __all__ = [
     "LiabilityNetwork",
     "ClearingResult",
+    "ClearingStats",
     "ConstantPrice",
     "LinearCapPrice",
     "LinearSqrtPrice",
@@ -44,6 +57,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
 _MONO_SLACK = 1e-12  # float headroom for checks on mathematically monotone quantities
+_WARMUP_SWEEPS = 4  # top-down sweeps that seed the default set of the exact solve
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +287,42 @@ class ClearingResult:
     residual: float
 
 
+@dataclass
+class ClearingStats:
+    """Work counters of one or more clearing calls.
+
+    sweeps counts top-down sweeps (the warm-up of the constant-price solver,
+    every iteration of the price-impact one), rounds the default-set solve
+    rounds, solves the linear solves, one per default set and round.
+    max_residual is the worst final fixed-point residual on the
+    constant-price path and the worst last step on the price-impact path.
+    """
+
+    calls: int = 0
+    sweeps: int = 0
+    rounds: int = 0
+    solves: int = 0
+    max_residual: float = 0.0
+
+    def add(self, other: "ClearingStats") -> None:
+        self.calls += other.calls
+        self.sweeps += other.sweeps
+        self.rounds += other.rounds
+        self.solves += other.solves
+        self.max_residual = max(self.max_residual, other.max_residual)
+
+
 def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
     """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
 
-    Scenario columns whose payment/price update falls below tol are frozen
-    and skipped in later sweeps, which only changes where each column stops,
-    not its value: column updates never interact across scenarios.
+    Returns payments (n, m), prices (m,) and the ClearingStats of the call.
+    With f(0) == f(largest sale) the price cannot move, and the payments are
+    solved exactly by _clear_constant_price. Otherwise the payment/price map
+    is iterated from the top; scenario columns whose update falls below tol
+    are frozen and skipped in later sweeps, which only changes where each
+    column stops, not its value: column updates never interact across
+    scenarios. Either way a step count above max_iter raises
+    ConvergenceError, and a map that moves upwards raises ModelError.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -293,15 +337,18 @@ def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
         raise ParameterError("tol must be positive and max_iter at least 1")
 
     m = x.shape[1]
-    pbar = network.pbar[1:][:, None]  # (n, 1)
-    a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     price_top = float(f(0.0))
     price_floor = float(f(float(s.sum(axis=0).max(initial=0.0))))
     if not price_floor > 0.0:
         raise ModelError(
             f"inverse demand must stay strictly positive, got {price_floor} at the largest sale"
         )
+    if price_floor == price_top:
+        p, stats = _clear_constant_price(network, x + price_top * s, tol, max_iter)
+        return p, np.full(m, price_top), stats
 
+    pbar = network.pbar[1:][:, None]  # (n, 1)
+    a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     p = np.broadcast_to(pbar, (n, m)).copy()
     pi = np.full(m, price_top)
     active = np.ones(m, dtype=bool)
@@ -342,7 +389,86 @@ def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
         active[cols[col_residual <= tol]] = False
         iterations += 1
 
-    return p, pi, iterations, worst_residual
+    stats = ClearingStats(calls=1, sweeps=iterations, max_residual=worst_residual if m else 0.0)
+    return p, pi, stats
+
+
+def _clear_constant_price(network: LiabilityNetwork, cash, tol: float, max_iter: int):
+    """Greatest clearing payments when every firm's outside assets are the fixed cash (n, m).
+
+    Fictitious default: given a default set D inside the true one, the
+    firms outside D pay in full and those in D pay everything they have,
+
+        (I - A_DD') p_D = cash_D + A_{ND,D}' pbar_ND,
+
+    whose solution lies above the fixed point; firms it leaves short join D,
+    and once D stops growing the solution is the greatest fixed point.
+    Top-down sweeps seed D, since each iterate lies above the fixed point.
+    Columns sharing a default set share one solve with a right-hand side
+    each. A singular system (defaulting firms that owe only among
+    themselves) raises ModelError.
+    """
+    n, m = cash.shape
+    pbar = network.pbar[1:][:, None]  # (n, 1)
+    a_firms = network.relative[1:, 1:]
+    p = np.broadcast_to(pbar, (n, m)).copy()
+
+    def fixed_point_residual() -> float:
+        return float(np.abs(np.minimum(pbar, cash + a_firms.T @ p) - p).max(initial=0.0))
+
+    sweeps = 0
+    while sweeps < min(_WARMUP_SWEEPS, max_iter):
+        p_new = np.minimum(pbar, cash + a_firms.T @ p)
+        drop = p - p_new
+        if drop.min(initial=0.0) < -_MONO_SLACK:
+            raise ModelError("clearing map is not monotone: a payment iterate increased")
+        p = p_new
+        sweeps += 1
+        if drop.max(initial=0.0) <= tol:
+            break
+
+    defaulted = p < pbar
+    todo = np.flatnonzero(defaulted.any(axis=0))  # columns whose default set may still grow
+    rounds = solves = 0
+    while todo.size:
+        if sweeps + rounds >= max_iter:
+            raise ConvergenceError(
+                f"clearing did not converge within {max_iter} iterations "
+                f"(residual {fixed_point_residual():.3e} > tol {tol:.1e})"
+            )
+        d_todo = defaulted[:, todo]
+        p_todo = np.where(d_todo, 0.0, pbar)
+        rhs = cash[:, todo] + a_firms.T @ p_todo  # own cash plus full pay from solvent firms
+        keys = np.packbits(d_todo, axis=0)
+        keys = np.ascontiguousarray(keys.T).view(f"V{keys.shape[0]}").ravel()
+        _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+        # cols: the positions in todo of the columns that share one default set
+        for cols in np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1]):
+            d = np.flatnonzero(d_todo[:, cols[0]])
+            try:
+                p_todo[d[:, None], cols] = np.linalg.solve(
+                    np.eye(d.size) - a_firms[d[:, None], d].T, rhs[d[:, None], cols]
+                )
+            except np.linalg.LinAlgError:
+                raise ModelError(
+                    f"clearing is singular: the defaulting firms {(d + 1).tolist()} "
+                    "leave no payment determined"
+                ) from None
+            solves += 1
+        rounds += 1
+        p[:, todo] = p_todo
+        grown = (cash[:, todo] + a_firms.T @ p_todo < pbar) & ~d_todo
+        defaulted[:, todo] = d_todo | grown
+        todo = todo[grown.any(axis=0)]
+
+    residual = fixed_point_residual()
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"clearing fixed-point residual {residual:.3e} exceeds tol {tol:.1e} "
+            f"after {sweeps} sweeps and {rounds} solve rounds"
+        )
+    stats = ClearingStats(calls=1, sweeps=sweeps, rounds=rounds, solves=solves, max_residual=residual)
+    return p, stats
 
 
 def clear(
@@ -356,14 +482,17 @@ def clear(
     """Compute the greatest clearing fixed point for one scenario.
 
     x and s are per-firm liquid and illiquid holdings (length n, firms only).
-    Payments start at full nominals and the price at f(0); both decrease
-    monotonically until the sup-norm step change drops below tol.
+    iterations counts sweeps plus solve rounds and residual is the stats'
+    max_residual; the module docstring says which solver runs.
     """
     x = np.asarray(x, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     validate_inverse_demand(f, max(float(s.sum()), 0.0) if s.size else 0.0)
-    p, pi, iterations, residual = _clear_batch(network, x[:, None], s[:, None], f, tol, max_iter)
-    return ClearingResult(p=p[:, 0], pi=float(pi[0]), iterations=iterations, residual=residual)
+    p, pi, stats = _clear_batch(network, x[:, None], s[:, None], f, tol, max_iter)
+    return ClearingResult(
+        p=p[:, 0], pi=float(pi[0]), iterations=stats.sweeps + stats.rounds,
+        residual=stats.max_residual,
+    )
 
 
 def equity(
@@ -430,7 +559,8 @@ class NetworkValueModel:
         self.max_iter = max_iter
         self.groups = network.groups
         self._society_shares = network.relative[1:, 0]
-        self.last_iterations = 0
+        self.stats = ClearingStats()  # summed over every samples_at call
+        self.last_iterations = 0  # sweeps plus solve rounds of the latest call
 
     @property
     def n_groups(self) -> int:
@@ -446,10 +576,11 @@ class NetworkValueModel:
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]
-        p, pi, iterations, _ = _clear_batch(
+        p, _, stats = _clear_batch(
             self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter
         )
-        self.last_iterations = iterations
+        self.stats.add(stats)
+        self.last_iterations = stats.sweeps + stats.rounds
         e0 = self._society_shares @ p
         cap = self.total_promised_to_society
         if not ((e0 >= -1e-9).all() and (e0 <= cap + max(1e-9, 1e-12 * cap)).all()):

@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -205,6 +206,13 @@ def _start_manifest(resolved: dict, outdir: str) -> tuple[str, dict]:
     return path, manifest
 
 
+def _run_stats(plan) -> dict:
+    """The manifest's stats block: the clearing counters of a network run."""
+    if plan.clearing_stats is None:
+        return {}
+    return {"stats": {"clearing": asdict(plan.clearing_stats)}}
+
+
 def _finish_manifest(path: str, manifest: dict, status: str, started: float, **extra) -> None:
     manifest["status"] = status
     manifest["finished_at"] = _utc_now()
@@ -337,6 +345,7 @@ def cmd_run(args) -> int:
                 manifest_path, manifest, "failed", started,
                 error=f"{exc}; {guidance}",
                 oracle_calls=int(approx.oracle_calls),
+                **_run_stats(plan),
             )
             print(f"error: {exc}\nguidance: {guidance}", file=sys.stderr)
             return 4
@@ -357,6 +366,7 @@ def cmd_run(args) -> int:
         degenerate=approx.degenerate,
         certified=bool(approx.certified),
         outputs=outputs,
+        **_run_stats(plan),
     )
     print(f"wrote {outdir}/ ({', '.join(outputs)})")
     return 0

@@ -20,6 +20,7 @@ import yaml
 from .acceptance import AcceptanceSpec
 from .aggregation import AggregationSpec, AggregationValueModel, GroupMap
 from .clearing import (
+    ClearingStats,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LiabilityNetwork,
@@ -55,10 +56,18 @@ _ACCEPTANCE_FIELDS = ("lam", "loss", "power", "z", "utility", "utility_lam", "le
 
 
 def load_config(path) -> dict:
-    """Parse a YAML (or JSON) config file; a recorded manifest is accepted too."""
+    """Parse a YAML (or JSON) config file; a recorded manifest is accepted too.
+
+    JSON is parsed as JSON first: YAML 1.1 reads a float written like 1e-10
+    as a string, so a manifest would not replay.
+    """
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            text = fh.read()
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            doc = yaml.safe_load(text)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
@@ -418,6 +427,7 @@ class RunPlan:
     network: LiabilityNetwork | None
     scenario_matrix: ScenarioMatrix
     effective_shift: float
+    clearing_stats: ClearingStats | None  # the network model's counters, filled as it clears
 
 
 def _build_margin(mcfg: dict):
@@ -504,4 +514,5 @@ def build_run(resolved: dict) -> RunPlan:
         network=network,
         scenario_matrix=base,
         effective_shift=shift,
+        clearing_stats=model.stats if network is not None else None,
     )

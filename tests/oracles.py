@@ -2,9 +2,10 @@
 
 Each oracle deliberately takes a different route from the library code it
 checks: quadrature instead of special-function inverses, kink enumeration
-instead of sorting, dense scans instead of golden-section, bottom-up instead
-of top-down fixed points, pairwise domination scans instead of neighbor
-checks. A shared bug would have to be written twice to slip through.
+instead of sorting, dense scans instead of golden-section, bottom-up and
+top-down iteration instead of default-set linear solves, pairwise
+domination scans instead of neighbor checks. A shared bug would have to be
+written twice to slip through.
 """
 
 from __future__ import annotations
@@ -137,6 +138,30 @@ def clear_bottom_up(nominal, x, tol: float = 1e-12, max_iter: int = 1_000_000):
             return nxt
         p = nxt
     raise RuntimeError("bottom-up clearing iteration did not converge")
+
+
+def clear_top_down(nominal, cash, tol: float = 1e-13, max_iter: int = 1_000_000):
+    """Greatest-fixed-point payments: iterate the clearing map downward from full payment.
+
+    Constant price, so each firm's outside assets are a fixed cash amount
+    (liquid plus illiquid holdings at that price); cash is (n,) or (n, m),
+    one column per scenario. Iterates from the top are super-solutions, so
+    this meets the library's exact default-set solve from above.
+    """
+    nominal = np.asarray(nominal, dtype=float)
+    pbar = nominal.sum(axis=1)
+    safe = np.where(pbar > 0, pbar, 1.0)
+    rel = np.where(pbar[:, None] > 0, nominal / safe[:, None], 0.0)
+    a = rel[1:, 1:]
+    cash = np.asarray(cash, dtype=float)
+    top = pbar[1:].reshape((-1,) + (1,) * (cash.ndim - 1))
+    p = np.broadcast_to(top, cash.shape).copy()
+    for _ in range(max_iter):
+        nxt = np.minimum(top, cash + a.T @ p)
+        if np.max(np.abs(nxt - p), initial=0.0) <= tol:
+            return nxt
+        p = nxt
+    raise RuntimeError("top-down clearing iteration did not converge")
 
 
 def upper_set_from_corners(shape, corners) -> np.ndarray:

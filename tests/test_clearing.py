@@ -287,6 +287,121 @@ def test_clearing_rejects_non_monotone_price_map():
         _clear_batch(two_firm_chain(), x, s, lambda y: 1.0 + np.asarray(y, dtype=float), 1e-12, 100)
 
 
+def sparse_network(rng, n):
+    # about a third of the interbank edges, every firm owing society something
+    nominal = rng.uniform(0.0, 2.0, size=(n + 1, n + 1)) * (rng.random((n + 1, n + 1)) < 0.35)
+    nominal[1:, 0] = rng.uniform(0.2, 1.0, size=n)
+    nominal[0, :] = 0.0
+    np.fill_diagonal(nominal, 0.0)
+    return LiabilityNetwork(nominal, groups=GroupMap([1] * n))
+
+
+def chain_network(n):
+    # firm i owes firm i+1 ten and society one half: a shortfall cascades down the chain
+    nominal = np.zeros((n + 1, n + 1))
+    nominal[1:, 0] = 0.5
+    for i in range(1, n):
+        nominal[i, i + 1] = 10.0
+    return LiabilityNetwork(nominal, groups=GroupMap([1] * n))
+
+
+def shared_default_cash(rng, pbar, m, bases=4):
+    # a few base scenarios, each jittered across m/bases columns, so columns share default sets
+    base = rng.uniform(0.0, 0.8, size=(pbar.size, bases)) * pbar[:, None]
+    cash = np.repeat(base, -(-m // bases), axis=1)[:, :m]
+    return cash * rng.uniform(0.99, 1.01, size=cash.shape)
+
+
+def test_exact_clearing_matches_top_down_reference():
+    rng = np.random.default_rng(31)
+    rounds = []
+    for _ in range(40):
+        n = int(rng.integers(1, 31))
+        net = sparse_network(rng, n)
+        x = shared_default_cash(rng, net.pbar[1:], m=64 + int(rng.integers(0, 64)))
+        p, pi, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+        assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
+        assert (pi == 1.0).all() and stats.max_residual <= 1e-10
+        assert stats.solves < x.shape[1]  # columns share their default sets
+        rounds.append(stats.rounds)
+    assert max(rounds) >= 2
+
+
+def test_exact_clearing_adds_defaults_over_several_rounds():
+    rng = np.random.default_rng(41)
+    for n in (8, 17, 30):
+        net = chain_network(n)
+        x = rng.uniform(0.55, 0.65, size=(n, 96))  # solvent while paid in full
+        x[0] = rng.choice([0.0, 5.0, 11.0], size=96)  # two shortfalls at the head, one without
+        p, _, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+        assert stats.rounds >= 2
+        assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
+
+
+def test_exact_clearing_marks_illiquid_holdings_at_the_constant_price():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        n = int(rng.integers(1, 31))
+        net = sparse_network(rng, n)
+        x = shared_default_cash(rng, net.pbar[1:], m=64)
+        s = rng.uniform(0.0, 0.5, size=x.shape)
+        p, pi, stats = _clear_batch(net, x, s, ConstantPrice(0.7), 1e-10, 1000)
+        assert (pi == 0.7).all() and stats.sweeps >= 1
+        assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x + 0.7 * s))) <= 1e-8
+
+
+def test_price_curve_without_sales_takes_the_exact_path():
+    # with s == 0 nothing is sold, so even a falling curve keeps its top price
+    rng = np.random.default_rng(47)
+    for f in (LinearSqrtPrice(), LinearCapPrice(slope=0.5, floor=0.2)):
+        net = sparse_network(rng, 12)
+        x = shared_default_cash(rng, net.pbar[1:], m=64)
+        p, pi, stats = _clear_batch(net, x, np.zeros_like(x), f, 1e-10, 1000)
+        assert stats.rounds >= 1 and (pi == f(0.0)).all()
+        assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
+
+
+def test_price_impact_keeps_the_top_down_iteration():
+    rng = np.random.default_rng(53)
+    net = sparse_network(rng, 6)
+    x = shared_default_cash(rng, net.pbar[1:], m=8)
+    _, pi, stats = _clear_batch(net, x, np.ones_like(x), LinearSqrtPrice(), 1e-10, 10_000)
+    assert stats.rounds == stats.solves == 0 and stats.sweeps > 1
+    assert (pi < 1.0).all()
+
+
+def test_max_iter_bounds_sweeps_plus_solve_rounds():
+    net = chain_network(20)
+    x = np.full((20, 3), 0.6)
+    x[0] = [0.0, 5.0, 11.0]
+    _, _, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+    steps = stats.sweeps + stats.rounds
+    assert stats.rounds >= 2
+    _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps)
+    with pytest.raises(ConvergenceError, match="residual"):
+        _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps - 1)
+
+
+def test_exact_clearing_residual_above_tol_is_a_convergence_error():
+    # rounding leaves a residual near 1e-15, which no solve gets below 1e-300
+    rng = np.random.default_rng(59)
+    net = sparse_network(rng, 30)
+    x = shared_default_cash(rng, net.pbar[1:], m=64)
+    _, _, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+    assert 0.0 < stats.max_residual <= 1e-12
+    with pytest.raises(ConvergenceError, match="residual"):
+        _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-300, 1000)
+
+
+def test_singular_default_set_solve_is_a_model_error(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ModelError, match="singular"):
+        clear(two_firm_chain(), [0.5, 0.2], [0.0, 0.0], UNIT_PRICE)
+
+
 def test_clear_input_validation():
     net = two_firm_chain()
     with pytest.raises(ParameterError):

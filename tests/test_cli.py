@@ -352,6 +352,7 @@ def test_run_end_to_end(tmp_path, capsys):
     assert manifest["oracle_calls"] > 0
     assert manifest["certified"] is True
     assert manifest["degenerate"] is None
+    assert "stats" not in manifest  # aggregation runs clear nothing
     assert sorted(manifest["outputs"]) == sorted([
         "manifest.json", "inner_frontier.csv", "outer_frontier.csv",
         "labels.csv", "scenarios.csv", "ear.json",
@@ -373,6 +374,24 @@ def test_run_rerun_from_manifest_is_byte_identical(tmp_path):
     for name in ("inner_frontier.csv", "outer_frontier.csv", "labels.csv",
                  "scenarios.csv", "ear.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_network_run_records_clearing_stats_and_replays(tmp_path):
+    out1 = tmp_path / "out1"
+    out2 = tmp_path / "out2"
+    path = write_cfg(tmp_path, small_net_cfg(out1))
+    assert main(["run", "--config", path]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    stats = manifest["stats"]["clearing"]
+    assert sorted(stats) == ["calls", "max_residual", "rounds", "solves", "sweeps"]
+    assert stats["calls"] == manifest["oracle_calls"]
+    assert stats["sweeps"] >= stats["calls"]
+    tol = manifest["resolved_config"]["model"]["network"]["clearing"]["tol"]
+    assert 0.0 <= stats["max_residual"] <= tol
+    assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+    for name in ("inner_frontier.csv", "outer_frontier.csv", "labels.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert json.loads((out2 / "manifest.json").read_text())["stats"] == manifest["stats"]
 
 
 def test_run_overrides_land_in_manifest(tmp_path):
