@@ -85,8 +85,9 @@ class Log1pUtility:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log1p(t)
-        return np.where(t > -1.0, vals, -np.inf)
+            vals = np.log1p(t, out=np.empty(t.shape))
+        # log1p is NaN below -1; fmax maps NaN to -inf
+        return np.fmax(vals, -np.inf, out=vals)
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,17 @@ class AggregationValueModel:
     shifts the aggregate by the group-weighted total sum_j n_j k_j. For the
     sum kind that shift is an exact algebraic identity of the aggregate, so
     sensitive mode reuses the same fast path and the two modes coincide
-    bit for bit. Other sensitive models re-aggregate X + g(k) per call.
+    bit for bit.
+
+    Other sensitive models split the aggregate by group: capital is constant
+    within a group, so Lambda(X + g(k)) = sum_j G_j(k_j), where G_j is the
+    column sum of the transformed row block of group j. Each G_j is computed
+    in place in one preallocated (largest group x scenarios) buffer, and the
+    last (level, G_j) pair of every group is kept, so a call recomputes only
+    the groups whose capital level changed since the previous call. The
+    scenario matrix is read-only, so a kept block sum cannot go stale. The
+    result differs from aggregating X + g(k) in one pass only in summation
+    order, i.e. in the last bits.
     """
 
     def __init__(self, scenarios: ScenarioMatrix, spec: AggregationSpec, groups: GroupMap):
@@ -123,6 +133,11 @@ class AggregationValueModel:
             self._base = _aggregate_array(scenarios.values, spec)
         else:
             self._base = None
+            ends = np.cumsum(groups.group_sizes)
+            self._blocks = [scenarios.values[end - size:end]
+                            for end, size in zip(ends, groups.group_sizes)]
+            self._buffer = np.empty((max(groups.group_sizes), scenarios.n_scenarios))
+            self._last = [(None, None)] * groups.n_groups  # (level, block sum) per group
 
     @property
     def n_groups(self) -> int:
@@ -135,8 +150,37 @@ class AggregationValueModel:
             raise ParameterError(f"allocation has {k.size} entries for {self.n_groups} groups")
         if self._base is not None:
             return self._base + float(self._sizes @ k)
-        shifted = self.scenarios.values + self.groups.expand(k)[:, None]
-        return _aggregate_array(shifted, self.spec)
+        total = None
+        for j, level in enumerate(k.tolist()):
+            last_level, block_sum = self._last[j]
+            if level != last_level:
+                block_sum = self._block_sum(j, level)
+                self._last[j] = (level, block_sum)
+            if total is None:
+                total = block_sum.copy()  # never hand out the kept block sum itself
+            else:
+                total += block_sum
+        return total
+
+    def _block_sum(self, j: int, level: float) -> np.ndarray:
+        """G_j(level): column sums of the transformed block of group j, computed in place."""
+        block = self._blocks[j]
+        buf = self._buffer[: block.shape[0]]
+        np.add(block, level, out=buf)
+        np.minimum(buf, 0.0, out=buf)  # -shortfall
+        if self.spec.kind == "loss":
+            return buf.sum(axis=0)
+        np.multiply(buf, -self.spec.theta, out=buf)
+        with np.errstate(over="ignore"):
+            np.exp(buf, out=buf)
+        if np.isinf(buf).any():
+            worst = float(np.maximum(-(block + level), 0.0).max())
+            raise ModelError(
+                f"exp aggregation overflowed: theta*loss = {self.spec.theta * worst:.4g} "
+                "exceeds float range"
+            )
+        np.subtract(1.0, buf, out=buf)
+        return buf.sum(axis=0)
 
     def with_scenarios(self, scenarios: ScenarioMatrix) -> "AggregationValueModel":
         """Same model structure over a different scenario matrix."""

@@ -16,12 +16,19 @@ of the input:
   2001) finds it exactly. A few top-down sweeps give a default set inside
   the true one; the scenario columns are grouped by default set, each group
   takes one linear solve, and new defaults are added until the set stops
-  growing. tol bounds the final fixed-point residual |min(pbar, x + pi*s +
-  A'p) - p|; max_iter bounds the sweeps plus the solve rounds.
+  growing. tol, scaled by max(1, max pbar), bounds the final fixed-point
+  residual |min(pbar, x + pi*s + A'p) - p|; max_iter bounds the sweeps plus
+  the solve rounds.
 - Price impact: the solver iterates the monotone payment/price map from the
   top point (full payments, undisturbed price), a componentwise
   non-increasing sequence whose limit is the greatest fixed point. A column
   stops once its sup-norm step falls to tol; max_iter bounds the sweeps.
+
+Rounding in the payments grows with the obligations, so the checks that
+only raise scale with the largest obligation max(1, max pbar): the final
+residual check of the exact solve, and the slack by which a payment iterate
+may rise before the map counts as non-monotone (both solvers). Stopping
+tests stay absolute, and price checks keep the unscaled slack.
 """
 
 from __future__ import annotations
@@ -312,6 +319,11 @@ class ClearingStats:
         self.max_residual = max(self.max_residual, other.max_residual)
 
 
+def _payment_scale(network: LiabilityNetwork) -> float:
+    """max(1, largest obligation): the factor by which payment rounding checks scale."""
+    return max(1.0, float(network.pbar.max()))
+
+
 def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
     """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
 
@@ -349,6 +361,7 @@ def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
 
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
+    pay_slack = _MONO_SLACK * _payment_scale(network)
     p = np.broadcast_to(pbar, (n, m)).copy()
     pi = np.full(m, price_top)
     active = np.ones(m, dtype=bool)
@@ -375,7 +388,7 @@ def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
         pi_new = np.asarray(f(sold), dtype=float)
 
         # the map is monotone and we started at the top, so iterates only move down
-        if not (p_new <= p_cur + _MONO_SLACK).all():
+        if not (p_new <= p_cur + pay_slack).all():
             raise ModelError("clearing map is not monotone: a payment iterate increased")
         if not (pi_new <= pi_cur + _MONO_SLACK).all():
             raise ModelError("clearing map is not monotone: a price iterate increased")
@@ -411,6 +424,7 @@ def _clear_constant_price(network: LiabilityNetwork, cash, tol: float, max_iter:
     n, m = cash.shape
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]
+    scale = _payment_scale(network)
     p = np.broadcast_to(pbar, (n, m)).copy()
 
     def fixed_point_residual() -> float:
@@ -420,7 +434,7 @@ def _clear_constant_price(network: LiabilityNetwork, cash, tol: float, max_iter:
     while sweeps < min(_WARMUP_SWEEPS, max_iter):
         p_new = np.minimum(pbar, cash + a_firms.T @ p)
         drop = p - p_new
-        if drop.min(initial=0.0) < -_MONO_SLACK:
+        if drop.min(initial=0.0) < -_MONO_SLACK * scale:
             raise ModelError("clearing map is not monotone: a payment iterate increased")
         p = p_new
         sweeps += 1
@@ -462,9 +476,10 @@ def _clear_constant_price(network: LiabilityNetwork, cash, tol: float, max_iter:
         todo = todo[grown.any(axis=0)]
 
     residual = fixed_point_residual()
-    if not residual <= tol:
+    if not residual <= tol * scale:
         raise ConvergenceError(
             f"clearing fixed-point residual {residual:.3e} exceeds tol {tol:.1e} "
+            f"times the payment scale {scale:.3g} "
             f"after {sweeps} sweeps and {rounds} solve rounds"
         )
     stats = ClearingStats(calls=1, sweeps=sweeps, rounds=rounds, solves=solves, max_residual=residual)

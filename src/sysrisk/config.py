@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,27 @@ _MARGIN_FIELDS = {
 _ACCEPTANCE_FIELDS = ("lam", "loss", "power", "z", "utility", "utility_lam", "level")
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe loader that reads floats as YAML 1.2 does.
+
+    YAML 1.1 wants a decimal point and a signed exponent, so it reads 1e-10
+    or 2e0 as strings. The resolver added here takes every number with an
+    exponent; the inherited ones still read the forms YAML 1.1 knows.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path) -> dict:
     """Parse a YAML (or JSON) config file; a recorded manifest is accepted too.
 
-    JSON is parsed as JSON first: YAML 1.1 reads a float written like 1e-10
-    as a string, so a manifest would not replay.
+    JSON is parsed as JSON first, YAML otherwise, with YAML 1.2 floats
+    (1e-10 is a number, not a string).
     """
     try:
         with open(path) as fh:
@@ -67,7 +84,7 @@ def load_config(path) -> dict:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError:
-            doc = yaml.safe_load(text)
+            doc = yaml.load(text, Loader=_Loader)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:

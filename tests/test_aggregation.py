@@ -15,6 +15,7 @@ from sysrisk import (
     ScenarioMatrix,
     aggregate,
 )
+from sysrisk.aggregation import _aggregate_array
 
 SUM = AggregationSpec("sum", "insensitive")
 ALL_SPECS = [
@@ -208,6 +209,100 @@ def test_exp_sensitive_overflow_raises_model_error():
     model = AggregationValueModel(scen, AggregationSpec("exp", "sensitive"), GroupMap([1, 1]))
     with pytest.raises(ModelError):
         model.samples_at([-500.0, -500.0])
+
+
+# ---------------------------------------------------------------------------
+# sensitive loss/exp models: group block sums and the last-level memo
+
+SENSITIVE = [AggregationSpec(kind, "sensitive") for kind in ("loss", "exp")]
+GROUP_SHAPES = [(5,), (2, 3), (1, 3, 2)]
+LEVELS = np.linspace(-1.0, 2.0, 7)  # shared levels, so later queries hit the memo
+
+
+def sensitive_model(spec, sizes, seed=111):
+    scen = random_matrix(seed, n_firms=sum(sizes), scale=1.0)
+    return AggregationValueModel(scen, spec, GroupMap(sizes))
+
+
+def walk_like_queries(rng, n_groups, count):
+    # each query moves one group's level, as the staircase walk's legs do
+    k = rng.choice(LEVELS, size=n_groups)
+    for _ in range(count):
+        k = k.copy()
+        k[rng.integers(n_groups)] = rng.choice(LEVELS)
+        yield k
+
+
+def elementwise(model, k):
+    shifted = model.scenarios.values + model.groups.expand(k)[:, None]
+    return _aggregate_array(shifted, model.spec)
+
+
+@pytest.mark.parametrize("sizes", GROUP_SHAPES, ids=str)
+@pytest.mark.parametrize("spec", SENSITIVE, ids=lambda s: s.kind)
+def test_sensitive_result_independent_of_earlier_queries(spec, sizes):
+    model = sensitive_model(spec, sizes)
+    rng = np.random.default_rng(112)
+    for _ in range(6):
+        for k in walk_like_queries(rng, len(sizes), 50):
+            model.samples_at(k)
+        k = rng.choice(LEVELS, size=len(sizes))
+        fresh = AggregationValueModel(model.scenarios, spec, model.groups).samples_at(k)
+        assert np.array_equal(model.samples_at(k), fresh)
+
+
+@pytest.mark.parametrize("sizes", GROUP_SHAPES, ids=str)
+@pytest.mark.parametrize("spec", SENSITIVE, ids=lambda s: s.kind)
+def test_sensitive_result_is_a_fresh_array(spec, sizes):
+    model = sensitive_model(spec, sizes)
+    k = np.linspace(0.0, 1.0, len(sizes))
+    first = model.samples_at(k)
+    expected = first.copy()
+    first[:] = 1e9
+    second = model.samples_at(k)
+    assert np.array_equal(second, expected)
+    second += 1.0
+    assert np.array_equal(model.samples_at(k), expected)
+
+
+@pytest.mark.parametrize("sizes", GROUP_SHAPES, ids=str)
+@pytest.mark.parametrize("spec", SENSITIVE, ids=lambda s: s.kind)
+def test_sensitive_blocks_match_elementwise_aggregation(spec, sizes):
+    # block sums reorder the column sums, so only the last bits may differ
+    model = sensitive_model(spec, sizes)
+    rng = np.random.default_rng(113)
+    for k in walk_like_queries(rng, len(sizes), 40):
+        assert model.samples_at(k) == pytest.approx(elementwise(model, k), abs=1e-10)
+
+
+def test_sensitive_model_recomputes_only_changed_groups():
+    model = sensitive_model(SENSITIVE[1], (2, 3))
+    evaluated = []
+    block_sum = model._block_sum
+
+    def counting(j, level):
+        evaluated.append((j, level))
+        return block_sum(j, level)
+
+    model._block_sum = counting
+    for k in ([0.5, 1.0], [0.5, 1.5], [0.75, 1.5], [0.75, 1.5], [0.5, 1.0]):
+        model.samples_at(k)
+    assert evaluated == [(0, 0.5), (1, 1.0), (1, 1.5), (0, 0.75), (0, 0.5), (1, 1.0)]
+
+
+@pytest.mark.parametrize("sizes", GROUP_SHAPES, ids=str)
+def test_exp_sensitive_recovers_after_overflow(sizes):
+    model = sensitive_model(AggregationSpec("exp", "sensitive"), sizes)
+    k = np.linspace(0.0, 1.0, len(sizes))
+    before = model.samples_at(k)
+    with pytest.raises(ModelError, match="overflow"):
+        model.samples_at(np.full(len(sizes), -500.0))
+    # earlier groups in range, the last one overflowing
+    with pytest.raises(ModelError, match="overflow"):
+        model.samples_at(np.append(k[:-1], -500.0))
+    assert np.array_equal(model.samples_at(k), before)
+    other = k + 0.25
+    assert model.samples_at(other) == pytest.approx(elementwise(model, other), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,20 @@ def test_price_impact_keeps_the_top_down_iteration():
     assert (pi < 1.0).all()
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e8])
+def test_exact_clearing_of_large_obligations(scale):
+    # payment rounding grows with the obligations, and so do the checks that raise on it
+    rng = np.random.default_rng(41)
+    unit = random_network(rng, 100)
+    net = LiabilityNetwork(unit.nominal * scale, groups=unit.groups)
+    x = rng.uniform(0.0, 0.8, size=100) * rng.uniform(0.0, 1.2, size=100) * net.pbar[1:]
+    result = clear(net, x, np.zeros(100), UNIT_PRICE)
+    reference = oracles.clear_top_down(net.nominal, x, tol=1e-13 * scale)
+    assert (reference < net.pbar[1:]).any()  # some firms default
+    assert np.max(np.abs(result.p - reference)) <= 1e-9 * np.max(reference)
+    assert result.residual <= 1e-10 * net.pbar.max()
+
+
 def test_max_iter_bounds_sweeps_plus_solve_rounds():
     net = chain_network(20)
     x = np.full((20, 3), 0.6)

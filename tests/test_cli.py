@@ -8,7 +8,7 @@ import yaml
 
 from sysrisk import cli
 from sysrisk.cli import main
-from sysrisk.config import config_hash, resolve_config
+from sysrisk.config import config_hash, load_config, resolve_config
 from sysrisk.errors import ConfigurationError, ConvergenceError, ParameterError
 from sysrisk.presets import preset_config, preset_names
 
@@ -176,6 +176,32 @@ def test_validate_aggregation_config(tmp_path, capsys):
     assert "model: aggregation" in out
     assert "scenarios: 30 draws x 2 firms" in out
     assert "grid: 9 lattice over [0.0]..[4.0]" in out
+
+
+def test_validate_reads_yaml_12_floats(tmp_path, capsys):
+    # YAML 1.1 would read 1e-10 and 2e0 as strings and reject the config
+    path = tmp_path / "net.yaml"
+    path.write_text(
+        "name: floats\n"
+        "seed: 5\n"
+        "scenarios:\n"
+        "  count: 10\n"
+        "  margins: [{type: scaled_beta, alpha: 2e0, beta: 2e0, scale: 1e-2}]\n"
+        "model:\n"
+        "  type: network\n"
+        "  groups: [2]\n"
+        "  network:\n"
+        "    generate: {probabilities: [[1.0]], weights: [[1.0]], society_weights: [1.0]}\n"
+        "    clearing: {tol: 1e-10}\n"
+        "acceptance: {criterion: avar, lam: 0.5}\n"
+        "grid: {lower: [0.0], upper: [2e0], resolution: 2}\n"
+        f"output: {{directory: {tmp_path / 'out'}}}\n"
+    )
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "grid: 2 lattice over [0.0]..[2.0]" in capsys.readouterr().out
+    resolved = resolve_config(load_config(path))
+    assert resolved["model"]["network"]["clearing"]["tol"] == 1e-10
+    assert resolved["scenarios"]["margins"][0]["alpha"] == 2.0
 
 
 def test_validate_reports_bad_config(tmp_path, capsys):
