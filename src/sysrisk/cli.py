@@ -206,11 +206,27 @@ def _start_manifest(resolved: dict, outdir: str) -> tuple[str, dict]:
     return path, manifest
 
 
-def _run_stats(plan) -> dict:
-    """The manifest's stats block: the clearing counters of a network run."""
-    if plan.clearing_stats is None:
-        return {}
-    return {"stats": {"clearing": asdict(plan.clearing_stats)}}
+class _PhaseClock:
+    """Wall seconds per run phase: each lap charges the time since the last one to a phase."""
+
+    PHASES = ("resolve", "build", "search", "ear", "write")
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(self.PHASES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._last
+        self._last = now
+
+
+def _run_stats(clock: _PhaseClock, plan=None) -> dict:
+    """The manifest's stats block: seconds per phase, and the clearing counters of a network run."""
+    stats = {"seconds": {k: round(v, 6) for k, v in clock.seconds.items()}}
+    if plan is not None and plan.clearing_stats is not None:
+        stats["clearing"] = asdict(plan.clearing_stats)
+    return {"stats": stats}
 
 
 def _finish_manifest(path: str, manifest: dict, status: str, started: float, **extra) -> None:
@@ -280,11 +296,13 @@ def _degenerate_guidance(approx) -> str:
 
 def cmd_run(args) -> int:
     started = time.monotonic()
+    clock = _PhaseClock()
     try:
         resolved = resolve_config(_apply_overrides(_load_raw(args), args))
     except SysriskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    clock.lap("resolve")
 
     outdir = resolved["output"]["directory"]
     try:
@@ -293,13 +311,17 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot write output directory {outdir}: {exc.strerror}", file=sys.stderr)
         return 2
+    clock.lap("write")
 
     try:
         plan = build_run(resolved)
     except SysriskError as exc:
-        _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
+        clock.lap("build")
+        _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc),
+                         **_run_stats(clock))
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    clock.lap("build")
 
     res = "x".join(str(r) for r in plan.grid.resolution)
     print(f"run {resolved['name']!r}: {res} lattice, {resolved['scenarios']['count']} scenarios")
@@ -307,9 +329,12 @@ def cmd_run(args) -> int:
     try:
         approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
     except SysriskError as exc:
-        _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc))
+        clock.lap("search")
+        _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc),
+                         **_run_stats(clock, plan))
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceError) else 1
+    clock.lap("search")
 
     outputs = ["manifest.json", "inner_frontier.csv", "outer_frontier.csv"]
     write_frontier_csv(approx.inner_frontier, os.path.join(outdir, "inner_frontier.csv"))
@@ -323,6 +348,7 @@ def cmd_run(args) -> int:
     if resolved["output"]["write_network"] and plan.network is not None:
         write_edge_csv(plan.network, os.path.join(outdir, "network.csv"))
         outputs.append("network.csv")
+    clock.lap("write")
 
     n_acc = int(np.count_nonzero(approx.labels == 1))
     print(
@@ -340,12 +366,13 @@ def cmd_run(args) -> int:
         try:
             result = ear(approx, w)
         except DegenerateBoxError as exc:
+            clock.lap("ear")
             guidance = _degenerate_guidance(approx)
             _finish_manifest(
                 manifest_path, manifest, "failed", started,
                 error=f"{exc}; {guidance}",
                 oracle_calls=int(approx.oracle_calls),
-                **_run_stats(plan),
+                **_run_stats(clock, plan),
             )
             print(f"error: {exc}\nguidance: {guidance}", file=sys.stderr)
             return 4
@@ -354,9 +381,11 @@ def cmd_run(args) -> int:
         more = "" if len(result.minimizers) <= 4 else f" (+{len(result.minimizers) - 4} more)"
         flag = " [on box boundary]" if result.on_box_boundary else ""
         print(f"ear w={[float(v) for v in result.weights]}: cost {result.min_value!r} at {mins}{more}{flag}")
+    clock.lap("ear")
     if plan.ear_weights:
         _write_json(os.path.join(outdir, "ear.json"), {"results": ear_results})
         outputs.append("ear.json")
+    clock.lap("write")
 
     _finish_manifest(
         manifest_path, manifest, "completed", started,
@@ -366,7 +395,7 @@ def cmd_run(args) -> int:
         degenerate=approx.degenerate,
         certified=bool(approx.certified),
         outputs=outputs,
-        **_run_stats(plan),
+        **_run_stats(clock, plan),
     )
     print(f"wrote {outdir}/ ({', '.join(outputs)})")
     return 0

@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different route from the library code it
 checks: quadrature instead of special-function inverses, kink enumeration
-instead of sorting, dense scans instead of golden-section, bottom-up and
+instead of sorting, dense scans and golden-section search instead of
+Newton steps, bottom-up and
 top-down iteration instead of default-set linear solves, pairwise
 domination scans instead of neighbor checks. A shared bug would have to be
 written twice to slip through.
@@ -100,6 +101,43 @@ def log1p_utility(t):
 def avar_utility(t, lam: float):
     t = np.asarray(t, dtype=float)
     return np.minimum(t, 0.0) / lam
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def oce_golden(samples, utility, tol: float = 1e-9) -> float:
+    """-sup_eta {eta + E[u(M - eta)]} by golden-section search for a log1p-type utility.
+
+    The objective is concave with its maximizer in [min(M), max(M)]; the
+    bracket is capped below the pole at min(M) + 1, at the largest float
+    below it where min(M) + 1 - tol rounds up to the pole. The search stops
+    once the bracket is tol wide or cannot shrink, and the value is the best
+    of the bracket midpoint and both ends.
+    """
+    m = np.asarray(samples, dtype=float)
+    lo = float(m.min())
+    hi = min(float(m.max()), lo + 1.0 - tol, float(np.nextafter(lo + 1.0, -np.inf)))
+    if hi <= lo:
+        return -lo - float(np.mean(utility(m - lo)))
+
+    def h(eta: float) -> float:
+        return eta + float(np.mean(utility(m - eta)))
+
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = h(x1), h(x2)
+    while b - a > tol and a < x1 < x2 < b:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = h(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = h(x1)
+    return -max(h(0.5 * (a + b)), h(lo), h(hi))
 
 
 def oce_dense_scan(samples, utility, lo=None, hi=None, rounds: int = 4, points: int = 4001) -> float:

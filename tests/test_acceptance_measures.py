@@ -26,6 +26,9 @@ from sysrisk import (
     ubsr,
 )
 from sysrisk.acceptance import OCE_ETA_TOL, TIE_TOLERANCE, UBSR_RESIDUAL_TOL
+from sysrisk.config import build_run, resolve_config
+from sysrisk.presets import preset_config
+from sysrisk.riskmeasure import grid_search
 
 
 def random_vectors(seed, count, size_range=(1, 60), scale=5.0):
@@ -244,7 +247,7 @@ def test_oce_avar_utility_recovers_avar():
         n = int(rng.integers(1, 50))
         m = rng.normal(0.0, 4.0, size=n)
         lam = float(rng.uniform(0.05, 0.95))
-        assert oce_rho(m, AvarUtility(lam)) == pytest.approx(avar(m, lam), abs=1e-6)
+        assert oce_rho(m, AvarUtility(lam)) == avar(m, lam)
 
 
 def test_oce_log_utility_bracket_respects_domain():
@@ -253,6 +256,90 @@ def test_oce_log_utility_bracket_respects_domain():
     value = oce_rho(m, Log1pUtility())
     assert math.isfinite(value)
     assert value <= 0.5 + 1e-9  # eta = min(M) is always feasible
+
+
+def _oce_edge_cases():
+    rng = np.random.default_rng(31)
+    big = 2.0**40  # float spacing 2.4e-4: the cap is the largest float below min(M) + 1
+    return {
+        # the benchmark workload's shape: the maximizer sits about 1e-4 below the pole
+        "outlier_500_below": np.concatenate([[-500.0], rng.normal(0.0, 1.0, size=9999)]),
+        "maximizer_at_lo": np.concatenate([np.zeros(9999), [1e-6]]),
+        "maximizer_at_cap": big + np.concatenate([[0.0], np.full(9999, 600.0)]),
+        "constant": np.full(25, 3.25),
+    }
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 50.0])
+def test_oce_newton_matches_golden_section_and_dense_scan(scale):
+    for m in random_vectors(seed=int(10 * scale), count=5, scale=scale):
+        mine = oce_rho(m, Log1pUtility())
+        assert mine == pytest.approx(oracles.oce_golden(m, oracles.log1p_utility), abs=1e-9)
+        assert mine == pytest.approx(oracles.oce_dense_scan(m, oracles.log1p_utility), abs=1e-9)
+
+
+@pytest.mark.parametrize("name", list(_oce_edge_cases()))
+def test_oce_newton_edge_cases_match_references(name):
+    m = _oce_edge_cases()[name]
+    mine = oce_rho(m, Log1pUtility())
+    assert mine == pytest.approx(oracles.oce_golden(m, oracles.log1p_utility), abs=1e-9)
+    assert mine == pytest.approx(oracles.oce_dense_scan(m, oracles.log1p_utility), abs=1e-9)
+
+
+class _CountingLog1p(Log1pUtility):
+    """log1p utility that counts its passes over the sample vector, of u and of u'."""
+
+    def __init__(self):
+        object.__setattr__(self, "passes", [0])
+
+    def __call__(self, t):
+        self.passes[0] += 1
+        return super().__call__(t)
+
+    def derivative(self, t):
+        self.passes[0] += 1
+        return super().derivative(t)
+
+
+def _count_passes(samples) -> int:
+    utility = _CountingLog1p()
+    oce_rho(samples, utility)
+    return utility.passes[0]
+
+
+@pytest.mark.parametrize("magnitude", [1e7, 1e9, 1e12, -1e7, -1e9, -1e12])
+def test_oce_returns_for_samples_of_large_magnitude(magnitude):
+    # above about 8e6 the float spacing exceeds the eta tolerance, so a
+    # stopping test on the bracket width alone never becomes true; from 1e9
+    # on min(M) + 1 - 1e-9 rounds to the pole min(M) + 1, where the search starts
+    m = magnitude + np.array([0.0, 5.0])
+    passes = _count_passes(m)
+    assert passes <= 40
+    shifted = oce_rho([0.0, 5.0], Log1pUtility()) - magnitude
+    assert oce_rho(m, Log1pUtility()) == pytest.approx(shifted, abs=4 * abs(np.spacing(magnitude)))
+
+
+def test_oce_newton_pass_count_on_the_exp_sensitive_case_study():
+    # machine-independent cost gate: passes over the samples per criterion
+    # evaluation, the final evaluation of u included (golden-section took about 49)
+    plan = build_run(resolve_config(preset_config("agg_lognormal:exp_sensitive")))
+    vectors = []
+
+    def oracle(k):
+        samples = plan.model.samples_at(k)
+        vectors.append(samples)
+        return is_acceptable(samples, plan.acceptance)
+
+    grid_search(oracle, plan.grid)
+    passes = [_count_passes(v) for v in vectors]
+    assert len(passes) >= 30
+    assert float(np.median(passes)) <= 10
+    assert max(passes) <= 40
+
+
+def test_oce_rejects_utilities_without_a_solver():
+    with pytest.raises(ParameterError, match="log1p or avar"):
+        oce_rho([0.0, 1.0], lambda t: np.minimum(t, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,7 @@ def test_bad_edges_file_exits_2(tmp_path, capsys, edges, fragment):
     assert fragment in capsys.readouterr().err
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+    assert manifest["stats"]["seconds"]["search"] == 0.0  # failed while building
 
 
 def test_negative_network_capital_exits_2(tmp_path, capsys):
@@ -378,7 +379,12 @@ def test_run_end_to_end(tmp_path, capsys):
     assert manifest["oracle_calls"] > 0
     assert manifest["certified"] is True
     assert manifest["degenerate"] is None
-    assert "stats" not in manifest  # aggregation runs clear nothing
+    # aggregation runs clear nothing: the stats block holds only the phase seconds
+    assert sorted(manifest["stats"]) == ["seconds"]
+    seconds = manifest["stats"]["seconds"]
+    assert sorted(seconds) == ["build", "ear", "resolve", "search", "write"]
+    assert all(v >= 0.0 for v in seconds.values())
+    assert sum(seconds.values()) <= manifest["wall_clock_seconds"] + 1e-3
     assert sorted(manifest["outputs"]) == sorted([
         "manifest.json", "inner_frontier.csv", "outer_frontier.csv",
         "labels.csv", "scenarios.csv", "ear.json",
@@ -417,7 +423,8 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
     assert main(["run", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     for name in ("inner_frontier.csv", "outer_frontier.csv", "labels.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    assert json.loads((out2 / "manifest.json").read_text())["stats"] == manifest["stats"]
+    replayed = json.loads((out2 / "manifest.json").read_text())["stats"]
+    assert replayed["clearing"] == manifest["stats"]["clearing"]
 
 
 def test_run_overrides_land_in_manifest(tmp_path):
@@ -508,6 +515,8 @@ def test_run_clearing_divergence_exits_3(tmp_path, capsys):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "residual" in manifest["error"]
+    assert manifest["stats"]["seconds"]["search"] > 0.0
+    assert manifest["stats"]["seconds"]["ear"] == 0.0
 
 
 def test_run_all_in_box_exits_4_with_guidance(tmp_path, capsys):
