@@ -26,6 +26,7 @@ from .acceptance import (
 )
 from .aggregation import (
     AggregationSpec,
+    AggregationStats,
     AggregationValueModel,
     GroupMap,
     aggregate,
@@ -123,6 +124,7 @@ __all__ = [
     # aggregation
     "GroupMap",
     "AggregationSpec",
+    "AggregationStats",
     "AggregationValueModel",
     "aggregate",
     # clearing

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ModelError, ParameterError
 from .scenarios import ScenarioMatrix
 
-__all__ = ["GroupMap", "AggregationSpec", "AggregationValueModel", "aggregate"]
+__all__ = ["GroupMap", "AggregationSpec", "AggregationStats", "AggregationValueModel", "aggregate"]
 
 AGGREGATION_KINDS = ("sum", "loss", "exp")
 AGGREGATION_MODES = ("insensitive", "sensitive")
@@ -100,6 +100,20 @@ def aggregate(x, spec: AggregationSpec) -> float:
     return float(_aggregate_array(x, spec))
 
 
+@dataclass
+class AggregationStats:
+    """Work counters of an aggregation model.
+
+    calls counts samples_at calls, block_sums the group block sums G_j
+    evaluated and tables the sorted prefix tables built; the last two stay 0
+    on the precomputed path of insensitive and sum models.
+    """
+
+    calls: int = 0
+    block_sums: int = 0
+    tables: int = 0
+
+
 class AggregationValueModel:
     """Capital-indexed sample vectors Y_k over a shared scenario matrix.
 
@@ -111,13 +125,25 @@ class AggregationValueModel:
 
     Other sensitive models split the aggregate by group: capital is constant
     within a group, so Lambda(X + g(k)) = sum_j G_j(k_j), where G_j is the
-    column sum of the transformed row block of group j. Each G_j is computed
-    in place in one preallocated (largest group x scenarios) buffer, and the
-    last (level, G_j) pair of every group is kept, so a call recomputes only
-    the groups whose capital level changed since the previous call. The
-    scenario matrix is read-only, so a kept block sum cannot go stale. The
-    result differs from aggregating X + g(k) in one pass only in summation
-    order, i.e. in the last bits.
+    column sum of the transformed row block of group j. At level k only the
+    firms with X_i < -k contribute, and in a column sorted ascending they
+    form a prefix whose length c is counted on the unsorted block. So each
+    group gets one (n_j + 1) x scenarios prefix table, built on the group's
+    first evaluation, and G_j(k) is a count, a gather and one exp per
+    scenario:
+
+    - loss: G_j(k) = T_c + c k, T the cumulative sum of the sorted column;
+    - exp: G_j(k) = c - exp(-theta (k + x_min)) S_c, x_min the column
+      minimum and S the cumulative sum of exp(-theta (x - x_min)) over the
+      sorted column. Every term of S is at most 1, so the table never
+      overflows; the factor overflows exactly when theta times the worst
+      loss does, which raises ModelError.
+
+    The last (level, G_j) pair of every group is kept, so a call recomputes
+    only the groups whose capital level changed since the previous call.
+    The scenario matrix is read-only, so neither a table nor a kept block
+    sum can go stale. The result differs from aggregating X + g(k) in one
+    pass only in rounding, i.e. in the last bits. stats counts the work.
     """
 
     def __init__(self, scenarios: ScenarioMatrix, spec: AggregationSpec, groups: GroupMap):
@@ -128,6 +154,7 @@ class AggregationValueModel:
         self.scenarios = scenarios
         self.spec = spec
         self.groups = groups
+        self.stats = AggregationStats()
         self._sizes = np.asarray(groups.group_sizes, dtype=float)
         if spec.mode == "insensitive" or spec.kind == "sum":
             self._base = _aggregate_array(scenarios.values, spec)
@@ -136,7 +163,8 @@ class AggregationValueModel:
             ends = np.cumsum(groups.group_sizes)
             self._blocks = [scenarios.values[end - size:end]
                             for end, size in zip(ends, groups.group_sizes)]
-            self._buffer = np.empty((max(groups.group_sizes), scenarios.n_scenarios))
+            self._tables = [None] * groups.n_groups  # (x_min, prefix table), built on first use
+            self._columns = np.arange(scenarios.n_scenarios)
             self._last = [(None, None)] * groups.n_groups  # (level, block sum) per group
 
     @property
@@ -148,6 +176,11 @@ class AggregationValueModel:
         k = np.asarray(k, dtype=float).ravel()
         if k.size != self.n_groups:
             raise ParameterError(f"allocation has {k.size} entries for {self.n_groups} groups")
+        finite = np.isfinite(k)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ParameterError(f"allocation entry {j} is not finite: {k[j]}")
+        self.stats.calls += 1
         if self._base is not None:
             return self._base + float(self._sizes @ k)
         total = None
@@ -163,24 +196,40 @@ class AggregationValueModel:
         return total
 
     def _block_sum(self, j: int, level: float) -> np.ndarray:
-        """G_j(level): column sums of the transformed block of group j, computed in place."""
+        """G_j(level): column sums of the transformed block of group j, from its prefix table."""
+        self.stats.block_sums += 1
         block = self._blocks[j]
-        buf = self._buffer[: block.shape[0]]
-        np.add(block, level, out=buf)
-        np.minimum(buf, 0.0, out=buf)  # -shortfall
+        x_min, table = self._tables[j] or self._build_table(j)
+        # loss prefix length per column, summed as bytes into the smallest type that holds n_j:
+        # about twice as fast as count_nonzero, which casts every entry to intp
+        count = (block < -level).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(block)))
+        prefix = table[count, self._columns]
         if self.spec.kind == "loss":
-            return buf.sum(axis=0)
-        np.multiply(buf, -self.spec.theta, out=buf)
+            return prefix + count * level
         with np.errstate(over="ignore"):
-            np.exp(buf, out=buf)
-        if np.isinf(buf).any():
-            worst = float(np.maximum(-(block + level), 0.0).max())
+            scale = np.exp((x_min + level) * -self.spec.theta)
+        if np.isinf(scale).any():
+            worst = -(float(x_min.min()) + level)
             raise ModelError(
                 f"exp aggregation overflowed: theta*loss = {self.spec.theta * worst:.4g} "
                 "exceeds float range"
             )
-        np.subtract(1.0, buf, out=buf)
-        return buf.sum(axis=0)
+        return count - scale * prefix
+
+    def _build_table(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sort group j's block by column and keep its prefix sums, with a zero row on top."""
+        ordered = np.sort(self._blocks[j], axis=0)
+        x_min = ordered[0].copy()
+        if self.spec.kind == "exp":
+            with np.errstate(over="ignore"):  # an infinite spread only underflows exp to 0
+                ordered -= x_min
+                ordered *= -self.spec.theta
+            np.exp(ordered, out=ordered)
+        table = np.zeros((len(ordered) + 1, ordered.shape[1]))
+        np.cumsum(ordered, axis=0, out=table[1:])
+        self._tables[j] = (x_min, table)
+        self.stats.tables += 1
+        return x_min, table
 
     def with_scenarios(self, scenarios: ScenarioMatrix) -> "AggregationValueModel":
         """Same model structure over a different scenario matrix."""

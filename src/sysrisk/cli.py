@@ -222,10 +222,10 @@ class _PhaseClock:
 
 
 def _run_stats(clock: _PhaseClock, plan=None) -> dict:
-    """The manifest's stats block: seconds per phase, and the clearing counters of a network run."""
+    """The manifest's stats block: seconds per phase and the model's work counters."""
     stats = {"seconds": {k: round(v, 6) for k, v in clock.seconds.items()}}
-    if plan is not None and plan.clearing_stats is not None:
-        stats["clearing"] = asdict(plan.clearing_stats)
+    if plan is not None:
+        stats.update((name, asdict(counters)) for name, counters in plan.model_stats.items())
     return {"stats": stats}
 
 

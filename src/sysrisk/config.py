@@ -21,7 +21,6 @@ import yaml
 from .acceptance import AcceptanceSpec
 from .aggregation import AggregationSpec, AggregationValueModel, GroupMap
 from .clearing import (
-    ClearingStats,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LiabilityNetwork,
@@ -444,7 +443,7 @@ class RunPlan:
     network: LiabilityNetwork | None
     scenario_matrix: ScenarioMatrix
     effective_shift: float
-    clearing_stats: ClearingStats | None  # the network model's counters, filled as it clears
+    model_stats: dict  # manifest name -> the model's work counters, filled as it runs
 
 
 def _build_margin(mcfg: dict):
@@ -531,5 +530,5 @@ def build_run(resolved: dict) -> RunPlan:
         network=network,
         scenario_matrix=base,
         effective_shift=shift,
-        clearing_stats=model.stats if network is not None else None,
+        model_stats={"aggregation" if network is None else "clearing": model.stats},
     )

@@ -34,6 +34,7 @@ the true boundary lies within one spacing of the reported one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -542,13 +543,12 @@ def write_frontier_csv(points: np.ndarray, path) -> None:
 
 def write_labels_csv(approximation: GridApproximation, path) -> None:
     """Write all lattice points with their 0/1 labels, lexicographically ordered."""
-    axes = approximation.grid.axes()
-    nd = approximation.grid.ndim
+    axes = [[repr(float(v)) for v in axis] for axis in approximation.grid.axes()]
+    labels = approximation.labels.ravel().tolist()  # C order, the order of itertools.product
     with open(path, "w") as fh:
-        fh.write(",".join(f"k_{d + 1}" for d in range(nd)) + ",label\n")
-        for idx in np.ndindex(*approximation.grid.resolution):
-            coords = ",".join(repr(float(axes[d][i])) for d, i in enumerate(idx))
-            fh.write(f"{coords},{int(approximation.labels[idx])}\n")
+        fh.write(",".join(f"k_{d + 1}" for d in range(len(axes))) + ",label\n")
+        fh.writelines(f"{','.join(coords)},{label}\n"
+                      for coords, label in zip(itertools.product(*axes), labels))
 
 
 def ear_record(result: EarResult) -> dict:

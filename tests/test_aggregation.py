@@ -1,9 +1,12 @@
 """Aggregation value models: formulas, mode identities, monotonicity, concavity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sysrisk import (
     AggregationSpec,
@@ -303,6 +306,131 @@ def test_exp_sensitive_recovers_after_overflow(sizes):
     assert np.array_equal(model.samples_at(k), before)
     other = k + 0.25
     assert model.samples_at(other) == pytest.approx(elementwise(model, other), abs=1e-10)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("k,entry", [
+    ([math.nan, 0.0], 0), ([0.0, math.inf], 1), ([-math.inf, 1.0], 0), ([math.nan, math.nan], 0),
+])
+def test_samples_at_rejects_nonfinite_allocation(spec, k, entry):
+    model = AggregationValueModel(random_matrix(115, n_firms=4), spec, GroupMap([2, 2]))
+    with pytest.raises(ParameterError, match=f"allocation entry {entry} is not finite"):
+        model.samples_at(k)
+    assert model.stats.calls == 0
+
+
+# ---------------------------------------------------------------------------
+# sensitive loss/exp models: sorted prefix tables against the one-pass reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    n_scenarios=st.integers(1, 30),
+    kind=st.sampled_from(["loss", "exp"]),
+    data=st.data(),
+)
+def test_sensitive_tables_match_reference_property(seed, sizes, n_scenarios, kind, data):
+    rng = np.random.default_rng(seed)
+    scen = ScenarioMatrix(rng.normal(0.0, 2.0, size=(sum(sizes), n_scenarios)))
+    model = AggregationValueModel(scen, AggregationSpec(kind, "sensitive"), GroupMap(sizes))
+    levels = st.floats(-3.0, 3.0, allow_nan=False)
+    for _ in range(4):
+        k = np.array(data.draw(st.lists(levels, min_size=len(sizes), max_size=len(sizes))))
+        np.testing.assert_allclose(model.samples_at(k), elementwise(model, k),
+                                   rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["loss", "exp"])
+def test_sensitive_tables_handle_ties_at_the_level(kind):
+    # integer wealth and integer levels put many entries exactly at -k, which lose nothing
+    rng = np.random.default_rng(116)
+    scen = ScenarioMatrix(rng.integers(-4, 5, size=(7, 60)).astype(float))
+    groups = GroupMap([3, 1, 3])
+    model = AggregationValueModel(scen, AggregationSpec(kind, "sensitive", theta=0.5), groups)
+    for k in itertools.product([-2.0, 0.0, 1.0, 4.0], repeat=3):
+        reference = elementwise(model, k)
+        if kind == "loss":  # integer sums are exact in either order
+            assert np.array_equal(model.samples_at(k), reference)
+        else:
+            np.testing.assert_allclose(model.samples_at(k), reference, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["loss", "exp"])
+def test_sensitive_columns_without_loss_are_exactly_zero(kind):
+    values = np.array([[1.0, -2.0, 3.0, -0.5], [0.0, 4.0, -1.0, 2.0]])
+    model = AggregationValueModel(ScenarioMatrix(values), AggregationSpec(kind, "sensitive"),
+                                  GroupMap([2]))
+    for level in (-0.0, 0.5, 1.0, 2.0):
+        no_loss = (values + level >= 0.0).all(axis=0)
+        got = model.samples_at([level])
+        assert (got[no_loss] == 0.0).all()
+        assert (got[~no_loss] < 0.0).all()
+    assert np.array_equal(model.samples_at([2.0]), np.zeros(4))
+
+
+def test_sensitive_tables_are_built_once_per_group():
+    model = sensitive_model(SENSITIVE[1], (1, 3, 2))
+    assert model.stats.tables == 0  # built on first use, not in the constructor
+    rng = np.random.default_rng(117)
+    queries = list(walk_like_queries(rng, 3, 30))
+    for k in queries:
+        model.samples_at(k)
+    changed = 3 + sum(int((a != b).sum()) for a, b in zip(queries, queries[1:]))
+    assert (model.stats.calls, model.stats.block_sums, model.stats.tables) == (30, changed, 3)
+    flat = AggregationValueModel(model.scenarios, AggregationSpec("exp", "insensitive"),
+                                 model.groups)
+    flat.samples_at([0.0, 1.0, 2.0])
+    assert (flat.stats.calls, flat.stats.block_sums, flat.stats.tables) == (1, 0, 0)
+
+
+def exp_overflow_model(sizes):
+    values = np.zeros((sum(sizes), 5))
+    values[-1, 2] = -400.0
+    values[0, 3] = -1.5
+    spec = AggregationSpec("exp", "sensitive", theta=2.0)
+    return AggregationValueModel(ScenarioMatrix(values), spec, GroupMap(sizes))
+
+
+@pytest.mark.parametrize("sizes", [(2,), (1, 1), (3, 2)], ids=str)
+@pytest.mark.parametrize("first", ["in range", "overflowing"])
+def test_exp_sensitive_table_survives_a_worst_loss_past_the_float_range(sizes, first):
+    # theta * 400 overflows exp, theta * 300 does not: the table must be built
+    # without overflow whichever level comes first
+    model = exp_overflow_model(sizes)
+    in_range, overflowing = np.full(len(sizes), 100.0), np.zeros(len(sizes))
+    if first == "overflowing":
+        with pytest.raises(ModelError, match="overflow"):
+            model.samples_at(overflowing)
+    got = model.samples_at(in_range)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, elementwise(model, in_range), rtol=1e-12)
+    with pytest.raises(ModelError, match="overflow"):
+        model.samples_at(overflowing)
+    with pytest.raises(ModelError, match="overflow"):
+        elementwise(model, overflowing)
+
+
+def test_exp_sensitive_raises_at_exactly_the_reference_levels():
+    model = exp_overflow_model((2,))
+    # theta * (400 - k) reaches log(float max) near k = 45.1; sweep 200 floats across it
+    level = 400.0 - math.log(np.finfo(float).max) / 2.0
+    for _ in range(100):
+        level = np.nextafter(level, -np.inf)
+    outcomes = set()
+    for _ in range(200):
+        try:
+            elementwise(model, [level])
+        except ModelError:
+            with pytest.raises(ModelError, match="overflow"):
+                model.samples_at([level])
+            outcomes.add("raises")
+        else:
+            assert np.isfinite(model.samples_at([level])).all()
+            outcomes.add("finite")
+        level = np.nextafter(level, np.inf)
+    assert outcomes == {"raises", "finite"}
 
 
 # ---------------------------------------------------------------------------

@@ -379,8 +379,11 @@ def test_run_end_to_end(tmp_path, capsys):
     assert manifest["oracle_calls"] > 0
     assert manifest["certified"] is True
     assert manifest["degenerate"] is None
-    # aggregation runs clear nothing: the stats block holds only the phase seconds
-    assert sorted(manifest["stats"]) == ["seconds"]
+    # aggregation runs clear nothing: the stats block holds the phase seconds and the model's
+    # counters, with no block sums or tables on the precomputed path of an insensitive model
+    assert sorted(manifest["stats"]) == ["aggregation", "seconds"]
+    assert manifest["stats"]["aggregation"] == {
+        "calls": manifest["oracle_calls"], "block_sums": 0, "tables": 0}
     seconds = manifest["stats"]["seconds"]
     assert sorted(seconds) == ["build", "ear", "resolve", "search", "write"]
     assert all(v >= 0.0 for v in seconds.values())
@@ -425,6 +428,18 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     replayed = json.loads((out2 / "manifest.json").read_text())["stats"]
     assert replayed["clearing"] == manifest["stats"]["clearing"]
+
+
+def test_sensitive_aggregation_run_records_its_counters(tmp_path, capsys):
+    # machine-independent work counts of the case study's sensitive exp model at seed 1:
+    # one prefix table per group, and block sums only for the groups whose level moved
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "agg_lognormal:exp_sensitive", "--seed", "1",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["oracle_calls"] == 37
+    assert manifest["stats"]["aggregation"] == {"calls": 37, "block_sums": 48, "tables": 2}
+    assert "clearing" not in manifest["stats"]
 
 
 def test_run_overrides_land_in_manifest(tmp_path):
