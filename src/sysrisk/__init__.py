@@ -16,6 +16,7 @@ from .acceptance import (
     Log1pUtility,
     PolynomialLoss,
     avar,
+    bracket_verdict,
     entropic_rho,
     is_acceptable,
     make_loss,
@@ -119,6 +120,7 @@ __all__ = [
     "oce_rho",
     "rho",
     "is_acceptable",
+    "bracket_verdict",
     "make_loss",
     "make_utility",
     # aggregation

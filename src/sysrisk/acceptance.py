@@ -13,7 +13,9 @@ Error budgets: shortfall risk bisects to a residual of 1e-10; the OCE with
 log utility takes Newton steps on its first-order condition until a step
 moves eta by at most 1e-9 (or eta cannot move), then evaluates the value
 once; average value at risk, the entropic risk and the OCE with the AV@R
-utility are closed forms.
+utility are closed forms. bracket_verdict decides from samples known only
+between two bounds, and only when the bounds clear the tie by the bounds'
+own error plus that budget (1e-12, the tie, for the closed forms).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "oce_rho",
     "rho",
     "is_acceptable",
+    "bracket_verdict",
     "make_loss",
     "make_utility",
 ]
@@ -347,3 +350,31 @@ def rho(samples, spec: AcceptanceSpec) -> float:
 def is_acceptable(samples, spec: AcceptanceSpec) -> bool:
     """True iff rho(samples) + shift <= 0, with ties within 1e-12 acceptable."""
     return rho(samples, spec) + spec.shift <= TIE_TOLERANCE
+
+
+def bracket_verdict(lower, upper, spec: AcceptanceSpec, slack: float, trail=None) -> bool | None:
+    """The verdict on every Y with lower <= Y <= upper, or None if the bracket cannot decide.
+
+    rho is monotone, so rho(upper) <= rho(Y) <= rho(lower). A verdict needs
+    the bracket to clear the tie by the error budget: slack (the error of
+    the bounds) plus the criterion's own numerical error, the shortfall
+    residual 1e-10, the OCE Newton step 1e-9 with log utility, and the tie
+    1e-12 for the closed forms. An undecided bracket appends its
+    (rho(upper) + shift, rho(lower) + shift) to trail when one is given.
+    """
+    if spec.criterion == "ubsr":
+        own = UBSR_RESIDUAL_TOL
+    elif spec.criterion == "oce" and spec.utility == "log1p":
+        own = OCE_ETA_TOL
+    else:
+        own = TIE_TOLERANCE
+    budget = slack + own
+    high = rho(lower, spec) + spec.shift
+    if high <= TIE_TOLERANCE - budget:
+        return True
+    low = rho(upper, spec) + spec.shift
+    if low > TIE_TOLERANCE + budget:
+        return False
+    if trail is not None:
+        trail.append((low, high))
+    return None

@@ -7,28 +7,41 @@ owes and what it has (liquid assets, incoming payments, and illiquid assets
 marked at the clearing price), while the price is set by an inverse demand
 function of the total quantity of shares that distressed firms must sell.
 
-Both solvers return the greatest fixed point. Which one runs is a property
-of the input:
+The clearing map is monotone (Eisenberg and Noe, Management Science
+2001), so iterating it down from the top (full payments, price f(0)) gives
+payments above the greatest fixed point and iterating it up from the
+bottom (no payments, the price at the largest sale) gives payments below
+the least one. _bracket runs both as one (n, 2m) iteration and yields the
+pair after every sweep. A caller that needs only a verdict stops as soon
+as the pair decides it (NetworkValueModel.bounds_at, consumed by
+riskmeasure.membership_oracle); otherwise clearing finishes, and the
+result is the greatest fixed point. How it finishes is a property of the
+input:
 
 - Constant price on the reachable range, f(0) == f(largest sale), as for
   ConstantPrice or s == 0: the fixed point is piecewise linear in the
-  payments, and fictitious default (Eisenberg and Noe, Management Science
-  2001) finds it exactly. A few top-down sweeps give a default set inside
-  the true one; the scenario columns are grouped by default set, each group
-  takes one linear solve, and new defaults are added until the set stops
-  growing. tol, scaled by max(1, max pbar), bounds the final fixed-point
-  residual |min(pbar, x + pi*s + A'p) - p|; max_iter bounds the sweeps plus
-  the solve rounds.
-- Price impact: the solver iterates the monotone payment/price map from the
-  top point (full payments, undisturbed price), a componentwise
-  non-increasing sequence whose limit is the greatest fixed point. A column
-  stops once its sup-norm step falls to tol; max_iter bounds the sweeps.
+  payments, and fictitious default finds it exactly. After at most
+  _WARMUP_SWEEPS sweeps, or earlier when the caller expects the bracket
+  not to decide within them, the default set of the top-down iterate,
+  which lies inside the true one, seeds the solve: the scenario columns
+  are grouped by default set, each group takes one linear solve, and new
+  defaults are added until the set stops growing. tol, scaled by
+  max(1, max pbar), bounds the final fixed-point residual
+  |min(pbar, x + pi*s + A'p) - p|.
+- Price impact: the top-down half is iterated until every column's
+  sup-norm step falls to tol, and its iterate is the result.
+
+max_iter bounds the sweeps plus the solve rounds of a call; a call still
+unfinished then raises ConvergenceError naming the residual and the
+payment bracket width. Every sweep checks that the top-down iterates only
+fall, the bottom-up ones only rise and the lower bound stays below the
+upper one; a violation raises ModelError.
 
 Rounding in the payments grows with the obligations, so the checks that
 only raise scale with the largest obligation max(1, max pbar): the final
-residual check of the exact solve, and the slack by which a payment iterate
-may rise before the map counts as non-monotone (both solvers). Stopping
-tests stay absolute, and price checks keep the unscaled slack.
+residual check of the exact solve, and the slack by which a payment
+iterate may move the wrong way or cross the other bound. Stopping tests
+stay absolute, and price checks keep the unscaled slack.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
 _MONO_SLACK = 1e-12  # float headroom for checks on mathematically monotone quantities
-_WARMUP_SWEEPS = 4  # top-down sweeps that seed the default set of the exact solve
+_WARMUP_SWEEPS = 16  # bracket sweeps before a constant-price call is cleared exactly
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +311,21 @@ class ClearingResult:
 class ClearingStats:
     """Work counters of one or more clearing calls.
 
-    sweeps counts top-down sweeps (the warm-up of the constant-price solver,
-    every iteration of the price-impact one), rounds the default-set solve
-    rounds, solves the linear solves, one per default set and round.
+    sweeps counts paired sweeps (one step of the top-down and the bottom-up
+    iteration together), rounds the default-set solve rounds, solves the
+    linear solves, one per default set and round. decided counts the calls
+    whose bracket settled the verdict before clearing finished.
     max_residual is the worst final fixed-point residual on the
-    constant-price path and the worst last step on the price-impact path.
+    constant-price path and the worst last top-down step on the
+    price-impact path, over the calls that finished.
     """
 
     calls: int = 0
+    decided: int = 0
     sweeps: int = 0
     rounds: int = 0
     solves: int = 0
     max_residual: float = 0.0
-
-    def add(self, other: "ClearingStats") -> None:
-        self.calls += other.calls
-        self.sweeps += other.sweeps
-        self.rounds += other.rounds
-        self.solves += other.solves
-        self.max_residual = max(self.max_residual, other.max_residual)
 
 
 def _payment_scale(network: LiabilityNetwork) -> float:
@@ -324,17 +333,39 @@ def _payment_scale(network: LiabilityNetwork) -> float:
     return max(1.0, float(network.pbar.max()))
 
 
-def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
-    """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
+def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"clearing did not converge within {max_iter} iterations "
+        f"(residual {residual:.3e} > tol {tol:.1e}, payment bracket width {width:.3e})"
+    )
 
-    Returns payments (n, m), prices (m,) and the ClearingStats of the call.
-    With f(0) == f(largest sale) the price cannot move, and the payments are
-    solved exactly by _clear_constant_price. Otherwise the payment/price map
-    is iterated from the top; scenario columns whose update falls below tol
-    are frozen and skipped in later sweeps, which only changes where each
-    column stops, not its value: column updates never interact across
-    scenarios. Either way a step count above max_iter raises
-    ConvergenceError, and a map that moves upwards raises ModelError.
+
+def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stats: ClearingStats):
+    """Clear m scenarios at once, yielding payment bounds that tighten with every sweep.
+
+    x and s are (n, m) liquid/illiquid holdings. The payment/price map is
+    monotone, so it is iterated as one (n, 2m) array: columns [0, m) down
+    from the top (full payments, price f(0)), whose iterates lie above the
+    greatest fixed point, and columns [m, 2m) up from the bottom (no
+    payments, the price at the largest sale), whose iterates lie below the
+    least one. After every paired sweep it yields (lower, upper, prices):
+    views of the two payment halves, valid until the next sweep, and the
+    top-down prices. A column whose step falls to tol is frozen; column
+    updates never interact across scenarios.
+
+    The caller may send the number of sweeps it expects the bracket still
+    needs to decide; math.inf, "never", stops the bottom-up half. Once
+    clearing has finished it yields (p, p, prices), the same payment array
+    twice, and ends. With f(0) == f(largest sale) the price cannot move:
+    after _WARMUP_SWEEPS sweeps, once the top-down half has converged, or
+    as soon as the caller's estimate would take the bracket past
+    _WARMUP_SWEEPS, the default set of the top-down half seeds the exact
+    solve of _clear_constant_price. Otherwise the top-down half runs until
+    every column has converged, and its iterate is the result.
+
+    Sweeps plus solve rounds above max_iter raise ConvergenceError. An
+    iterate that moves the wrong way, or a lower bound above the upper one,
+    raises ModelError. stats is updated as the work happens.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -355,101 +386,156 @@ def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
         raise ModelError(
             f"inverse demand must stay strictly positive, got {price_floor} at the largest sale"
         )
-    if price_floor == price_top:
-        p, stats = _clear_constant_price(network, x + price_top * s, tol, max_iter)
-        return p, np.full(m, price_top), stats
+    constant = price_floor == price_top
+    stats.calls += 1
 
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     pay_slack = _MONO_SLACK * _payment_scale(network)
-    p = np.broadcast_to(pbar, (n, m)).copy()
-    pi = np.full(m, price_top)
-    active = np.ones(m, dtype=bool)
-    iterations = 0
-    worst_residual = np.inf
+    p = np.zeros((n, 2 * m))
+    p[:, :m] = pbar
+    spare = np.empty_like(p)  # scratch for the next iterate and the checks
+    pi = np.repeat([price_top, price_floor], m)
+    if constant:
+        cash = x + price_top * s
+    else:
+        x2 = np.concatenate([x, x], axis=1)
+        s2 = np.concatenate([s, s], axis=1)
+    active = np.ones(2 * m, dtype=bool)
+    limit = min(_WARMUP_SWEEPS, max_iter) if constant else max_iter
+    sweeps = 0
+    bracketing = True
 
-    while active.any():
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"clearing did not converge within {max_iter} iterations "
-                f"(residual {worst_residual:.3e} > tol {tol:.1e})"
-            )
+    while True:
+        full = active.all()
         cols = np.flatnonzero(active)
-        p_cur = p[:, cols]
-        pi_cur = pi[cols]
-        x_cur = x[:, cols]
-        s_cur = s[:, cols]
+        top = int(np.searchsorted(cols, m))  # cols[:top] iterate down, cols[top:] up
 
-        inflow = a_firms.T @ p_cur
-        resources = x_cur + inflow
-        p_new = np.minimum(pbar, resources + pi_cur * s_cur)
-        shortfall = np.maximum(pbar - resources, 0.0)
-        sold = np.minimum(shortfall / pi_cur, s_cur).sum(axis=0)
-        pi_new = np.asarray(f(sold), dtype=float)
+        def cur(a):
+            return a if full else a[..., cols]
 
-        # the map is monotone and we started at the top, so iterates only move down
-        if not (p_new <= p_cur + pay_slack).all():
+        p_cur = cur(p)
+        # inflows, into the spare buffer's storage whatever the number of active columns
+        buffer = spare.reshape(-1)[: p_cur.size].reshape(p_cur.shape)
+        p_new = np.matmul(a_firms.T, p_cur, out=buffer)
+        if constant and full:
+            p_new[:, :m] += cash
+            p_new[:, m:] += cash
+        elif constant:
+            p_new += cash[:, cols % m]
+        else:
+            pi_cur = cur(pi)
+            s_cur = cur(s2)
+            p_new += cur(x2)  # liquid resources
+            shortfall = np.maximum(pbar - p_new, 0.0)
+            sold = np.minimum(shortfall / pi_cur, s_cur).sum(axis=0)
+            p_new += pi_cur * s_cur
+            pi_new = np.asarray(f(sold), dtype=float)
+            if not (pi_new[:top] <= pi_cur[:top] + _MONO_SLACK).all():
+                raise ModelError("clearing map is not monotone: a price iterate increased")
+            if not (pi_new[top:] >= pi_cur[top:] - _MONO_SLACK).all():
+                raise ModelError("clearing map is not monotone: a price iterate decreased")
+        np.minimum(p_new, pbar, out=p_new)
+        change = np.subtract(p_new, p_cur, out=p_cur)  # p_cur is not needed any more
+        rise = change.max(axis=0)
+        fall = -change.min(axis=0)
+        # iterates from the top only move down, iterates from the bottom only up
+        if not (rise[:top] <= pay_slack).all():
             raise ModelError("clearing map is not monotone: a payment iterate increased")
-        if not (pi_new <= pi_cur + _MONO_SLACK).all():
-            raise ModelError("clearing map is not monotone: a price iterate increased")
-        if not (pi_new >= price_floor - _MONO_SLACK).all():
+        if not (fall[top:] <= pay_slack).all():
+            raise ModelError("clearing map is not monotone: a payment iterate decreased")
+        step = np.maximum(rise, fall)
+        if not constant:
+            step = np.maximum(step, np.abs(pi_new - pi_cur))
+            pi[cols] = pi_new
+        if full:
+            p, spare = p_new, p
+        else:
+            p[:, cols] = p_new
+        lower, upper = p[:, m:], p[:, :m]
+        if not np.subtract(lower, upper, out=spare[:, :m]).max(initial=-np.inf) <= pay_slack:
+            raise ModelError(
+                "clearing bracket is inverted: a lower payment bound exceeds the upper"
+            )
+        if not (pi[m:] <= pi[:m] + _MONO_SLACK).all():
+            raise ModelError("clearing bracket is inverted: a lower price bound exceeds the upper")
+        if not (constant or (pi_new >= price_floor - _MONO_SLACK).all()):
             raise ModelError("clearing price fell below the inverse demand at the largest sale")
+        residual = float(step[:top].max(initial=0.0))
+        active[cols[step <= tol]] = False
+        sweeps += 1
+        stats.sweeps += 1
+        if bracketing:
+            needed = yield lower, upper, pi[:m]
+            if needed == math.inf:  # no verdict will come from the bounds: stop the bottom half
+                bracketing = False
+                active[m:] = False
 
-        col_residual = np.maximum(np.abs(p_new - p_cur).max(axis=0), np.abs(pi_new - pi_cur))
-        p[:, cols] = p_new
-        pi[cols] = pi_new
-        worst_residual = float(col_residual.max())
-        active[cols[col_residual <= tol]] = False
-        iterations += 1
+        if not active[:m].any():
+            break
+        if constant and (not bracketing or needed is not None and sweeps + needed > limit):
+            break  # the bracket would not decide within the cap: clear exactly now
+        if sweeps >= limit:
+            if constant:
+                break
+            raise _not_converged(max_iter, residual, tol, float((upper - lower).max()))
 
-    stats = ClearingStats(calls=1, sweeps=iterations, max_residual=worst_residual if m else 0.0)
-    return p, pi, stats
+    del spare  # the exact solve allocates its own arrays
+    if constant:
+        residual = _clear_constant_price(network, cash, upper, lower, tol, max_iter, sweeps, stats)
+    stats.max_residual = max(stats.max_residual, residual)
+    yield upper, upper, pi[:m]
 
 
-def _clear_constant_price(network: LiabilityNetwork, cash, tol: float, max_iter: int):
-    """Greatest clearing payments when every firm's outside assets are the fixed cash (n, m).
+def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
+    """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
 
-    Fictitious default: given a default set D inside the true one, the
-    firms outside D pay in full and those in D pay everything they have,
+    Returns payments (n, m), prices (m,) and the ClearingStats of the call:
+    _bracket told after its first sweep that no verdict will come from it.
+    """
+    stats = ClearingStats()
+    bracket = _bracket(network, x, s, f, tol, max_iter, stats)
+    next(bracket)
+    _, p, pi = bracket.send(math.inf)
+    return np.ascontiguousarray(p), pi, stats
+
+
+def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float, max_iter: int,
+                          sweeps: int, stats: ClearingStats) -> float:
+    """Solve for the greatest clearing payments in place, from a top-down iterate p (n, m).
+
+    Every firm's outside assets are the fixed cash (n, m). Fictitious
+    default: given a default set D inside the true one, the firms outside D
+    pay in full and those in D pay everything they have,
 
         (I - A_DD') p_D = cash_D + A_{ND,D}' pbar_ND,
 
     whose solution lies above the fixed point; firms it leaves short join D,
-    and once D stops growing the solution is the greatest fixed point.
-    Top-down sweeps seed D, since each iterate lies above the fixed point.
-    Columns sharing a default set share one solve with a right-hand side
-    each. A singular system (defaulting firms that owe only among
-    themselves) raises ModelError.
+    and once D stops growing the solution is the greatest fixed point. The
+    firms p leaves short seed D, since a top-down iterate lies above the
+    fixed point. Columns sharing a default set share one solve with a
+    right-hand side each, and every solution still lies above the fixed
+    point, so with the bottom-up iterate lower it brackets the payments.
+    sweeps plus solve rounds above max_iter raise ConvergenceError naming
+    the residual and that bracket's width, and so does a final fixed-point
+    residual above tol times the payment scale; a singular system
+    (defaulting firms that owe only among themselves) raises ModelError.
+    Returns that residual.
     """
-    n, m = cash.shape
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]
     scale = _payment_scale(network)
-    p = np.broadcast_to(pbar, (n, m)).copy()
 
     def fixed_point_residual() -> float:
         return float(np.abs(np.minimum(pbar, cash + a_firms.T @ p) - p).max(initial=0.0))
 
-    sweeps = 0
-    while sweeps < min(_WARMUP_SWEEPS, max_iter):
-        p_new = np.minimum(pbar, cash + a_firms.T @ p)
-        drop = p - p_new
-        if drop.min(initial=0.0) < -_MONO_SLACK * scale:
-            raise ModelError("clearing map is not monotone: a payment iterate increased")
-        p = p_new
-        sweeps += 1
-        if drop.max(initial=0.0) <= tol:
-            break
-
     defaulted = p < pbar
     todo = np.flatnonzero(defaulted.any(axis=0))  # columns whose default set may still grow
-    rounds = solves = 0
+    rounds = 0
     while todo.size:
         if sweeps + rounds >= max_iter:
-            raise ConvergenceError(
-                f"clearing did not converge within {max_iter} iterations "
-                f"(residual {fixed_point_residual():.3e} > tol {tol:.1e})"
-            )
+            width = float((p - lower).max(initial=0.0))
+            raise _not_converged(max_iter, fixed_point_residual(), tol, width)
         d_todo = defaulted[:, todo]
         p_todo = np.where(d_todo, 0.0, pbar)
         rhs = cash[:, todo] + a_firms.T @ p_todo  # own cash plus full pay from solvent firms
@@ -468,8 +554,9 @@ def _clear_constant_price(network: LiabilityNetwork, cash, tol: float, max_iter:
                     f"clearing is singular: the defaulting firms {(d + 1).tolist()} "
                     "leave no payment determined"
                 ) from None
-            solves += 1
+            stats.solves += 1
         rounds += 1
+        stats.rounds += 1
         p[:, todo] = p_todo
         grown = (cash[:, todo] + a_firms.T @ p_todo < pbar) & ~d_todo
         defaulted[:, todo] = d_todo | grown
@@ -479,11 +566,9 @@ def _clear_constant_price(network: LiabilityNetwork, cash, tol: float, max_iter:
     if not residual <= tol * scale:
         raise ConvergenceError(
             f"clearing fixed-point residual {residual:.3e} exceeds tol {tol:.1e} "
-            f"times the payment scale {scale:.3g} "
-            f"after {sweeps} sweeps and {rounds} solve rounds"
+            f"times the payment scale {scale:.3g} after {rounds} solve rounds"
         )
-    stats = ClearingStats(calls=1, sweeps=sweeps, rounds=rounds, solves=solves, max_residual=residual)
-    return p, stats
+    return residual
 
 
 def clear(
@@ -574,8 +659,9 @@ class NetworkValueModel:
         self.max_iter = max_iter
         self.groups = network.groups
         self._society_shares = network.relative[1:, 0]
-        self.stats = ClearingStats()  # summed over every samples_at call
-        self.last_iterations = 0  # sweeps plus solve rounds of the latest call
+        self.stats = ClearingStats()  # summed over every call
+        # the clearing's share of a verdict's error budget, in units of society equity
+        self.payment_tolerance = tol * _payment_scale(network)
 
     @property
     def n_groups(self) -> int:
@@ -585,21 +671,47 @@ class NetworkValueModel:
     def total_promised_to_society(self) -> float:
         return self.network.society_promised
 
-    def samples_at(self, k) -> np.ndarray:
-        """Society equity per scenario with capital k injected as liquid holdings."""
+    def bounds_at(self, k):
+        """Yield (lower, upper) society equity per scenario, tightening with every clearing sweep.
+
+        Capital k is injected as liquid holdings. lower and upper come from
+        the bottom-up and top-down payment iterates of _bracket, so they
+        enclose the exact equity, and a monotone criterion puts rho(Y)
+        between rho(upper) and rho(lower). The caller may send how many more
+        sweeps it expects the bounds to need before they decide; a
+        constant-price call that would need more than _WARMUP_SWEEPS is
+        cleared exactly at once, and math.inf finishes any call without the
+        bounds. Once clearing has finished, the last pair
+        is (Y, Y), the same array twice: samples_at(k). Closing the
+        generator before that counts the call as decided.
+        """
         k = np.asarray(k, dtype=float).ravel()
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]
-        p, _, stats = _clear_batch(
-            self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter
+        shares = self._society_shares
+        bracket = _bracket(
+            self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter, self.stats
         )
-        self.stats.add(stats)
-        self.last_iterations = stats.sweeps + stats.rounds
-        e0 = self._society_shares @ p
+        try:
+            lower, upper, _ = next(bracket)
+            while lower is not upper:
+                needed = yield shares @ lower, shares @ upper
+                lower, upper, _ = bracket.send(needed)
+        except GeneratorExit:
+            self.stats.decided += 1
+            raise
+        e0 = shares @ upper
         cap = self.total_promised_to_society
         if not ((e0 >= -1e-9).all() and (e0 <= cap + max(1e-9, 1e-12 * cap)).all()):
             raise ModelError(f"society equity left the range [0, {cap}] of its promised payments")
+        yield e0, e0
+
+    def samples_at(self, k) -> np.ndarray:
+        """Society equity per scenario with capital k injected as liquid holdings."""
+        bounds = self.bounds_at(k)
+        next(bounds)
+        _, e0 = bounds.send(math.inf)  # no verdict to decide: finish clearing at once
         return e0
 
     def with_scenarios(

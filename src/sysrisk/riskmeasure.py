@@ -34,12 +34,14 @@ the true boundary lies within one spacing of the reported one.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .acceptance import AcceptanceSpec, is_acceptable
+from .acceptance import AcceptanceSpec, bracket_verdict, is_acceptable
 from .errors import DegenerateBoxError, ModelError, ParameterError
 
 __all__ = [
@@ -213,7 +215,7 @@ class PinnedAllocationModel:
     def n_groups(self) -> int:
         return len(self.free)
 
-    def samples_at(self, k) -> np.ndarray:
+    def _full(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=float).ravel()
         if k.size != len(self.free):
             raise ParameterError(f"allocation has {k.size} entries for {len(self.free)} free groups")
@@ -221,14 +223,73 @@ class PinnedAllocationModel:
         full[self.free] = k
         for j, value in self.pinned.items():
             full[j] = value
-        return self.model.samples_at(full)
+        return full
+
+    def samples_at(self, k) -> np.ndarray:
+        return self.model.samples_at(self._full(k))
+
+    @property
+    def bounds_at(self):
+        """The wrapped model's bounds_at over the free groups; AttributeError if it has none."""
+        bounds_at = self.model.bounds_at
+        return lambda k: bounds_at(self._full(k))
+
+    @property
+    def payment_tolerance(self) -> float:
+        return self.model.payment_tolerance
+
+
+def _sweeps_to_decide(trail) -> float | None:
+    """How many more sweeps a bracket of risk values needs to clear the tie, or None if unknown.
+
+    trail holds (rho(upper) + shift, rho(lower) + shift) after each sweep.
+    Both ends are taken to approach the risk geometrically at the rate by
+    which the last sweep shrank the bracket; the sum of each end's remaining
+    steps estimates the risk, and the end on the far side of the tie must
+    come within that estimate's distance from it.
+    """
+    if len(trail) < 2:
+        return None
+    (lo0, hi0), (lo1, hi1) = trail[-2:]
+    rate = (hi1 - lo1) / (hi0 - lo0) if hi0 > lo0 else 1.0
+    if not 0.0 < rate < 1.0:
+        return None
+    ahead = rate / (1.0 - rate)
+    risk = 0.5 * (hi1 - (hi0 - hi1) * ahead + lo1 + (lo1 - lo0) * ahead)
+    if risk == 0.0:
+        return math.inf
+    distance = hi1 - risk if risk < 0.0 else risk - lo1
+    if distance <= abs(risk):
+        return None
+    return math.log(abs(risk) / distance) / math.log(rate)
 
 
 def membership_oracle(model, spec: AcceptanceSpec):
-    """Bind model and criterion into the boolean oracle used by the grid search."""
+    """Bind model and criterion into the boolean oracle used by the grid search.
+
+    A model with bounds_at (network clearing) is decided from its bounds as
+    soon as they clear the tie by the error budget of bracket_verdict, with
+    the model's payment_tolerance as the slack. After each sweep the oracle
+    sends the model an estimate of the sweeps the bounds still need, so that
+    a model can stop a bracket that will not decide soon and finish
+    clearing instead. Once clearing has finished, and for every other
+    model, the verdict is is_acceptable on the samples.
+    """
+    bounds_at = getattr(model, "bounds_at", None)
+    if bounds_at is None:
+        return lambda k: is_acceptable(model.samples_at(k), spec)
+    slack = model.payment_tolerance
 
     def oracle(k) -> bool:
-        return is_acceptable(model.samples_at(k), spec)
+        with contextlib.closing(bounds_at(k)) as bounds:
+            lower, upper = next(bounds)
+            trail = []
+            while lower is not upper:
+                verdict = bracket_verdict(lower, upper, spec, slack, trail)
+                if verdict is not None:
+                    return verdict
+                lower, upper = bounds.send(_sweeps_to_decide(trail))
+        return is_acceptable(upper, spec)
 
     return oracle
 

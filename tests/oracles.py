@@ -3,10 +3,11 @@
 Each oracle deliberately takes a different route from the library code it
 checks: quadrature instead of special-function inverses, kink enumeration
 instead of sorting, dense scans and golden-section search instead of
-Newton steps, bottom-up and
-top-down iteration instead of default-set linear solves, pairwise
-domination scans instead of neighbor checks. A shared bug would have to be
-written twice to slip through.
+Newton steps, bottom-up and top-down iteration instead of default-set
+linear solves, a one-scenario joint iteration of payments and price
+instead of the batched bracket, pairwise domination scans instead of
+neighbor checks. A shared bug would have to be written twice to slip
+through.
 """
 
 from __future__ import annotations
@@ -200,6 +201,33 @@ def clear_top_down(nominal, cash, tol: float = 1e-13, max_iter: int = 1_000_000)
             return nxt
         p = nxt
     raise RuntimeError("top-down clearing iteration did not converge")
+
+
+def clear_price_impact(nominal, x, s, f, tol: float = 1e-13, max_iter: int = 1_000_000):
+    """Greatest joint fixed point of payments and price for one scenario, iterated from the top.
+
+    x and s are (n,) liquid and illiquid holdings. Each step pays
+    min(pbar, x + A'p + pi*s) and reprices at f of what the firms short of
+    their obligations out of x + A'p sell at the current price. Starting at
+    full payment and f(0), the iterates fall to the greatest fixed point.
+    """
+    nominal = np.asarray(nominal, dtype=float)
+    pbar = nominal.sum(axis=1)
+    safe = np.where(pbar > 0, pbar, 1.0)
+    a = np.where(pbar[:, None] > 0, nominal / safe[:, None], 0.0)[1:, 1:]
+    pbar = pbar[1:]
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    p, pi = pbar.copy(), float(f(0.0))
+    for _ in range(max_iter):
+        resources = x + a.T @ p
+        nxt = np.minimum(pbar, resources + pi * s)
+        sold = float(np.sum(np.minimum(np.maximum(pbar - resources, 0.0) / pi, s)))
+        nxt_pi = float(f(sold))
+        if max(np.max(np.abs(nxt - p)), abs(nxt_pi - pi)) <= tol:
+            return nxt, nxt_pi
+        p, pi = nxt, nxt_pi
+    raise RuntimeError("price-impact clearing iteration did not converge")
 
 
 def upper_set_from_corners(shape, corners) -> np.ndarray:

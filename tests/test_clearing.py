@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sysrisk import (
+    AcceptanceSpec,
     ClearingResult,
+    ClearingStats,
     ConfigurationError,
     ConstantPrice,
     ConvergenceError,
@@ -21,12 +23,15 @@ from sysrisk import (
     TabulatedPrice,
     clear,
     equity,
+    is_acceptable,
     make_inverse_demand,
+    membership_oracle,
     read_edge_csv,
+    rho,
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk.clearing import _clear_batch
+from sysrisk.clearing import _bracket, _clear_batch
 import oracles
 
 UNIT_PRICE = ConstantPrice(1.0)
@@ -600,6 +605,138 @@ def test_make_network_cvm_group_override():
     assert model.n_groups == 2
     with pytest.raises(ConfigurationError):
         LiabilityNetwork(net.nominal, GroupMap([2, 1]))
+
+
+# ---------------------------------------------------------------------------
+# payment brackets and the verdicts they decide
+
+
+BRACKET_CURVES = [ConstantPrice(0.7), LinearSqrtPrice(), LinearCapPrice(slope=0.25, floor=0.5)]
+CRITERIA = [
+    AcceptanceSpec("avar", lam=0.2),
+    AcceptanceSpec("ubsr", loss="polynomial", power=2.0, z=0.5),
+    AcceptanceSpec("oce", utility="log1p"),
+    AcceptanceSpec("entropic", level=0.0),
+]
+
+
+def bracket_model(rng, f, m=12):
+    # 2-30 firms with defaults, illiquid holdings sold at a falling price unless f is constant
+    n = int(rng.integers(2, 31))
+    net = sparse_network(rng, n)
+    x = shared_default_cash(rng, net.pbar[1:], m)
+    s = rng.uniform(0.0, 0.5, size=x.shape)
+    return NetworkValueModel(net, ScenarioMatrix(x), ScenarioMatrix(s), f)
+
+
+def reference_payments(model, k):
+    x = model.scenarios_x.values + model.groups.expand(k)[:, None]
+    s = model.scenarios_s.values
+    if isinstance(model.f, ConstantPrice):
+        return oracles.clear_top_down(model.network.nominal, x + model.f.price * s)
+    return np.column_stack([
+        oracles.clear_price_impact(model.network.nominal, x[:, j], s[:, j], model.f)[0]
+        for j in range(x.shape[1])
+    ])
+
+
+def test_bracket_encloses_the_reference_after_every_sweep():
+    rng = np.random.default_rng(61)
+    for case in range(30):
+        model = bracket_model(rng, BRACKET_CURVES[case % 3])
+        k = rng.uniform(0.0, 0.5, size=model.n_groups)
+        ref = reference_payments(model, k)
+        x = model.scenarios_x.values + model.groups.expand(k)[:, None]
+        bracket = _bracket(model.network, x, model.scenarios_s.values, model.f, 1e-10,
+                           100_000, ClearingStats())
+        for lower, upper, _ in bracket:
+            assert (lower <= ref + 1e-9).all() and (ref <= upper + 1e-9).all()
+        assert lower is upper and np.max(np.abs(upper - ref)) <= 1e-8
+        e0_ref = model._society_shares @ ref
+        for low, up in model.bounds_at(k):
+            assert (low <= e0_ref + 1e-9).all() and (e0_ref <= up + 1e-9).all()
+
+
+def test_bracketed_verdicts_match_the_finished_clearing():
+    rng = np.random.default_rng(67)
+    decided = calls = 0
+    for case in range(12):
+        model = bracket_model(rng, BRACKET_CURVES[case % 3])
+        k = rng.uniform(0.0, 0.5, size=model.n_groups)
+        y = model.samples_at(k)
+        for spec in CRITERIA:
+            risk = rho(y, spec)
+            for offset in (-0.3, -1e-3, -1e-6, 1e-6, 1e-3, 0.3):
+                shifted = AcceptanceSpec(**{**spec.__dict__, "shift": offset - risk})
+                verdict = membership_oracle(model, shifted)(k)
+                assert verdict == is_acceptable(y, shifted), (case, spec.criterion, offset)
+        decided += model.stats.decided
+        calls += model.stats.calls
+    assert 0 < decided < calls
+
+
+def test_verdicts_within_the_error_budget_fall_back_to_finished_clearing():
+    rng = np.random.default_rng(71)
+    for case in range(9):
+        model = bracket_model(rng, BRACKET_CURVES[case % 3])
+        k = rng.uniform(0.0, 0.5, size=model.n_groups)
+        y = model.samples_at(k)
+        for spec in CRITERIA:
+            risk = rho(y, spec)
+            for offset in (-1e-13, 1e-13):
+                shifted = AcceptanceSpec(**{**spec.__dict__, "shift": offset - risk})
+                before = model.stats.decided
+                assert membership_oracle(model, shifted)(k) == is_acceptable(y, shifted)
+                assert model.stats.decided == before, (case, spec.criterion, offset)
+
+
+def test_inverted_bracket_is_a_model_error():
+    # each half moves the right way, yet the bottom-up price starts or ends above the
+    # top-down one; no non-increasing curve does this, so the curve is scripted
+    net = two_firm_chain()
+    x = np.array([[0.5], [0.0]])
+    s = np.array([[1.0], [1.0]])
+
+    def scripted(top, floor, swept):
+        def f(y):
+            if np.ndim(y) == 0:
+                return top if y == 0.0 else floor
+            return np.array(swept)
+        return f
+
+    cases = [
+        (scripted(1.0, 1.2, [1.0, 1.2]), "lower payment bound exceeds the upper"),
+        (scripted(1.0, 0.5, [0.9, 0.95]), "lower price bound exceeds the upper"),
+    ]
+    for f, message in cases:
+        with pytest.raises(ModelError, match=message):
+            next(_bracket(net, x, s, f, 1e-12, 100, ClearingStats()))
+
+
+def test_bracket_told_it_will_not_decide_finishes_clearing():
+    rng = np.random.default_rng(79)
+    for f in (UNIT_PRICE, LinearSqrtPrice()):
+        model = bracket_model(rng, f)
+        k = np.zeros(model.n_groups)
+        *_, (_, expected) = model.bounds_at(k)  # the bracket run to its end
+        model.stats = ClearingStats()
+        bounds = model.bounds_at(k)
+        next(bounds)
+        lower, upper = bounds.send(math.inf)
+        assert lower is upper and np.array_equal(upper, expected)
+        if isinstance(f, ConstantPrice):
+            assert model.stats.sweeps == 1  # the exact solve starts after the one sweep
+        else:
+            assert model.stats.sweeps > 1  # the top-down iteration runs on alone
+
+
+def test_convergence_error_names_residual_and_bracket_width():
+    rng = np.random.default_rng(73)
+    for f in (UNIT_PRICE, LinearSqrtPrice()):
+        model = bracket_model(rng, f)
+        x = model.scenarios_x.values
+        with pytest.raises(ConvergenceError, match=r"residual .* bracket width"):
+            _clear_batch(model.network, x, model.scenarios_s.values, f, 1e-10, 1)
 
 
 # ---------------------------------------------------------------------------

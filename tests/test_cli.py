@@ -418,7 +418,7 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
     assert main(["run", "--config", path]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     stats = manifest["stats"]["clearing"]
-    assert sorted(stats) == ["calls", "max_residual", "rounds", "solves", "sweeps"]
+    assert sorted(stats) == ["calls", "decided", "max_residual", "rounds", "solves", "sweeps"]
     assert stats["calls"] == manifest["oracle_calls"]
     assert stats["sweeps"] >= stats["calls"]
     tol = manifest["resolved_config"]["model"]["network"]["clearing"]["tol"]
@@ -428,6 +428,24 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     replayed = json.loads((out2 / "manifest.json").read_text())["stats"]
     assert replayed["clearing"] == manifest["stats"]["clearing"]
+
+
+@pytest.mark.parametrize("preset, clearing", [
+    # constant price: eleven calls decided by their bracket, two cleared to the end
+    ("two_tier:C5", {"calls": 13, "decided": 11, "sweeps": 42, "rounds": 4, "solves": 33}),
+    # price impact: one call's top-down iteration converged before its bracket decided
+    ("three_tier:alpha=0.6", {"calls": 12, "decided": 11, "sweeps": 26, "rounds": 0, "solves": 0}),
+])
+def test_network_run_records_its_clearing_counters(tmp_path, capsys, preset, clearing):
+    # machine-independent work counts of small case-study runs at seed 1
+    out = tmp_path / "out"
+    assert main(["run", "--preset", preset, "--seed", "1", "--scenarios", "150",
+                 "--grid-res", "10", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    stats = manifest["stats"]["clearing"]
+    assert 0.0 <= stats.pop("max_residual") <= 1e-9
+    assert stats == clearing
+    assert manifest["oracle_calls"] == clearing["calls"]
 
 
 def test_sensitive_aggregation_run_records_its_counters(tmp_path, capsys):
@@ -521,17 +539,34 @@ def test_run_unwritable_output_exits_2(tmp_path, capsys):
 
 
 def test_run_clearing_divergence_exits_3(tmp_path, capsys):
+    # the shift puts the first call's verdict inside its one-sweep bracket, so
+    # that call cannot be decided before clearing runs out of max_iter
     outdir = tmp_path / "out"
     cfg = small_net_cfg(outdir)
     cfg["model"]["network"]["clearing"] = {"max_iter": 1}
+    cfg["acceptance"]["shift"] = 0.5
     path = write_cfg(tmp_path, cfg)
     assert main(["run", "--config", path]) == 3
     assert "error:" in capsys.readouterr().err
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "residual" in manifest["error"]
+    assert "bracket width" in manifest["error"]
     assert manifest["stats"]["seconds"]["search"] > 0.0
     assert manifest["stats"]["seconds"]["ear"] == 0.0
+
+
+def test_run_decided_within_max_iter_exits_0_with_unbounded_labels(tmp_path):
+    # max_iter bounds only the calls it leaves undecided: one sweep settles these
+    bounded = tmp_path / "bounded"
+    free = tmp_path / "free"
+    cfg = small_net_cfg(bounded)
+    cfg["model"]["network"]["clearing"] = {"max_iter": 1}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg, "bounded.yaml")]) == 0
+    assert main(["run", "--config", write_cfg(tmp_path, small_net_cfg(free), "free.yaml")]) == 0
+    assert (bounded / "labels.csv").read_bytes() == (free / "labels.csv").read_bytes()
+    stats = json.loads((bounded / "manifest.json").read_text())["stats"]["clearing"]
+    assert stats["decided"] == stats["calls"] == stats["sweeps"] >= 1
 
 
 def test_run_all_in_box_exits_4_with_guidance(tmp_path, capsys):

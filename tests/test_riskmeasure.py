@@ -32,7 +32,14 @@ from sysrisk import (
     write_frontier_csv,
     write_labels_csv,
 )
-from sysrisk.riskmeasure import ACCEPTABLE, UNACCEPTABLE, _finalize, _LabelStore, _walk
+from sysrisk.riskmeasure import (
+    ACCEPTABLE,
+    UNACCEPTABLE,
+    _finalize,
+    _LabelStore,
+    _sweeps_to_decide,
+    _walk,
+)
 
 BOX04 = GridSpec([0.0, 0.0], [4.0, 4.0], 5)
 
@@ -608,6 +615,34 @@ def test_pinned_model_validation():
     pinned = PinnedAllocationModel(model, {0: 0.0})
     with pytest.raises(ParameterError):
         pinned.samples_at([1.0, 2.0])
+
+
+def test_pinned_model_forwards_bounds_only_where_the_model_has_them():
+    rng = np.random.default_rng(447)
+    scen = ScenarioMatrix(rng.normal(size=(4, 10)))
+    agg = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2]))
+    assert getattr(PinnedAllocationModel(agg, {0: 0.0}), "bounds_at", None) is None
+    plan = build_run(resolve_config(preset_config("three_tier:alpha=0.6")))
+    pinned = plan.model
+    assert isinstance(pinned, PinnedAllocationModel)
+    assert pinned.payment_tolerance == pinned.model.payment_tolerance > 0.0
+    k = np.array([2.0, 2.0])
+    full = np.empty(3)
+    full[pinned.free] = k
+    for j, value in pinned.pinned.items():
+        full[j] = value
+    *_, (low, up) = pinned.bounds_at(k)
+    assert low is up
+    assert np.array_equal(up, pinned.model.samples_at(full))
+
+
+def test_sweeps_to_decide_extrapolates_a_geometric_bracket():
+    # both ends approach the risk -0.5, halving their distance each sweep
+    trail = [(-0.5 - 8.0 * 0.5**j, -0.5 + 8.0 * 0.5**j) for j in (1, 2)]
+    assert _sweeps_to_decide(trail[:1]) is None
+    assert _sweeps_to_decide(trail) == pytest.approx(2.0)
+    assert _sweeps_to_decide([(-1.0, 1.0), (-1.0, 1.0)]) is None  # not shrinking
+    assert _sweeps_to_decide([(-2.0, 2.0), (-1.0, 1.0)]) == math.inf  # centred on the tie
 
 
 def test_pinned_model_searchable():
