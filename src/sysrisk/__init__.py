@@ -33,7 +33,6 @@ from .aggregation import (
     aggregate,
 )
 from .clearing import (
-    ClearingResult,
     ClearingStats,
     ConstantPrice,
     LiabilityNetwork,
@@ -41,8 +40,6 @@ from .clearing import (
     LinearSqrtPrice,
     NetworkValueModel,
     TabulatedPrice,
-    clear,
-    equity,
     make_inverse_demand,
     read_edge_csv,
     validate_inverse_demand,
@@ -131,7 +128,6 @@ __all__ = [
     "aggregate",
     # clearing
     "LiabilityNetwork",
-    "ClearingResult",
     "ClearingStats",
     "ConstantPrice",
     "LinearCapPrice",
@@ -139,8 +135,6 @@ __all__ = [
     "TabulatedPrice",
     "make_inverse_demand",
     "validate_inverse_demand",
-    "clear",
-    "equity",
     "NetworkValueModel",
     "read_edge_csv",
     "write_edge_csv",

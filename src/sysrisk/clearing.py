@@ -31,6 +31,26 @@ input:
 - Price impact: the top-down half is iterated until every column's
   sup-norm step falls to tol, and its iterate is the result.
 
+Warm starts. Clearing is monotone in capital as well, so the iterates of
+an evaluated allocation bound those of another (Tarski; Eisenberg and Noe):
+for k'' >= k, every top-down iterate U of k'' satisfies Phi_k(U) <=
+Phi_k''(U) <= U, so iterating k from U stays above k's greatest fixed
+point, and the firms U leaves short default at k too; dually, a bottom-up
+iterate of k' <= k lies below k's least fixed point. The minimum of such
+upper starts is one again, and so is the maximum of lower starts. A
+NetworkValueModel keeps the last _HISTORY evaluated points with the final
+payments and prices of both halves, and starts each bracket from the
+minimum over the points with at least k capital in every group and the
+maximum over those with at most k; a price always goes with its payments.
+A warm start changes how many sweeps a verdict takes, never the verdict,
+and never the finished result: a constant-price call seeds the exact
+solve with the default set of its warm top-down iterate, which lies inside
+the true one, and a price-impact call that must finish restarts its
+top-down half from the top. Lone scenario columns are worked on twice
+over, as a batch of two (_batch), so that no result depends on which
+other columns share its batch. ClearingStats.warm counts the calls that
+started from an evaluated point.
+
 max_iter bounds the sweeps plus the solve rounds of a call; a call still
 unfinished then raises ConvergenceError naming the residual and the
 payment bracket width. Every sweep checks that the top-down iterates only
@@ -46,6 +66,7 @@ stay absolute, and price checks keep the unscaled slack.
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,7 +79,6 @@ from .scenarios import ScenarioMatrix
 
 __all__ = [
     "LiabilityNetwork",
-    "ClearingResult",
     "ClearingStats",
     "ConstantPrice",
     "LinearCapPrice",
@@ -66,8 +86,6 @@ __all__ = [
     "TabulatedPrice",
     "make_inverse_demand",
     "validate_inverse_demand",
-    "clear",
-    "equity",
     "NetworkValueModel",
     "read_edge_csv",
     "write_edge_csv",
@@ -78,6 +96,7 @@ DEFAULT_MAX_ITER = 100_000
 
 _MONO_SLACK = 1e-12  # float headroom for checks on mathematically monotone quantities
 _WARMUP_SWEEPS = 16  # bracket sweeps before a constant-price call is cleared exactly
+_HISTORY = 4  # evaluated points a network model keeps as starts for its brackets
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +316,6 @@ def write_edge_csv(network: LiabilityNetwork, path) -> None:
 # the clearing fixed point
 
 
-@dataclass(frozen=True)
-class ClearingResult:
-    """Payments of firms 1..n, the clearing price, and iteration diagnostics."""
-
-    p: np.ndarray
-    pi: float
-    iterations: int
-    residual: float
-
-
 @dataclass
 class ClearingStats:
     """Work counters of one or more clearing calls.
@@ -314,23 +323,56 @@ class ClearingStats:
     sweeps counts paired sweeps (one step of the top-down and the bottom-up
     iteration together), rounds the default-set solve rounds, solves the
     linear solves, one per default set and round. decided counts the calls
-    whose bracket settled the verdict before clearing finished.
-    max_residual is the worst final fixed-point residual on the
-    constant-price path and the worst last top-down step on the
-    price-impact path, over the calls that finished.
+    whose bracket settled the verdict before clearing finished, warm the
+    calls whose bracket started from an evaluated point. max_residual is
+    the worst final fixed-point residual on the constant-price path and the
+    worst last top-down step on the price-impact path, over the calls that
+    finished. closest_tie is the smallest |rho(Y) + shift| of the verdicts
+    taken from finished clearing (None while there is none): the margin by
+    which the nearest such verdict cleared the tie.
     """
 
     calls: int = 0
     decided: int = 0
+    warm: int = 0
     sweeps: int = 0
     rounds: int = 0
     solves: int = 0
     max_residual: float = 0.0
+    closest_tie: float | None = None
+
+    def record_tie(self, margin: float) -> None:
+        """Keep |margin| if no finished verdict came closer to the tie."""
+        if self.closest_tie is None or abs(margin) < self.closest_tie:
+            self.closest_tie = abs(margin)
+
+
+@dataclass
+class _Point:
+    """An evaluated allocation k and the iterates of its bracket.
+
+    p (n, 2m) holds the top-down payments in columns [0, m) and the
+    bottom-up ones in [m, 2m), pi (2m,) the prices that go with them.
+    """
+
+    k: np.ndarray | None
+    p: np.ndarray | None = None
+    pi: np.ndarray | None = None
 
 
 def _payment_scale(network: LiabilityNetwork) -> float:
     """max(1, largest obligation): the factor by which payment rounding checks scale."""
     return max(1.0, float(network.pbar.max()))
+
+
+def _batch(cols: np.ndarray) -> np.ndarray:
+    """Scenario columns to work on as one batch: cols, or a lone column twice.
+
+    BLAS multiplies and solves a single column by other routines than a
+    batch, and numpy sums a single column pairwise, so a lone column's last
+    bits would depend on which other columns share its work.
+    """
+    return np.repeat(cols, 2) if cols.size == 1 else cols
 
 
 def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> ConvergenceError:
@@ -340,7 +382,8 @@ def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> 
     )
 
 
-def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stats: ClearingStats):
+def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stats: ClearingStats,
+             above=(), below=(), point: _Point | None = None):
     """Clear m scenarios at once, yielding payment bounds that tighten with every sweep.
 
     x and s are (n, m) liquid/illiquid holdings. The payment/price map is
@@ -348,10 +391,14 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     from the top (full payments, price f(0)), whose iterates lie above the
     greatest fixed point, and columns [m, 2m) up from the bottom (no
     payments, the price at the largest sale), whose iterates lie below the
-    least one. After every paired sweep it yields (lower, upper, prices):
-    views of the two payment halves, valid until the next sweep, and the
-    top-down prices. A column whose step falls to tol is frozen; column
-    updates never interact across scenarios.
+    least one. above and below are _Points evaluated on the same scenarios
+    with at least and at most the holdings x: the top-down half starts at
+    the elementwise minimum of their top-down iterates, the bottom-up half
+    at the maximum of their bottom-up ones, each price with its payments.
+    After every paired sweep it yields (lower, upper, prices): views of the
+    two payment halves, valid until the next sweep, and the top-down
+    prices. A column whose step falls to tol is frozen; column updates
+    never interact across scenarios.
 
     The caller may send the number of sweeps it expects the bracket still
     needs to decide; math.inf, "never", stops the bottom-up half. Once
@@ -361,11 +408,17 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     as soon as the caller's estimate would take the bracket past
     _WARMUP_SWEEPS, the default set of the top-down half seeds the exact
     solve of _clear_constant_price. Otherwise the top-down half runs until
-    every column has converged, and its iterate is the result.
+    every column has converged, and its iterate is the result. A top-down
+    half that started below the top runs on while the bottom-up half can
+    still tighten the bracket, then restarts from the top, so that the
+    result does not depend on the start.
 
-    Sweeps plus solve rounds above max_iter raise ConvergenceError. An
-    iterate that moves the wrong way, or a lower bound above the upper one,
-    raises ModelError. stats is updated as the work happens.
+    point, when given, receives the bracket's payments and prices; once the
+    generator has ended they are its final iterates. Sweeps plus solve
+    rounds above max_iter raise ConvergenceError. An iterate that moves the
+    wrong way, or a lower bound above the upper one, raises ModelError, and
+    so does a start that is not a bound. stats is updated as the work
+    happens.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -388,14 +441,24 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
         )
     constant = price_floor == price_top
     stats.calls += 1
+    stats.warm += bool(above or below)
 
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     pay_slack = _MONO_SLACK * _payment_scale(network)
     p = np.zeros((n, 2 * m))
     p[:, :m] = pbar
-    spare = np.empty_like(p)  # scratch for the next iterate and the checks
     pi = np.repeat([price_top, price_floor], m)
+    # the minimum of super-solutions is one, and so is the maximum of sub-solutions
+    for start in above:
+        np.minimum(p[:, :m], start.p[:, :m], out=p[:, :m])
+        np.minimum(pi[:m], start.pi[:m], out=pi[:m])
+    for start in below:
+        np.maximum(p[:, m:], start.p[:, m:], out=p[:, m:])
+        np.maximum(pi[m:], start.pi[m:], out=pi[m:])
+    point = point or _Point(None)
+    point.p, point.pi = p, pi
+    spare = np.empty_like(p)  # scratch for the next iterate and the checks
     if constant:
         cash = x + price_top * s
     else:
@@ -405,10 +468,12 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     limit = min(_WARMUP_SWEEPS, max_iter) if constant else max_iter
     sweeps = 0
     bracketing = True
+    # a top-down iterate from a warm start converges to other last bits than one from the top
+    rewind = bool(above) and not constant
 
     while True:
         full = active.all()
-        cols = np.flatnonzero(active)
+        cols = _batch(np.flatnonzero(active))
         top = int(np.searchsorted(cols, m))  # cols[:top] iterate down, cols[top:] up
 
         def cur(a):
@@ -450,6 +515,7 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
             pi[cols] = pi_new
         if full:
             p, spare = p_new, p
+            point.p = p
         else:
             p[:, cols] = p_new
         lower, upper = p[:, m:], p[:, :m]
@@ -471,7 +537,14 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
                 bracketing = False
                 active[m:] = False
 
-        if not active[:m].any():
+        if rewind and not (bracketing and active.any()):
+            # the bracket cannot tighten any more: finish clearing from the top
+            p[:, :m] = pbar
+            pi[:m] = price_top
+            active[:m] = True
+            active[m:] = False
+            bracketing = rewind = False
+        if not (rewind or active[:m].any()):
             break
         if constant and (not bracketing or needed is not None and sweeps + needed > limit):
             break  # the bracket would not decide within the cap: clear exactly now
@@ -485,19 +558,6 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
         residual = _clear_constant_price(network, cash, upper, lower, tol, max_iter, sweeps, stats)
     stats.max_residual = max(stats.max_residual, residual)
     yield upper, upper, pi[:m]
-
-
-def _clear_batch(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int):
-    """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
-
-    Returns payments (n, m), prices (m,) and the ClearingStats of the call:
-    _bracket told after its first sweep that no verdict will come from it.
-    """
-    stats = ClearingStats()
-    bracket = _bracket(network, x, s, f, tol, max_iter, stats)
-    next(bracket)
-    _, p, pi = bracket.send(math.inf)
-    return np.ascontiguousarray(p), pi, stats
 
 
 def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float, max_iter: int,
@@ -533,6 +593,7 @@ def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float,
     todo = np.flatnonzero(defaulted.any(axis=0))  # columns whose default set may still grow
     rounds = 0
     while todo.size:
+        todo = _batch(todo)
         if sweeps + rounds >= max_iter:
             width = float((p - lower).max(initial=0.0))
             raise _not_converged(max_iter, fixed_point_residual(), tol, width)
@@ -544,6 +605,7 @@ def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float,
         _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
         # cols: the positions in todo of the columns that share one default set
         for cols in np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1]):
+            cols = _batch(cols)
             d = np.flatnonzero(d_todo[:, cols[0]])
             try:
                 p_todo[d[:, None], cols] = np.linalg.solve(
@@ -571,54 +633,6 @@ def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float,
     return residual
 
 
-def clear(
-    network: LiabilityNetwork,
-    x,
-    s,
-    f,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ClearingResult:
-    """Compute the greatest clearing fixed point for one scenario.
-
-    x and s are per-firm liquid and illiquid holdings (length n, firms only).
-    iterations counts sweeps plus solve rounds and residual is the stats'
-    max_residual; the module docstring says which solver runs.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    s = np.asarray(s, dtype=float).ravel()
-    validate_inverse_demand(f, max(float(s.sum()), 0.0) if s.size else 0.0)
-    p, pi, stats = _clear_batch(network, x[:, None], s[:, None], f, tol, max_iter)
-    return ClearingResult(
-        p=p[:, 0], pi=float(pi[0]), iterations=stats.sweeps + stats.rounds,
-        residual=stats.max_residual,
-    )
-
-
-def equity(
-    network: LiabilityNetwork,
-    x,
-    s,
-    f,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Post-clearing equity of all n+1 nodes; entry 0 is society's intake.
-
-    e_i = inflows + x_i + pi*s_i - pbar_i for firms; society holds no outside
-    position, so e_0 is simply the payments it receives.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    s = np.asarray(s, dtype=float).ravel()
-    result = clear(network, x, s, f, tol, max_iter)
-    rel = network.relative
-    inflow_all = rel[1:, :].T @ result.p  # (n+1,): payments received by each node
-    e = np.empty(network.n_firms + 1)
-    e[0] = inflow_all[0]
-    e[1:] = inflow_all[1:] + x + result.pi * s - network.pbar[1:]
-    return e
-
-
 # ---------------------------------------------------------------------------
 # network value model
 
@@ -628,7 +642,9 @@ class NetworkValueModel:
 
     Capital allocations are restricted to the non-negative orthant; adding
     capital raises liquid holdings firm by firm, which never lowers payments,
-    so the model is monotone in k.
+    so the model is monotone in k. The model keeps the last _HISTORY
+    evaluated points with their final bracket iterates, and starts each new
+    bracket from those with more and with less capital.
     """
 
     def __init__(
@@ -660,6 +676,7 @@ class NetworkValueModel:
         self.groups = network.groups
         self._society_shares = network.relative[1:, 0]
         self.stats = ClearingStats()  # summed over every call
+        self._history = collections.deque(maxlen=_HISTORY)  # _Points, oldest first
         # the clearing's share of a verdict's error budget, in units of society equity
         self.payment_tolerance = tol * _payment_scale(network)
 
@@ -684,14 +701,22 @@ class NetworkValueModel:
         bounds. Once clearing has finished, the last pair
         is (Y, Y), the same array twice: samples_at(k). Closing the
         generator before that counts the call as decided.
+
+        The bracket starts from the remembered points with at least and at
+        most k in every group. Such a start only tightens the bounds, and
+        the finished Y does not depend on it.
         """
-        k = np.asarray(k, dtype=float).ravel()
+        k = np.array(k, dtype=float).ravel()  # kept with the point
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]
         shares = self._society_shares
+        point = _Point(k)
         bracket = _bracket(
-            self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter, self.stats
+            self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter, self.stats,
+            above=[e for e in self._history if (e.k >= k).all()],
+            below=[e for e in self._history if (e.k <= k).all()],
+            point=point,
         )
         try:
             lower, upper, _ = next(bracket)
@@ -700,12 +725,19 @@ class NetworkValueModel:
                 lower, upper, _ = bracket.send(needed)
         except GeneratorExit:
             self.stats.decided += 1
+            self._remember(bracket, point)
             raise
         e0 = shares @ upper
         cap = self.total_promised_to_society
         if not ((e0 >= -1e-9).all() and (e0 <= cap + max(1e-9, 1e-12 * cap)).all()):
             raise ModelError(f"society equity left the range [0, {cap}] of its promised payments")
+        self._remember(bracket, point)
         yield e0, e0
+
+    def _remember(self, bracket, point: _Point) -> None:
+        """Keep point's iterates as a start for later calls, once its bracket has ended."""
+        bracket.close()  # a running bracket may still write into its arrays
+        self._history.append(point)
 
     def samples_at(self, k) -> np.ndarray:
         """Society equity per scenario with capital k injected as liquid holdings."""

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acceptance import AcceptanceSpec, bracket_verdict, is_acceptable
+from .acceptance import TIE_TOLERANCE, AcceptanceSpec, bracket_verdict, is_acceptable, rho
 from .errors import DegenerateBoxError, ModelError, ParameterError
 
 __all__ = [
@@ -238,6 +238,10 @@ class PinnedAllocationModel:
     def payment_tolerance(self) -> float:
         return self.model.payment_tolerance
 
+    @property
+    def stats(self):
+        return self.model.stats
+
 
 def _sweeps_to_decide(trail) -> float | None:
     """How many more sweeps a bracket of risk values needs to clear the tie, or None if unknown.
@@ -273,7 +277,8 @@ def membership_oracle(model, spec: AcceptanceSpec):
     sends the model an estimate of the sweeps the bounds still need, so that
     a model can stop a bracket that will not decide soon and finish
     clearing instead. Once clearing has finished, and for every other
-    model, the verdict is is_acceptable on the samples.
+    model, the verdict is is_acceptable on the samples; for a model with
+    bounds, its stats record how close rho(Y) + shift came to the tie.
     """
     bounds_at = getattr(model, "bounds_at", None)
     if bounds_at is None:
@@ -289,7 +294,9 @@ def membership_oracle(model, spec: AcceptanceSpec):
                 if verdict is not None:
                     return verdict
                 lower, upper = bounds.send(_sweeps_to_decide(trail))
-        return is_acceptable(upper, spec)
+        margin = rho(upper, spec) + spec.shift
+        model.stats.record_tie(margin)
+        return margin <= TIE_TOLERANCE  # is_acceptable(upper, spec)
 
     return oracle
 

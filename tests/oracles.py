@@ -8,16 +8,23 @@ linear solves, a one-scenario joint iteration of payments and price
 instead of the batched bracket, pairwise domination scans instead of
 neighbor checks. A shared bug would have to be written twice to slip
 through.
+
+clear_batch, clear and equity are no oracles: they are thin helpers that
+drive the library's clearing bracket to its end for tests of one or a few
+scenarios.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
+
+from sysrisk.clearing import DEFAULT_MAX_ITER, DEFAULT_TOL, ClearingStats, _bracket
 
 mp.mp.dps = 40
 
@@ -228,6 +235,59 @@ def clear_price_impact(nominal, x, s, f, tol: float = 1e-13, max_iter: int = 1_0
             return nxt, nxt_pi
         p, pi = nxt, nxt_pi
     raise RuntimeError("price-impact clearing iteration did not converge")
+
+
+@dataclass(frozen=True)
+class ClearingResult:
+    """Payments of firms 1..n, the clearing price, and iteration diagnostics."""
+
+    p: np.ndarray
+    pi: float
+    iterations: int
+    residual: float
+
+
+def clear_batch(network, x, s, f, tol: float, max_iter: int):
+    """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
+
+    Returns payments (n, m), prices (m,) and the ClearingStats of the call:
+    the bracket, told after its first sweep that no verdict will come from
+    it, finishes clearing.
+    """
+    stats = ClearingStats()
+    bracket = _bracket(network, x, s, f, tol, max_iter, stats)
+    next(bracket)
+    _, p, pi = bracket.send(math.inf)
+    return np.ascontiguousarray(p), pi, stats
+
+
+def clear(network, x, s, f, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """The greatest clearing fixed point of one scenario; x and s are per-firm (n,) holdings.
+
+    iterations counts sweeps plus solve rounds, and residual is the stats'
+    max_residual.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    s = np.asarray(s, dtype=float).ravel()
+    p, pi, stats = clear_batch(network, x[:, None], s[:, None], f, tol, max_iter)
+    return ClearingResult(p=p[:, 0], pi=float(pi[0]), iterations=stats.sweeps + stats.rounds,
+                          residual=stats.max_residual)
+
+
+def equity(network, x, s, f, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """Post-clearing equity of all n+1 nodes; entry 0 is society's intake.
+
+    e_i = inflows + x_i + pi*s_i - pbar_i for firms; society holds no outside
+    position, so e_0 is simply the payments it receives.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    s = np.asarray(s, dtype=float).ravel()
+    result = clear(network, x, s, f, tol, max_iter)
+    inflow = network.relative[1:, :].T @ result.p  # (n+1,): payments received by each node
+    e = np.empty(network.n_firms + 1)
+    e[0] = inflow[0]
+    e[1:] = inflow[1:] + x + result.pi * s - network.pbar[1:]
+    return e
 
 
 def upper_set_from_corners(shape, corners) -> np.ndarray:

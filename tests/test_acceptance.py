@@ -37,9 +37,7 @@ from sysrisk import (
     ScenarioMatrix,
     avar,
     build_run,
-    clear,
     ear,
-    equity,
     grid_search,
     is_acceptable,
     make_utility,
@@ -51,6 +49,7 @@ from sysrisk import (
     rho,
 )
 import oracles
+from oracles import clear, equity
 
 UNIT = ConstantPrice(1.0)
 

@@ -1,5 +1,6 @@
 """Network clearing: price curves, fixed points, equity, society value model."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 
 from sysrisk import (
     AcceptanceSpec,
-    ClearingResult,
     ClearingStats,
     ConfigurationError,
     ConstantPrice,
     ConvergenceError,
+    GridSpec,
     GroupMap,
     LiabilityNetwork,
     LinearCapPrice,
@@ -21,8 +22,7 @@ from sysrisk import (
     ParameterError,
     ScenarioMatrix,
     TabulatedPrice,
-    clear,
-    equity,
+    grid_search,
     is_acceptable,
     make_inverse_demand,
     membership_oracle,
@@ -31,8 +31,9 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk.clearing import _bracket, _clear_batch
+from sysrisk.clearing import _bracket, _Point
 import oracles
+from oracles import ClearingResult, clear, equity
 
 UNIT_PRICE = ConstantPrice(1.0)
 
@@ -284,12 +285,13 @@ def test_convergence_error_carries_residual():
 
 
 def test_clearing_rejects_non_monotone_price_map():
-    # a price that rises with sales breaks the monotone map; clear() refuses
-    # such curves up front, so drive the batch solver directly
+    # a price that rises with sales breaks the monotone map; models refuse such
+    # curves up front, the bracket's per-sweep checks refuse them too
     x = np.array([[0.5], [0.0]])
     s = np.array([[1.0], [1.0]])
     with pytest.raises(ModelError, match="price iterate increased"):
-        _clear_batch(two_firm_chain(), x, s, lambda y: 1.0 + np.asarray(y, dtype=float), 1e-12, 100)
+        oracles.clear_batch(two_firm_chain(), x, s, lambda y: 1.0 + np.asarray(y, dtype=float),
+                            1e-12, 100)
 
 
 def sparse_network(rng, n):
@@ -324,7 +326,7 @@ def test_exact_clearing_matches_top_down_reference():
         n = int(rng.integers(1, 31))
         net = sparse_network(rng, n)
         x = shared_default_cash(rng, net.pbar[1:], m=64 + int(rng.integers(0, 64)))
-        p, pi, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+        p, pi, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
         assert (pi == 1.0).all() and stats.max_residual <= 1e-10
         assert stats.solves < x.shape[1]  # columns share their default sets
@@ -338,7 +340,7 @@ def test_exact_clearing_adds_defaults_over_several_rounds():
         net = chain_network(n)
         x = rng.uniform(0.55, 0.65, size=(n, 96))  # solvent while paid in full
         x[0] = rng.choice([0.0, 5.0, 11.0], size=96)  # two shortfalls at the head, one without
-        p, _, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+        p, _, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
         assert stats.rounds >= 2
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
 
@@ -350,7 +352,7 @@ def test_exact_clearing_marks_illiquid_holdings_at_the_constant_price():
         net = sparse_network(rng, n)
         x = shared_default_cash(rng, net.pbar[1:], m=64)
         s = rng.uniform(0.0, 0.5, size=x.shape)
-        p, pi, stats = _clear_batch(net, x, s, ConstantPrice(0.7), 1e-10, 1000)
+        p, pi, stats = oracles.clear_batch(net, x, s, ConstantPrice(0.7), 1e-10, 1000)
         assert (pi == 0.7).all() and stats.sweeps >= 1
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x + 0.7 * s))) <= 1e-8
 
@@ -361,7 +363,7 @@ def test_price_curve_without_sales_takes_the_exact_path():
     for f in (LinearSqrtPrice(), LinearCapPrice(slope=0.5, floor=0.2)):
         net = sparse_network(rng, 12)
         x = shared_default_cash(rng, net.pbar[1:], m=64)
-        p, pi, stats = _clear_batch(net, x, np.zeros_like(x), f, 1e-10, 1000)
+        p, pi, stats = oracles.clear_batch(net, x, np.zeros_like(x), f, 1e-10, 1000)
         assert stats.rounds >= 1 and (pi == f(0.0)).all()
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
 
@@ -370,7 +372,7 @@ def test_price_impact_keeps_the_top_down_iteration():
     rng = np.random.default_rng(53)
     net = sparse_network(rng, 6)
     x = shared_default_cash(rng, net.pbar[1:], m=8)
-    _, pi, stats = _clear_batch(net, x, np.ones_like(x), LinearSqrtPrice(), 1e-10, 10_000)
+    _, pi, stats = oracles.clear_batch(net, x, np.ones_like(x), LinearSqrtPrice(), 1e-10, 10_000)
     assert stats.rounds == stats.solves == 0 and stats.sweeps > 1
     assert (pi < 1.0).all()
 
@@ -393,12 +395,12 @@ def test_max_iter_bounds_sweeps_plus_solve_rounds():
     net = chain_network(20)
     x = np.full((20, 3), 0.6)
     x[0] = [0.0, 5.0, 11.0]
-    _, _, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+    _, _, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
     steps = stats.sweeps + stats.rounds
     assert stats.rounds >= 2
-    _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps)
+    oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps)
     with pytest.raises(ConvergenceError, match="residual"):
-        _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps - 1)
+        oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps - 1)
 
 
 def test_exact_clearing_residual_above_tol_is_a_convergence_error():
@@ -406,10 +408,10 @@ def test_exact_clearing_residual_above_tol_is_a_convergence_error():
     rng = np.random.default_rng(59)
     net = sparse_network(rng, 30)
     x = shared_default_cash(rng, net.pbar[1:], m=64)
-    _, _, stats = _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+    _, _, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
     assert 0.0 < stats.max_residual <= 1e-12
     with pytest.raises(ConvergenceError, match="residual"):
-        _clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-300, 1000)
+        oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-300, 1000)
 
 
 def test_singular_default_set_solve_is_a_model_error(monkeypatch):
@@ -730,13 +732,113 @@ def test_bracket_told_it_will_not_decide_finishes_clearing():
             assert model.stats.sweeps > 1  # the top-down iteration runs on alone
 
 
+def two_group_model(rng, f, tol=1e-10, m=12):
+    # 4-12 firms in two groups, with defaults; illiquid holdings as in bracket_model
+    n = int(rng.integers(4, 13))
+    split = int(rng.integers(1, n))
+    net = LiabilityNetwork(sparse_network(rng, n).nominal, groups=GroupMap([split, n - split]))
+    x = shared_default_cash(rng, net.pbar[1:], m)
+    s = rng.uniform(0.0, 0.5, size=x.shape)
+    return NetworkValueModel(net, ScenarioMatrix(x), ScenarioMatrix(s), f, tol=tol)
+
+
+def fresh(model):
+    # the same model with no evaluated points to start from
+    return model.with_scenarios(model.scenarios_x, model.scenarios_s)
+
+
+def tied_at(model, spec, k):
+    # spec shifted so that rho(Y_k) + shift is 0: k sits on the tie
+    return AcceptanceSpec(**{**spec.__dict__, "shift": -rho(fresh(model).samples_at(k), spec)})
+
+
+HISTORY_GRID = GridSpec([0.0, 0.0], [1.0, 1.0], 5)
+
+
+def test_verdicts_do_not_depend_on_the_clearing_history():
+    # grid_search's labels, and verdicts queried in random orders after it, each equal the
+    # verdict of a fresh model; the lattice centre sits on the tie, so clearing finishes there
+    rng = np.random.default_rng(83)
+    points = list(itertools.product(*HISTORY_GRID.axes()))
+    for case in range(8):
+        model = two_group_model(rng, BRACKET_CURVES[case % 2])
+        spec = tied_at(model, CRITERIA[case % 4], [0.5, 0.5])
+        expected = [membership_oracle(fresh(model), spec)(k) for k in points]
+        labels = grid_search(membership_oracle(model, spec), HISTORY_GRID).labels
+        assert np.array_equal(labels.ravel(), np.array(expected, dtype=labels.dtype)), case
+        oracle = membership_oracle(model, spec)
+        for _ in range(3):
+            for i in rng.permutation(len(points)):
+                assert oracle(points[i]) == expected[i], (case, points[i])
+        assert 0 < model.stats.warm < model.stats.calls
+        assert model.stats.decided < model.stats.calls  # some verdicts came from finished clearing
+
+
+def test_samples_do_not_depend_on_the_clearing_history():
+    # a walk of single-group steps mixes decided verdicts and finished clearings, so each
+    # call starts from points above, below or both; the samples stay bit for bit a fresh model's
+    rng = np.random.default_rng(89)
+    for case in range(9):
+        model = two_group_model(rng, BRACKET_CURVES[case % 3])
+        spec = tied_at(model, CRITERIA[case % 4], [0.5, 0.5])
+        oracle = membership_oracle(model, spec)
+        k = np.full(2, 0.5)
+        for step in range(12):
+            k[step % 2] = max(0.0, k[step % 2] + rng.choice([-0.3, -0.1, 0.1, 0.3]))
+            if step % 3:
+                oracle(k)
+            else:
+                assert np.array_equal(model.samples_at(k), fresh(model).samples_at(k)), (case, step)
+        assert model.stats.warm > 0 and model.stats.decided > 0
+
+
+def test_a_start_that_is_no_bound_is_a_model_error():
+    # the iterates of less capital lie below the fixed point of more, those of more above that
+    # of less: as the wrong start they make an iterate move the wrong way at once
+    rng = np.random.default_rng(97)
+    for f in (UNIT_PRICE, LinearSqrtPrice()):
+        model = bracket_model(rng, f)
+
+        def evaluate(k, **starts):
+            point = _Point(np.array([k]))
+            x = model.scenarios_x.values + k
+            for _ in _bracket(model.network, x, model.scenarios_s.values, f, 1e-10, 100_000,
+                              ClearingStats(), point=point, **starts):
+                pass
+            return point
+
+        less, more = evaluate(0.0), evaluate(1.0)
+        evaluate(0.5, above=[more], below=[less])
+        with pytest.raises(ModelError, match="iterate increased"):
+            evaluate(0.5, above=[less])
+        with pytest.raises(ModelError, match="iterate decreased"):
+            evaluate(0.5, below=[more])
+
+
+def test_labels_do_not_depend_on_the_clearing_tolerance():
+    # the tie lies between lattice points, and every tolerance from 1e-8 to 1e-12 gives
+    # the same labels, at constant price and with price impact
+    rng = np.random.default_rng(101)
+    for case in range(8):
+        f = BRACKET_CURVES[case % 2]
+        seed = int(rng.integers(2**32))
+        models = [two_group_model(np.random.default_rng(seed), f, tol=tol)
+                  for tol in (1e-8, 1e-10, 1e-12)]
+        spec = tied_at(models[0], CRITERIA[case % 4], [0.4, 0.55])
+        labels = [grid_search(membership_oracle(model, spec), HISTORY_GRID).labels
+                  for model in models]
+        assert 0 < labels[0].sum() < labels[0].size, case
+        for other in labels[1:]:
+            assert np.array_equal(other, labels[0]), case
+
+
 def test_convergence_error_names_residual_and_bracket_width():
     rng = np.random.default_rng(73)
     for f in (UNIT_PRICE, LinearSqrtPrice()):
         model = bracket_model(rng, f)
         x = model.scenarios_x.values
         with pytest.raises(ConvergenceError, match=r"residual .* bracket width"):
-            _clear_batch(model.network, x, model.scenarios_s.values, f, 1e-10, 1)
+            oracles.clear_batch(model.network, x, model.scenarios_s.values, f, 1e-10, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -418,8 +418,10 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
     assert main(["run", "--config", path]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     stats = manifest["stats"]["clearing"]
-    assert sorted(stats) == ["calls", "decided", "max_residual", "rounds", "solves", "sweeps"]
+    assert sorted(stats) == ["calls", "closest_tie", "decided", "max_residual", "rounds", "solves",
+                             "sweeps", "warm"]
     assert stats["calls"] == manifest["oracle_calls"]
+    assert 0 <= stats["warm"] < stats["calls"]  # the first call has nothing to start from
     assert stats["sweeps"] >= stats["calls"]
     tol = manifest["resolved_config"]["model"]["network"]["clearing"]["tol"]
     assert 0.0 <= stats["max_residual"] <= tol
@@ -431,10 +433,13 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
 
 
 @pytest.mark.parametrize("preset, clearing", [
-    # constant price: eleven calls decided by their bracket, two cleared to the end
-    ("two_tier:C5", {"calls": 13, "decided": 11, "sweeps": 42, "rounds": 4, "solves": 33}),
-    # price impact: one call's top-down iteration converged before its bracket decided
-    ("three_tier:alpha=0.6", {"calls": 12, "decided": 11, "sweeps": 26, "rounds": 0, "solves": 0}),
+    # constant price: eleven calls decided by their bracket, two cleared to the end, the
+    # nearer of them 1.485 from the tie; every call but the first starts from an evaluated point
+    ("two_tier:C5", {"calls": 13, "decided": 11, "warm": 12, "sweeps": 34, "rounds": 4,
+                     "solves": 31, "closest_tie": pytest.approx(1.4853373024958785, rel=1e-9)}),
+    # price impact: every call decided by its bracket
+    ("three_tier:alpha=0.6", {"calls": 12, "decided": 12, "warm": 11, "sweeps": 23, "rounds": 0,
+                              "solves": 0, "closest_tie": None}),
 ])
 def test_network_run_records_its_clearing_counters(tmp_path, capsys, preset, clearing):
     # machine-independent work counts of small case-study runs at seed 1

@@ -1,11 +1,17 @@
 """Golden outputs: every preset's labels, frontiers and EARs, pinned by digest.
 
-Each case is one `sysrisk run` at seed 1 with --scenarios 150 --grid-res 10:
-all 25 presets, plus refine 2 for one preset per family. golden.json holds,
-per case, the sha256 of labels.csv, both frontier CSVs and ear.json (null
-where the run writes no such file), the oracle calls and the exit code, and
-the numpy version it was recorded with: a different numpy may draw
-different scenario streams, and a mismatch then says so.
+Each case is one `sysrisk run` with --scenarios 150, in two configurations:
+seed 1 with --grid-res 10 for all 25 presets, plus refine 2 for one preset
+per family; and seed 3 with --grid-res 20 for all 25 presets. At seed 1
+several presets share their labels (two_tier B1/B2, A2/C2/C5 and B3/B4,
+three_tier alpha 0/0.2 and 0.4/0.6/0.8); in the second configuration only
+B1 and C1, one preset by construction, share them, so a change that moves
+the labels of one preset shows even where the first cannot tell it from
+another. golden.json holds, per case, the sha256 of labels.csv, both
+frontier CSVs and ear.json (null where the run writes no such file), the
+oracle calls and the exit code, and the numpy version it was recorded
+with: a different numpy may draw different scenario streams, and a
+mismatch then says so.
 
 Rerecord only when an output change is intended, and name the reason and
 the changed cases in CHANGES.md:
@@ -32,20 +38,27 @@ from sysrisk.presets import preset_names
 GOLDEN = Path(__file__).with_name("golden.json")
 OUTPUTS = ("labels.csv", "inner_frontier.csv", "outer_frontier.csv", "ear.json")
 REFINED = ("agg_lognormal:sum", "two_tier:B2", "three_tier:alpha=0.6")
+SECOND = (3, 20)  # seed and grid resolution of the second configuration
 
 
-def cases() -> list[tuple[str, int]]:
-    return [(name, 1) for name in preset_names()] + [(name, 2) for name in REFINED]
+def cases() -> list[tuple[str, int, int, int]]:
+    """(preset, seed, grid resolution, refine) of every case."""
+    names = preset_names()
+    return ([(name, 1, 10, 1) for name in names] + [(name, 1, 10, 2) for name in REFINED]
+            + [(name, *SECOND, 1) for name in names])
 
 
-def case_id(preset: str, refine: int) -> str:
-    return preset if refine == 1 else f"{preset} refine {refine}"
+def case_id(preset: str, seed: int, grid_res: int, refine: int) -> str:
+    suffix = "" if refine == 1 else f" refine {refine}"
+    if (seed, grid_res) != (1, 10):
+        suffix += f" seed {seed} grid {grid_res}"
+    return preset + suffix
 
 
-def run_case(preset: str, refine: int, outdir: Path) -> dict:
+def run_case(preset: str, seed: int, grid_res: int, refine: int, outdir: Path) -> dict:
     argv = [
-        "run", "--preset", preset, "--seed", "1", "--scenarios", "150",
-        "--grid-res", "10", "--refine", str(refine), "--out", str(outdir),
+        "run", "--preset", preset, "--seed", str(seed), "--scenarios", "150",
+        "--grid-res", str(grid_res), "--refine", str(refine), "--out", str(outdir),
     ]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -63,17 +76,17 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("preset,refine", cases(), ids=[case_id(*c) for c in cases()])
-def test_golden_outputs(golden, preset, refine, tmp_path):
-    expected = golden["cases"][case_id(preset, refine)]
-    got = run_case(preset, refine, tmp_path)
+@pytest.mark.parametrize("case", cases(), ids=[case_id(*c) for c in cases()])
+def test_golden_outputs(golden, case, tmp_path):
+    expected = golden["cases"][case_id(*case)]
+    got = run_case(*case, tmp_path)
     note = ""
     if golden["numpy"] != np.__version__:
         note = (
             f" (golden.json was recorded with numpy {golden['numpy']}, this is numpy "
             f"{np.__version__}: the scenario streams may differ)"
         )
-    assert got == expected, f"{case_id(preset, refine)} differs from golden.json{note}"
+    assert got == expected, f"{case_id(*case)} differs from golden.json{note}"
 
 
 def test_golden_covers_every_case(golden):
@@ -82,10 +95,10 @@ def test_golden_covers_every_case(golden):
 
 def record() -> None:
     doc = {"numpy": np.__version__, "cases": {}}
-    for preset, refine in cases():
+    for case in cases():
         with tempfile.TemporaryDirectory() as tmp:
-            doc["cases"][case_id(preset, refine)] = run_case(preset, refine, Path(tmp))
-        print(case_id(preset, refine), doc["cases"][case_id(preset, refine)]["oracle_calls"])
+            doc["cases"][case_id(*case)] = run_case(*case, Path(tmp))
+        print(case_id(*case), doc["cases"][case_id(*case)]["oracle_calls"])
     GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
 
