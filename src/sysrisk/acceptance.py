@@ -352,15 +352,14 @@ def is_acceptable(samples, spec: AcceptanceSpec) -> bool:
     return rho(samples, spec) + spec.shift <= TIE_TOLERANCE
 
 
-def bracket_verdict(lower, upper, spec: AcceptanceSpec, slack: float, trail=None) -> bool | None:
+def bracket_verdict(lower, upper, spec: AcceptanceSpec, slack: float) -> bool | None:
     """The verdict on every Y with lower <= Y <= upper, or None if the bracket cannot decide.
 
     rho is monotone, so rho(upper) <= rho(Y) <= rho(lower). A verdict needs
     the bracket to clear the tie by the error budget: slack (the error of
     the bounds) plus the criterion's own numerical error, the shortfall
     residual 1e-10, the OCE Newton step 1e-9 with log utility, and the tie
-    1e-12 for the closed forms. An undecided bracket appends its
-    (rho(upper) + shift, rho(lower) + shift) to trail when one is given.
+    1e-12 for the closed forms.
     """
     if spec.criterion == "ubsr":
         own = UBSR_RESIDUAL_TOL
@@ -375,6 +374,4 @@ def bracket_verdict(lower, upper, spec: AcceptanceSpec, slack: float, trail=None
     low = rho(upper, spec) + spec.shift
     if low > TIE_TOLERANCE + budget:
         return False
-    if trail is not None:
-        trail.append((low, high))
     return None

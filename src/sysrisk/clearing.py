@@ -20,14 +20,13 @@ input:
 
 - Constant price on the reachable range, f(0) == f(largest sale), as for
   ConstantPrice or s == 0: the fixed point is piecewise linear in the
-  payments, and fictitious default finds it exactly. After at most
-  _WARMUP_SWEEPS sweeps, or earlier when the caller expects the bracket
-  not to decide within them, the default set of the top-down iterate,
-  which lies inside the true one, seeds the solve: the scenario columns
-  are grouped by default set, each group takes one linear solve, and new
-  defaults are added until the set stops growing. tol, scaled by
-  max(1, max pbar), bounds the final fixed-point residual
-  |min(pbar, x + pi*s + A'p) - p|.
+  payments, and fictitious default finds it exactly. Once the top-down
+  half has converged or _WARMUP_SWEEPS sweeps have run, the default set
+  of the top-down iterate, which lies inside the true one, seeds the
+  solve: the scenario columns are grouped by default set, each group
+  takes one linear solve, and new defaults are added until the set stops
+  growing. tol, scaled by max(1, max pbar), bounds the final fixed-point
+  residual |min(pbar, x + pi*s + A'p) - p|.
 - Price impact: the top-down half is iterated until every column's
   sup-norm step falls to tol, and its iterate is the result.
 
@@ -383,7 +382,7 @@ def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> 
 
 
 def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stats: ClearingStats,
-             above=(), below=(), point: _Point | None = None):
+             above=(), below=(), point: _Point | None = None, finish: bool = False):
     """Clear m scenarios at once, yielding payment bounds that tighten with every sweep.
 
     x and s are (n, m) liquid/illiquid holdings. The payment/price map is
@@ -400,18 +399,17 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     prices. A column whose step falls to tol is frozen; column updates
     never interact across scenarios.
 
-    The caller may send the number of sweeps it expects the bracket still
-    needs to decide; math.inf, "never", stops the bottom-up half. Once
-    clearing has finished it yields (p, p, prices), the same payment array
-    twice, and ends. With f(0) == f(largest sale) the price cannot move:
-    after _WARMUP_SWEEPS sweeps, once the top-down half has converged, or
-    as soon as the caller's estimate would take the bracket past
-    _WARMUP_SWEEPS, the default set of the top-down half seeds the exact
-    solve of _clear_constant_price. Otherwise the top-down half runs until
-    every column has converged, and its iterate is the result. A top-down
-    half that started below the top runs on while the bottom-up half can
-    still tighten the bracket, then restarts from the top, so that the
-    result does not depend on the start.
+    Once clearing has finished it yields (p, p, prices), the same payment
+    array twice, and ends. With f(0) == f(largest sale) the price cannot
+    move: once the top-down half has converged or _WARMUP_SWEEPS sweeps
+    have run, the default set of the top-down half seeds the exact solve
+    of _clear_constant_price. Otherwise the top-down half runs until every
+    column has converged, and its iterate is the result. A top-down half
+    that started below the top runs on while the bottom-up half can still
+    tighten the bracket, then restarts from the top, so that the result
+    does not depend on the start. With finish, for a caller that wants no
+    verdict, the bottom-up half stops after the first sweep and only the
+    finished pair is yielded.
 
     point, when given, receives the bracket's payments and prices; once the
     generator has ended they are its final iterates. Sweeps plus solve
@@ -467,7 +465,7 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     active = np.ones(2 * m, dtype=bool)
     limit = min(_WARMUP_SWEEPS, max_iter) if constant else max_iter
     sweeps = 0
-    bracketing = True
+    bracketing = not finish
     # a top-down iterate from a warm start converges to other last bits than one from the top
     rewind = bool(above) and not constant
 
@@ -532,10 +530,9 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
         sweeps += 1
         stats.sweeps += 1
         if bracketing:
-            needed = yield lower, upper, pi[:m]
-            if needed == math.inf:  # no verdict will come from the bounds: stop the bottom half
-                bracketing = False
-                active[m:] = False
+            yield lower, upper, pi[:m]
+        else:  # no verdict will come from the bounds: stop the bottom-up half
+            active[m:] = False
 
         if rewind and not (bracketing and active.any()):
             # the bracket cannot tighten any more: finish clearing from the top
@@ -546,11 +543,9 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
             bracketing = rewind = False
         if not (rewind or active[:m].any()):
             break
-        if constant and (not bracketing or needed is not None and sweeps + needed > limit):
-            break  # the bracket would not decide within the cap: clear exactly now
+        if constant and (finish or sweeps >= limit):
+            break  # clear exactly now
         if sweeps >= limit:
-            if constant:
-                break
             raise _not_converged(max_iter, residual, tol, float((upper - lower).max()))
 
     del spare  # the exact solve allocates its own arrays
@@ -694,18 +689,18 @@ class NetworkValueModel:
         Capital k is injected as liquid holdings. lower and upper come from
         the bottom-up and top-down payment iterates of _bracket, so they
         enclose the exact equity, and a monotone criterion puts rho(Y)
-        between rho(upper) and rho(lower). The caller may send how many more
-        sweeps it expects the bounds to need before they decide; a
-        constant-price call that would need more than _WARMUP_SWEEPS is
-        cleared exactly at once, and math.inf finishes any call without the
-        bounds. Once clearing has finished, the last pair
-        is (Y, Y), the same array twice: samples_at(k). Closing the
-        generator before that counts the call as decided.
+        between rho(upper) and rho(lower). Once clearing has finished, the
+        last pair is (Y, Y), the same array twice: samples_at(k). Closing
+        the generator before that counts the call as decided.
 
         The bracket starts from the remembered points with at least and at
         most k in every group. Such a start only tightens the bounds, and
         the finished Y does not depend on it.
         """
+        return self._bounds(k)
+
+    def _bounds(self, k, finish: bool = False):
+        """bounds_at(k); with finish, clearing finishes at once and (Y, Y) is the only pair."""
         k = np.array(k, dtype=float).ravel()  # kept with the point
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
@@ -716,13 +711,13 @@ class NetworkValueModel:
             self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter, self.stats,
             above=[e for e in self._history if (e.k >= k).all()],
             below=[e for e in self._history if (e.k <= k).all()],
-            point=point,
+            point=point, finish=finish,
         )
         try:
-            lower, upper, _ = next(bracket)
-            while lower is not upper:
-                needed = yield shares @ lower, shares @ upper
-                lower, upper, _ = bracket.send(needed)
+            for lower, upper, _ in bracket:
+                if lower is upper:
+                    break
+                yield shares @ lower, shares @ upper
         except GeneratorExit:
             self.stats.decided += 1
             self._remember(bracket, point)
@@ -741,9 +736,7 @@ class NetworkValueModel:
 
     def samples_at(self, k) -> np.ndarray:
         """Society equity per scenario with capital k injected as liquid holdings."""
-        bounds = self.bounds_at(k)
-        next(bounds)
-        _, e0 = bounds.send(math.inf)  # no verdict to decide: finish clearing at once
+        [(_, e0)] = self._bounds(k, finish=True)
         return e0
 
     def with_scenarios(

@@ -88,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     group = output.add_argument_group("run settings")
     group.add_argument("--out", metavar="DIR", help="output directory override")
-    group.add_argument(
-        "--threads",
-        type=int,
-        metavar="T",
-        help="ignored (the search is sequential); validated and recorded so old runs replay",
-    )
 
     run = sub.add_parser("run", parents=[source, overrides, output], help="execute a full run")
     run.set_defaults(handler=cmd_run)
@@ -108,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="search several presets, print one row each and their containment matrix",
     )
     swp.add_argument("presets", nargs="+", metavar="PRESET", help="preset name, e.g. two_tier:B2")
-    # a sweep writes nothing, so _apply_overrides finds no --out or --threads
-    swp.set_defaults(handler=cmd_sweep, out=None, threads=None)
+    # a sweep writes nothing, so _apply_overrides finds no --out
+    swp.set_defaults(handler=cmd_sweep, out=None)
     lst = sub.add_parser("list-presets", help="print the built-in preset names")
     lst.set_defaults(handler=cmd_list_presets)
     return parser
@@ -161,8 +155,6 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw.setdefault("grid", {})["resolution"] = _parse_grid_res(args.grid_res)
     if args.refine is not None:
         raw["refine"] = args.refine
-    if args.threads is not None:
-        raw["threads"] = args.threads
     if args.out is not None:
         raw.setdefault("output", {})["directory"] = args.out
     if args.ear_weights is not None:
@@ -393,7 +385,7 @@ def cmd_run(args) -> int:
         lattice_points=int(approx.labels.size),
         acceptable_points=n_acc,
         degenerate=approx.degenerate,
-        certified=bool(approx.certified),
+        certified=True,  # grid_search raises unless the sandwich holds
         outputs=outputs,
         **_run_stats(clock, plan),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -86,7 +87,7 @@ def load_config(path) -> dict:
             doc = yaml.load(text, Loader=_Loader)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from exc
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad bytes, or over 4300 digits
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path} does not contain a mapping")
@@ -113,6 +114,14 @@ def _expect_mapping(cfg, path: str) -> dict:
     return cfg
 
 
+def _is_finite(value: int | float) -> bool:
+    """Whether a number is finite as a float; an int beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _get_number(cfg: dict, path: str, key: str, default=None, required=False):
     if key not in cfg or cfg[key] is None:
         if required:
@@ -121,7 +130,7 @@ def _get_number(cfg: dict, path: str, key: str, default=None, required=False):
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-    if not np.isfinite(value):
+    if not _is_finite(value):
         _fail(f"{path}.{key}", "value must be finite")
     return float(value)
 
@@ -166,8 +175,10 @@ def _number_list(value, path: str) -> list:
         _fail(path, "expected a non-empty list of numbers")
     out = []
     for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             _fail(f"{path}[{i}]", f"expected a finite number, got {v!r}")
+        if not _is_finite(v):
+            _fail(f"{path}[{i}]", "value must be finite")
         out.append(float(v))
     return out
 
@@ -213,9 +224,9 @@ def resolve_config(cfg: dict) -> dict:
     if seed is None:
         seed = _fresh_seed()
     out["seed"] = seed
-    # threads no longer changes anything (the search is sequential); it is still
-    # validated and recorded so that configs and manifests written with it replay
-    out["threads"] = _get_int(cfg, "config", "threads", default=1, minimum=1)
+    # threads changes nothing (the search is sequential); configs and manifests written
+    # with it still resolve, to the same config as without it
+    _get_int(cfg, "config", "threads", minimum=1)
     out["refine"] = _get_int(cfg, "config", "refine", default=1, minimum=1)
 
     # scenarios
@@ -366,7 +377,7 @@ def resolve_config(cfg: dict) -> dict:
             _fail("grid.fixed", f"keys must be group numbers (1-based), got {key!r}")
         if not 1 <= group_no <= n_groups:
             _fail("grid.fixed", f"group number {group_no} out of range 1..{n_groups}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
             _fail("grid.fixed", f"pinned value for group {group_no} must be a finite number")
         rfixed[str(group_no)] = float(value)
     rgrid["fixed"] = rfixed

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +74,16 @@ class GridSpec:
     restriction of allocations to the non-negative orthant rather than a
     mere viewing window.
 
-    The lattice grows exponentially with the number of dimensions, so more
-    than 4 groups must be enabled explicitly via allow_high_dim.
+    The lattice grows exponentially with the number of dimensions, so it
+    takes at most MAX_DIMENSIONS of them.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     resolution: tuple[int, ...]
     nonneg_constraint: bool = False
-    allow_high_dim: bool = False
 
-    def __init__(self, lower, upper, resolution, nonneg_constraint=False, allow_high_dim=False):
+    def __init__(self, lower, upper, resolution, nonneg_constraint=False):
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         up = np.atleast_1d(np.asarray(upper, dtype=float))
         ndim = max(lo.size, up.size)
@@ -111,16 +109,15 @@ class GridSpec:
             raise ParameterError("lower must be strictly below upper in every dimension")
         if (res < 2).any():
             raise ParameterError("resolution must be at least 2 per dimension")
-        if ndim > MAX_DIMENSIONS and not allow_high_dim:
+        if ndim > MAX_DIMENSIONS:
             raise ParameterError(
-                f"{ndim} dimensions exceed the default limit of {MAX_DIMENSIONS} "
-                "(lattice size is exponential in dimensions); pass allow_high_dim=True to override"
+                f"{ndim} dimensions exceed the limit of {MAX_DIMENSIONS} "
+                "(lattice size is exponential in dimensions)"
             )
         object.__setattr__(self, "lower", tuple(lo))
         object.__setattr__(self, "upper", tuple(up))
         object.__setattr__(self, "resolution", tuple(int(r) for r in res))
         object.__setattr__(self, "nonneg_constraint", bool(nonneg_constraint))
-        object.__setattr__(self, "allow_high_dim", bool(allow_high_dim))
 
     @property
     def ndim(self) -> int:
@@ -144,9 +141,10 @@ class GridApproximation:
     inner_frontier holds the minimal acceptable lattice points, outer_frontier
     the maximal unacceptable ones, both as coordinate rows in lexicographic
     order (index rows in *_indices). v is the grid spacing: the certified
-    accuracy of the sandwich. A box entirely inside or outside the acceptance
-    region is flagged in degenerate and carries empty frontiers, since the
-    true boundary was never bracketed.
+    accuracy of the sandwich, which grid_search checks before it returns
+    (a failed certificate raises ModelError). A box entirely inside or
+    outside the acceptance region is flagged in degenerate and carries
+    empty frontiers, since the true boundary was never bracketed.
     """
 
     grid: GridSpec
@@ -158,7 +156,6 @@ class GridApproximation:
     v: np.ndarray
     oracle_calls: int
     degenerate: str | None
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -243,42 +240,15 @@ class PinnedAllocationModel:
         return self.model.stats
 
 
-def _sweeps_to_decide(trail) -> float | None:
-    """How many more sweeps a bracket of risk values needs to clear the tie, or None if unknown.
-
-    trail holds (rho(upper) + shift, rho(lower) + shift) after each sweep.
-    Both ends are taken to approach the risk geometrically at the rate by
-    which the last sweep shrank the bracket; the sum of each end's remaining
-    steps estimates the risk, and the end on the far side of the tie must
-    come within that estimate's distance from it.
-    """
-    if len(trail) < 2:
-        return None
-    (lo0, hi0), (lo1, hi1) = trail[-2:]
-    rate = (hi1 - lo1) / (hi0 - lo0) if hi0 > lo0 else 1.0
-    if not 0.0 < rate < 1.0:
-        return None
-    ahead = rate / (1.0 - rate)
-    risk = 0.5 * (hi1 - (hi0 - hi1) * ahead + lo1 + (lo1 - lo0) * ahead)
-    if risk == 0.0:
-        return math.inf
-    distance = hi1 - risk if risk < 0.0 else risk - lo1
-    if distance <= abs(risk):
-        return None
-    return math.log(abs(risk) / distance) / math.log(rate)
-
-
 def membership_oracle(model, spec: AcceptanceSpec):
     """Bind model and criterion into the boolean oracle used by the grid search.
 
     A model with bounds_at (network clearing) is decided from its bounds as
     soon as they clear the tie by the error budget of bracket_verdict, with
-    the model's payment_tolerance as the slack. After each sweep the oracle
-    sends the model an estimate of the sweeps the bounds still need, so that
-    a model can stop a bracket that will not decide soon and finish
-    clearing instead. Once clearing has finished, and for every other
-    model, the verdict is is_acceptable on the samples; for a model with
-    bounds, its stats record how close rho(Y) + shift came to the tie.
+    the model's payment_tolerance as the slack. Once clearing has finished,
+    and for every other model, the verdict is is_acceptable on the samples;
+    for a model with bounds, its stats record how close rho(Y) + shift came
+    to the tie.
     """
     bounds_at = getattr(model, "bounds_at", None)
     if bounds_at is None:
@@ -287,13 +257,12 @@ def membership_oracle(model, spec: AcceptanceSpec):
 
     def oracle(k) -> bool:
         with contextlib.closing(bounds_at(k)) as bounds:
-            lower, upper = next(bounds)
-            trail = []
-            while lower is not upper:
-                verdict = bracket_verdict(lower, upper, spec, slack, trail)
+            for lower, upper in bounds:
+                if lower is upper:  # clearing has finished: upper is Y
+                    break
+                verdict = bracket_verdict(lower, upper, spec, slack)
                 if verdict is not None:
                     return verdict
-                lower, upper = bounds.send(_sweeps_to_decide(trail))
         margin = rho(upper, spec) + spec.shift
         model.stats.record_tie(margin)
         return margin <= TIE_TOLERANCE  # is_acceptable(upper, spec)
@@ -505,7 +474,6 @@ def _finalize(store: _LabelStore) -> GridApproximation:
         v=grid.spacing,
         oracle_calls=store.calls,
         degenerate=degenerate,
-        certified=True,
     )
 
 

@@ -251,13 +251,10 @@ def clear_batch(network, x, s, f, tol: float, max_iter: int):
     """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
 
     Returns payments (n, m), prices (m,) and the ClearingStats of the call:
-    the bracket, told after its first sweep that no verdict will come from
-    it, finishes clearing.
+    the bracket, told that no verdict will come from it, finishes clearing.
     """
     stats = ClearingStats()
-    bracket = _bracket(network, x, s, f, tol, max_iter, stats)
-    next(bracket)
-    _, p, pi = bracket.send(math.inf)
+    [(_, p, pi)] = _bracket(network, x, s, f, tol, max_iter, stats, finish=True)
     return np.ascontiguousarray(p), pi, stats
 
 

@@ -31,7 +31,7 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk.clearing import _bracket, _Point
+from sysrisk.clearing import _WARMUP_SWEEPS, _bracket, _Point
 import oracles
 from oracles import ClearingResult, clear, equity
 
@@ -649,11 +649,14 @@ def test_bracket_encloses_the_reference_after_every_sweep():
         k = rng.uniform(0.0, 0.5, size=model.n_groups)
         ref = reference_payments(model, k)
         x = model.scenarios_x.values + model.groups.expand(k)[:, None]
+        stats = ClearingStats()
         bracket = _bracket(model.network, x, model.scenarios_s.values, model.f, 1e-10,
-                           100_000, ClearingStats())
+                           100_000, stats)
         for lower, upper, _ in bracket:
             assert (lower <= ref + 1e-9).all() and (ref <= upper + 1e-9).all()
         assert lower is upper and np.max(np.abs(upper - ref)) <= 1e-8
+        if isinstance(model.f, ConstantPrice):  # sweeps until the exact solve takes over
+            assert stats.sweeps <= _WARMUP_SWEEPS
         e0_ref = model._society_shares @ ref
         for low, up in model.bounds_at(k):
             assert (low <= e0_ref + 1e-9).all() and (e0_ref <= up + 1e-9).all()
@@ -719,17 +722,15 @@ def test_bracket_told_it_will_not_decide_finishes_clearing():
     rng = np.random.default_rng(79)
     for f in (UNIT_PRICE, LinearSqrtPrice()):
         model = bracket_model(rng, f)
-        k = np.zeros(model.n_groups)
-        *_, (_, expected) = model.bounds_at(k)  # the bracket run to its end
-        model.stats = ClearingStats()
-        bounds = model.bounds_at(k)
-        next(bounds)
-        lower, upper = bounds.send(math.inf)
+        x, s = model.scenarios_x.values, model.scenarios_s.values
+        *_, (_, expected, _) = _bracket(model.network, x, s, f, 1e-10, 100_000, ClearingStats())
+        stats = ClearingStats()
+        [(lower, upper, _)] = _bracket(model.network, x, s, f, 1e-10, 100_000, stats, finish=True)
         assert lower is upper and np.array_equal(upper, expected)
         if isinstance(f, ConstantPrice):
-            assert model.stats.sweeps == 1  # the exact solve starts after the one sweep
+            assert stats.sweeps == 1  # the exact solve starts after the one sweep
         else:
-            assert model.stats.sweeps > 1  # the top-down iteration runs on alone
+            assert stats.sweeps > 1  # the top-down iteration runs on alone
 
 
 def two_group_model(rng, f, tol=1e-10, m=12):

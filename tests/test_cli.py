@@ -212,6 +212,13 @@ def test_validate_reports_bad_config(tmp_path, capsys):
     assert "invalid:" in capsys.readouterr().err
 
 
+def test_validate_rejects_an_integer_past_the_float_range(tmp_path, capsys):
+    cfg = small_agg_cfg(tmp_path / "out")
+    cfg["scenarios"]["correlation"] = 10**400
+    assert main(["validate", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "scenarios.correlation: value must be finite" in capsys.readouterr().err
+
+
 def test_validate_rejects_revenue_decreasing_demand(tmp_path, capsys):
     cfg = small_net_cfg(tmp_path / "out")
     cfg["model"]["network"]["inverse_demand"] = {
@@ -290,6 +297,7 @@ def test_demand_parameter_errors_name_the_parameter(tmp_path, capsys, demand, na
 
 @pytest.mark.parametrize("kind,fragment", [
     ("missing", "cannot read"), ("directory", "cannot read"), ("binary", "cannot parse"),
+    ("5000_digits", "cannot parse"),
 ])
 def test_unreadable_config_exits_2(tmp_path, capsys, kind, fragment):
     path = tmp_path / "cfg.yaml"
@@ -297,6 +305,8 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind, fragment):
         path.mkdir()
     elif kind == "binary":
         path.write_bytes(b"\xff\xfe\x00")
+    elif kind == "5000_digits":  # more digits than Python converts to an int
+        path.write_text("seed: " + "9" * 5000 + "\n")
     assert main(["validate", "--config", str(path)]) == 2
     assert f"{fragment} {path}" in capsys.readouterr().err
 
@@ -411,6 +421,23 @@ def test_run_rerun_from_manifest_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_manifest_with_threads_replays_byte_identical(tmp_path):
+    # threads is no longer written, but manifests recorded with it still replay
+    out1 = tmp_path / "out1"
+    out2 = tmp_path / "out2"
+    assert main(["run", "--config", write_cfg(tmp_path, small_agg_cfg(out1))]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert "threads" not in manifest["resolved_config"]
+    manifest["resolved_config"]["threads"] = 2
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["run", "--config", str(old), "--out", str(out2)]) == 0
+    for name in ("inner_frontier.csv", "outer_frontier.csv", "labels.csv",
+                 "scenarios.csv", "ear.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert "threads" not in json.loads((out2 / "manifest.json").read_text())["resolved_config"]
+
+
 def test_network_run_records_clearing_stats_and_replays(tmp_path):
     out1 = tmp_path / "out1"
     out2 = tmp_path / "out2"
@@ -433,10 +460,11 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
 
 
 @pytest.mark.parametrize("preset, clearing", [
-    # constant price: eleven calls decided by their bracket, two cleared to the end, the
-    # nearer of them 1.485 from the tie; every call but the first starts from an evaluated point
-    ("two_tier:C5", {"calls": 13, "decided": 11, "warm": 12, "sweeps": 34, "rounds": 4,
-                     "solves": 31, "closest_tie": pytest.approx(1.4853373024958785, rel=1e-9)}),
+    # constant price: twelve calls decided by their bracket, one cleared to the end, 19 from
+    # the tie, where every firm pays in full and the exact solve has nothing to solve; every
+    # call but the first starts from an evaluated point
+    ("two_tier:C5", {"calls": 13, "decided": 12, "warm": 12, "sweeps": 46, "rounds": 0,
+                     "solves": 0, "closest_tie": pytest.approx(19.0, rel=1e-9)}),
     # price impact: every call decided by its bracket
     ("three_tier:alpha=0.6", {"calls": 12, "decided": 12, "warm": 11, "sweeps": 23, "rounds": 0,
                               "solves": 0, "closest_tie": None}),
@@ -471,7 +499,7 @@ def test_run_overrides_land_in_manifest(tmp_path):
     path = write_cfg(tmp_path, small_agg_cfg(outdir))
     rc = main([
         "run", "--config", path, "--seed", "123", "--scenarios", "33",
-        "--grid-res", "7", "--refine", "2", "--threads", "2",
+        "--grid-res", "7", "--refine", "2",
         "--ear-weights", "1;2", "--out", str(override_dir),
     ])
     assert rc == 0
@@ -482,7 +510,6 @@ def test_run_overrides_land_in_manifest(tmp_path):
     assert resolved["scenarios"]["count"] == 33
     assert resolved["grid"]["resolution"] == [7]
     assert resolved["refine"] == 2
-    assert resolved["threads"] == 2
     assert resolved["ear"]["weights"] == [[1.0], [2.0]]
     assert resolved["output"]["directory"] == str(override_dir)
     manifest = json.loads((override_dir / "manifest.json").read_text())

@@ -138,7 +138,7 @@ def test_aggregation_defaults():
     r = resolve_config(cfg)
     assert r["name"] == "run"
     assert r["seed"] == 7
-    assert r["threads"] == 1
+    assert "threads" not in r
     assert r["refine"] == 1
     assert r["scenarios"]["correlation"] == 0.0
     assert r["scenarios"]["seed"] == 7  # defaults to the master seed
@@ -226,6 +226,26 @@ def test_fixed_accepts_int_keys():
 def test_top_level_scalar_validation(key, value, fragment):
     cfg = agg_config()
     cfg[key] = value
+    assert_rejects(cfg, fragment)
+
+
+@pytest.mark.parametrize("where,fragment", [
+    ("scenarios.correlation", "scenarios.correlation: value must be finite"),
+    ("scenarios.margins.0.mu", "scenarios.margins[0].mu: value must be finite"),
+    ("acceptance.shift", "acceptance.shift: value must be finite"),
+    ("grid.lower.0", "grid.lower[0]: value must be finite"),
+    ("ear.weights.0.1", "ear.weights[0][1]: value must be finite"),
+    ("grid.fixed.1", "grid.fixed: pinned value for group 1 must be a finite number"),
+])
+def test_integers_past_the_float_range_are_rejected(where, fragment):
+    cfg = agg_config_two_groups()
+    cfg["ear"] = {"weights": [[1.0, 1.0]]}
+    cfg["grid"]["fixed"] = {}
+    *parents, last = [int(p) if p.isdigit() else p for p in where.split(".")]
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = 10**400  # past the float range; grid.fixed takes int keys too
     assert_rejects(cfg, fragment)
 
 

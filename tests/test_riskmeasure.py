@@ -37,7 +37,6 @@ from sysrisk.riskmeasure import (
     UNACCEPTABLE,
     _finalize,
     _LabelStore,
-    _sweeps_to_decide,
     _walk,
 )
 
@@ -126,10 +125,9 @@ def test_grid_spec_validation():
         GridSpec([0.0], [4.0], 1)
     with pytest.raises(ParameterError):
         GridSpec([0.0], [math.inf], 5)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="5 dimensions exceed the limit of 4"):
         GridSpec([0.0] * 5, [1.0] * 5, 3)
-    high = GridSpec([0.0] * 5, [1.0] * 5, 3, allow_high_dim=True)
-    assert high.ndim == 5
+    assert GridSpec([0.0] * 4, [1.0] * 4, 3).ndim == 4
 
 
 def test_grid_spec_rejects_fractional_resolution():
@@ -203,7 +201,6 @@ def test_membership_collapses_to_total_capital_for_insensitive_sum():
 def test_half_space_frontiers_exact():
     approx = grid_search(half_space(2.0), BOX04)
     assert approx.degenerate is None
-    assert approx.certified
     assert np.array_equal(approx.v, [1.0, 1.0])
     assert np.array_equal(approx.inner_frontier, [[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
     assert np.array_equal(approx.outer_frontier, [[0.0, 1.0], [1.0, 0.0]])
@@ -634,15 +631,6 @@ def test_pinned_model_forwards_bounds_only_where_the_model_has_them():
     *_, (low, up) = pinned.bounds_at(k)
     assert low is up
     assert np.array_equal(up, pinned.model.samples_at(full))
-
-
-def test_sweeps_to_decide_extrapolates_a_geometric_bracket():
-    # both ends approach the risk -0.5, halving their distance each sweep
-    trail = [(-0.5 - 8.0 * 0.5**j, -0.5 + 8.0 * 0.5**j) for j in (1, 2)]
-    assert _sweeps_to_decide(trail[:1]) is None
-    assert _sweeps_to_decide(trail) == pytest.approx(2.0)
-    assert _sweeps_to_decide([(-1.0, 1.0), (-1.0, 1.0)]) is None  # not shrinking
-    assert _sweeps_to_decide([(-2.0, 2.0), (-1.0, 1.0)]) == math.inf  # centred on the tie
 
 
 def test_pinned_model_searchable():
