@@ -61,7 +61,6 @@ from .riskmeasure import (
     EarResult,
     GridApproximation,
     GridSpec,
-    PinnedAllocationModel,
     ProbeReport,
     ear,
     ear_record,
@@ -146,7 +145,6 @@ __all__ = [
     "GridApproximation",
     "EarResult",
     "ProbeReport",
-    "PinnedAllocationModel",
     "membership_oracle",
     "grid_search",
     "ear",

@@ -14,9 +14,9 @@ bottom (no payments, the price at the largest sale) gives payments below
 the least one. _bracket runs both as one (n, 2m) iteration and yields the
 pair after every sweep. A caller that needs only a verdict stops as soon
 as the pair decides it (NetworkValueModel.bounds_at, consumed by
-riskmeasure.membership_oracle); otherwise clearing finishes, and the
-result is the greatest fixed point. How it finishes is a property of the
-input:
+riskmeasure.membership_oracle); one that needs the clearing runs it to its
+end (samples_at), whose pair is the greatest fixed point. How it finishes
+is a property of the input:
 
 - Constant price on the reachable range, f(0) == f(largest sale), as for
   ConstantPrice or s == 0: the fixed point is piecewise linear in the
@@ -44,11 +44,11 @@ maximum over those with at most k; a price always goes with its payments.
 A warm start changes how many sweeps a verdict takes, never the verdict,
 and never the finished result: a constant-price call seeds the exact
 solve with the default set of its warm top-down iterate, which lies inside
-the true one, and a price-impact call that must finish restarts its
-top-down half from the top. Lone scenario columns are worked on twice
-over, as a batch of two (_batch), so that no result depends on which
-other columns share its batch. ClearingStats.warm counts the calls that
-started from an evaluated point.
+the true one, and a price-impact call whose bracket cannot tighten any
+more restarts its top-down half from the top. Lone scenario columns are
+worked on twice over, as a batch of two (_batch), so that no result
+depends on which other columns share its batch. ClearingStats.warm counts
+the calls that started from an evaluated point.
 
 max_iter bounds the sweeps plus the solve rounds of a call; a call still
 unfinished then raises ConvergenceError naming the residual and the
@@ -264,7 +264,13 @@ class LiabilityNetwork:
 
 
 def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
-    """Load a network from an edge list CSV with header from,to,amount (node 0 = society)."""
+    """Load a network from an edge list CSV with header from,to,amount (node 0 = society).
+
+    Node ids must be non-negative and, when groups is given, at most its
+    firm count; both are checked per line, before the matrix is allocated.
+    """
+    top = math.inf if groups is None else groups.n_firms
+    allowed = "non-negative" if groups is None else f"in 0..{top}, society and the groups' firms"
     rows = []
     try:
         fh = open(path)
@@ -284,18 +290,21 @@ def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
                     f"{path} line {line_no}: expected 3 fields, got {len(parts)}"
                 )
             try:
-                rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                i, j, amount = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise ConfigurationError(
                     f"{path} line {line_no}: expected integer node ids and a number, got {line!r}"
                 ) from None
+            if not (0 <= i <= top and 0 <= j <= top):
+                raise ConfigurationError(
+                    f"{path} line {line_no}: node ids must be {allowed}, got {i} and {j}"
+                )
+            rows.append((i, j, amount))
     if not rows:
         raise ConfigurationError(f"{path}: edge list is empty")
     size = max(max(i, j) for i, j, _ in rows) + 1
     nominal = np.zeros((size, size))
     for i, j, amount in rows:
-        if i < 0 or j < 0:
-            raise ConfigurationError("node ids must be non-negative")
         nominal[i, j] += amount
     return LiabilityNetwork(nominal, groups)
 
@@ -382,7 +391,7 @@ def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> 
 
 
 def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stats: ClearingStats,
-             above=(), below=(), point: _Point | None = None, finish: bool = False):
+             above=(), below=(), point: _Point | None = None):
     """Clear m scenarios at once, yielding payment bounds that tighten with every sweep.
 
     x and s are (n, m) liquid/illiquid holdings. The payment/price map is
@@ -407,9 +416,8 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     column has converged, and its iterate is the result. A top-down half
     that started below the top runs on while the bottom-up half can still
     tighten the bracket, then restarts from the top, so that the result
-    does not depend on the start. With finish, for a caller that wants no
-    verdict, the bottom-up half stops after the first sweep and only the
-    finished pair is yielded.
+    does not depend on the start; it yields no pair between the restart
+    and the finished one.
 
     point, when given, receives the bracket's payments and prices; once the
     generator has ended they are its final iterates. Sweeps plus solve
@@ -465,7 +473,7 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     active = np.ones(2 * m, dtype=bool)
     limit = min(_WARMUP_SWEEPS, max_iter) if constant else max_iter
     sweeps = 0
-    bracketing = not finish
+    bracketing = True
     # a top-down iterate from a warm start converges to other last bits than one from the top
     rewind = bool(above) and not constant
 
@@ -531,10 +539,8 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
         stats.sweeps += 1
         if bracketing:
             yield lower, upper, pi[:m]
-        else:  # no verdict will come from the bounds: stop the bottom-up half
-            active[m:] = False
 
-        if rewind and not (bracketing and active.any()):
+        if rewind and not active.any():
             # the bracket cannot tighten any more: finish clearing from the top
             p[:, :m] = pbar
             pi[:m] = price_top
@@ -543,7 +549,7 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
             bracketing = rewind = False
         if not (rewind or active[:m].any()):
             break
-        if constant and (finish or sweeps >= limit):
+        if constant and sweeps >= limit:
             break  # clear exactly now
         if sweeps >= limit:
             raise _not_converged(max_iter, residual, tol, float((upper - lower).max()))
@@ -690,17 +696,13 @@ class NetworkValueModel:
         the bottom-up and top-down payment iterates of _bracket, so they
         enclose the exact equity, and a monotone criterion puts rho(Y)
         between rho(upper) and rho(lower). Once clearing has finished, the
-        last pair is (Y, Y), the same array twice: samples_at(k). Closing
-        the generator before that counts the call as decided.
+        last pair is (Y, Y), the same array twice, and the generator ends.
+        Closing it before that counts the call as decided.
 
         The bracket starts from the remembered points with at least and at
         most k in every group. Such a start only tightens the bounds, and
         the finished Y does not depend on it.
         """
-        return self._bounds(k)
-
-    def _bounds(self, k, finish: bool = False):
-        """bounds_at(k); with finish, clearing finishes at once and (Y, Y) is the only pair."""
         k = np.array(k, dtype=float).ravel()  # kept with the point
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
@@ -711,7 +713,7 @@ class NetworkValueModel:
             self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter, self.stats,
             above=[e for e in self._history if (e.k >= k).all()],
             below=[e for e in self._history if (e.k <= k).all()],
-            point=point, finish=finish,
+            point=point,
         )
         try:
             for lower, upper, _ in bracket:
@@ -735,8 +737,8 @@ class NetworkValueModel:
         self._history.append(point)
 
     def samples_at(self, k) -> np.ndarray:
-        """Society equity per scenario with capital k injected as liquid holdings."""
-        [(_, e0)] = self._bounds(k, finish=True)
+        """Society equity per scenario at capital k: bounds_at(k) run to its end."""
+        *_, (_, e0) = self.bounds_at(k)
         return e0
 
     def with_scenarios(

@@ -31,7 +31,7 @@ from .clearing import (
 )
 from .errors import ConfigurationError, SysriskError
 from .netgen import NetworkGenSpec, sample_network
-from .riskmeasure import GridSpec, PinnedAllocationModel
+from .riskmeasure import GridSpec
 from .scenarios import (
     CopulaSpec,
     ScaledBeta,
@@ -54,6 +54,8 @@ _MARGIN_FIELDS = {
 }
 
 _ACCEPTANCE_FIELDS = ("lam", "loss", "power", "z", "utility", "utility_lam", "level")
+
+_MAX_ENTRIES = int(np.iinfo(np.intp).max)  # the most entries a numpy array can index
 
 
 class _Loader(yaml.SafeLoader):
@@ -258,6 +260,9 @@ def resolve_config(cfg: dict) -> dict:
         _fail("model.groups", "expected a list of positive integers")
     rmodel["groups"] = list(groups)
     n_groups = len(groups)
+    if sum(groups) * rsc["count"] > _MAX_ENTRIES:
+        _fail("scenarios.count", f"a scenario matrix of {sum(groups)} firms (model.groups) "
+              f"by this many scenarios exceeds the {_MAX_ENTRIES} entries of an array")
     if len(rsc["margins"]) != n_groups:
         _fail("scenarios.margins", f"{len(rsc['margins'])} margins for {n_groups} groups")
 
@@ -402,6 +407,9 @@ def resolve_config(cfg: dict) -> dict:
         GridSpec(rgrid["lower"], rgrid["upper"], rgrid["resolution"], rgrid["nonneg"])
     except Exception as exc:
         _fail("grid", str(exc))
+    if math.prod((r - 1) * out["refine"] + 1 for r in rgrid["resolution"]) > _MAX_ENTRIES:
+        _fail("refine" if out["refine"] > 1 else "grid.resolution",
+              f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
     out["grid"] = rgrid
 
     # ear
@@ -519,11 +527,6 @@ def build_run(resolved: dict) -> RunPlan:
         shift += acc["shift_fraction_of_promised"] * network.society_promised
     spec = AcceptanceSpec(acc["criterion"], shift, **{k: acc[k] for k in _ACCEPTANCE_FIELDS})
 
-    search_model = model
-    fixed = resolved["grid"]["fixed"]
-    if fixed:
-        pinned = {int(key) - 1: value for key, value in fixed.items()}
-        search_model = PinnedAllocationModel(model, pinned)
     # a refine factor F puts F - 1 points between neighbours of the configured lattice
     factor = resolved["refine"]
     grid = GridSpec(
@@ -531,10 +534,11 @@ def build_run(resolved: dict) -> RunPlan:
         resolved["grid"]["upper"],
         [(r - 1) * factor + 1 for r in resolved["grid"]["resolution"]],
         nonneg_constraint=resolved["grid"]["nonneg"],
+        fixed={int(key) - 1: value for key, value in resolved["grid"]["fixed"].items()},
     )
     return RunPlan(
         config=resolved,
-        model=search_model,
+        model=model,
         acceptance=spec,
         grid=grid,
         ear_weights=resolved["ear"]["weights"],

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,6 @@ __all__ = [
     "GridApproximation",
     "EarResult",
     "ProbeReport",
-    "PinnedAllocationModel",
     "membership_oracle",
     "grid_search",
     "ear",
@@ -76,14 +77,19 @@ class GridSpec:
 
     The lattice grows exponentially with the number of dimensions, so it
     takes at most MAX_DIMENSIONS of them.
+
+    fixed maps group indices of the full allocation to values held there.
+    The box spans the other groups, in order; the oracle is asked about
+    allocation(point); axes, frontiers and EARs stay in free coordinates.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     resolution: tuple[int, ...]
     nonneg_constraint: bool = False
+    fixed: tuple[tuple[int, float], ...] = ()
 
-    def __init__(self, lower, upper, resolution, nonneg_constraint=False):
+    def __init__(self, lower, upper, resolution, nonneg_constraint=False, fixed=None):
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         up = np.atleast_1d(np.asarray(upper, dtype=float))
         ndim = max(lo.size, up.size)
@@ -114,10 +120,19 @@ class GridSpec:
                 f"{ndim} dimensions exceed the limit of {MAX_DIMENSIONS} "
                 "(lattice size is exponential in dimensions)"
             )
+        try:
+            fixed = sorted((operator.index(j), float(v)) for j, v in dict(fixed or {}).items())
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
+            raise ParameterError("fixed must map integer group indices to finite numbers") from None
+        groups = ndim + len(fixed)
+        for j, value in fixed:
+            if not (0 <= j < groups and math.isfinite(value)):
+                raise ParameterError(f"fixed group {j} must lie in [0, {groups}), its value finite")
         object.__setattr__(self, "lower", tuple(lo))
         object.__setattr__(self, "upper", tuple(up))
         object.__setattr__(self, "resolution", tuple(int(r) for r in res))
         object.__setattr__(self, "nonneg_constraint", bool(nonneg_constraint))
+        object.__setattr__(self, "fixed", tuple(fixed))
 
     @property
     def ndim(self) -> int:
@@ -132,6 +147,13 @@ class GridSpec:
             np.linspace(lo, up, res)
             for lo, up, res in zip(self.lower, self.upper, self.resolution)
         ]
+
+    def allocation(self, point) -> np.ndarray:
+        """The full allocation of a point in free coordinates: the fixed values inserted."""
+        full = np.asarray(point, dtype=float)
+        for j, value in self.fixed:  # ascending, so every earlier fixed index is in place
+            full = np.insert(full, j, value)
+        return full
 
 
 @dataclass(frozen=True)
@@ -188,58 +210,6 @@ class ProbeReport:
 # membership
 
 
-class PinnedAllocationModel:
-    """Adapter holding some group allocations at fixed values.
-
-    The wrapped model keeps its full group dimension; searches run over the
-    remaining free groups only. Monotonicity in the free coordinates is
-    inherited from the underlying model.
-    """
-
-    def __init__(self, model, pinned: dict[int, float]):
-        n_groups = model.n_groups
-        if not pinned:
-            raise ParameterError("pinned must fix at least one group index")
-        if not all(0 <= j < n_groups for j in pinned):
-            raise ParameterError(f"pinned group indices must lie in [0, {n_groups})")
-        if len(pinned) >= n_groups:
-            raise ParameterError("at least one group must remain free")
-        self.model = model
-        self.pinned = dict(sorted(pinned.items()))
-        self.free = [j for j in range(n_groups) if j not in pinned]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.free)
-
-    def _full(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float).ravel()
-        if k.size != len(self.free):
-            raise ParameterError(f"allocation has {k.size} entries for {len(self.free)} free groups")
-        full = np.empty(self.model.n_groups)
-        full[self.free] = k
-        for j, value in self.pinned.items():
-            full[j] = value
-        return full
-
-    def samples_at(self, k) -> np.ndarray:
-        return self.model.samples_at(self._full(k))
-
-    @property
-    def bounds_at(self):
-        """The wrapped model's bounds_at over the free groups; AttributeError if it has none."""
-        bounds_at = self.model.bounds_at
-        return lambda k: bounds_at(self._full(k))
-
-    @property
-    def payment_tolerance(self) -> float:
-        return self.model.payment_tolerance
-
-    @property
-    def stats(self):
-        return self.model.stats
-
-
 def membership_oracle(model, spec: AcceptanceSpec):
     """Bind model and criterion into the boolean oracle used by the grid search.
 
@@ -294,7 +264,7 @@ class _LabelStore:
         self.calls = 0
 
     def point(self, idx) -> np.ndarray:
-        return np.array([self.axes[d][i] for d, i in enumerate(idx)])
+        return self.grid.allocation([self.axes[d][i] for d, i in enumerate(idx)])
 
     def query(self, idx) -> int:
         cached = self.labels[idx]

@@ -104,7 +104,7 @@ MarginalSpec = Union[ShiftedLognormal, ScaledBeta]
 class ScenarioMatrix:
     """Immutable firms x scenarios matrix of realized risk-factor values."""
 
-    def __init__(self, values, copula: CopulaSpec | None = None, margins: Sequence[MarginalSpec] = ()):
+    def __init__(self, values):
         arr = np.array(values, dtype=float)
         if arr.ndim != 2:
             raise GenerationError(f"scenario values must be 2-D, got shape {arr.shape}")
@@ -112,8 +112,6 @@ class ScenarioMatrix:
             raise GenerationError("scenario values contain non-finite entries")
         arr.setflags(write=False)
         self.values = arr
-        self.copula = copula
-        self.margins = tuple(margins)
 
     @property
     def n_firms(self) -> int:
@@ -127,7 +125,7 @@ class ScenarioMatrix:
         """Same draw with every value multiplied by a constant (e.g. liquid/illiquid split)."""
         if factor < 0:
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
-        return ScenarioMatrix(self.values * factor, self.copula, self.margins)
+        return ScenarioMatrix(self.values * factor)
 
 
 def sample_equicorrelated_normals(spec: CopulaSpec) -> np.ndarray:
@@ -145,11 +143,7 @@ def sample_equicorrelated_normals(spec: CopulaSpec) -> np.ndarray:
     return np.sqrt(rho) * common + np.sqrt(1.0 - rho) * idiosyncratic
 
 
-def apply_marginal(
-    normals: np.ndarray,
-    margins: Sequence[MarginalSpec],
-    copula: CopulaSpec | None = None,
-) -> ScenarioMatrix:
+def apply_marginal(normals: np.ndarray, margins: Sequence[MarginalSpec]) -> ScenarioMatrix:
     """Push standard-normal rows through per-firm marginal transforms."""
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2:
@@ -161,7 +155,7 @@ def apply_marginal(
     out = np.empty_like(normals)
     for i, margin in enumerate(margins):
         out[i] = margin.transform(normals[i])
-    return ScenarioMatrix(out, copula, margins)
+    return ScenarioMatrix(out)
 
 
 def generate_scenarios(
@@ -178,7 +172,7 @@ def generate_scenarios(
         )
     per_firm = [m for m, size in zip(group_margins, group_sizes) for _ in range(size)]
     normals = sample_equicorrelated_normals(copula)
-    return apply_marginal(normals, per_firm, copula)
+    return apply_marginal(normals, per_firm)
 
 
 def beta_inverse_cdf(u, alpha: float, beta: float):

@@ -10,8 +10,8 @@ neighbor checks. A shared bug would have to be written twice to slip
 through.
 
 clear_batch, clear and equity are no oracles: they are thin helpers that
-drive the library's clearing bracket to its end for tests of one or a few
-scenarios.
+run the library's clearing bracket to its end, as
+NetworkValueModel.samples_at does, for tests of one or a few scenarios.
 """
 
 from __future__ import annotations
@@ -251,10 +251,10 @@ def clear_batch(network, x, s, f, tol: float, max_iter: int):
     """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
 
     Returns payments (n, m), prices (m,) and the ClearingStats of the call:
-    the bracket, told that no verdict will come from it, finishes clearing.
+    the bracket runs to its end, whose pair is the finished clearing.
     """
     stats = ClearingStats()
-    [(_, p, pi)] = _bracket(network, x, s, f, tol, max_iter, stats, finish=True)
+    *_, (_, p, pi) = _bracket(network, x, s, f, tol, max_iter, stats)
     return np.ascontiguousarray(p), pi, stats
 
 

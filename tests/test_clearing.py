@@ -31,7 +31,7 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk.clearing import _WARMUP_SWEEPS, _bracket, _Point
+from sysrisk.clearing import _WARMUP_SWEEPS, _bracket, _clear_constant_price, _Point
 import oracles
 from oracles import ClearingResult, clear, equity
 
@@ -319,6 +319,16 @@ def shared_default_cash(rng, pbar, m, bases=4):
     return cash * rng.uniform(0.99, 1.01, size=cash.shape)
 
 
+def exact_after_one_sweep(net, cash):
+    # the exact solve seeded by the default set of one top-down sweep, min(pbar, cash + A'pbar),
+    # which holds far fewer defaults than the warm-up sweeps of a bracket leave
+    pbar = net.pbar[1:][:, None]
+    p = np.minimum(pbar, cash + net.relative[1:, 1:].T @ pbar)
+    stats = ClearingStats()
+    residual = _clear_constant_price(net, cash, p, np.zeros_like(p), 1e-10, 1000, 1, stats)
+    return p, residual, stats
+
+
 def test_exact_clearing_matches_top_down_reference():
     rng = np.random.default_rng(31)
     rounds = []
@@ -326,9 +336,9 @@ def test_exact_clearing_matches_top_down_reference():
         n = int(rng.integers(1, 31))
         net = sparse_network(rng, n)
         x = shared_default_cash(rng, net.pbar[1:], m=64 + int(rng.integers(0, 64)))
-        p, pi, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+        p, residual, stats = exact_after_one_sweep(net, x)
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
-        assert (pi == 1.0).all() and stats.max_residual <= 1e-10
+        assert residual <= 1e-10
         assert stats.solves < x.shape[1]  # columns share their default sets
         rounds.append(stats.rounds)
     assert max(rounds) >= 2
@@ -340,7 +350,7 @@ def test_exact_clearing_adds_defaults_over_several_rounds():
         net = chain_network(n)
         x = rng.uniform(0.55, 0.65, size=(n, 96))  # solvent while paid in full
         x[0] = rng.choice([0.0, 5.0, 11.0], size=96)  # two shortfalls at the head, one without
-        p, _, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+        p, _, stats = exact_after_one_sweep(net, x)
         assert stats.rounds >= 2
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
 
@@ -718,21 +728,6 @@ def test_inverted_bracket_is_a_model_error():
             next(_bracket(net, x, s, f, 1e-12, 100, ClearingStats()))
 
 
-def test_bracket_told_it_will_not_decide_finishes_clearing():
-    rng = np.random.default_rng(79)
-    for f in (UNIT_PRICE, LinearSqrtPrice()):
-        model = bracket_model(rng, f)
-        x, s = model.scenarios_x.values, model.scenarios_s.values
-        *_, (_, expected, _) = _bracket(model.network, x, s, f, 1e-10, 100_000, ClearingStats())
-        stats = ClearingStats()
-        [(lower, upper, _)] = _bracket(model.network, x, s, f, 1e-10, 100_000, stats, finish=True)
-        assert lower is upper and np.array_equal(upper, expected)
-        if isinstance(f, ConstantPrice):
-            assert stats.sweeps == 1  # the exact solve starts after the one sweep
-        else:
-            assert stats.sweeps > 1  # the top-down iteration runs on alone
-
-
 def two_group_model(rng, f, tol=1e-10, m=12):
     # 4-12 firms in two groups, with defaults; illiquid holdings as in bracket_model
     n = int(rng.integers(4, 13))
@@ -893,6 +888,17 @@ def test_edge_csv_errors_name_the_file_and_line(tmp_path):
     amount.write_text("from,to,amount\n1,0,lots\n")
     with pytest.raises(ConfigurationError, match="a.csv line 2"):
         read_edge_csv(amount)
+    negative = tmp_path / "n.csv"
+    negative.write_text("from,to,amount\n1,0,1.0\n2,-1,1.0\n")
+    with pytest.raises(ConfigurationError, match="n.csv line 3: node ids must be non-negative"):
+        read_edge_csv(negative)
+    huge = tmp_path / "h.csv"
+    huge.write_text("from,to,amount\n1,0,1.0\n2,10000000,1.0\n3,0,1.0\n")
+    with pytest.raises(ConfigurationError, match=r"h.csv line 3: node ids must be in 0..3,"):
+        read_edge_csv(huge, GroupMap([1, 2]))
+    top = tmp_path / "t.csv"
+    top.write_text("from,to,amount\n1,0,1.0\n2,3,1.0\n3,0,1.0\n")
+    assert read_edge_csv(top, GroupMap([1, 2])).n_firms == 3
 
 
 def test_clearing_result_is_frozen():

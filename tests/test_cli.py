@@ -219,6 +219,21 @@ def test_validate_rejects_an_integer_past_the_float_range(tmp_path, capsys):
     assert "scenarios.correlation: value must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where,fragment", [
+    ("scenarios.count", "scenarios.count: a scenario matrix of"),
+    ("refine", "refine: the searched lattice exceeds"),
+])
+def test_validate_rejects_arrays_past_the_index_range(tmp_path, capsys, where, fragment):
+    cfg = small_agg_cfg(tmp_path / "out")
+    *parents, last = where.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = 10**400
+    assert main(["validate", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_validate_rejects_revenue_decreasing_demand(tmp_path, capsys):
     cfg = small_net_cfg(tmp_path / "out")
     cfg["model"]["network"]["inverse_demand"] = {
@@ -314,6 +329,8 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind, fragment):
 @pytest.mark.parametrize("edges,fragment", [
     (None, "cannot read edge list"),
     ("from,to,amount\n1,0,1.0\nx,0,1.0\n", "line 3: expected integer node ids"),
+    # checked against the groups before the (id + 1)^2 matrix, 728 TiB here, is allocated
+    ("from,to,amount\n1,0,1.0\n10000000,0,1.0\n", "line 3: node ids must be in 0.."),
 ])
 def test_bad_edges_file_exits_2(tmp_path, capsys, edges, fragment):
     outdir = tmp_path / "out"

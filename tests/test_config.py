@@ -5,11 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sysrisk.aggregation import (
-    AggregationSpec,
-    AggregationValueModel,
-    GroupMap,
-)
+from sysrisk.aggregation import AggregationValueModel
 from sysrisk.clearing import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -21,7 +17,7 @@ from sysrisk.clearing import (
 from sysrisk.config import build_run, config_hash, load_config, resolve_config
 from sysrisk.errors import ConfigurationError
 from sysrisk.netgen import NetworkGenSpec, sample_network
-from sysrisk.riskmeasure import PinnedAllocationModel
+from sysrisk.presets import preset_config
 
 
 def agg_config():
@@ -246,6 +242,24 @@ def test_integers_past_the_float_range_are_rejected(where, fragment):
     for part in parents:
         node = node[part]
     node[last] = 10**400  # past the float range; grid.fixed takes int keys too
+    assert_rejects(cfg, fragment)
+
+
+@pytest.mark.parametrize("where,value,fragment", [
+    ("scenarios.count", 10**400, "scenarios.count: a scenario matrix of 2 firms"),
+    ("scenarios.count", 2**63, "scenarios.count: a scenario matrix of 2 firms"),
+    ("model.groups", [2**62, 50], f"scenarios.count: a scenario matrix of {2**62 + 50} firms"),
+    ("refine", 10**400, "refine: the searched lattice exceeds"),
+    ("grid.resolution", [2**32, 2**32], "grid.resolution: the searched lattice exceeds"),
+])
+def test_arrays_past_the_index_range_are_rejected(where, value, fragment):
+    # resolve_config alone must reject these: building them would fail or never end
+    cfg = agg_config_two_groups()
+    *parents, last = where.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = value
     assert_rejects(cfg, fragment)
 
 
@@ -628,18 +642,13 @@ def test_build_run_pins_groups():
     cfg["grid"]["lower"] = [0.0]
     cfg["grid"]["upper"] = [4.0]
     plan = build_run(resolve_config(cfg))
-    assert isinstance(plan.model, PinnedAllocationModel)
-    assert plan.model.pinned == {1: 0.75}
-    # the pinned adapter must agree with evaluating the full model directly
-    full = AggregationValueModel(
-        plan.scenario_matrix,
-        AggregationSpec(kind="sum", mode="insensitive", theta=2.0),
-        GroupMap([1, 1]),
-    )
-    free = np.array([0.3])
-    assert np.array_equal(
-        plan.model.samples_at(free), full.samples_at(np.array([0.3, 0.75]))
-    )
+    assert isinstance(plan.model, AggregationValueModel)  # the lattice pins, not the model
+    assert plan.grid.fixed == ((1, 0.75),)
+    assert np.array_equal(plan.grid.allocation([0.3]), [0.3, 0.75])
+    # a 1-based config key is the 0-based group index of the grid
+    three_tier = build_run(resolve_config(preset_config("three_tier:alpha=0.6")))
+    assert isinstance(three_tier.model, NetworkValueModel)
+    assert three_tier.grid.fixed == ((2, 0.0),) and three_tier.grid.ndim == 2
 
 
 def test_build_run_network():

@@ -16,9 +16,11 @@ from sysrisk import (
     DegenerateBoxError,
     GridSpec,
     GroupMap,
+    LiabilityNetwork,
+    LinearSqrtPrice,
     ModelError,
+    NetworkValueModel,
     ParameterError,
-    PinnedAllocationModel,
     ScenarioMatrix,
     build_run,
     ear,
@@ -29,6 +31,7 @@ from sysrisk import (
     preset_config,
     quasiconvexity_probe,
     resolve_config,
+    rho,
     write_frontier_csv,
     write_labels_csv,
 )
@@ -585,62 +588,78 @@ def test_ear_record_is_json_ready():
 
 
 # ---------------------------------------------------------------------------
-# pinned allocations
+# fixed groups
 
 
-def test_pinned_model_holds_groups_fixed():
-    rng = np.random.default_rng(444)
-    scen = ScenarioMatrix(rng.normal(size=(6, 30)))
-    full = AggregationValueModel(scen, AggregationSpec("loss", "sensitive"), GroupMap([2, 2, 2]))
-    pinned = PinnedAllocationModel(full, {0: 0.5})
-    assert pinned.n_groups == 2
-    assert np.array_equal(pinned.samples_at([1.0, 2.0]), full.samples_at([0.5, 1.0, 2.0]))
-    middle = PinnedAllocationModel(full, {1: 0.25})
-    assert np.array_equal(middle.samples_at([1.0, 2.0]), full.samples_at([1.0, 0.25, 2.0]))
+def test_grid_allocation_inserts_fixed_groups():
+    first = GridSpec([0.0, 0.0], [4.0, 4.0], 3, fixed={0: 0.5})
+    assert first.fixed == ((0, 0.5),)
+    assert np.array_equal(first.allocation([1.0, 2.0]), [0.5, 1.0, 2.0])
+    middle = GridSpec([0.0, 0.0], [4.0, 4.0], 3, fixed={1: 0.25})
+    assert np.array_equal(middle.allocation([1.0, 2.0]), [1.0, 0.25, 2.0])
+    ends = GridSpec([0.0], [4.0], 3, fixed={2: 3.0, 0: 1})  # stored sorted, values as floats
+    assert ends.fixed == ((0, 1.0), (2, 3.0))
+    assert np.array_equal(ends.allocation([2.0]), [1.0, 2.0, 3.0])
+    assert np.array_equal(GridSpec([0.0], [4.0], 3).allocation([2.0]), [2.0])
 
 
-def test_pinned_model_validation():
+def test_grid_fixed_validation():
+    bad = [{2: 0.0}, {-1: 0.0}, {0: 0.0, 3: 0.0}, {0.0: 0.0}, {"0": 0.0},
+           {0: math.inf}, {0: math.nan}, {0: 10**400}, {0: "half"}, {0: None}]
+    for fixed in bad:
+        with pytest.raises(ParameterError, match="fixed"):
+            GridSpec([0.0], [4.0], 3, fixed=fixed)
+    # the free and fixed groups together must be the model's groups
     rng = np.random.default_rng(445)
     scen = ScenarioMatrix(rng.normal(size=(4, 10)))
     model = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2]))
-    with pytest.raises(ParameterError):
-        PinnedAllocationModel(model, {})
-    with pytest.raises(ParameterError):
-        PinnedAllocationModel(model, {0: 0.0, 1: 0.0})
-    with pytest.raises(ParameterError):
-        PinnedAllocationModel(model, {5: 0.0})
-    pinned = PinnedAllocationModel(model, {0: 0.0})
-    with pytest.raises(ParameterError):
-        pinned.samples_at([1.0, 2.0])
+    oracle = membership_oracle(model, AcceptanceSpec("avar", lam=0.2))
+    with pytest.raises(ParameterError, match="3 entries for 2 groups"):
+        grid_search(oracle, GridSpec([0.0, 0.0], [1.0, 1.0], 3, fixed={0: 0.0}))
 
 
-def test_pinned_model_forwards_bounds_only_where_the_model_has_them():
-    rng = np.random.default_rng(447)
-    scen = ScenarioMatrix(rng.normal(size=(4, 10)))
-    agg = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2]))
-    assert getattr(PinnedAllocationModel(agg, {0: 0.0}), "bounds_at", None) is None
-    plan = build_run(resolve_config(preset_config("three_tier:alpha=0.6")))
-    pinned = plan.model
-    assert isinstance(pinned, PinnedAllocationModel)
-    assert pinned.payment_tolerance == pinned.model.payment_tolerance > 0.0
-    k = np.array([2.0, 2.0])
-    full = np.empty(3)
-    full[pinned.free] = k
-    for j, value in pinned.pinned.items():
-        full[j] = value
-    *_, (low, up) = pinned.bounds_at(k)
-    assert low is up
-    assert np.array_equal(up, pinned.model.samples_at(full))
+def _small_network_model(rng):
+    # six firms in three groups with defaults and price impact, so clearing brackets do work
+    n = 6
+    nominal = rng.uniform(0.0, 2.0, size=(n + 1, n + 1)) * (rng.random((n + 1, n + 1)) < 0.5)
+    nominal[1:, 0] = rng.uniform(0.2, 1.0, size=n)
+    nominal[0, :] = 0.0
+    np.fill_diagonal(nominal, 0.0)
+    network = LiabilityNetwork(nominal, groups=GroupMap([2, 2, 2]))
+    x = rng.uniform(0.0, 0.8, size=(n, 40)) * network.pbar[1:, None]
+    s = rng.uniform(0.0, 0.5, size=x.shape)
+    return NetworkValueModel(network, ScenarioMatrix(x), ScenarioMatrix(s), LinearSqrtPrice())
 
 
-def test_pinned_model_searchable():
+def test_fixed_groups_search_like_the_hand_embedded_oracle():
+    # the lattice inserts the fixed values; an oracle that inserts them itself must see the
+    # same allocations in the same order, so labels and, for a network, clearing work agree
     rng = np.random.default_rng(446)
     scen = ScenarioMatrix(rng.normal(size=(6, 100)))
-    full = AggregationValueModel(scen, AggregationSpec("sum", "insensitive"), GroupMap([2, 2, 2]))
-    pinned = PinnedAllocationModel(full, {2: 0.0})
-    spec = AcceptanceSpec("avar", lam=0.2)
-    approx = grid_search(membership_oracle(pinned, spec), GridSpec([0.0, 0.0], [20.0, 20.0], 9))
-    assert approx.degenerate is None or approx.degenerate == "all_in"
+    network = _small_network_model(rng)
+    cases = [
+        (lambda: AggregationValueModel(scen, AggregationSpec("loss", "sensitive"),
+                                       GroupMap([2, 2, 2])),
+         GridSpec([0.0, 0.0], [4.0, 4.0], 9, fixed={2: 0.5}), lambda k: [k[0], k[1], 0.5]),
+        (lambda: AggregationValueModel(scen, AggregationSpec("exp", "sensitive"),
+                                       GroupMap([2, 2, 2])),
+         GridSpec([0.0], [6.0], 17, fixed={0: 1.0, 2: 0.0}), lambda k: [1.0, k[0], 0.0]),
+        (lambda: network.with_scenarios(network.scenarios_x, network.scenarios_s),
+         GridSpec([0.0, 0.0], [1.0, 1.0], 7, fixed={1: 0.3}), lambda k: [k[0], 0.3, k[1]]),
+    ]
+    for build, grid, embed in cases:
+        centre = (np.array(grid.lower) + np.array(grid.upper)) / 2
+        spec = AcceptanceSpec("avar", lam=0.2)
+        spec = AcceptanceSpec("avar", lam=0.2, shift=-rho(build().samples_at(embed(centre)), spec))
+        pinned, by_hand = build(), build()
+        searched = grid_search(membership_oracle(pinned, spec), grid)
+        inner = membership_oracle(by_hand, spec)
+        free = GridSpec(grid.lower, grid.upper, grid.resolution)
+        reference = grid_search(lambda k: inner(np.array(embed(k))), free)
+        assert 0 < searched.labels.sum() < searched.labels.size
+        assert np.array_equal(searched.labels, reference.labels)
+        assert searched.oracle_calls == reference.oracle_calls
+        assert pinned.stats == by_hand.stats
 
 
 # ---------------------------------------------------------------------------
