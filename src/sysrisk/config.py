@@ -322,8 +322,11 @@ def resolve_config(cfg: dict) -> dict:
             _fail("model.network.inverse_demand", str(exc))
         rnet["inverse_demand"] = {"type": dkind, **params}
         clearing = _expect_mapping(net.get("clearing", None) or {}, "model.network.clearing")
+        tol = _get_number(clearing, "model.network.clearing", "tol", default=DEFAULT_TOL)
+        if not tol > 0:
+            _fail("model.network.clearing.tol", f"must be positive, got {tol}")
         rnet["clearing"] = {
-            "tol": _get_number(clearing, "model.network.clearing", "tol", default=DEFAULT_TOL),
+            "tol": tol,
             "max_iter": _get_int(clearing, "model.network.clearing", "max_iter",
                                  default=DEFAULT_MAX_ITER, minimum=1),
         }

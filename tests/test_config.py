@@ -428,6 +428,10 @@ def test_clearing_section_validation():
     cfg = net_config()
     cfg["model"]["network"]["clearing"] = {"tol": "tight"}
     assert_rejects(cfg, "expected a number")
+    for tol in (0, -1):
+        cfg = net_config()
+        cfg["model"]["network"]["clearing"] = {"tol": tol}
+        assert_rejects(cfg, f"model.network.clearing.tol: must be positive, got {float(tol)}")
 
 
 def test_acceptance_validation():
