@@ -3,11 +3,11 @@
 Each oracle deliberately takes a different route from the library code it
 checks: quadrature instead of special-function inverses, kink enumeration
 instead of sorting, dense scans and golden-section search instead of
-Newton steps, fictitious default with one linear solve per default set
-instead of the library's monotone iteration, plain one-scenario
-iterations of payments and price instead of the batched, warm-started
-bracket, pairwise domination scans instead of neighbor checks. A shared
-bug would have to be written twice to slip through.
+Newton steps, bottom-up and top-down iteration instead of default-set
+linear solves, a one-scenario joint iteration of payments and price
+instead of the batched bracket, pairwise domination scans instead of
+neighbor checks. A shared bug would have to be written twice to slip
+through.
 
 clear_batch, clear and equity are no oracles: they are thin helpers that
 run the library's clearing bracket to its end, as
@@ -192,7 +192,7 @@ def clear_top_down(nominal, cash, tol: float = 1e-13, max_iter: int = 1_000_000)
     Constant price, so each firm's outside assets are a fixed cash amount
     (liquid plus illiquid holdings at that price); cash is (n,) or (n, m),
     one column per scenario. Iterates from the top are super-solutions, so
-    this meets fictitious default from above.
+    this meets the library's exact default-set solve from above.
     """
     nominal = np.asarray(nominal, dtype=float)
     pbar = nominal.sum(axis=1)
@@ -208,47 +208,6 @@ def clear_top_down(nominal, cash, tol: float = 1e-13, max_iter: int = 1_000_000)
             return nxt
         p = nxt
     raise RuntimeError("top-down clearing iteration did not converge")
-
-
-def clear_fictitious_default(nominal, cash):
-    """Greatest-fixed-point payments by fictitious default (Eisenberg and Noe 2001).
-
-    Constant price: cash is (n,) or (n, m) outside assets per firm, one
-    column per scenario. Each column starts with every firm paying in full.
-    Given a default set D, the firms outside D pay in full and those in D
-    pay everything they have,
-
-        (I - A_DD') p_D = cash_D + A_{ND,D}' pbar_ND,
-
-    and the firms this leaves short join D, until D stops growing; then p
-    is the greatest fixed point. Returns the payments, shaped as cash, and
-    the most rounds (default-set solves) any column took. A singular system
-    (defaulting firms that owe only among themselves) raises
-    numpy.linalg.LinAlgError.
-    """
-    nominal = np.asarray(nominal, dtype=float)
-    pbar = nominal.sum(axis=1)
-    safe = np.where(pbar > 0, pbar, 1.0)
-    a = np.where(pbar[:, None] > 0, nominal / safe[:, None], 0.0)[1:, 1:]
-    pbar = pbar[1:]
-    cash = np.asarray(cash, dtype=float)
-    columns = cash.reshape(pbar.size, -1)
-    out = np.empty_like(columns)
-    most = 0
-    for j, c in enumerate(columns.T):
-        p = pbar.copy()
-        d = np.zeros(pbar.size, dtype=bool)
-        rounds = 0
-        while (grown := ~d & (c + a.T @ p < pbar)).any():
-            d |= grown
-            rounds += 1
-            idx = np.flatnonzero(d)
-            p = np.where(d, 0.0, pbar)
-            rhs = c[idx] + a[:, idx].T @ p  # own cash plus full pay from the solvent firms
-            p[idx] = np.linalg.solve(np.eye(idx.size) - a[np.ix_(idx, idx)].T, rhs)
-        out[:, j] = p
-        most = max(most, rounds)
-    return out.reshape(cash.shape), most
 
 
 def clear_price_impact(nominal, x, s, f, tol: float = 1e-13, max_iter: int = 1_000_000):
@@ -302,13 +261,13 @@ def clear_batch(network, x, s, f, tol: float, max_iter: int):
 def clear(network, x, s, f, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """The greatest clearing fixed point of one scenario; x and s are per-firm (n,) holdings.
 
-    iterations counts the bracket's sweeps, and residual is the stats'
+    iterations counts sweeps plus solve rounds, and residual is the stats'
     max_residual.
     """
     x = np.asarray(x, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     p, pi, stats = clear_batch(network, x[:, None], s[:, None], f, tol, max_iter)
-    return ClearingResult(p=p[:, 0], pi=float(pi[0]), iterations=stats.sweeps,
+    return ClearingResult(p=p[:, 0], pi=float(pi[0]), iterations=stats.sweeps + stats.rounds,
                           residual=stats.max_residual)
 
 

@@ -31,7 +31,7 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk.clearing import _bracket, _Point
+from sysrisk.clearing import _WARMUP_SWEEPS, _bracket, _clear_constant_price, _Point
 import oracles
 from oracles import ClearingResult, clear, equity
 
@@ -319,8 +319,18 @@ def shared_default_cash(rng, pbar, m, bases=4):
     return cash * rng.uniform(0.99, 1.01, size=cash.shape)
 
 
+def exact_after_one_sweep(net, cash):
+    # the exact solve seeded by the default set of one top-down sweep, min(pbar, cash + A'pbar),
+    # which holds far fewer defaults than the warm-up sweeps of a bracket leave
+    pbar = net.pbar[1:][:, None]
+    p = np.minimum(pbar, cash + net.relative[1:, 1:].T @ pbar)
+    stats = ClearingStats()
+    residual = _clear_constant_price(net, cash, p, np.zeros_like(p), 1e-10, 1000, 1, stats)
+    return p, residual, stats
+
+
 def assert_clears_like(net, cash, reference):
-    # the bracket run to its end on the first 1, 2 and 64 scenario columns meets the reference
+    # the whole bracket, run to its end on the first 1, 2 and 64 scenario columns, meets it too
     n = net.n_firms
     for m in (1, 2, 64):
         p, pi, stats = oracles.clear_batch(net, cash[:, :m], np.zeros((n, m)), UNIT_PRICE,
@@ -330,29 +340,32 @@ def assert_clears_like(net, cash, reference):
 
 
 def test_exact_clearing_matches_top_down_reference():
-    # fictitious default and the top-down iteration agree, and so does the library
     rng = np.random.default_rng(31)
     rounds = []
     for _ in range(40):
         n = int(rng.integers(1, 31))
         net = sparse_network(rng, n)
-        x = shared_default_cash(rng, net.pbar[1:], m=64)
-        reference, most = oracles.clear_fictitious_default(net.nominal, x)
-        assert np.max(np.abs(reference - oracles.clear_top_down(net.nominal, x))) <= 1e-8
+        x = shared_default_cash(rng, net.pbar[1:], m=64 + int(rng.integers(0, 64)))
+        p, residual, stats = exact_after_one_sweep(net, x)
+        reference = oracles.clear_top_down(net.nominal, x)
+        assert np.max(np.abs(p - reference)) <= 1e-8
+        assert residual <= 1e-10
         assert_clears_like(net, x, reference)
-        rounds.append(most)
+        assert stats.solves < x.shape[1]  # columns share their default sets
+        rounds.append(stats.rounds)
     assert max(rounds) >= 2
 
 
 def test_exact_clearing_adds_defaults_over_several_rounds():
-    # a shortfall cascades down a chain, one default-set round per firm it reaches
     rng = np.random.default_rng(41)
     for n in (8, 17, 30):
         net = chain_network(n)
-        x = rng.uniform(0.55, 0.65, size=(n, 64))  # solvent while paid in full
-        x[0] = rng.choice([0.0, 5.0, 11.0], size=64)  # two shortfalls at the head, one without
-        reference, rounds = oracles.clear_fictitious_default(net.nominal, x)
-        assert rounds >= 2
+        x = rng.uniform(0.55, 0.65, size=(n, 96))  # solvent while paid in full
+        x[0] = rng.choice([0.0, 5.0, 11.0], size=96)  # two shortfalls at the head, one without
+        p, _, stats = exact_after_one_sweep(net, x)
+        assert stats.rounds >= 2
+        reference = oracles.clear_top_down(net.nominal, x)
+        assert np.max(np.abs(p - reference)) <= 1e-8
         assert_clears_like(net, x, reference)
 
 
@@ -368,14 +381,14 @@ def test_exact_clearing_marks_illiquid_holdings_at_the_constant_price():
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x + 0.7 * s))) <= 1e-8
 
 
-def test_price_curve_without_sales_keeps_its_top_price():
+def test_price_curve_without_sales_takes_the_exact_path():
     # with s == 0 nothing is sold, so even a falling curve keeps its top price
     rng = np.random.default_rng(47)
     for f in (LinearSqrtPrice(), LinearCapPrice(slope=0.5, floor=0.2)):
         net = sparse_network(rng, 12)
         x = shared_default_cash(rng, net.pbar[1:], m=64)
-        p, pi, _ = oracles.clear_batch(net, x, np.zeros_like(x), f, 1e-10, 1000)
-        assert (pi == f(0.0)).all()
+        p, pi, stats = oracles.clear_batch(net, x, np.zeros_like(x), f, 1e-10, 1000)
+        assert stats.rounds >= 1 and (pi == f(0.0)).all()
         assert np.max(np.abs(p - oracles.clear_top_down(net.nominal, x))) <= 1e-8
 
 
@@ -386,7 +399,8 @@ def test_price_impact_keeps_the_top_down_iteration():
     s = np.ones_like(x)
     f = LinearSqrtPrice()
     p, pi, stats = oracles.clear_batch(net, x, s, f, 1e-10, 10_000)
-    assert stats.sweeps > 1 and (pi < 1.0).all()
+    assert stats.rounds == stats.solves == 0 and stats.sweeps > 1
+    assert (pi < 1.0).all()
     for j in range(8):
         ref_p, ref_pi = oracles.clear_price_impact(net.nominal, x[:, j], s[:, j], f)
         assert np.max(np.abs(p[:, j] - ref_p)) <= 1e-8 and abs(pi[j] - ref_pi) <= 1e-8
@@ -406,32 +420,63 @@ def test_exact_clearing_of_large_obligations(scale):
     assert result.residual <= 1e-10 * net.pbar.max()
 
 
-def test_max_iter_bounds_the_sweeps():
-    # the shortfall at the head of the chain takes a sweep per firm to cascade down
+def test_max_iter_bounds_sweeps_plus_solve_rounds():
     net = chain_network(20)
     x = np.full((20, 3), 0.6)
     x[0] = [0.0, 5.0, 11.0]
     _, _, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
-    steps = stats.sweeps
-    assert steps >= 20
+    steps = stats.sweeps + stats.rounds
+    assert stats.rounds >= 2
     oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps)
     with pytest.raises(ConvergenceError, match="residual"):
         oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, steps - 1)
 
 
+def test_exact_clearing_residual_above_tol_is_a_convergence_error():
+    # rounding leaves a residual near 1e-15, which no solve gets below 1e-300
+    rng = np.random.default_rng(59)
+    net = sparse_network(rng, 30)
+    x = shared_default_cash(rng, net.pbar[1:], m=64)
+    _, _, stats = oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-10, 1000)
+    assert 0.0 < stats.max_residual <= 1e-12
+    with pytest.raises(ConvergenceError, match="residual"):
+        oracles.clear_batch(net, x, np.zeros_like(x), UNIT_PRICE, 1e-300, 1000)
+
+
+def test_singular_default_set_solve_is_a_model_error(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ModelError, match="singular"):
+        clear(two_firm_chain(), [0.5, 0.2], [0.0, 0.0], UNIT_PRICE)
+
+
 def test_closed_cycle_clears_at_full_payment():
     # three firms owe only each other, each as much as it is owed, and hold nothing: full
     # payment is the greatest fixed point, but the relative shares round so that one sweep
-    # leaves a firm an ulp short, and fictitious default ends on a singular default set
+    # leaves a firm an ulp short, and a default set of the whole cycle would be singular
     nominal = np.zeros((4, 4))
     nominal[1:, 1:] = [[0.0, 0.9, 0.6], [0.6, 0.0, 0.9], [0.9, 0.6, 0.0]]
     net = LiabilityNetwork(nominal)
     pbar = net.pbar[1:]
     assert (net.relative[1:, 1:].T @ pbar < pbar).any()
-    with pytest.raises(np.linalg.LinAlgError):
-        oracles.clear_fictitious_default(net.nominal, np.zeros(3))
     result = clear(net, np.zeros(3), np.zeros(3), UNIT_PRICE)
     assert result.p == pytest.approx(pbar, rel=1e-15)
+
+
+@pytest.mark.parametrize("leak", [1e-2, 1e-4])
+def test_leaky_cycle_clears_exactly(leak):
+    # a cycle of three firms owing 1 each, the first also owing society a small leak, and no
+    # cash: nothing is paid. The top-down iteration loses a fraction leak/(1 + leak) of the
+    # payments every three sweeps, so at leak 1e-4 it alone would need about 7e5 sweeps,
+    # more than max_iter, and would stop tol/(1 - rho) above zero; the solve is exact
+    nominal = np.zeros((4, 4))
+    nominal[1, 2] = nominal[2, 3] = nominal[3, 1] = 1.0
+    nominal[1, 0] = leak
+    result = clear(LiabilityNetwork(nominal), np.zeros(3), np.zeros(3), UNIT_PRICE)
+    assert (result.p == 0.0).all() and result.residual == 0.0
+    assert result.iterations == _WARMUP_SWEEPS + 1  # the warm-up sweeps and one solve round
 
 
 def test_clear_input_validation():
@@ -666,6 +711,8 @@ def test_bracket_encloses_the_reference_after_every_sweep():
         for lower, upper, _ in bracket:
             assert (lower <= ref + 1e-9).all() and (ref <= upper + 1e-9).all()
         assert lower is upper and np.max(np.abs(upper - ref)) <= 1e-8
+        if isinstance(model.f, ConstantPrice):  # sweeps until the exact solve takes over
+            assert stats.sweeps <= _WARMUP_SWEEPS
         e0_ref = model._society_shares @ ref
         for low, up in model.bounds_at(k):
             assert (low <= e0_ref + 1e-9).all() and (e0_ref <= up + 1e-9).all()

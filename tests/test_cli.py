@@ -463,7 +463,8 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
     assert main(["run", "--config", path]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     stats = manifest["stats"]["clearing"]
-    assert sorted(stats) == ["calls", "closest_tie", "decided", "max_residual", "sweeps", "warm"]
+    assert sorted(stats) == ["calls", "closest_tie", "decided", "max_residual", "rounds", "solves",
+                             "sweeps", "warm"]
     assert stats["calls"] == manifest["oracle_calls"]
     assert 0 <= stats["warm"] < stats["calls"]  # the first call has nothing to start from
     assert stats["sweeps"] >= stats["calls"]
@@ -478,13 +479,13 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
 
 @pytest.mark.parametrize("preset, clearing", [
     # constant price: twelve calls decided by their bracket, one cleared to the end, 19 from
-    # the tie, where every firm pays in full; every call but the first starts from an
-    # evaluated point
-    ("two_tier:C5", {"calls": 13, "decided": 12, "warm": 12, "sweeps": 46,
-                     "closest_tie": pytest.approx(19.0, rel=1e-9)}),
+    # the tie, where every firm pays in full and the exact solve has nothing to solve; every
+    # call but the first starts from an evaluated point
+    ("two_tier:C5", {"calls": 13, "decided": 12, "warm": 12, "sweeps": 46, "rounds": 0,
+                     "solves": 0, "closest_tie": pytest.approx(19.0, rel=1e-9)}),
     # price impact: every call decided by its bracket
-    ("three_tier:alpha=0.6", {"calls": 12, "decided": 12, "warm": 11, "sweeps": 23,
-                              "closest_tie": None}),
+    ("three_tier:alpha=0.6", {"calls": 12, "decided": 12, "warm": 11, "sweeps": 23, "rounds": 0,
+                              "solves": 0, "closest_tie": None}),
 ])
 def test_network_run_records_its_clearing_counters(tmp_path, capsys, preset, clearing):
     # machine-independent work counts of small case-study runs at seed 1
