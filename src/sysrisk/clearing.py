@@ -32,8 +32,14 @@ is a property of the input:
   and stops up to tol/(1 - rho) above the fixed point. A cycle of three
   firms that leaks 1e-4 of one obligation to society needs about 7e5
   sweeps; the solve clears it exactly in one round.
-- Price impact: the top-down half is iterated until every column's
-  sup-norm step falls to tol, and its iterate is the result.
+- Price impact: the top-down half is iterated until it has converged,
+  and its iterate is the result.
+
+A half has converged when its largest step in payments or price, over
+all its scenario columns, is at most tol. Every sweep works on all 2m
+columns, so a converged scenario sweeps on with the slowest of its call,
+and the last bits of a price-impact result depend on the other scenarios
+of the call. The exact solve works on a lone column twice over (_batch).
 
 Warm starts. Clearing is monotone in capital as well, so the iterates of
 an evaluated allocation bound those of another (Tarski; Eisenberg and Noe):
@@ -49,11 +55,9 @@ maximum over those with at most k; a price always goes with its payments.
 A warm start changes how many sweeps a verdict takes, never the verdict,
 and never the finished result: a constant-price call seeds the exact
 solve with the default set of its warm top-down iterate, which lies inside
-the true one, and a price-impact call whose bracket cannot tighten any
-more restarts its top-down half from the top. Lone scenario columns are
-worked on twice over, as a batch of two (_batch), so that no result
-depends on which other columns share its batch. ClearingStats.warm counts
-the calls that started from an evaluated point.
+the true one, and a price-impact call restarts its top-down half from
+the top once both halves have converged. ClearingStats.warm counts the
+calls that started from an evaluated point.
 
 max_iter bounds the sweeps plus the solve rounds of a call; a call still
 unfinished then raises ConvergenceError naming the residual and the
@@ -275,8 +279,10 @@ class LiabilityNetwork:
 def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
     """Load a network from an edge list CSV with header from,to,amount (node 0 = society).
 
-    Node ids must be non-negative and, when groups is given, at most its
-    firm count; both are checked per line, before the matrix is allocated.
+    Each line is checked before the matrix is allocated: node ids must be
+    non-negative and, when groups is given, at most its firm count, and an
+    edge runs from a firm to another node with a finite, non-negative
+    amount. Lines on one edge are summed.
     """
     top = math.inf if groups is None else groups.n_firms
     allowed = "non-negative" if groups is None else f"in 0..{top}, society and the groups' firms"
@@ -308,6 +314,9 @@ def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
                 raise ConfigurationError(
                     f"{path} line {line_no}: node ids must be {allowed}, got {i} and {j}"
                 )
+            if not (i not in (0, j) and math.isfinite(amount) and amount >= 0):
+                raise ConfigurationError(f"{path} line {line_no}: expected an edge from a firm "
+                                         f"to another node, amount finite and >= 0, got {line!r}")
             rows.append((i, j, amount))
     if not rows:
         raise ConfigurationError(f"{path}: edge list is empty")
@@ -383,11 +392,12 @@ def _payment_scale(network: LiabilityNetwork) -> float:
 
 
 def _batch(cols: np.ndarray) -> np.ndarray:
-    """Scenario columns to work on as one batch: cols, or a lone column twice.
+    """Scenario columns for one solve of _clear_constant_price: cols, or a lone column twice.
 
     BLAS multiplies and solves a single column by other routines than a
     batch, and numpy sums a single column pairwise, so a lone column's last
-    bits would depend on which other columns share its work.
+    bits would depend on which other columns share its work. A bracket
+    sweep needs no such care: it always works on at least two columns.
     """
     return np.repeat(cols, 2) if cols.size == 1 else cols
 
@@ -414,19 +424,20 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     at the maximum of their bottom-up ones, each price with its payments.
     After every paired sweep it yields (lower, upper, prices): views of the
     two payment halves, valid until the next sweep, and the top-down
-    prices. A column whose step falls to tol is frozen; column updates
-    never interact across scenarios.
+    prices. Every sweep works on all 2m columns; column updates never
+    interact across scenarios. A half has converged when its largest step
+    over all its columns is at most tol.
 
     Once clearing has finished it yields (p, p, prices), the same payment
     array twice, and ends. With f(0) == f(largest sale) the price cannot
     move: once the top-down half has converged or _WARMUP_SWEEPS sweeps
     have run, the default set of the top-down half seeds the exact solve
-    of _clear_constant_price. Otherwise the top-down half runs until every
-    column has converged, and its iterate is the result. A top-down half
-    that started below the top runs on while the bottom-up half can still
-    tighten the bracket, then restarts from the top, so that the result
-    does not depend on the start; it yields no pair between the restart
-    and the finished one.
+    of _clear_constant_price. Otherwise the top-down half runs until it has
+    converged, and its iterate is the result. A top-down half that started
+    below the top runs on until both halves have converged and the bracket
+    cannot tighten any more, then restarts from the top, so that the result
+    does not depend on the start; it yields no pair between the restart and
+    the finished one.
 
     point, when given, receives the bracket's payments and prices; once the
     generator has ended they are its final iterates. Sweeps plus solve
@@ -479,7 +490,6 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     else:
         x2 = np.concatenate([x, x], axis=1)
         s2 = np.concatenate([s, s], axis=1)
-    active = np.ones(2 * m, dtype=bool)
     limit = min(_WARMUP_SWEEPS, max_iter) if constant else max_iter
     sweeps = 0
     bracketing = True
@@ -487,52 +497,35 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     rewind = bool(above) and not constant
 
     while True:
-        full = active.all()
-        cols = _batch(np.flatnonzero(active))
-        top = int(np.searchsorted(cols, m))  # cols[:top] iterate down, cols[top:] up
-
-        def cur(a):
-            return a if full else a[..., cols]
-
-        p_cur = cur(p)
-        # inflows, into the spare buffer's storage whatever the number of active columns
-        buffer = spare.reshape(-1)[: p_cur.size].reshape(p_cur.shape)
-        p_new = np.matmul(a_firms.T, p_cur, out=buffer)
-        if constant and full:
+        p_new = np.matmul(a_firms.T, p, out=spare)  # inflows
+        if constant:
             p_new[:, :m] += cash
             p_new[:, m:] += cash
-        elif constant:
-            p_new += cash[:, cols % m]
         else:
-            pi_cur = cur(pi)
-            s_cur = cur(s2)
-            p_new += cur(x2)  # liquid resources
+            p_new += x2  # liquid resources
             shortfall = np.maximum(pbar - p_new, 0.0)
-            sold = np.minimum(shortfall / pi_cur, s_cur).sum(axis=0)
-            p_new += pi_cur * s_cur
+            sold = np.minimum(shortfall / pi, s2).sum(axis=0)
+            p_new += pi * s2
             pi_new = np.asarray(f(sold), dtype=float)
-            if not (pi_new[:top] <= pi_cur[:top] + _MONO_SLACK).all():
+            if not (pi_new[:m] <= pi[:m] + _MONO_SLACK).all():
                 raise ModelError("clearing map is not monotone: a price iterate increased")
-            if not (pi_new[top:] >= pi_cur[top:] - _MONO_SLACK).all():
+            if not (pi_new[m:] >= pi[m:] - _MONO_SLACK).all():
                 raise ModelError("clearing map is not monotone: a price iterate decreased")
         np.minimum(p_new, pbar, out=p_new)
-        change = np.subtract(p_new, p_cur, out=p_cur)  # p_cur is not needed any more
+        change = np.subtract(p_new, p, out=p)  # p is not needed any more
         rise = change.max(axis=0)
         fall = -change.min(axis=0)
         # iterates from the top only move down, iterates from the bottom only up
-        if not (rise[:top] <= pay_slack).all():
+        if not (rise[:m] <= pay_slack).all():
             raise ModelError("clearing map is not monotone: a payment iterate increased")
-        if not (fall[top:] <= pay_slack).all():
+        if not (fall[m:] <= pay_slack).all():
             raise ModelError("clearing map is not monotone: a payment iterate decreased")
         step = np.maximum(rise, fall)
         if not constant:
-            step = np.maximum(step, np.abs(pi_new - pi_cur))
-            pi[cols] = pi_new
-        if full:
-            p, spare = p_new, p
-            point.p = p
-        else:
-            p[:, cols] = p_new
+            step = np.maximum(step, np.abs(pi_new - pi))
+            pi[:] = pi_new
+        p, spare = p_new, p
+        point.p = p
         lower, upper = p[:, m:], p[:, :m]
         if not np.subtract(lower, upper, out=spare[:, :m]).max(initial=-np.inf) <= pay_slack:
             raise ModelError(
@@ -542,22 +535,19 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
             raise ModelError("clearing bracket is inverted: a lower price bound exceeds the upper")
         if not (constant or (pi_new >= price_floor - _MONO_SLACK).all()):
             raise ModelError("clearing price fell below the inverse demand at the largest sale")
-        residual = float(step[:top].max(initial=0.0))
-        active[cols[step <= tol]] = False
+        residual = float(step[:m].max(initial=0.0))
         sweeps += 1
         stats.sweeps += 1
         if bracketing:
             yield lower, upper, pi[:m]
 
-        if rewind and not active.any():
-            # the bracket cannot tighten any more: finish clearing from the top
+        if not rewind and residual <= tol:
+            break  # the top-down half has converged
+        if rewind and step.max(initial=0.0) <= tol:
+            # both halves have converged: finish clearing from the top
             p[:, :m] = pbar
             pi[:m] = price_top
-            active[:m] = True
-            active[m:] = False
             bracketing = rewind = False
-        if not (rewind or active[:m].any()):
-            break
         if constant and sweeps >= limit:
             break  # clear exactly now
         if sweeps >= limit:

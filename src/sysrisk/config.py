@@ -56,6 +56,7 @@ _MARGIN_FIELDS = {
 _ACCEPTANCE_FIELDS = ("lam", "loss", "power", "z", "utility", "utility_lam", "level")
 
 _MAX_ENTRIES = int(np.iinfo(np.intp).max)  # the most entries a numpy array can index
+_MAX_SEED = 2**64 - 1  # the scenario stream's Philox generator takes an unsigned 64-bit key
 
 
 class _Loader(yaml.SafeLoader):
@@ -137,7 +138,8 @@ def _get_number(cfg: dict, path: str, key: str, default=None, required=False):
     return float(value)
 
 
-def _get_int(cfg: dict, path: str, key: str, default=None, required=False, minimum=None):
+def _get_int(cfg: dict, path: str, key: str, default=None, required=False, minimum=None,
+             maximum=None):
     if key not in cfg or cfg[key] is None:
         if required:
             _fail(f"{path}.{key}", "required value missing")
@@ -147,6 +149,8 @@ def _get_int(cfg: dict, path: str, key: str, default=None, required=False, minim
         _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(f"{path}.{key}", f"must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(f"{path}.{key}", f"must be at most {maximum}, got {value}")
     return int(value)
 
 
@@ -222,7 +226,7 @@ def resolve_config(cfg: dict) -> dict:
 
     out: dict = {}
     out["name"] = _get_str(cfg, "config", "name", default="run")
-    seed = _get_int(cfg, "config", "seed", default=None, minimum=0)
+    seed = _get_int(cfg, "config", "seed", default=None, minimum=0, maximum=_MAX_SEED)
     if seed is None:
         seed = _fresh_seed()
     out["seed"] = seed
@@ -236,7 +240,7 @@ def resolve_config(cfg: dict) -> dict:
     rsc: dict = {}
     rsc["count"] = _get_int(sc, "scenarios", "count", required=True, minimum=1)
     rsc["correlation"] = _get_number(sc, "scenarios", "correlation", default=0.0)
-    rsc["seed"] = _get_int(sc, "scenarios", "seed", default=seed, minimum=0)
+    rsc["seed"] = _get_int(sc, "scenarios", "seed", default=seed, minimum=0, maximum=_MAX_SEED)
     margins = sc.get("margins")
     if not isinstance(margins, list) or not margins:
         _fail("scenarios.margins", "expected a non-empty list (one margin per group)")
@@ -406,13 +410,14 @@ def resolve_config(cfg: dict) -> dict:
             if value < 0:
                 _fail(f"grid.fixed.{key}", f"network models take no negative capital, got {value}")
     _reject_unknown(gc, "grid", {"lower", "upper", "resolution", "nonneg", "fixed"})
+    # entries below 2 are left to GridSpec to reject
+    if math.prod((max(r, 1) - 1) * out["refine"] + 1 for r in rgrid["resolution"]) > _MAX_ENTRIES:
+        _fail("refine" if out["refine"] > 1 else "grid.resolution",
+              f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
     try:
         GridSpec(rgrid["lower"], rgrid["upper"], rgrid["resolution"], rgrid["nonneg"])
     except Exception as exc:
         _fail("grid", str(exc))
-    if math.prod((r - 1) * out["refine"] + 1 for r in rgrid["resolution"]) > _MAX_ENTRIES:
-        _fail("refine" if out["refine"] > 1 else "grid.resolution",
-              f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
     out["grid"] = rgrid
 
     # ear

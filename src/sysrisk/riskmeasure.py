@@ -63,6 +63,7 @@ UNKNOWN, UNACCEPTABLE, ACCEPTABLE = -1, 0, 1
 
 EAR_TIE_RTOL = 1e-9
 MAX_DIMENSIONS = 4
+_MAX_INDEX = int(np.iinfo(np.intp).max)  # the largest index of a numpy array
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,9 @@ class GridSpec:
         res = np.atleast_1d(np.asarray(resolution, dtype=float))
         if not (np.isfinite(res).all() and (res == np.round(res)).all()):
             raise ParameterError(f"resolution entries must be integers, got {resolution}")
+        if any(v > _MAX_INDEX for v in res.tolist()):  # exact: Python compares float with int
+            raise ParameterError(f"resolution entries must be at most {_MAX_INDEX}, the index "
+                                 f"range of an array, got {res.tolist()}")
         res = res.astype(int)
         if res.size == 1 and ndim > 1:
             res = np.repeat(res, ndim)

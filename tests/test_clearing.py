@@ -395,15 +395,27 @@ def test_price_curve_without_sales_takes_the_exact_path():
 def test_price_impact_keeps_the_top_down_iteration():
     rng = np.random.default_rng(53)
     net = sparse_network(rng, 6)
-    x = shared_default_cash(rng, net.pbar[1:], m=8)
-    s = np.ones_like(x)
+    pbar = net.pbar[1:]
     f = LinearSqrtPrice()
-    p, pi, stats = oracles.clear_batch(net, x, s, f, 1e-10, 10_000)
-    assert stats.rounds == stats.solves == 0 and stats.sweeps > 1
-    assert (pi < 1.0).all()
-    for j in range(8):
-        ref_p, ref_pi = oracles.clear_price_impact(net.nominal, x[:, j], s[:, j], f)
-        assert np.max(np.abs(p[:, j] - ref_p)) <= 1e-8 and abs(pi[j] - ref_pi) <= 1e-8
+    x = shared_default_cash(rng, pbar, m=8)
+    # a column with no shortfall converges in one sweep, then sweeps on with the slow ones
+    mixed = x.copy()
+    mixed[:, 3] = pbar
+    s = np.ones_like(x)
+    assert oracles.clear_batch(net, mixed[:, 3:4], s[:, 3:4], f, 1e-10, 10_000)[2].sweeps == 1
+    for x in (x, mixed):
+        p, pi, stats = oracles.clear_batch(net, x, s, f, 1e-10, 10_000)
+        assert stats.rounds == stats.solves == 0 and stats.sweeps > 1
+        assert ((pi < 1.0) == (x < pbar[:, None]).any(axis=0)).all()
+        for j in range(8):
+            ref_p, ref_pi = oracles.clear_price_impact(net.nominal, x[:, j], s[:, j], f)
+            assert np.max(np.abs(p[:, j] - ref_p)) <= 1e-8 and abs(pi[j] - ref_pi) <= 1e-8
+    assert np.array_equal(p[:, 3], pbar) and pi[3] == 1.0
+    # warm starts from points above and below, and a restart from the top, leave samples alone
+    model = NetworkValueModel(net, ScenarioMatrix(mixed), ScenarioMatrix(s), f)
+    for k in ([0.0] * 6, [0.4] * 6, [0.2, 0.0, 0.4, 0.2, 0.0, 0.4], [0.0] * 6):
+        assert np.array_equal(model.samples_at(k), fresh(model).samples_at(k)), k
+    assert model.stats.warm == 3
 
 
 @pytest.mark.parametrize("scale", [1e5, 1e8])
@@ -945,6 +957,18 @@ def test_edge_csv_errors_name_the_file_and_line(tmp_path):
     top = tmp_path / "t.csv"
     top.write_text("from,to,amount\n1,0,1.0\n2,3,1.0\n3,0,1.0\n")
     assert read_edge_csv(top, GroupMap([1, 2])).n_firms == 3
+    # LiabilityNetwork would reject the summed matrix without naming a line, or, for a
+    # negative amount on an edge listed before, not at all: the sum deletes the edge
+    for name, edge in [("self", "1,1,0.5"), ("society", "0,2,1"), ("inf", "2,1,inf"),
+                       ("nan", "2,1,nan"), ("minus", "1,0,-1")]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(f"from,to,amount\n1,0,1.0\n{edge}\n2,0,1.0\n")
+        with pytest.raises(ConfigurationError, match=f"{name}.csv line 3: expected an edge from a "
+                           f"firm to another node, amount finite and >= 0, got '{edge}'"):
+            read_edge_csv(bad)
+    twice = tmp_path / "twice.csv"
+    twice.write_text("from,to,amount\n1,0,1.0\n1,0,0.5\n2,1,0\n")
+    assert read_edge_csv(twice).nominal[1, 0] == 1.5
 
 
 def test_clearing_result_is_frozen():

@@ -234,6 +234,25 @@ def test_validate_rejects_arrays_past_the_index_range(tmp_path, capsys, where, f
     assert fragment in capsys.readouterr().err
 
 
+def test_resolution_past_the_index_range_exits_2(capsys):
+    assert main(["validate", "--preset", "two_tier:B2", "--grid-res", "99999999999999999999"]) == 2
+    assert "config error at grid.resolution: the searched lattice exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,path", [("seed", "config.seed"), ("scenarios.seed", "scenarios.seed")])
+def test_seed_past_64_bits_exits_2_without_a_manifest(tmp_path, capsys, where, path):
+    outdir = tmp_path / "out"
+    cfg = small_agg_cfg(outdir)
+    *parents, last = where.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = 2**64
+    assert main(["run", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert f"config error at {path}: must be at most" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_validate_rejects_revenue_decreasing_demand(tmp_path, capsys):
     cfg = small_net_cfg(tmp_path / "out")
     cfg["model"]["network"]["inverse_demand"] = {

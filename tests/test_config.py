@@ -186,6 +186,17 @@ def test_missing_master_seed_drawn_fresh():
     assert r1["scenarios"]["seed"] == r1["seed"]
 
 
+def test_seeds_up_to_64_bits_resolve():
+    # the scenario stream's generator takes an unsigned 64-bit key, the network's any size
+    cfg = net_config()
+    cfg["seed"] = 2**64 - 1
+    r = resolve_config(cfg)
+    assert r["scenarios"]["seed"] == 2**64 - 1
+    assert r["model"]["network"]["generate"]["seed"] == 2**64
+    cfg["scenarios"]["seed"] = 2**64
+    assert_rejects(cfg, f"config error at scenarios.seed: must be at most {2**64 - 1}, got {2**64}")
+
+
 @pytest.mark.parametrize("make", [agg_config, agg_config_two_groups, net_config])
 def test_resolution_is_idempotent(make):
     once = resolve_config(make())
@@ -216,6 +227,7 @@ def test_fixed_accepts_int_keys():
 @pytest.mark.parametrize("key,value,fragment", [
     ("name", 7, "config.name"),
     ("seed", -1, "must be at least 0"),
+    ("seed", 2**64, f"config.seed: must be at most {2**64 - 1}"),
     ("threads", 0, "must be at least 1"),
     ("refine", 0, "must be at least 1"),
 ])
@@ -251,6 +263,7 @@ def test_integers_past_the_float_range_are_rejected(where, fragment):
     ("model.groups", [2**62, 50], f"scenarios.count: a scenario matrix of {2**62 + 50} firms"),
     ("refine", 10**400, "refine: the searched lattice exceeds"),
     ("grid.resolution", [2**32, 2**32], "grid.resolution: the searched lattice exceeds"),
+    ("grid.resolution", [10**20, 5], "grid.resolution: the searched lattice exceeds"),
 ])
 def test_arrays_past_the_index_range_are_rejected(where, value, fragment):
     # resolve_config alone must reject these: building them would fail or never end

@@ -141,6 +141,13 @@ def test_grid_spec_rejects_fractional_resolution():
     assert GridSpec([0.0, 0.0], [1.0, 1.0], [5.0, np.int64(3)]).resolution == (5, 3)
 
 
+@pytest.mark.parametrize("resolution", [1e20, 2**63, [5, 2.0**63]])
+def test_grid_spec_rejects_resolution_past_the_index_range(resolution):
+    # casting such an entry to an index would wrap it negative, with a RuntimeWarning
+    with pytest.raises(ParameterError, match=f"at most {np.iinfo(np.intp).max}, the index range"):
+        GridSpec([0.0, 0.0], [1.0, 1.0], resolution)
+
+
 # ---------------------------------------------------------------------------
 # membership
 
