@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, ParameterError
 
@@ -221,6 +220,8 @@ def entropic_rho(samples, level: float) -> float:
     This is the closed form of shortfall risk with exponential loss and
     z = e^(-level), evaluated by log-sum-exp so that no exponential overflows.
     """
+    from scipy.special import logsumexp  # imported here, so that start-up does not pay for scipy
+
     if not np.isfinite(level):
         raise ParameterError("entropic level must be finite")
     m = _as_samples(samples)

@@ -9,37 +9,49 @@ function of the total quantity of shares that distressed firms must sell.
 
 The clearing map is monotone (Eisenberg and Noe, Management Science
 2001), so iterating it down from the top (full payments, price f(0)) gives
-payments above the greatest fixed point and iterating it up from the
-bottom (no payments, the price at the largest sale) gives payments below
-the least one. _bracket runs both as one (n, 2m) iteration and yields the
-pair after every sweep. A caller that needs only a verdict stops as soon
-as the pair decides it (NetworkValueModel.bounds_at, consumed by
+payments above the greatest fixed point. After every sweep the clearing
+yields bounds on the fixed point. A caller that needs only a verdict stops
+as soon as the bounds decide it (NetworkValueModel.bounds_at, consumed by
 riskmeasure.membership_oracle); one that needs the clearing runs it to its
-end (samples_at), whose pair is the greatest fixed point. How it finishes
-is a property of the input:
+end (samples_at). _bracket checks the input and picks one of two
+generators by the input's pricing:
 
 - Constant price on the reachable range, f(0) == f(largest sale), as for
-  ConstantPrice or s == 0: the fixed point is piecewise linear in the
-  payments, and fictitious default finds it exactly. Once the top-down
-  half has converged or _WARMUP_SWEEPS sweeps have run, the default set
-  of the top-down iterate, which lies inside the true one, seeds the
-  solve: the scenario columns are grouped by default set, each group
-  takes one linear solve, and new defaults are added until the set stops
-  growing. tol, scaled by max(1, max pbar), bounds the final fixed-point
-  residual |min(pbar, x + pi*s + A'p) - p|. The iteration alone would
-  not do: its step shrinks by the spectral radius rho of the defaulting
-  firms' share matrix, so it takes about log(pbar/tol)/(1 - rho) sweeps
-  and stops up to tol/(1 - rho) above the fixed point. A cycle of three
-  firms that leaks 1e-4 of one obligation to society needs about 7e5
-  sweeps; the solve clears it exactly in one round.
-- Price impact: the top-down half is iterated until it has converged,
-  and its iterate is the result.
+  ConstantPrice or s == 0 (_top_down). The top-down iteration runs alone
+  on an (n, m) array. The map is then a theta-contraction in a weighted
+  l1 norm whenever every firm's chain of creditors reaches society or a
+  firm that owes nothing (LiabilityNetwork._contraction), and the fixed
+  point is unique. So the last step of an iterate bounds its distance to
+  the fixed point, and each sweep yields, per scenario, a radius by which
+  society equity may lie below that of the iterate; without a
+  contraction (a closed cycle, say) the radius is infinite. The fixed
+  point is piecewise linear in the payments, and fictitious default
+  finds it exactly. Once the iteration has converged or _WARMUP_SWEEPS
+  sweeps have run, the default set of the iterate, which lies inside the
+  true one, seeds the solve: the scenario columns are grouped by default
+  set, each group takes one linear solve, and new defaults are added
+  until the set stops growing. tol, scaled by max(1, max pbar), bounds
+  the final fixed-point residual |min(pbar, x + pi*s + A'p) - p|. The
+  iteration alone would not do: its step shrinks by the spectral radius
+  rho of the defaulting firms' share matrix, so it takes about
+  log(pbar/tol)/(1 - rho) sweeps and stops up to tol/(1 - rho) above the
+  fixed point. A cycle of three firms that leaks 1e-4 of one obligation
+  to society needs about 7e5 sweeps; the solve clears it exactly in one
+  round.
+- Price impact (_paired). Equilibria need not be unique (Cifuentes,
+  Ferrucci and Shin, JEEA 2005), so no contraction bounds the error, and
+  the map is iterated as well up from the bottom (no payments, the price
+  at the largest sale), which gives payments below the least fixed
+  point. Both halves run as one (n, 2m) iteration, and each sweep yields
+  the pair. The top-down half is iterated until it has converged, and
+  its iterate is the result.
 
-A half has converged when its largest step in payments or price, over
-all its scenario columns, is at most tol. Every sweep works on all 2m
-columns, so a converged scenario sweeps on with the slowest of its call,
-and the last bits of a price-impact result depend on the other scenarios
-of the call. The exact solve works on a lone column twice over (_batch).
+The iteration has converged when its largest step in payments or price,
+over all its scenario columns, is at most tol. Every sweep works on all
+the columns of its call, so a converged scenario sweeps on with the
+slowest of its call, and the last bits of a price-impact result depend on
+the other scenarios of the call. The exact solve works on a lone column
+twice over (_batch).
 
 Warm starts. Clearing is monotone in capital as well, so the iterates of
 an evaluated allocation bound those of another (Tarski; Eisenberg and Noe):
@@ -48,35 +60,39 @@ Phi_k''(U) <= U, so iterating k from U stays above k's greatest fixed
 point, and the firms U leaves short default at k too; dually, a bottom-up
 iterate of k' <= k lies below k's least fixed point. The minimum of such
 upper starts is one again, and so is the maximum of lower starts. A
-NetworkValueModel keeps the last _HISTORY evaluated points with the final
-payments and prices of both halves, and starts each bracket from the
-minimum over the points with at least k capital in every group and the
-maximum over those with at most k; a price always goes with its payments.
-A warm start changes how many sweeps a verdict takes, never the verdict,
-and never the finished result: a constant-price call seeds the exact
-solve with the default set of its warm top-down iterate, which lies inside
-the true one, and a price-impact call restarts its top-down half from
-the top once both halves have converged. ClearingStats.warm counts the
-calls that started from an evaluated point.
+NetworkValueModel keeps the last _HISTORY evaluated points with their
+final payments and prices, and starts each call from the minimum over the
+points with at least k capital in every group and, with price impact, the
+bottom-up half from the maximum over those with at most k; a price always
+goes with its payments. A warm start changes how many sweeps a verdict
+takes, never the verdict, and never the finished result: a constant-price
+call seeds the exact solve with the default set of its warm top-down
+iterate, which lies inside the true one, and a price-impact call restarts
+its top-down half from the top once both halves have converged.
+ClearingStats.warm counts the calls that started from an evaluated point.
 
 max_iter bounds the sweeps plus the solve rounds of a call; a call still
 unfinished then raises ConvergenceError naming the residual and the
-payment bracket width. Every sweep checks that the top-down iterates only
-fall, the bottom-up ones only rise and the lower bound stays below the
-upper one; a violation raises ModelError.
+payment bracket width (at constant price, the width the radius implies).
+Every sweep checks that the top-down iterates only fall, the bottom-up
+ones only rise and the lower bound stays below the upper one; a
+violation raises ModelError.
 
 Rounding in the payments grows with the obligations, so the checks that
 only raise scale with the largest obligation max(1, max pbar): the final
 residual check of the exact solve, and the slack by which a payment
-iterate may move the wrong way or cross the other bound. Stopping tests
-stay absolute, and price checks keep the unscaled slack.
+iterate may move the wrong way or cross the other bound. The same slack
+bounds the rounding of one sweep in the radius. Stopping tests stay
+absolute, and price checks keep the unscaled slack.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +119,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
 _MONO_SLACK = 1e-12  # float headroom for checks on mathematically monotone quantities
-_WARMUP_SWEEPS = 16  # bracket sweeps before a constant-price call is cleared exactly
+_WARMUP_SWEEPS = 16  # top-down sweeps before a constant-price call is cleared exactly
 _HISTORY = 4  # evaluated points a network model keeps as starts for its brackets
 
 
@@ -275,6 +291,44 @@ class LiabilityNetwork:
         """Total nominal obligations owed to node 0."""
         return float(self.nominal[1:, 0].sum())
 
+    @functools.cached_property
+    def _contraction(self) -> "_Contraction | None":
+        """The weights certifying that constant-price clearing contracts, or None if none do.
+
+        With A = relative[1:, 1:] and v = (I - A)^-1 1, every positive v
+        with A v <= theta v makes the clearing map a theta-contraction in
+        the v-weighted l1 norm. v need not be exact: theta is taken from the
+        computed v with the product A v rounded up. None when v is not finite
+        and positive or theta >= 1, as for a closed cycle.
+
+        Rounding never makes a bound too small: theta, slope, offset and gain
+        are each inflated by up = 1 + 4(n + 2) eps, more than the relative
+        error of an n-term sum of non-negative terms plus the few operations
+        around it. That covers A v in theta, sum(v) in offset, and the
+        per-sweep weighted sum ||p' - p||_v, whose error slope's extra
+        factor up absorbs.
+        """
+        n = self.n_firms
+        a_firms = self.relative[1:, 1:]
+        up = 1.0 + 4 * (n + 2) * np.finfo(float).eps
+        try:
+            v = np.linalg.solve(np.eye(n) - a_firms, np.ones(n))
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(v).all() and (v > 0).all()):
+            return None
+        theta = float((a_firms @ v / v).max()) * up
+        if not theta < 1.0:
+            return None
+        pay_slack = _MONO_SLACK * _payment_scale(self)
+        return _Contraction(
+            v=v,
+            theta=theta,
+            slope=theta / (1.0 - theta) * up,
+            offset=pay_slack * float(v.sum()) / (1.0 - theta) * up * up,
+            gain=float((self.relative[1:, 0] / v).max()) * up,
+        )
+
 
 def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
     """Load a network from an edge list CSV with header from,to,amount (node 0 = society).
@@ -346,14 +400,15 @@ def write_edge_csv(network: LiabilityNetwork, path) -> None:
 class ClearingStats:
     """Work counters of one or more clearing calls.
 
-    sweeps counts paired sweeps (one step of the top-down and the bottom-up
-    iteration together), rounds the default-set solve rounds, solves the
-    linear solves, one per default set and round. decided counts the calls
-    whose bracket settled the verdict before clearing finished, warm the
-    calls whose bracket started from an evaluated point. max_residual is
-    the worst final fixed-point residual on the constant-price path and the
-    worst last top-down step on the price-impact path, over the calls that
-    finished. closest_tie is the smallest |rho(Y) + shift| of the verdicts
+    sweeps counts sweeps: at constant price one step of the top-down
+    iteration over m scenario columns, with price impact one paired step of
+    the top-down and the bottom-up iteration over 2m. rounds counts the
+    default-set solve rounds, solves the linear solves, one per default set
+    and round. decided counts the calls whose bounds settled the verdict
+    before clearing finished, warm the calls that started from an
+    evaluated point. max_residual is the worst final fixed-point residual
+    on the constant-price path and the worst last top-down step on the
+    price-impact path, over the calls that finished. closest_tie is the smallest |rho(Y) + shift| of the verdicts
     taken from finished clearing (None while there is none): the margin by
     which the nearest such verdict cleared the tie.
     """
@@ -375,15 +430,36 @@ class ClearingStats:
 
 @dataclass
 class _Point:
-    """An evaluated allocation k and the iterates of its bracket.
+    """An evaluated allocation k and the iterates of its clearing.
 
-    p (n, 2m) holds the top-down payments in columns [0, m) and the
-    bottom-up ones in [m, 2m), pi (2m,) the prices that go with them.
+    At constant price p (n, m) holds the top-down payments and pi (m,) the
+    price. With price impact p (n, 2m) holds the top-down payments in
+    columns [0, m) and the bottom-up ones in [m, 2m), pi (2m,) the prices
+    that go with them.
     """
 
     k: np.ndarray | None
     p: np.ndarray | None = None
     pi: np.ndarray | None = None
+
+
+class _Contraction(typing.NamedTuple):
+    """The certificate that a network's constant-price clearing contracts (its _contraction).
+
+    The clearing map is a theta-contraction in the v-weighted l1 norm, so
+    a sweep from p to p' bounds the distance to the fixed point p* by
+    ||p' - p*||_v <= slope * ||p' - p||_v + offset, and society equity
+    moves by at most gain times that. With delta = _MONO_SLACK * max(1,
+    max pbar) the rounding of one sweep, slope = theta / (1 - theta),
+    offset = delta * sum(v) / (1 - theta) and gain = max_j(relative[j, 0]
+    / v_j), each rounded up.
+    """
+
+    v: np.ndarray
+    theta: float
+    slope: float
+    offset: float
+    gain: float
 
 
 def _payment_scale(network: LiabilityNetwork) -> float:
@@ -396,8 +472,9 @@ def _batch(cols: np.ndarray) -> np.ndarray:
 
     BLAS multiplies and solves a single column by other routines than a
     batch, and numpy sums a single column pairwise, so a lone column's last
-    bits would depend on which other columns share its work. A bracket
-    sweep needs no such care: it always works on at least two columns.
+    bits would depend on which other columns share its work. A sweep always
+    works on all m (or 2m) columns of its call, so its bits depend on the
+    call's size, never on its history.
     """
     return np.repeat(cols, 2) if cols.size == 1 else cols
 
@@ -411,40 +488,15 @@ def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> 
 
 def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stats: ClearingStats,
              above=(), below=(), point: _Point | None = None):
-    """Clear m scenarios at once, yielding payment bounds that tighten with every sweep.
+    """Check a call clearing m scenarios at once and return the generator that clears it.
 
-    x and s are (n, m) liquid/illiquid holdings. The payment/price map is
-    monotone, so it is iterated as one (n, 2m) array: columns [0, m) down
-    from the top (full payments, price f(0)), whose iterates lie above the
-    greatest fixed point, and columns [m, 2m) up from the bottom (no
-    payments, the price at the largest sale), whose iterates lie below the
-    least one. above and below are _Points evaluated on the same scenarios
-    with at least and at most the holdings x: the top-down half starts at
-    the elementwise minimum of their top-down iterates, the bottom-up half
-    at the maximum of their bottom-up ones, each price with its payments.
-    After every paired sweep it yields (lower, upper, prices): views of the
-    two payment halves, valid until the next sweep, and the top-down
-    prices. Every sweep works on all 2m columns; column updates never
-    interact across scenarios. A half has converged when its largest step
-    over all its columns is at most tol.
-
-    Once clearing has finished it yields (p, p, prices), the same payment
-    array twice, and ends. With f(0) == f(largest sale) the price cannot
-    move: once the top-down half has converged or _WARMUP_SWEEPS sweeps
-    have run, the default set of the top-down half seeds the exact solve
-    of _clear_constant_price. Otherwise the top-down half runs until it has
-    converged, and its iterate is the result. A top-down half that started
-    below the top runs on until both halves have converged and the bracket
-    cannot tighten any more, then restarts from the top, so that the result
-    does not depend on the start; it yields no pair between the restart and
-    the finished one.
-
-    point, when given, receives the bracket's payments and prices; once the
-    generator has ended they are its final iterates. Sweeps plus solve
-    rounds above max_iter raise ConvergenceError. An iterate that moves the
-    wrong way, or a lower bound above the upper one, raises ModelError, and
-    so does a start that is not a bound. stats is updated as the work
-    happens.
+    x and s are (n, m) liquid/illiquid holdings. With f(0) == f(largest
+    sale) the price cannot move, and _top_down clears x + f(0) * s;
+    otherwise _paired brackets the payments and price. above and below are
+    _Points evaluated on the same scenarios with at least and at most the
+    holdings x; _top_down starts from above alone. point, when given,
+    receives the iterates; once the generator has ended they are its final
+    ones. stats is updated as the work happens.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -458,17 +510,113 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     if tol <= 0 or max_iter < 1:
         raise ParameterError("tol must be positive and max_iter at least 1")
 
-    m = x.shape[1]
     price_top = float(f(0.0))
     price_floor = float(f(float(s.sum(axis=0).max(initial=0.0))))
     if not price_floor > 0.0:
         raise ModelError(
             f"inverse demand must stay strictly positive, got {price_floor} at the largest sale"
         )
-    constant = price_floor == price_top
+    point = point or _Point(None)
+    if price_floor == price_top:
+        return _top_down(network, x + price_top * s, price_top, tol, max_iter, stats, above, point)
+    return _paired(network, x, s, f, price_top, price_floor, tol, max_iter, stats, above, below,
+                   point)
+
+
+def _top_down(network: LiabilityNetwork, cash, price: float, tol: float, max_iter: int,
+              stats: ClearingStats, above, point: _Point):
+    """Clear at constant price, yielding (radius, upper, prices) after every sweep.
+
+    cash (n, m) is every firm's outside assets. The payments are iterated
+    down from the top (full payments), or from the elementwise minimum of
+    the top-down payments of the points above, and every iterate upper lies
+    above the fixed point. radius (m,) bounds, per scenario, how far society
+    equity at upper lies above that at the fixed point: when the network
+    contracts (LiabilityNetwork._contraction) it is gain * (slope *
+    ||upper - previous||_v + offset), otherwise inf. upper is valid until
+    the next sweep; prices is the constant price per scenario.
+
+    Once the iteration has converged or _WARMUP_SWEEPS sweeps have run, the
+    default set of upper seeds the exact solve of _clear_constant_price, and
+    the generator yields (p, p, prices), the same payment array twice, and
+    ends. An iterate that moves up raises ModelError, and so does a start
+    that is no upper bound.
+    """
+    stats.calls += 1
+    stats.warm += bool(above)
+    n, m = cash.shape
+    pbar = network.pbar[1:][:, None]  # (n, 1)
+    a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
+    pay_slack = _MONO_SLACK * _payment_scale(network)
+    contraction = network._contraction
+    p = np.repeat(pbar, m, axis=1)
+    for start in above:  # the minimum of super-solutions is one
+        np.minimum(p, start.p, out=p)
+    prices = np.full(m, price)
+    point.p, point.pi = p, prices
+    spare = np.empty_like(p)  # scratch for the next iterate
+    bound = radius = np.full(m, np.inf)  # bound: the v-norm distance to the fixed point
+    limit = min(_WARMUP_SWEEPS, max_iter)
+    sweeps = 0
+
+    while True:
+        p_new = np.matmul(a_firms.T, p, out=spare)  # inflows
+        p_new += cash
+        np.minimum(p_new, pbar, out=p_new)
+        change = np.subtract(p_new, p, out=p)  # p is not needed any more
+        if not change.max(initial=-np.inf) <= pay_slack:
+            raise ModelError("clearing map is not monotone: a payment iterate increased")
+        residual = float(np.abs(change, out=change).max(initial=0.0))
+        if contraction is not None:
+            bound = contraction.v @ change * contraction.slope + contraction.offset
+            radius = contraction.gain * bound
+        p, spare = p_new, p
+        point.p = p
+        sweeps += 1
+        stats.sweeps += 1
+        yield radius, p, prices
+        if residual <= tol or sweeps >= limit:
+            break
+
+    del spare  # the exact solve allocates its own arrays
+    # every solve lies between the fixed point and p, so bound still bounds its distance
+    width = np.inf if contraction is None else float(bound.max(initial=0.0) / contraction.v.min())
+    residual = _clear_constant_price(network, cash, p, width, tol, max_iter, sweeps, stats)
+    stats.max_residual = max(stats.max_residual, residual)
+    yield p, p, prices
+
+
+def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: float, tol: float,
+            max_iter: int, stats: ClearingStats, above, below, point: _Point):
+    """Clear with price impact, yielding payment bounds that tighten with every sweep.
+
+    The payment/price map is monotone, so it is iterated as one (n, 2m)
+    array: columns [0, m) down from the top (full payments, price f(0)),
+    whose iterates lie above the greatest fixed point, and columns [m, 2m)
+    up from the bottom (no payments, the price at the largest sale), whose
+    iterates lie below the least one. The top-down half starts at the
+    elementwise minimum of the top-down iterates of the points above, the
+    bottom-up half at the maximum of the bottom-up ones of the points
+    below, each price with its payments. After every paired sweep it yields
+    (lower, upper, prices): views of the two payment halves, valid until
+    the next sweep, and the top-down prices. Every sweep works on all 2m
+    columns; column updates never interact across scenarios. A half has
+    converged when its largest step over all its columns is at most tol.
+
+    The top-down half runs until it has converged, and its iterate is the
+    result; then the generator yields (p, p, prices), the same payment
+    array twice, and ends. A top-down half that started below the top runs
+    on until both halves have converged and the bracket cannot tighten any
+    more, then restarts from the top, so that the result does not depend on
+    the start; it yields no pair between the restart and the finished one.
+
+    Sweeps above max_iter raise ConvergenceError. An iterate that moves the
+    wrong way, or a lower bound above the upper one, raises ModelError, and
+    so does a start that is not a bound.
+    """
     stats.calls += 1
     stats.warm += bool(above or below)
-
+    n, m = x.shape
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     pay_slack = _MONO_SLACK * _payment_scale(network)
@@ -482,35 +630,26 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
     for start in below:
         np.maximum(p[:, m:], start.p[:, m:], out=p[:, m:])
         np.maximum(pi[m:], start.pi[m:], out=pi[m:])
-    point = point or _Point(None)
     point.p, point.pi = p, pi
     spare = np.empty_like(p)  # scratch for the next iterate and the checks
-    if constant:
-        cash = x + price_top * s
-    else:
-        x2 = np.concatenate([x, x], axis=1)
-        s2 = np.concatenate([s, s], axis=1)
-    limit = min(_WARMUP_SWEEPS, max_iter) if constant else max_iter
+    x2 = np.concatenate([x, x], axis=1)
+    s2 = np.concatenate([s, s], axis=1)
     sweeps = 0
     bracketing = True
     # a top-down iterate from a warm start converges to other last bits than one from the top
-    rewind = bool(above) and not constant
+    rewind = bool(above)
 
     while True:
         p_new = np.matmul(a_firms.T, p, out=spare)  # inflows
-        if constant:
-            p_new[:, :m] += cash
-            p_new[:, m:] += cash
-        else:
-            p_new += x2  # liquid resources
-            shortfall = np.maximum(pbar - p_new, 0.0)
-            sold = np.minimum(shortfall / pi, s2).sum(axis=0)
-            p_new += pi * s2
-            pi_new = np.asarray(f(sold), dtype=float)
-            if not (pi_new[:m] <= pi[:m] + _MONO_SLACK).all():
-                raise ModelError("clearing map is not monotone: a price iterate increased")
-            if not (pi_new[m:] >= pi[m:] - _MONO_SLACK).all():
-                raise ModelError("clearing map is not monotone: a price iterate decreased")
+        p_new += x2  # liquid resources
+        shortfall = np.maximum(pbar - p_new, 0.0)
+        sold = np.minimum(shortfall / pi, s2).sum(axis=0)
+        p_new += pi * s2
+        pi_new = np.asarray(f(sold), dtype=float)
+        if not (pi_new[:m] <= pi[:m] + _MONO_SLACK).all():
+            raise ModelError("clearing map is not monotone: a price iterate increased")
+        if not (pi_new[m:] >= pi[m:] - _MONO_SLACK).all():
+            raise ModelError("clearing map is not monotone: a price iterate decreased")
         np.minimum(p_new, pbar, out=p_new)
         change = np.subtract(p_new, p, out=p)  # p is not needed any more
         rise = change.max(axis=0)
@@ -520,10 +659,8 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
             raise ModelError("clearing map is not monotone: a payment iterate increased")
         if not (fall[m:] <= pay_slack).all():
             raise ModelError("clearing map is not monotone: a payment iterate decreased")
-        step = np.maximum(rise, fall)
-        if not constant:
-            step = np.maximum(step, np.abs(pi_new - pi))
-            pi[:] = pi_new
+        step = np.maximum(np.maximum(rise, fall), np.abs(pi_new - pi))
+        pi[:] = pi_new
         p, spare = p_new, p
         point.p = p
         lower, upper = p[:, m:], p[:, :m]
@@ -533,7 +670,7 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
             )
         if not (pi[m:] <= pi[:m] + _MONO_SLACK).all():
             raise ModelError("clearing bracket is inverted: a lower price bound exceeds the upper")
-        if not (constant or (pi_new >= price_floor - _MONO_SLACK).all()):
+        if not (pi_new >= price_floor - _MONO_SLACK).all():
             raise ModelError("clearing price fell below the inverse demand at the largest sale")
         residual = float(step[:m].max(initial=0.0))
         sweeps += 1
@@ -548,20 +685,15 @@ def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stat
             p[:, :m] = pbar
             pi[:m] = price_top
             bracketing = rewind = False
-        if constant and sweeps >= limit:
-            break  # clear exactly now
-        if sweeps >= limit:
+        if sweeps >= max_iter:
             raise _not_converged(max_iter, residual, tol, float((upper - lower).max()))
 
-    del spare  # the exact solve allocates its own arrays
-    if constant:
-        residual = _clear_constant_price(network, cash, upper, lower, tol, max_iter, sweeps, stats)
     stats.max_residual = max(stats.max_residual, residual)
     yield upper, upper, pi[:m]
 
 
-def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float, max_iter: int,
-                          sweeps: int, stats: ClearingStats) -> float:
+def _clear_constant_price(network: LiabilityNetwork, cash, p, width: float, tol: float,
+                          max_iter: int, sweeps: int, stats: ClearingStats) -> float:
     """Solve for the greatest clearing payments in place, from a top-down iterate p (n, m).
 
     Every firm's outside assets are the fixed cash (n, m). Fictitious
@@ -574,14 +706,15 @@ def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float,
     and once D stops growing the solution is the greatest fixed point. The
     firms p leaves short seed D, since a top-down iterate lies above the
     fixed point. Columns sharing a default set share one solve with a
-    right-hand side each, and every solution still lies above the fixed
-    point, so with the bottom-up iterate lower it brackets the payments.
+    right-hand side each, and every solution lies between the fixed point
+    and the payments before it, so width, a bound on how far p lies above
+    the fixed point when the solve starts, still bounds it.
     A firm short by no more than the rounding slack counts as paying in
     full: the relative shares of a closed cycle that owes as much as it is
     owed can round so that A'pbar leaves its firms an ulp short, and a
     default set made of such firms is singular.
     sweeps plus solve rounds above max_iter raise ConvergenceError naming
-    the residual and that bracket's width, and so does a final fixed-point
+    the residual and width, and so does a final fixed-point
     residual above tol times the payment scale; a system that is singular
     all the same raises ModelError.
     Returns that residual.
@@ -600,7 +733,6 @@ def _clear_constant_price(network: LiabilityNetwork, cash, p, lower, tol: float,
     while todo.size:
         todo = _batch(todo)
         if sweeps + rounds >= max_iter:
-            width = float((p - lower).max(initial=0.0))
             raise _not_converged(max_iter, fixed_point_residual(), tol, width)
         d_todo = defaulted[:, todo]
         p_todo = np.where(d_todo, 0.0, pbar)
@@ -648,8 +780,8 @@ class NetworkValueModel:
     Capital allocations are restricted to the non-negative orthant; adding
     capital raises liquid holdings firm by firm, which never lowers payments,
     so the model is monotone in k. The model keeps the last _HISTORY
-    evaluated points with their final bracket iterates, and starts each new
-    bracket from those with more and with less capital.
+    evaluated points with their final iterates, and starts each clearing
+    call from those with more and (with price impact) less capital.
     """
 
     def __init__(
@@ -692,16 +824,18 @@ class NetworkValueModel:
     def bounds_at(self, k):
         """Yield (lower, upper) society equity per scenario, tightening with every clearing sweep.
 
-        Capital k is injected as liquid holdings. lower and upper come from
-        the bottom-up and top-down payment iterates of _bracket, so they
-        enclose the exact equity, and a monotone criterion puts rho(Y)
-        between rho(upper) and rho(lower). Once clearing has finished, the
-        last pair is (Y, Y), the same array twice, and the generator ends.
-        Closing it before that counts the call as decided.
+        Capital k is injected as liquid holdings. upper = e0 comes from the
+        top-down payment iterate of _bracket. lower is max(e0 - radius, 0) at
+        constant price, where radius bounds how far e0 lies above the exact
+        equity, and comes from the bottom-up iterate with price impact. So
+        the pair encloses the exact equity, and a monotone criterion puts
+        rho(Y) between rho(upper) and rho(lower). Once clearing has finished,
+        the last pair is (Y, Y), the same array twice, and the generator
+        ends. Closing it before that counts the call as decided.
 
-        The bracket starts from the remembered points with at least and at
-        most k in every group. Such a start only tightens the bounds, and
-        the finished Y does not depend on it.
+        The bracket starts from the remembered points with at least and (with
+        price impact) at most k in every group. Such a start only tightens
+        the bounds, and the finished Y does not depend on it.
         """
         k = np.array(k, dtype=float).ravel()  # kept with the point
         if (k < 0).any():
@@ -716,10 +850,12 @@ class NetworkValueModel:
             point=point,
         )
         try:
-            for lower, upper, _ in bracket:
-                if lower is upper:
+            for low, upper, _ in bracket:
+                if low is upper:
                     break
-                yield shares @ lower, shares @ upper
+                e0 = shares @ upper
+                # _top_down yields an equity radius per scenario, _paired the lower payments
+                yield (np.maximum(e0 - low, 0.0) if low.ndim == 1 else shares @ low), e0
         except GeneratorExit:
             self.stats.decided += 1
             self._remember(bracket, point)

@@ -13,7 +13,10 @@ several presets the same way and writes nothing.
 
 Exit codes: 0 success, 2 configuration or validation problem,
 3 convergence failure, 4 degenerate search box (run only, with guidance),
-1 any other error during the search (a model error, for one).
+1 any other error during the search (a model error, for one), 141 stdout
+closed before the command had printed everything (as by `| head`; 128 +
+SIGPIPE, what a shell reports for a command a broken pipe ends), with
+nothing on stderr; the command stops at that print.
 """
 
 from __future__ import annotations
@@ -448,7 +451,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # the reader has gone: nothing more can be said on stdout, and the interpreter's
+        # own flush at exit would raise again, so stdout writes to the null device from now on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,15 +24,14 @@ is reproducible as-is; pass a different seed to explore other draws.
 
 from __future__ import annotations
 
-from scipy.special import ndtri
-
 from .errors import ConfigurationError
 
 __all__ = ["preset_names", "preset_config"]
 
 # Lognormal location putting the marginal loss probability at 25% when
-# sigma = 1 and the worst loss is -1.
-_MU_Q75 = float(ndtri(0.75))
+# sigma = 1 and the worst loss is -1: float(scipy.special.ndtri(0.75)), written
+# out so that importing the presets does not load scipy.
+_MU_Q75 = 0.6744897501960817
 
 _DEFAULT_SEED = 1
 

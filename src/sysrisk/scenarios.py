@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import GenerationError, ParameterError
 
@@ -94,6 +93,8 @@ class ScaledBeta:
             raise ParameterError(f"scale must be positive, got {self.scale}")
 
     def transform(self, z: np.ndarray) -> np.ndarray:
+        from scipy import special  # imported here, so that start-up does not pay for scipy
+
         u = special.ndtr(np.asarray(z, dtype=float))
         return self.scale * beta_inverse_cdf(u, self.alpha, self.beta) + self.shift
 
@@ -185,6 +186,8 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
     1e-10 between adjacent representable x near an endpoint; the closest
     representable solution is returned in that case.
     """
+    from scipy import special
+
     if alpha <= 0 or beta <= 0:
         raise ParameterError("beta shape parameters must be positive")
     u_arr = np.asarray(u, dtype=float)

@@ -3,11 +3,11 @@
 Each oracle deliberately takes a different route from the library code it
 checks: quadrature instead of special-function inverses, kink enumeration
 instead of sorting, dense scans and golden-section search instead of
-Newton steps, bottom-up and top-down iteration instead of default-set
-linear solves, a one-scenario joint iteration of payments and price
-instead of the batched bracket, pairwise domination scans instead of
-neighbor checks. A shared bug would have to be written twice to slip
-through.
+Newton steps, bottom-up and top-down iteration or every default set
+solved in 40 digits instead of default sets grown from a seed, a
+one-scenario joint iteration of payments and price instead of the batched
+bracket, pairwise domination scans instead of neighbor checks. A shared
+bug would have to be written twice to slip through.
 
 clear_batch, clear and equity are no oracles: they are thin helpers that
 run the library's clearing bracket to its end, as
@@ -208,6 +208,43 @@ def clear_top_down(nominal, cash, tol: float = 1e-13, max_iter: int = 1_000_000)
             return nxt
         p = nxt
     raise RuntimeError("top-down clearing iteration did not converge")
+
+
+def clear_default_sets(nominal, cash):
+    """Greatest-fixed-point payments at constant price by enumerating every default set.
+
+    For each set D of firms, those outside D pay in full and those in D pay
+    all they have, a linear system solved in 40-digit arithmetic. D is
+    consistent when its firms owe at least that much and the others have
+    enough to pay in full; the elementwise greatest consistent solution is
+    the clearing vector. cash is (n,) for one scenario; 2**n systems, so
+    only for a handful of firms, but exact where iteration is slow.
+    """
+    nominal = [[mp.mpf(float(v)) for v in row] for row in np.asarray(nominal, dtype=float)]
+    n = len(nominal) - 1
+    pbar = [mp.fsum(row) for row in nominal[1:]]
+    a = [[nominal[i + 1][j + 1] / pbar[i] if pbar[i] else mp.mpf(0) for j in range(n)]
+         for i in range(n)]
+    cash = [mp.mpf(float(c)) for c in cash]
+    best = None
+    for d in itertools.product([False, True], repeat=n):
+        inside = [i for i in range(n) if d[i]]
+        p = [mp.mpf(0) if d[i] else pbar[i] for i in range(n)]
+        if inside:
+            lhs = mp.matrix([[(i == j) - a[j][i] for j in inside] for i in inside])
+            rhs = mp.matrix([cash[i] + mp.fsum(a[j][i] * p[j] for j in range(n)) for i in inside])
+            try:
+                solved = mp.lu_solve(lhs, rhs)
+            except ZeroDivisionError:
+                continue
+            for row, i in enumerate(inside):
+                p[i] = solved[row]
+        has = [cash[i] + mp.fsum(a[j][i] * p[j] for j in range(n)) for i in range(n)]
+        tiny = mp.mpf(10) ** -30
+        if all((-tiny <= p[i] <= pbar[i] + tiny) if d[i] else has[i] >= pbar[i] - tiny
+               for i in range(n)):
+            best = p if best is None else [max(u, w) for u, w in zip(best, p)]
+    return np.array([float(v) for v in best])
 
 
 def clear_price_impact(nominal, x, s, f, tol: float = 1e-13, max_iter: int = 1_000_000):

@@ -325,7 +325,7 @@ def exact_after_one_sweep(net, cash):
     pbar = net.pbar[1:][:, None]
     p = np.minimum(pbar, cash + net.relative[1:, 1:].T @ pbar)
     stats = ClearingStats()
-    residual = _clear_constant_price(net, cash, p, np.zeros_like(p), 1e-10, 1000, 1, stats)
+    residual = _clear_constant_price(net, cash, p, math.inf, 1e-10, 1000, 1, stats)
     return p, residual, stats
 
 
@@ -473,6 +473,10 @@ def test_closed_cycle_clears_at_full_payment():
     net = LiabilityNetwork(nominal)
     pbar = net.pbar[1:]
     assert (net.relative[1:, 1:].T @ pbar < pbar).any()
+    assert net._contraction is None  # no contraction: the equity radius is infinite
+    radius, *_ = next(_bracket(net, np.zeros((3, 2)), np.zeros((3, 2)), UNIT_PRICE, 1e-10, 100,
+                               ClearingStats()))
+    assert (radius == np.inf).all()
     result = clear(net, np.zeros(3), np.zeros(3), UNIT_PRICE)
     assert result.p == pytest.approx(pbar, rel=1e-15)
 
@@ -716,18 +720,87 @@ def test_bracket_encloses_the_reference_after_every_sweep():
         model = bracket_model(rng, BRACKET_CURVES[case % 3])
         k = rng.uniform(0.0, 0.5, size=model.n_groups)
         ref = reference_payments(model, k)
+        e0_ref = model._society_shares @ ref
         x = model.scenarios_x.values + model.groups.expand(k)[:, None]
         stats = ClearingStats()
         bracket = _bracket(model.network, x, model.scenarios_s.values, model.f, 1e-10,
                            100_000, stats)
+        constant = isinstance(model.f, ConstantPrice)
         for lower, upper, _ in bracket:
-            assert (lower <= ref + 1e-9).all() and (ref <= upper + 1e-9).all()
+            assert (ref <= upper + 1e-9).all()
+            if constant and lower is not upper:  # lower: the equity radius of upper
+                e0 = model._society_shares @ upper
+                assert np.isfinite(lower).all() and (e0 - lower <= e0_ref + 1e-9).all()
+            else:  # the paired bracket, or the finished clearing
+                assert (lower <= ref + 1e-9).all()
         assert lower is upper and np.max(np.abs(upper - ref)) <= 1e-8
-        if isinstance(model.f, ConstantPrice):  # sweeps until the exact solve takes over
+        if constant:  # sweeps until the exact solve takes over
             assert stats.sweeps <= _WARMUP_SWEEPS
-        e0_ref = model._society_shares @ ref
         for low, up in model.bounds_at(k):
             assert (low <= e0_ref + 1e-9).all() and (e0_ref <= up + 1e-9).all()
+
+
+def radius_encloses(net, cash, ref, atol):
+    # after every top-down sweep the reference equity lies in [e0 - radius, e0], and in
+    # every pair of bounds_at; returns the radius of each sweep
+    shares = net.relative[1:, 0]
+    e0_ref = shares @ ref
+    zero = np.zeros_like(cash)
+    radii = []
+    for radius, upper, _ in _bracket(net, cash, zero, UNIT_PRICE, 1e-10, 100_000, ClearingStats()):
+        if radius is upper:
+            break
+        e0 = shares @ upper
+        assert (e0 - radius <= e0_ref + atol).all() and (e0_ref <= e0 + 1e-9).all()
+        radii.append(radius)
+    model = NetworkValueModel(net, ScenarioMatrix(cash), ScenarioMatrix(zero), UNIT_PRICE)
+    for low, up in model.bounds_at(np.zeros(model.n_groups)):
+        assert (0.0 <= low).all() and (low <= e0_ref + atol).all() and (e0_ref <= up + 1e-9).all()
+    return np.array(radii)
+
+
+def test_radius_encloses_the_reference_when_theta_is_nearly_one():
+    # three firms owing 1 around a cycle, the first also 1e-7 to society: theta = 1 - 1/max v
+    # lies within 1e-6 of 1, and cash of order the leak leaves the cycle short
+    nominal = np.zeros((4, 4))
+    nominal[1, 2] = nominal[2, 3] = nominal[3, 1] = 1.0
+    nominal[1, 0] = 1e-7
+    net = LiabilityNetwork(nominal)
+    contraction = net._contraction
+    assert 1.0 - 1e-6 < contraction.theta < 1.0
+    cash = np.random.default_rng(163).uniform(0.0, 1e-7, size=(3, 8))
+    ref = np.column_stack([oracles.clear_default_sets(nominal, c) for c in cash.T])
+    assert (ref < net.pbar[1:, None]).any()
+    e0_ref = net.relative[1:, 0] @ ref
+    radii = radius_encloses(net, cash, ref, atol=1e-22)
+    assert np.isfinite(radii).all() and (radii[-1] < e0_ref).any()  # the bound says something
+
+
+def test_radius_encloses_the_reference_when_a_firm_owes_nothing():
+    # firm 2 owes nothing, so its weight is v = 1 exactly; it still receives payments
+    rng = np.random.default_rng(167)
+    nominal = sparse_network(rng, 8).nominal.copy()
+    nominal[2] = 0.0
+    nominal[1, 2] = 1.0
+    net = LiabilityNetwork(nominal)
+    assert net._contraction.v[1] == 1.0
+    cash = shared_default_cash(rng, np.maximum(net.pbar[1:], 1.0), m=12)
+    ref = oracles.clear_top_down(nominal, cash)
+    assert (ref < net.pbar[1:, None]).any()
+    radii = radius_encloses(net, cash, ref, atol=1e-9)
+    assert np.isfinite(radii).all() and radii[-1].max() < radii[0].max()
+
+
+def test_contraction_factor_is_one_minus_the_inverse_of_the_largest_weight():
+    # v = 1 + A v, so (A v)_j / v_j = 1 - 1 / v_j, largest where v is
+    rng = np.random.default_rng(173)
+    for n in (2, 7, 30):
+        net = random_network(rng, n)
+        v, theta = net._contraction.v, net._contraction.theta
+        a_firms = net.relative[1:, 1:]
+        assert np.allclose(v, 1.0 + a_firms @ v, rtol=1e-13) and (v >= 1.0).all()
+        assert theta == pytest.approx(1.0 - 1.0 / v.max(), rel=1e-12)
+        assert theta >= (a_firms @ v / v).max()
 
 
 def test_bracketed_verdicts_match_the_finished_clearing():
@@ -865,8 +938,11 @@ def test_a_start_that_is_no_bound_is_a_model_error():
         evaluate(0.5, above=[more], below=[less])
         with pytest.raises(ModelError, match="iterate increased"):
             evaluate(0.5, above=[less])
-        with pytest.raises(ModelError, match="iterate decreased"):
-            evaluate(0.5, below=[more])
+        if f is UNIT_PRICE:  # the top-down iteration alone starts from no point below
+            assert np.array_equal(evaluate(0.5, below=[more]).p, evaluate(0.5).p)
+        else:
+            with pytest.raises(ModelError, match="iterate decreased"):
+                evaluate(0.5, below=[more])
 
 
 def test_labels_do_not_depend_on_the_clearing_tolerance():
