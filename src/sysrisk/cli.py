@@ -16,7 +16,9 @@ Exit codes: 0 success, 2 configuration or validation problem,
 1 any other error during the search (a model error, for one), 141 stdout
 closed before the command had printed everything (as by `| head`; 128 +
 SIGPIPE, what a shell reports for a command a broken pipe ends), with
-nothing on stderr; the command stops at that print.
+nothing on stderr. A run then drops its remaining stdout lines, writes all
+its outputs and its final manifest, and exits 141 where it would exit 0;
+the other commands stop at that print.
 """
 
 from __future__ import annotations
@@ -224,6 +226,29 @@ def _run_stats(clock: _PhaseClock, plan=None) -> dict:
     return {"stats": stats}
 
 
+def _drop_stdout() -> None:
+    # the reader has gone: nothing more can be said on stdout, and every later flush
+    # (the interpreter's own at exit among them) would raise again, so stdout writes
+    # to the null device from now on
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+class _Progress:
+    """A run's stdout lines, dropped once the reader has gone so that the run still finishes."""
+
+    def __init__(self):
+        self.gone = False
+
+    def __call__(self, line: str) -> None:
+        if self.gone:
+            return
+        try:
+            print(line, flush=True)
+        except BrokenPipeError:
+            self.gone = True
+            _drop_stdout()
+
+
 def _finish_manifest(path: str, manifest: dict, status: str, started: float, **extra) -> None:
     manifest["status"] = status
     manifest["finished_at"] = _utc_now()
@@ -292,6 +317,7 @@ def _degenerate_guidance(approx) -> str:
 def cmd_run(args) -> int:
     started = time.monotonic()
     clock = _PhaseClock()
+    say = _Progress()
     try:
         resolved = resolve_config(_apply_overrides(_load_raw(args), args))
     except SysriskError as exc:
@@ -319,7 +345,7 @@ def cmd_run(args) -> int:
     clock.lap("build")
 
     res = "x".join(str(r) for r in plan.grid.resolution)
-    print(f"run {resolved['name']!r}: {res} lattice, {resolved['scenarios']['count']} scenarios")
+    say(f"run {resolved['name']!r}: {res} lattice, {resolved['scenarios']['count']} scenarios")
 
     try:
         approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
@@ -346,12 +372,12 @@ def cmd_run(args) -> int:
     clock.lap("write")
 
     n_acc = int(np.count_nonzero(approx.labels == 1))
-    print(
+    say(
         f"labels: {n_acc} acceptable / {approx.labels.size - n_acc} unacceptable, "
         f"{approx.oracle_calls} oracle calls"
         + (f", degenerate ({approx.degenerate})" if approx.degenerate else "")
     )
-    print(
+    say(
         f"frontiers: {len(approx.inner_frontier)} inner, {len(approx.outer_frontier)} outer, "
         f"certified spacing {[float(v) for v in approx.v]!r}"
     )
@@ -375,7 +401,7 @@ def cmd_run(args) -> int:
         mins = ", ".join(str([float(v) for v in row]) for row in result.minimizers[:4])
         more = "" if len(result.minimizers) <= 4 else f" (+{len(result.minimizers) - 4} more)"
         flag = " [on box boundary]" if result.on_box_boundary else ""
-        print(f"ear w={[float(v) for v in result.weights]}: cost {result.min_value!r} at {mins}{more}{flag}")
+        say(f"ear w={[float(v) for v in result.weights]}: cost {result.min_value!r} at {mins}{more}{flag}")
     clock.lap("ear")
     if plan.ear_weights:
         _write_json(os.path.join(outdir, "ear.json"), {"results": ear_results})
@@ -392,8 +418,8 @@ def cmd_run(args) -> int:
         outputs=outputs,
         **_run_stats(clock, plan),
     )
-    print(f"wrote {outdir}/ ({', '.join(outputs)})")
-    return 0
+    say(f"wrote {outdir}/ ({', '.join(outputs)})")
+    return 141 if say.gone else 0
 
 
 def cmd_sweep(args) -> int:
@@ -455,9 +481,7 @@ def console_main() -> None:
         code = main()
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
     except BrokenPipeError:
-        # the reader has gone: nothing more can be said on stdout, and the interpreter's
-        # own flush at exit would raise again, so stdout writes to the null device from now on
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
         code = 141  # 128 + SIGPIPE
     sys.exit(code)
 

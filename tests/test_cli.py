@@ -800,6 +800,23 @@ def test_closed_stdout_exits_quietly(argv):
     assert proc.returncode == 141
 
 
+def test_run_with_closed_stdout_finishes_its_files(tmp_path):
+    # a run drops its progress lines once the reader has gone and still writes everything
+    out = tmp_path / "out"
+    proc = fresh_python("-m", "sysrisk.cli", "run", "--preset", "two_tier:B2", "--scenarios", "50",
+                        "--grid-res", "5", "--out", str(out),
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "completed"
+    assert (out / "labels.csv").exists()
+    for name in manifest["outputs"]:
+        assert (out / name).exists()
+
+
 def test_lognormal_location_is_the_normal_upper_quartile():
     from scipy.special import ndtri
 

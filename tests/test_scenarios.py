@@ -270,6 +270,67 @@ def test_beta_inverse_cdf_roundtrip_property(u, a, b):
         assert below <= u <= above
 
 
+# Shapes across the property test's range [0.1, 20]^2, with the preset shape first.
+TAIL_SHAPES = [(2.0, 5.0), (0.1, 0.1), (0.1, 20.0), (20.0, 0.1), (20.0, 20.0),
+               (1.0, 0.25), (0.5, 0.5), (7.0, 1.2)]
+
+
+@pytest.mark.parametrize("a,b", TAIL_SHAPES)
+def test_beta_inverse_cdf_tails(a, b):
+    u = np.array([0.0, 5e-324, 1e-300, 1e-17, 1.0 - 2.0**-53, 1.0])
+    x = beta_inverse_cdf(u, a, b)
+    assert x[0] == 0.0 and x[-1] == 1.0
+    assert np.all((0.0 <= x) & (x <= 1.0)) and np.all(np.diff(x) >= 0)
+    for ui, xi in zip(u, x):
+        if abs(special.betainc(a, b, xi) - ui) > 1e-10:
+            # the documented fallback: the closest representable solution
+            below = special.betainc(a, b, np.nextafter(xi, 0.0))
+            above = special.betainc(a, b, np.nextafter(xi, 1.0))
+            assert below <= ui <= above
+
+
+@pytest.mark.parametrize("a,b", TAIL_SHAPES)
+def test_beta_inverse_cdf_monotone_where_the_cdf_is_flat(a, b):
+    x = beta_inverse_cdf(np.linspace(1.0 - 1e-6, 1.0, 20_001), a, b)
+    assert np.all(np.diff(x) >= 0)
+    assert x[-1] == 1.0
+
+
+@pytest.mark.parametrize("a,b", TAIL_SHAPES)
+def test_beta_inverse_cdf_matches_library_inverse(a, b):
+    u = np.linspace(0.0, 1.0, 1001)
+    assert np.abs(beta_inverse_cdf(u, a, b) - special.betaincinv(a, b, u)).max() <= 1e-12
+
+
+def test_beta_rows_do_not_depend_on_their_call():
+    # a row inverted alone, in its group's block and in the whole matrix: the same bits
+    normals = sample_equicorrelated_normals(CopulaSpec(7, 0.3, 1001, seed=4))
+    first, second = ScaledBeta(2.0, 5.0, 0.14, 0.04), ScaledBeta(2.0, 5.0, 0.3, 0.0)
+    whole = apply_marginal(normals, [first] * 4 + [second] * 3).values
+    block = apply_marginal(normals[4:], [second] * 3).values
+    for i in range(4, 7):
+        alone = second.transform(normals[i])
+        assert np.array_equal(alone, block[i - 4]) and np.array_equal(alone, whole[i])
+    u = special.ndtr(normals[:4])
+    together = beta_inverse_cdf(u, 2.0, 5.0)
+    for i in range(4):
+        assert np.array_equal(beta_inverse_cdf(u[i], 2.0, 5.0), together[i])
+        assert np.array_equal(beta_inverse_cdf(u[i, 500:], 2.0, 5.0), together[i, 500:])
+
+
+@pytest.mark.parametrize("margins,m", [
+    ([ShiftedLognormal(MU_75, 1.0, -1.0)] * 5, 777),
+    ([ScaledBeta(2.0, 5.0)] * 5, 777),
+    ([ScaledBeta(2.0, 5.0), ShiftedLognormal(0.3)] * 3, 501),  # alternating groups
+    ([ScaledBeta(2.0, 5.0)] * 2 + [ShiftedLognormal(0.3)] * 2, 2**15 + 7),  # rows wider than a call
+], ids=["lognormal", "beta", "alternating", "wide"])
+def test_apply_marginal_equals_per_row_transform(margins, m):
+    normals = sample_equicorrelated_normals(CopulaSpec(len(margins), 0.2, m, seed=8))
+    values = apply_marginal(normals, margins).values
+    for i, margin in enumerate(margins):
+        assert np.array_equal(values[i], margin.transform(normals[i]))
+
+
 # ---------------------------------------------------------------------------
 # csv output
 
