@@ -203,7 +203,10 @@ class AggregationValueModel:
         # loss prefix length per column, summed as bytes into the smallest type that holds n_j:
         # about twice as fast as count_nonzero, which casts every entry to intp
         count = (block < -level).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(block)))
-        prefix = table[count, self._columns]
+        # table[count, columns] as one gather from the flat table: about twice as fast
+        index = np.multiply(count, table.shape[1], dtype=np.intp)
+        index += self._columns
+        prefix = table.ravel().take(index)
         if self.spec.kind == "loss":
             return prefix + count * level
         with np.errstate(over="ignore"):
@@ -217,16 +220,27 @@ class AggregationValueModel:
         return count - scale * prefix
 
     def _build_table(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sort group j's block by column and keep its prefix sums, with a zero row on top."""
-        ordered = np.sort(self._blocks[j], axis=0)
+        """Sort group j's block by column and keep its prefix sums, with a zero row on top.
+
+        The table is the one full-size array: the block is copied into rows
+        1.., sorted there, transformed in place (exp kind) and summed row by
+        row, t[i] = t[i-1] + t[i], which is np.cumsum's sequential sum bit
+        for bit.
+        """
+        block = self._blocks[j]
+        table = np.empty((len(block) + 1, block.shape[1]))
+        table[0] = 0.0
+        ordered = table[1:]
+        ordered[:] = block
+        ordered.sort(axis=0)
         x_min = ordered[0].copy()
         if self.spec.kind == "exp":
             with np.errstate(over="ignore"):  # an infinite spread only underflows exp to 0
                 ordered -= x_min
                 ordered *= -self.spec.theta
             np.exp(ordered, out=ordered)
-        table = np.zeros((len(ordered) + 1, ordered.shape[1]))
-        np.cumsum(ordered, axis=0, out=table[1:])
+        for i in range(2, len(table)):
+            np.add(table[i - 1], table[i], out=table[i])
         self._tables[j] = (x_min, table)
         self.stats.tables += 1
         return x_min, table
@@ -241,9 +255,4 @@ class AggregationValueModel:
             raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
         if self.spec != other.spec or self.groups != other.groups:
             raise ConfigurationError("blending requires identical model structure")
-        if self.scenarios.values.shape != other.scenarios.values.shape:
-            raise ConfigurationError("blending requires scenario matrices of equal shape")
-        mixed = ScenarioMatrix(
-            alpha * self.scenarios.values + (1.0 - alpha) * other.scenarios.values
-        )
-        return self.with_scenarios(mixed)
+        return self.with_scenarios(self.scenarios.blended(other.scenarios, alpha))

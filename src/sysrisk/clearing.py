@@ -892,10 +892,7 @@ class NetworkValueModel:
             self.network.nominal, other.network.nominal
         ):
             raise ConfigurationError("blending requires the same liability network")
-        mix_x = ScenarioMatrix(
-            alpha * self.scenarios_x.values + (1.0 - alpha) * other.scenarios_x.values
+        return self.with_scenarios(
+            self.scenarios_x.blended(other.scenarios_x, alpha),
+            self.scenarios_s.blended(other.scenarios_s, alpha),
         )
-        mix_s = ScenarioMatrix(
-            alpha * self.scenarios_s.values + (1.0 - alpha) * other.scenarios_s.values
-        )
-        return self.with_scenarios(mix_x, mix_s)

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError
+from .errors import ConfigurationError, GenerationError, ParameterError
 
 __all__ = [
     "CopulaSpec",
@@ -81,9 +81,15 @@ class ShiftedLognormal:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
 
     def transform(self, z: np.ndarray) -> np.ndarray:
+        # one temporary, so a chunk of apply_marginal costs one chunk of memory
+        t = np.empty(np.shape(z))
+        np.multiply(self.sigma, z, out=t)
+        t += self.mu
         # an overflow to inf is rejected by ScenarioMatrix as a GenerationError
         with np.errstate(over="ignore"):
-            return np.exp(self.mu + self.sigma * np.asarray(z, dtype=float)) + self.b
+            np.exp(t, out=t)
+        t += self.b
+        return t
 
 
 @dataclass(frozen=True)
@@ -118,10 +124,26 @@ MarginalSpec = Union[ShiftedLognormal, ScaledBeta]
 
 
 class ScenarioMatrix:
-    """Immutable firms x scenarios matrix of realized risk-factor values."""
+    """Immutable firms x scenarios matrix of realized risk-factor values.
+
+    The constructor copies the caller's values, so later writes to them do not
+    reach the matrix. The matrices this package builds itself (the generator,
+    scaled and blended) hand over a fresh array through _take, which
+    wraps it without a copy. Either way the values are checked to be 2-D and
+    finite, and they are read-only.
+    """
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float)
+        self._own(np.array(values, dtype=float))
+
+    @classmethod
+    def _take(cls, arr: np.ndarray) -> "ScenarioMatrix":
+        """Wrap a fresh float array that no one else holds, without copying it."""
+        matrix = cls.__new__(cls)
+        matrix._own(arr)
+        return matrix
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise GenerationError(f"scenario values must be 2-D, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -141,7 +163,15 @@ class ScenarioMatrix:
         """Same draw with every value multiplied by a constant (e.g. liquid/illiquid split)."""
         if factor < 0:
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
-        return ScenarioMatrix(self.values * factor)
+        return ScenarioMatrix._take(self.values * factor)
+
+    def blended(self, other: "ScenarioMatrix", alpha: float) -> "ScenarioMatrix":
+        """Scenario-wise convex combination alpha * self + (1 - alpha) * other."""
+        if self.values.shape != other.values.shape:
+            raise ConfigurationError("blending requires scenario matrices of equal shape")
+        mixed = alpha * self.values
+        mixed += (1.0 - alpha) * other.values
+        return ScenarioMatrix._take(mixed)
 
 
 def sample_equicorrelated_normals(spec: CopulaSpec) -> np.ndarray:
@@ -150,39 +180,47 @@ def sample_equicorrelated_normals(spec: CopulaSpec) -> np.ndarray:
     One-factor construction sqrt(rho)*Z0 + sqrt(1-rho)*Zi: exact for an
     equicorrelation matrix and O(n*m), no Cholesky factor needed. The common
     factor Z0 is drawn first (one value per scenario column), then the
-    idiosyncratic block, so streams are reproducible for a given seed.
+    idiosyncratic block, so streams are reproducible for a given seed. The
+    block is scaled and shifted in place.
     """
     rho = spec.pairwise_correlation
     gen = _rng(spec.seed)
     common = gen.standard_normal((1, spec.n_scenarios))
-    idiosyncratic = gen.standard_normal((spec.n_firms, spec.n_scenarios))
-    return np.sqrt(rho) * common + np.sqrt(1.0 - rho) * idiosyncratic
+    out = gen.standard_normal((spec.n_firms, spec.n_scenarios))
+    out *= np.sqrt(1.0 - rho)
+    out += np.sqrt(rho) * common
+    return out
 
 
 def apply_marginal(normals: np.ndarray, margins: Sequence[MarginalSpec]) -> ScenarioMatrix:
     """Push standard-normal rows through per-firm marginal transforms.
 
-    Each run of consecutive rows with equal margins is transformed as one
-    block, in calls of at most 2**15 values (a call may end inside a row).
-    Every transform is elementwise, so the values equal those of transforming
-    each row on its own, bit for bit.
+    The input is left unchanged: it is copied once, and the copy is
+    transformed in place and becomes the matrix. Each run of consecutive rows
+    with equal margins is transformed as one block, in calls of at most 2**15
+    values (a call may end inside a row). Every transform is elementwise, so
+    the values equal those of transforming each row on its own, bit for bit.
     """
-    normals = np.asarray(normals, dtype=float)
-    if normals.ndim != 2:
-        raise ParameterError(f"normals must be 2-D, got shape {normals.shape}")
-    if len(margins) != normals.shape[0]:
+    values = np.array(normals, dtype=float, order="C")
+    if values.ndim != 2:
+        raise ParameterError(f"normals must be 2-D, got shape {values.shape}")
+    if len(margins) != values.shape[0]:
         raise ParameterError(
-            f"need one margin per firm: {len(margins)} margins for {normals.shape[0]} rows"
+            f"need one margin per firm: {len(margins)} margins for {values.shape[0]} rows"
         )
-    out = np.empty(normals.shape)
-    flat_in, flat_out = normals.reshape(-1), out.reshape(-1)
+    return _transform_rows(values, margins)
+
+
+def _transform_rows(values: np.ndarray, margins: Sequence[MarginalSpec]) -> ScenarioMatrix:
+    """apply_marginal on a fresh C-ordered array that it overwrites and wraps."""
+    flat = values.reshape(-1)
     stop = 0
     for margin, rows in groupby(margins):
-        start, stop = stop, stop + normals.shape[1] * len(list(rows))
+        start, stop = stop, stop + values.shape[1] * len(list(rows))
         for lo in range(start, stop, _CHUNK):
             hi = min(lo + _CHUNK, stop)
-            flat_out[lo:hi] = margin.transform(flat_in[lo:hi])
-    return ScenarioMatrix(out)
+            flat[lo:hi] = margin.transform(flat[lo:hi])
+    return ScenarioMatrix._take(values)
 
 
 def generate_scenarios(
@@ -198,8 +236,7 @@ def generate_scenarios(
             f"group sizes sum to {sum(group_sizes)}, copula has {copula.n_firms} firms"
         )
     per_firm = [m for m, size in zip(group_margins, group_sizes) for _ in range(size)]
-    normals = sample_equicorrelated_normals(copula)
-    return apply_marginal(normals, per_firm)
+    return _transform_rows(sample_equicorrelated_normals(copula), per_firm)
 
 
 def _inverse_table(alpha: float, beta: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from sysrisk import (
     aggregate,
 )
 from sysrisk.aggregation import _aggregate_array
+from sysrisk.config import build_run, resolve_config
+from sysrisk.presets import preset_config
 
 SUM = AggregationSpec("sum", "insensitive")
 ALL_SPECS = [
@@ -385,6 +388,59 @@ def test_sensitive_tables_are_built_once_per_group():
     assert (flat.stats.calls, flat.stats.block_sums, flat.stats.tables) == (1, 0, 0)
 
 
+def reference_table(block, spec):
+    """The prefix table as np.sort and np.cumsum build it, with the column minima."""
+    ordered = np.sort(block, axis=0)
+    x_min = ordered[0].copy()
+    if spec.kind == "exp":
+        with np.errstate(over="ignore"):
+            ordered = np.exp((ordered - x_min) * -spec.theta)
+    table = np.zeros((len(ordered) + 1, ordered.shape[1]))
+    np.cumsum(ordered, axis=0, out=table[1:])
+    return x_min, table
+
+
+@pytest.mark.parametrize("kind", ["loss", "exp"])
+def test_prefix_tables_equal_the_sorted_cumulative_sums(kind):
+    rng = np.random.default_rng(118)
+    values = rng.normal(0.0, 3.0, size=(9, 300))
+    values[4:, 0] = [-1e308, 1e308, 0.0, 0.0, 0.0]  # an infinite spread: exp underflows to 0
+    values[4:, 1] = [-800.0] + [5.0] * 4  # a finite spread whose exp underflows to 0
+    values[:6, 2] = -2.5  # ties
+    spec = AggregationSpec(kind, "sensitive", theta=2.0)
+    groups = GroupMap([1, 3, 5])
+    model = AggregationValueModel(ScenarioMatrix(values), spec, groups)
+    start = 0
+    for j, size in enumerate(groups.group_sizes):
+        x_min, table = model._build_table(j)
+        ref_min, ref_table = reference_table(values[start:start + size], spec)
+        assert np.array_equal(x_min, ref_min) and np.array_equal(table, ref_table)
+        start += size
+    if kind == "exp":  # in the last group only the minimum counts in those two columns
+        assert (model._tables[2][1][1:, :2] == 1.0).all()
+
+
+def test_exp_sensitive_preset_keeps_one_full_size_array_in_flight():
+    # the draw and the prefix tables are built in place: beside what they keep,
+    # at most 2 MB of temporaries (the matrix alone is 8 MB)
+    resolved = resolve_config(preset_config("agg_lognormal:exp_sensitive"))
+    build_run(resolved)  # any first-use costs of the build path are paid here
+    tracemalloc.start()
+    try:
+        plan = build_run(resolved)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        model = plan.model
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        model.samples_at(np.zeros(model.n_groups))
+        samples_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    mb = 2**20
+    assert build_peak < plan.scenario_matrix.values.nbytes + 2 * mb
+    assert samples_peak <= sum(table.nbytes for _, table in model._tables) + 2 * mb
+
+
 def exp_overflow_model(sizes):
     values = np.zeros((sum(sizes), 5))
     values[-1, 2] = -400.0
@@ -462,7 +518,9 @@ def test_blend_matches_direct_mixture_aggregation():
     mixed_values = alpha * a.scenarios.values + (1 - alpha) * b.scenarios.values
     shifted = mixed_values + groups.expand(k)[:, None]
     direct = (1.0 - np.exp(spec.theta * np.maximum(-shifted, 0.0))).sum(axis=0)
-    assert a.blend(b, alpha).samples_at(k) == pytest.approx(direct, abs=1e-12)
+    blended = a.blend(b, alpha)
+    assert blended.samples_at(k) == pytest.approx(direct, abs=1e-12)
+    assert not blended.scenarios.values.flags.writeable
 
 
 def test_blend_endpoint_alphas_recover_inputs():

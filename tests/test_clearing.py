@@ -661,12 +661,17 @@ def test_model_blend_mixes_both_holdings():
     assert mixed.scenarios_s.values == pytest.approx(
         0.25 * sa.values + 0.75 * sb.values, abs=1e-15
     )
+    assert not mixed.scenarios_x.values.flags.writeable
+    assert not mixed.scenarios_s.values.flags.writeable
     with pytest.raises(ParameterError):
         a.blend(b, -0.1)
     other_net = random_network(np.random.default_rng(131), 3)
     c = NetworkValueModel(other_net, xb, sb, LinearSqrtPrice())
     with pytest.raises(ConfigurationError):
         a.blend(c, 0.5)
+    fewer = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 10)))
+    with pytest.raises(ConfigurationError, match="equal shape"):
+        a.blend(NetworkValueModel(net, fewer, fewer, LinearSqrtPrice()), 0.5)
 
 
 def test_make_network_cvm_group_override():

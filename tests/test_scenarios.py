@@ -167,6 +167,42 @@ def test_nonfinite_margin_output_rejected():
             apply_marginal(z, [ShiftedLognormal(mu=500.0)])
 
 
+def test_nonfinite_generated_scenarios_rejected():
+    margin = ShiftedLognormal(mu=800.0, sigma=0.01)  # exp overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GenerationError):
+            generate_scenarios(CopulaSpec(2, 0.3, 4, seed=5), [margin], [2])
+
+
+def test_apply_marginal_leaves_its_input_unchanged():
+    normals = sample_equicorrelated_normals(CopulaSpec(4, 0.3, 50, seed=10))
+    before = normals.copy()
+    values = apply_marginal(normals, [ShiftedLognormal(0.1), ScaledBeta(2.0, 5.0)] * 2).values
+    assert np.array_equal(normals, before)
+    assert not np.shares_memory(values, normals)
+
+
+def test_normals_equal_the_one_factor_formula():
+    # the in-place construction against the textbook expression on a second stream of the seed
+    spec = CopulaSpec(n_firms=6, pairwise_correlation=0.35, n_scenarios=301, seed=11)
+    gen = np.random.Generator(np.random.Philox(spec.seed))
+    common = gen.standard_normal((1, spec.n_scenarios))
+    idiosyncratic = gen.standard_normal((spec.n_firms, spec.n_scenarios))
+    expected = np.sqrt(0.35) * common + np.sqrt(1.0 - 0.35) * idiosyncratic
+    assert np.array_equal(sample_equicorrelated_normals(spec), expected)
+
+
+@pytest.mark.parametrize("m", [301, 2**15 + 7])
+def test_generate_scenarios_equals_apply_marginal_of_the_normals(m):
+    spec = CopulaSpec(n_firms=5, pairwise_correlation=0.2, n_scenarios=m, seed=12)
+    margins = [ShiftedLognormal(MU_75, 1.0, -1.0), ScaledBeta(2.0, 5.0, 0.3)]
+    generated = generate_scenarios(spec, margins, [3, 2]).values
+    per_firm = [margins[0]] * 3 + [margins[1]] * 2
+    applied = apply_marginal(sample_equicorrelated_normals(spec), per_firm)
+    assert np.array_equal(generated, applied.values)
+
+
 def test_generate_scenarios_group_expansion():
     spec = CopulaSpec(n_firms=5, pairwise_correlation=0.0, n_scenarios=50, seed=9)
     m1 = ShiftedLognormal(mu=0.0, sigma=0.0, b=0.0)   # constant 1
@@ -193,6 +229,33 @@ def test_scenario_matrix_immutable():
     mat = ScenarioMatrix([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
         mat.values[0, 0] = 99.0
+
+
+def test_scenario_matrix_copies_the_callers_array():
+    arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+    mat = ScenarioMatrix(arr)
+    arr[0, 0] = 99.0
+    assert np.array_equal(mat.values, [[1.0, 2.0], [3.0, 4.0]])
+    assert arr.flags.writeable
+
+
+def test_built_matrices_are_read_only():
+    spec = CopulaSpec(n_firms=3, pairwise_correlation=0.2, n_scenarios=20, seed=13)
+    generated = generate_scenarios(spec, [ShiftedLognormal(0.0)], [3])
+    applied = apply_marginal(np.zeros((3, 20)), [ShiftedLognormal(0.0)] * 3)
+    for mat in (generated, applied, generated.scaled(0.5), generated.blended(applied, 0.3)):
+        assert not mat.values.flags.writeable
+        with pytest.raises(ValueError):
+            mat.values[0, 0] = 99.0
+
+
+def test_scenario_matrix_blended():
+    a = ScenarioMatrix([[2.0, -4.0], [1.0, 0.5]])
+    b = ScenarioMatrix([[0.0, 8.0], [3.0, -1.5]])
+    mixed = a.blended(b, 0.25)
+    assert np.array_equal(mixed.values, 0.25 * a.values + 0.75 * b.values)
+    assert np.array_equal(a.blended(b, 1.0).values, a.values)
+    assert np.array_equal(a.blended(b, 0.0).values, b.values)
 
 
 def test_scenario_matrix_shape_and_finiteness():
