@@ -10,11 +10,12 @@ function of the total quantity of shares that distressed firms must sell.
 The clearing map is monotone (Eisenberg and Noe, Management Science
 2001), so iterating it down from the top (full payments, price f(0)) gives
 payments above the greatest fixed point. After every sweep the clearing
-yields bounds on the fixed point. A caller that needs only a verdict stops
-as soon as the bounds decide it (NetworkValueModel.bounds_at, consumed by
-riskmeasure.membership_oracle); one that needs the clearing runs it to its
-end (samples_at). _bracket checks the input and picks one of two
-generators by the input's pricing:
+yields (lower, upper) bounds on society equity per scenario. A caller that
+needs only a verdict stops as soon as the bounds decide it
+(NetworkValueModel.bounds_at, consumed by riskmeasure.membership_oracle);
+one that needs the clearing runs it to its end (samples_at). A
+NetworkValueModel fixes its regime once, when it is built, from the price
+range its scenarios can reach, and each call runs one of two generators:
 
 - Constant price on the reachable range, f(0) == f(largest sale), as for
   ConstantPrice or s == 0 (_top_down). The top-down iteration runs alone
@@ -22,29 +23,31 @@ generators by the input's pricing:
   l1 norm whenever every firm's chain of creditors reaches society or a
   firm that owes nothing (LiabilityNetwork._contraction), and the fixed
   point is unique. So the last step of an iterate bounds its distance to
-  the fixed point, and each sweep yields, per scenario, a radius by which
-  society equity may lie below that of the iterate; without a
-  contraction (a closed cycle, say) the radius is infinite. The fixed
-  point is piecewise linear in the payments, and fictitious default
-  finds it exactly. Once the iteration has converged or _WARMUP_SWEEPS
-  sweeps have run, the default set of the iterate, which lies inside the
-  true one, seeds the solve: the scenario columns are grouped by default
-  set, each group takes one linear solve, and new defaults are added
-  until the set stops growing. tol, scaled by max(1, max pbar), bounds
-  the final fixed-point residual |min(pbar, x + pi*s + A'p) - p|. The
-  iteration alone would not do: its step shrinks by the spectral radius
-  rho of the defaulting firms' share matrix, so it takes about
-  log(pbar/tol)/(1 - rho) sweeps and stops up to tol/(1 - rho) above the
-  fixed point. A cycle of three firms that leaks 1e-4 of one obligation
-  to society needs about 7e5 sweeps; the solve clears it exactly in one
-  round.
+  the fixed point, and each sweep yields, per scenario, society equity at
+  the iterate and that minus a radius by which the exact equity may lie
+  below it; without a contraction (a closed cycle, say) the radius is
+  infinite and the lower bound 0. The fixed point is piecewise linear in
+  the payments, and fictitious default finds it exactly. Once the
+  iteration has converged or _WARMUP_SWEEPS sweeps have run, the default
+  set of the iterate, which lies inside the true one, seeds the solve:
+  the scenario columns are grouped by default set, each group takes one
+  linear solve, and new defaults are added until the set stops growing.
+  tol, scaled by max(1, max pbar), bounds the final fixed-point residual
+  |min(pbar, x + pi*s + A'p) - p|. The iteration alone would not do: its
+  step shrinks by the spectral radius rho of the defaulting firms' share
+  matrix, so it takes about log(pbar/tol)/(1 - rho) sweeps and stops up
+  to tol/(1 - rho) above the fixed point. A cycle of three firms that
+  leaks 1e-4 of one obligation to society needs about 7e5 sweeps; the
+  solve clears it exactly in one round.
 - Price impact (_paired). Equilibria need not be unique (Cifuentes,
   Ferrucci and Shin, JEEA 2005), so no contraction bounds the error, and
   the map is iterated as well up from the bottom (no payments, the price
   at the largest sale), which gives payments below the least fixed
   point. Both halves run as one (n, 2m) iteration, and each sweep yields
-  the pair. The top-down half is iterated until it has converged, and
-  its iterate is the result.
+  society equity at both. The top-down half is iterated until it has
+  converged, and its iterate is the result.
+
+Both generators return society equity at the finished clearing.
 
 The iteration has converged when its largest step in payments or price,
 over all its scenario columns, is at most tol. Every sweep works on all
@@ -61,14 +64,15 @@ point, and the firms U leaves short default at k too; dually, a bottom-up
 iterate of k' <= k lies below k's least fixed point. The minimum of such
 upper starts is one again, and so is the maximum of lower starts. A
 NetworkValueModel keeps the last _HISTORY evaluated points with their
-final payments and prices, and starts each call from the minimum over the
-points with at least k capital in every group and, with price impact, the
-bottom-up half from the maximum over those with at most k; a price always
-goes with its payments. A warm start changes how many sweeps a verdict
-takes, never the verdict, and never the finished result: a constant-price
-call seeds the exact solve with the default set of its warm top-down
-iterate, which lies inside the true one, and a price-impact call restarts
-its top-down half from the top once both halves have converged.
+final payments (and, with price impact, prices), and starts each call
+from the minimum over the points with at least k capital in every group
+and, with price impact, the bottom-up half from the maximum over those
+with at most k; a price always goes with its payments. A warm start
+changes how many sweeps a verdict takes, never the verdict, and never the
+finished result: a constant-price call seeds the exact solve with the
+default set of its warm top-down iterate, which lies inside the true one,
+and a price-impact call restarts its top-down half from the top once both
+halves have converged.
 ClearingStats.warm counts the calls that started from an evaluated point.
 
 max_iter bounds the sweeps plus the solve rounds of a call; a call still
@@ -408,9 +412,10 @@ class ClearingStats:
     before clearing finished, warm the calls that started from an
     evaluated point. max_residual is the worst final fixed-point residual
     on the constant-price path and the worst last top-down step on the
-    price-impact path, over the calls that finished. closest_tie is the smallest |rho(Y) + shift| of the verdicts
-    taken from finished clearing (None while there is none): the margin by
-    which the nearest such verdict cleared the tie.
+    price-impact path, over the calls that finished. closest_tie is the
+    smallest |rho(Y) + shift| of the verdicts taken from finished clearing
+    (None while there is none): the margin by which the nearest such
+    verdict cleared the tie.
     """
 
     calls: int = 0
@@ -432,8 +437,8 @@ class ClearingStats:
 class _Point:
     """An evaluated allocation k and the iterates of its clearing.
 
-    At constant price p (n, m) holds the top-down payments and pi (m,) the
-    price. With price impact p (n, 2m) holds the top-down payments in
+    At constant price p (n, m) holds the top-down payments and pi stays
+    None. With price impact p (n, 2m) holds the top-down payments in
     columns [0, m) and the bottom-up ones in [m, 2m), pi (2m,) the prices
     that go with them.
     """
@@ -486,74 +491,36 @@ def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> 
     )
 
 
-def _bracket(network: LiabilityNetwork, x, s, f, tol: float, max_iter: int, stats: ClearingStats,
-             above=(), below=(), point: _Point | None = None):
-    """Check a call clearing m scenarios at once and return the generator that clears it.
+def _top_down(network: LiabilityNetwork, cash, tol: float, max_iter: int, stats: ClearingStats,
+              above, point: _Point):
+    """Clear at constant price, yielding (lower, upper) society equity after every sweep.
 
-    x and s are (n, m) liquid/illiquid holdings. With f(0) == f(largest
-    sale) the price cannot move, and _top_down clears x + f(0) * s;
-    otherwise _paired brackets the payments and price. above and below are
-    _Points evaluated on the same scenarios with at least and at most the
-    holdings x; _top_down starts from above alone. point, when given,
-    receives the iterates; once the generator has ended they are its final
-    ones. stats is updated as the work happens.
-    """
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    n = network.n_firms
-    if x.shape != s.shape or x.ndim != 2 or x.shape[0] != n:
-        raise ParameterError(f"holdings must both be (n, m) with n={n}, got {x.shape} and {s.shape}")
-    if (x < 0).any() or (s < 0).any():
-        raise ParameterError("holdings must be non-negative")
-    if not (np.isfinite(x).all() and np.isfinite(s).all()):
-        raise ParameterError("holdings must be finite")
-    if tol <= 0 or max_iter < 1:
-        raise ParameterError("tol must be positive and max_iter at least 1")
-
-    price_top = float(f(0.0))
-    price_floor = float(f(float(s.sum(axis=0).max(initial=0.0))))
-    if not price_floor > 0.0:
-        raise ModelError(
-            f"inverse demand must stay strictly positive, got {price_floor} at the largest sale"
-        )
-    point = point or _Point(None)
-    if price_floor == price_top:
-        return _top_down(network, x + price_top * s, price_top, tol, max_iter, stats, above, point)
-    return _paired(network, x, s, f, price_top, price_floor, tol, max_iter, stats, above, below,
-                   point)
-
-
-def _top_down(network: LiabilityNetwork, cash, price: float, tol: float, max_iter: int,
-              stats: ClearingStats, above, point: _Point):
-    """Clear at constant price, yielding (radius, upper, prices) after every sweep.
-
-    cash (n, m) is every firm's outside assets. The payments are iterated
+    cash (n, m) is every firm's outside assets. The payments p are iterated
     down from the top (full payments), or from the elementwise minimum of
-    the top-down payments of the points above, and every iterate upper lies
-    above the fixed point. radius (m,) bounds, per scenario, how far society
-    equity at upper lies above that at the fixed point: when the network
-    contracts (LiabilityNetwork._contraction) it is gain * (slope *
-    ||upper - previous||_v + offset), otherwise inf. upper is valid until
-    the next sweep; prices is the constant price per scenario.
+    the top-down payments of the points above, and every iterate lies above
+    the fixed point. upper = e0 is society equity at p, and lower is
+    max(e0 - radius, 0), where radius (m,) bounds, per scenario, how far e0
+    lies above the equity at the fixed point: when the network contracts
+    (LiabilityNetwork._contraction) it is gain * (slope * ||p - previous||_v
+    + offset), otherwise inf.
 
     Once the iteration has converged or _WARMUP_SWEEPS sweeps have run, the
-    default set of upper seeds the exact solve of _clear_constant_price, and
-    the generator yields (p, p, prices), the same payment array twice, and
-    ends. An iterate that moves up raises ModelError, and so does a start
-    that is no upper bound.
+    default set of p seeds the exact solve of _clear_constant_price, and the
+    generator returns society equity at the fixed point. An iterate that
+    moves up raises ModelError, and so does a start that is no upper bound.
     """
     stats.calls += 1
     stats.warm += bool(above)
     n, m = cash.shape
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
+    shares = network.relative[1:, 0]  # each firm's share owed to society
     pay_slack = _MONO_SLACK * _payment_scale(network)
     contraction = network._contraction
     p = np.repeat(pbar, m, axis=1)
     for start in above:  # the minimum of super-solutions is one
         np.minimum(p, start.p, out=p)
-    prices = np.full(m, price)
-    point.p, point.pi = p, prices
+    point.p = p
     spare = np.empty_like(p)  # scratch for the next iterate
     bound = radius = np.full(m, np.inf)  # bound: the v-norm distance to the fixed point
     limit = min(_WARMUP_SWEEPS, max_iter)
@@ -574,7 +541,8 @@ def _top_down(network: LiabilityNetwork, cash, price: float, tol: float, max_ite
         point.p = p
         sweeps += 1
         stats.sweeps += 1
-        yield radius, p, prices
+        e0 = shares @ p
+        yield np.maximum(e0 - radius, 0.0), e0
         if residual <= tol or sweeps >= limit:
             break
 
@@ -583,32 +551,32 @@ def _top_down(network: LiabilityNetwork, cash, price: float, tol: float, max_ite
     width = np.inf if contraction is None else float(bound.max(initial=0.0) / contraction.v.min())
     residual = _clear_constant_price(network, cash, p, width, tol, max_iter, sweeps, stats)
     stats.max_residual = max(stats.max_residual, residual)
-    yield p, p, prices
+    return shares @ p
 
 
 def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: float, tol: float,
             max_iter: int, stats: ClearingStats, above, below, point: _Point):
-    """Clear with price impact, yielding payment bounds that tighten with every sweep.
+    """Clear with price impact, yielding (lower, upper) society equity after every sweep.
 
-    The payment/price map is monotone, so it is iterated as one (n, 2m)
-    array: columns [0, m) down from the top (full payments, price f(0)),
-    whose iterates lie above the greatest fixed point, and columns [m, 2m)
-    up from the bottom (no payments, the price at the largest sale), whose
-    iterates lie below the least one. The top-down half starts at the
-    elementwise minimum of the top-down iterates of the points above, the
-    bottom-up half at the maximum of the bottom-up ones of the points
-    below, each price with its payments. After every paired sweep it yields
-    (lower, upper, prices): views of the two payment halves, valid until
-    the next sweep, and the top-down prices. Every sweep works on all 2m
-    columns; column updates never interact across scenarios. A half has
-    converged when its largest step over all its columns is at most tol.
+    x and s are (n, m) liquid and illiquid holdings, price_top = f(0) and
+    price_floor = f(largest sale). The payment/price map is monotone, so it
+    is iterated as one (n, 2m) array: columns [0, m) down from the top
+    (full payments, price f(0)), whose iterates lie above the greatest
+    fixed point, and columns [m, 2m) up from the bottom (no payments, the
+    price at the largest sale), whose iterates lie below the least one.
+    The top-down half starts at the elementwise minimum of the top-down
+    iterates of the points above, the bottom-up half at the maximum of the
+    bottom-up ones of the points below, each price with its payments.
+    After every paired sweep it yields society equity at the bottom-up and
+    at the top-down payments. Every sweep works on all 2m columns; column
+    updates never interact across scenarios. A half has converged when its
+    largest step over all its columns is at most tol.
 
-    The top-down half runs until it has converged, and its iterate is the
-    result; then the generator yields (p, p, prices), the same payment
-    array twice, and ends. A top-down half that started below the top runs
-    on until both halves have converged and the bracket cannot tighten any
-    more, then restarts from the top, so that the result does not depend on
-    the start; it yields no pair between the restart and the finished one.
+    The top-down half runs until it has converged, and the generator
+    returns society equity at its iterate. A top-down half that started
+    below the top runs on until both halves have converged and the bracket
+    cannot tighten any more, then restarts from the top, so that the result
+    does not depend on the start; it yields no pair after the restart.
 
     Sweeps above max_iter raise ConvergenceError. An iterate that moves the
     wrong way, or a lower bound above the upper one, raises ModelError, and
@@ -619,6 +587,7 @@ def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: f
     n, m = x.shape
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
+    shares = network.relative[1:, 0]  # each firm's share owed to society
     pay_slack = _MONO_SLACK * _payment_scale(network)
     p = np.zeros((n, 2 * m))
     p[:, :m] = pbar
@@ -676,7 +645,7 @@ def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: f
         sweeps += 1
         stats.sweeps += 1
         if bracketing:
-            yield lower, upper, pi[:m]
+            yield shares @ lower, shares @ upper
 
         if not rewind and residual <= tol:
             break  # the top-down half has converged
@@ -689,7 +658,7 @@ def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: f
             raise _not_converged(max_iter, residual, tol, float((upper - lower).max()))
 
     stats.max_residual = max(stats.max_residual, residual)
-    yield upper, upper, pi[:m]
+    return shares @ upper
 
 
 def _clear_constant_price(network: LiabilityNetwork, cash, p, width: float, tol: float,
@@ -779,9 +748,12 @@ class NetworkValueModel:
 
     Capital allocations are restricted to the non-negative orthant; adding
     capital raises liquid holdings firm by firm, which never lowers payments,
-    so the model is monotone in k. The model keeps the last _HISTORY
-    evaluated points with their final iterates, and starts each clearing
-    call from those with more and (with price impact) less capital.
+    so the model is monotone in k. Capital never changes the illiquid
+    holdings, so the model fixes its clearing regime when it is built:
+    _top_down when f(0) == f(largest sale over its scenarios), _paired
+    otherwise. It keeps the last _HISTORY evaluated points with their final
+    iterates, and starts each clearing call from those with more and (with
+    price impact) less capital.
     """
 
     def __init__(
@@ -793,6 +765,9 @@ class NetworkValueModel:
         tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ):
+        if not (math.isfinite(tol) and tol > 0 and max_iter >= 1):
+            raise ParameterError(f"tol must be finite and positive and max_iter at least 1, "
+                                 f"got {tol} and {max_iter}")
         n = network.n_firms
         if scenarios_x.n_firms != n or scenarios_s.n_firms != n:
             raise ConfigurationError(
@@ -803,7 +778,8 @@ class NetworkValueModel:
             raise ConfigurationError("liquid and illiquid scenario counts differ")
         if (scenarios_x.values < 0).any() or (scenarios_s.values < 0).any():
             raise ConfigurationError("holdings scenarios must be non-negative")
-        validate_inverse_demand(f, float(scenarios_s.values.sum(axis=0).max(initial=0.0)))
+        largest_sale = float(scenarios_s.values.sum(axis=0).max(initial=0.0))
+        validate_inverse_demand(f, largest_sale)  # f > 0 up to the largest sale
         self.network = network
         self.scenarios_x = scenarios_x
         self.scenarios_s = scenarios_s
@@ -811,7 +787,11 @@ class NetworkValueModel:
         self.tol = tol
         self.max_iter = max_iter
         self.groups = network.groups
-        self._society_shares = network.relative[1:, 0]
+        self._prices = (float(f(0.0)), float(f(largest_sale)))  # the reachable price range
+        # at constant price, the illiquid holdings marked at it; None with price impact
+        self._illiquid_value = (
+            self._prices[0] * scenarios_s.values if self._prices[0] == self._prices[1] else None
+        )
         self.stats = ClearingStats()  # summed over every call
         self._history = collections.deque(maxlen=_HISTORY)  # _Points, oldest first
         # the clearing's share of a verdict's error budget, in units of society equity
@@ -824,53 +804,46 @@ class NetworkValueModel:
     def bounds_at(self, k):
         """Yield (lower, upper) society equity per scenario, tightening with every clearing sweep.
 
-        Capital k is injected as liquid holdings. upper = e0 comes from the
-        top-down payment iterate of _bracket. lower is max(e0 - radius, 0) at
-        constant price, where radius bounds how far e0 lies above the exact
-        equity, and comes from the bottom-up iterate with price impact. So
-        the pair encloses the exact equity, and a monotone criterion puts
-        rho(Y) between rho(upper) and rho(lower). Once clearing has finished,
-        the last pair is (Y, Y), the same array twice, and the generator
-        ends. Closing it before that counts the call as decided.
+        Capital k is injected as liquid holdings, and the model's regime
+        clears the call: _top_down at constant price, _paired with price
+        impact. Each pair encloses the exact equity, so a monotone criterion
+        puts rho(Y) between rho(upper) and rho(lower). Once clearing has
+        finished, the last pair is (Y, Y), the same array twice, and the
+        generator ends. Closing it before that counts the call as decided.
 
-        The bracket starts from the remembered points with at least and (with
+        Clearing starts from the remembered points with at least and (with
         price impact) at most k in every group. Such a start only tightens
-        the bounds, and the finished Y does not depend on it.
+        the bounds, and the finished Y does not depend on it. A call is
+        remembered once its clearing has ended, decided or finished.
         """
         k = np.array(k, dtype=float).ravel()  # kept with the point
+        finite = np.isfinite(k)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ParameterError(f"allocation entry {j} is not finite: {k[j]}")
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]
-        shares = self._society_shares
         point = _Point(k)
-        bracket = _bracket(
-            self.network, x, self.scenarios_s.values, self.f, self.tol, self.max_iter, self.stats,
-            above=[e for e in self._history if (e.k >= k).all()],
-            below=[e for e in self._history if (e.k <= k).all()],
-            point=point,
-        )
+        above = [e for e in self._history if (e.k >= k).all()]
+        if self._illiquid_value is not None:
+            clearing = _top_down(self.network, x + self._illiquid_value, self.tol, self.max_iter,
+                                 self.stats, above, point)
+        else:
+            below = [e for e in self._history if (e.k <= k).all()]
+            clearing = _paired(self.network, x, self.scenarios_s.values, self.f, *self._prices,
+                               self.tol, self.max_iter, self.stats, above, below, point)
         try:
-            for low, upper, _ in bracket:
-                if low is upper:
-                    break
-                e0 = shares @ upper
-                # _top_down yields an equity radius per scenario, _paired the lower payments
-                yield (np.maximum(e0 - low, 0.0) if low.ndim == 1 else shares @ low), e0
-        except GeneratorExit:
+            y = yield from clearing
+        except GeneratorExit:  # yield from has closed the clearing: point holds its last iterates
             self.stats.decided += 1
-            self._remember(bracket, point)
+            self._history.append(point)
             raise
-        e0 = shares @ upper
         cap = self.network.society_promised
-        if not ((e0 >= -1e-9).all() and (e0 <= cap + max(1e-9, 1e-12 * cap)).all()):
+        if not ((y >= -1e-9).all() and (y <= cap + max(1e-9, 1e-12 * cap)).all()):
             raise ModelError(f"society equity left the range [0, {cap}] of its promised payments")
-        self._remember(bracket, point)
-        yield e0, e0
-
-    def _remember(self, bracket, point: _Point) -> None:
-        """Keep point's iterates as a start for later calls, once its bracket has ended."""
-        bracket.close()  # a running bracket may still write into its arrays
         self._history.append(point)
+        yield y, y
 
     def samples_at(self, k) -> np.ndarray:
         """Society equity per scenario at capital k: bounds_at(k) run to its end."""

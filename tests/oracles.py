@@ -10,8 +10,9 @@ bracket, pairwise domination scans instead of neighbor checks. A shared
 bug would have to be written twice to slip through.
 
 clear_batch, clear and equity are no oracles: they are thin helpers that
-run the library's clearing bracket to its end, as
-NetworkValueModel.samples_at does, for tests of one or a few scenarios.
+run NetworkValueModel.samples_at at zero capital on the given holdings and
+read the finished clearing from the model, for tests of one or a few
+scenarios.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
 
-from sysrisk.clearing import DEFAULT_MAX_ITER, DEFAULT_TOL, ClearingStats, _bracket
+from sysrisk.clearing import DEFAULT_MAX_ITER, DEFAULT_TOL, NetworkValueModel
+from sysrisk.scenarios import ScenarioMatrix
 
 mp.mp.dps = 40
 
@@ -287,12 +289,16 @@ class ClearingResult:
 def clear_batch(network, x, s, f, tol: float, max_iter: int):
     """Clear m scenarios at once; x and s are (n, m) liquid/illiquid holdings.
 
-    Returns payments (n, m), prices (m,) and the ClearingStats of the call:
-    the bracket runs to its end, whose pair is the finished clearing.
+    Returns payments (n, m), prices (m,) and the ClearingStats of the call,
+    read from the point the model keeps once samples_at(0) has finished; at
+    constant price the point holds no prices, and every price is f(0).
     """
-    stats = ClearingStats()
-    *_, (_, p, pi) = _bracket(network, x, s, f, tol, max_iter, stats)
-    return np.ascontiguousarray(p), pi, stats
+    model = NetworkValueModel(network, ScenarioMatrix(x), ScenarioMatrix(s), f, tol, max_iter)
+    model.samples_at(np.zeros(model.n_groups))
+    point = model._history[-1]
+    m = model.scenarios_x.n_scenarios
+    pi = np.full(m, float(f(0.0))) if point.pi is None else point.pi[:m]
+    return np.ascontiguousarray(point.p[:, :m]), pi, model.stats
 
 
 def clear(network, x, s, f, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):

@@ -13,8 +13,11 @@ from sysrisk import (
     AggregationSpec,
     AggregationValueModel,
     ConfigurationError,
+    ConstantPrice,
     GroupMap,
+    LiabilityNetwork,
     ModelError,
+    NetworkValueModel,
     ParameterError,
     ScenarioMatrix,
     aggregate,
@@ -311,12 +314,21 @@ def test_exp_sensitive_recovers_after_overflow(sizes):
     assert model.samples_at(other) == pytest.approx(elementwise(model, other), abs=1e-10)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("spec", [*ALL_SPECS, "network"], ids=[*SPEC_IDS, "network"])
 @pytest.mark.parametrize("k,entry", [
     ([math.nan, 0.0], 0), ([0.0, math.inf], 1), ([-math.inf, 1.0], 0), ([math.nan, math.nan], 0),
 ])
 def test_samples_at_rejects_nonfinite_allocation(spec, k, entry):
-    model = AggregationValueModel(random_matrix(115, n_firms=4), spec, GroupMap([2, 2]))
+    # a network clearing model, four firms owing society one unit each, takes the same check
+    scenarios = random_matrix(115, n_firms=4)
+    if spec == "network":
+        nominal = np.zeros((5, 5))
+        nominal[1:, 0] = 1.0
+        holdings = ScenarioMatrix(np.abs(scenarios.values))
+        model = NetworkValueModel(LiabilityNetwork(nominal, GroupMap([2, 2])), holdings, holdings,
+                                  ConstantPrice())
+    else:
+        model = AggregationValueModel(scenarios, spec, GroupMap([2, 2]))
     with pytest.raises(ParameterError, match=f"allocation entry {entry} is not finite"):
         model.samples_at(k)
     assert model.stats.calls == 0

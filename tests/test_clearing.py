@@ -12,6 +12,7 @@ from sysrisk import (
     ConfigurationError,
     ConstantPrice,
     ConvergenceError,
+    GenerationError,
     GridSpec,
     GroupMap,
     LiabilityNetwork,
@@ -31,7 +32,7 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk.clearing import _WARMUP_SWEEPS, _bracket, _clear_constant_price, _Point
+from sysrisk.clearing import _WARMUP_SWEEPS, _clear_constant_price, _paired, _Point
 import oracles
 from oracles import ClearingResult, clear, equity
 
@@ -289,9 +290,15 @@ def test_clearing_rejects_non_monotone_price_map():
     # curves up front, the bracket's per-sweep checks refuse them too
     x = np.array([[0.5], [0.0]])
     s = np.array([[1.0], [1.0]])
+
+    def rising(y):
+        return 1.0 + np.asarray(y, dtype=float)
+
+    with pytest.raises(ModelError, match="non-increasing"):
+        NetworkValueModel(two_firm_chain(), ScenarioMatrix(x), ScenarioMatrix(s), rising)
     with pytest.raises(ModelError, match="price iterate increased"):
-        oracles.clear_batch(two_firm_chain(), x, s, lambda y: 1.0 + np.asarray(y, dtype=float),
-                            1e-12, 100)
+        next(_paired(two_firm_chain(), x, s, rising, rising(0.0), rising(2.0), 1e-12, 100,
+                     ClearingStats(), (), (), _Point(None)))
 
 
 def sparse_network(rng, n):
@@ -467,17 +474,21 @@ def test_singular_default_set_solve_is_a_model_error(monkeypatch):
 def test_closed_cycle_clears_at_full_payment():
     # three firms owe only each other, each as much as it is owed, and hold nothing: full
     # payment is the greatest fixed point, but the relative shares round so that one sweep
-    # leaves a firm an ulp short, and a default set of the whole cycle would be singular
-    nominal = np.zeros((4, 4))
-    nominal[1:, 1:] = [[0.0, 0.9, 0.6], [0.6, 0.0, 0.9], [0.9, 0.6, 0.0]]
+    # leaves a firm an ulp short, and a default set of the whole cycle would be singular.
+    # A fourth firm owes society one unit and holds two, so society is paid in full
+    nominal = np.zeros((5, 5))
+    nominal[1:4, 1:4] = [[0.0, 0.9, 0.6], [0.6, 0.0, 0.9], [0.9, 0.6, 0.0]]
+    nominal[4, 0] = 1.0
     net = LiabilityNetwork(nominal)
     pbar = net.pbar[1:]
-    assert (net.relative[1:, 1:].T @ pbar < pbar).any()
+    assert (net.relative[1:4, 1:4].T @ pbar[:3] < pbar[:3]).any()
     assert net._contraction is None  # no contraction: the equity radius is infinite
-    radius, *_ = next(_bracket(net, np.zeros((3, 2)), np.zeros((3, 2)), UNIT_PRICE, 1e-10, 100,
-                               ClearingStats()))
-    assert (radius == np.inf).all()
-    result = clear(net, np.zeros(3), np.zeros(3), UNIT_PRICE)
+    x = np.zeros((4, 2))
+    x[3] = 2.0
+    model = NetworkValueModel(net, ScenarioMatrix(x), ScenarioMatrix(np.zeros_like(x)), UNIT_PRICE)
+    lower, upper = next(model.bounds_at([0.0]))
+    assert (upper == 1.0).all() and (lower == 0.0).all()  # exact after one sweep, yet unbounded
+    result = clear(net, x[:, 0], np.zeros(4), UNIT_PRICE)
     assert result.p == pytest.approx(pbar, rel=1e-15)
 
 
@@ -496,14 +507,15 @@ def test_leaky_cycle_clears_exactly(leak):
 
 
 def test_clear_input_validation():
+    # clear builds a model on the holdings, which checks them as scenarios
     net = two_firm_chain()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigurationError, match="non-negative"):
         clear(net, [-0.1, 0.2], [0.0, 0.0], UNIT_PRICE)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigurationError, match="firm rows"):
         clear(net, [0.1], [0.0, 0.0], UNIT_PRICE)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="tol must be"):
         clear(net, [0.1, 0.2], [0.0, 0.0], UNIT_PRICE, tol=0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(GenerationError, match="non-finite"):
         clear(net, [0.1, math.inf], [0.0, 0.0], UNIT_PRICE)
 
 
@@ -643,6 +655,9 @@ def test_model_construction_validation():
 
     with pytest.raises(ModelError):
         NetworkValueModel(net, good, good, bad_curve)
+    for bad in ({"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}):
+        with pytest.raises(ParameterError, match="tol must be"):
+            NetworkValueModel(net, good, good, UNIT_PRICE, **bad)
 
 
 def test_model_blend_mixes_both_holdings():
@@ -720,48 +735,35 @@ def reference_payments(model, k):
 
 
 def test_bracket_encloses_the_reference_after_every_sweep():
+    # every pair of bounds_at encloses society equity at the reference payments: at constant
+    # price (e0 - radius, e0) at the top-down iterate, with price impact the paired bracket
     rng = np.random.default_rng(61)
     for case in range(30):
         model = bracket_model(rng, BRACKET_CURVES[case % 3])
         k = rng.uniform(0.0, 0.5, size=model.n_groups)
         ref = reference_payments(model, k)
-        e0_ref = model._society_shares @ ref
-        x = model.scenarios_x.values + model.groups.expand(k)[:, None]
-        stats = ClearingStats()
-        bracket = _bracket(model.network, x, model.scenarios_s.values, model.f, 1e-10,
-                           100_000, stats)
-        constant = isinstance(model.f, ConstantPrice)
-        for lower, upper, _ in bracket:
-            assert (ref <= upper + 1e-9).all()
-            if constant and lower is not upper:  # lower: the equity radius of upper
-                e0 = model._society_shares @ upper
-                assert np.isfinite(lower).all() and (e0 - lower <= e0_ref + 1e-9).all()
-            else:  # the paired bracket, or the finished clearing
-                assert (lower <= ref + 1e-9).all()
-        assert lower is upper and np.max(np.abs(upper - ref)) <= 1e-8
-        if constant:  # sweeps until the exact solve takes over
-            assert stats.sweeps <= _WARMUP_SWEEPS
-        for low, up in model.bounds_at(k):
-            assert (low <= e0_ref + 1e-9).all() and (e0_ref <= up + 1e-9).all()
+        e0_ref = model.network.relative[1:, 0] @ ref
+        for lower, upper in model.bounds_at(k):
+            assert np.isfinite(lower).all()
+            assert (lower <= e0_ref + 1e-9).all() and (e0_ref <= upper + 1e-9).all()
+        assert lower is upper and np.max(np.abs(upper - e0_ref)) <= 1e-8
+        assert np.max(np.abs(model._history[-1].p[:, :ref.shape[1]] - ref)) <= 1e-8
+        if isinstance(model.f, ConstantPrice):  # sweeps until the exact solve takes over
+            assert model.stats.sweeps <= _WARMUP_SWEEPS
 
 
 def radius_encloses(net, cash, ref, atol):
-    # after every top-down sweep the reference equity lies in [e0 - radius, e0], and in
-    # every pair of bounds_at; returns the radius of each sweep
-    shares = net.relative[1:, 0]
-    e0_ref = shares @ ref
+    # after every top-down sweep the reference equity lies in the pair (max(e0 - radius, 0), e0)
+    # of bounds_at; returns the gap min(radius, e0) of each sweep
+    e0_ref = net.relative[1:, 0] @ ref
     zero = np.zeros_like(cash)
-    radii = []
-    for radius, upper, _ in _bracket(net, cash, zero, UNIT_PRICE, 1e-10, 100_000, ClearingStats()):
-        if radius is upper:
-            break
-        e0 = shares @ upper
-        assert (e0 - radius <= e0_ref + atol).all() and (e0_ref <= e0 + 1e-9).all()
-        radii.append(radius)
     model = NetworkValueModel(net, ScenarioMatrix(cash), ScenarioMatrix(zero), UNIT_PRICE)
+    gaps = []
     for low, up in model.bounds_at(np.zeros(model.n_groups)):
         assert (0.0 <= low).all() and (low <= e0_ref + atol).all() and (e0_ref <= up + 1e-9).all()
-    return np.array(radii)
+        if low is not up:  # the last pair is the finished clearing
+            gaps.append(up - low)
+    return np.array(gaps)
 
 
 def test_radius_encloses_the_reference_when_theta_is_nearly_one():
@@ -777,8 +779,8 @@ def test_radius_encloses_the_reference_when_theta_is_nearly_one():
     ref = np.column_stack([oracles.clear_default_sets(nominal, c) for c in cash.T])
     assert (ref < net.pbar[1:, None]).any()
     e0_ref = net.relative[1:, 0] @ ref
-    radii = radius_encloses(net, cash, ref, atol=1e-22)
-    assert np.isfinite(radii).all() and (radii[-1] < e0_ref).any()  # the bound says something
+    gaps = radius_encloses(net, cash, ref, atol=1e-22)
+    assert (gaps[-1] < e0_ref).any()  # a radius below the exact equity: the bound says something
 
 
 def test_radius_encloses_the_reference_when_a_firm_owes_nothing():
@@ -792,8 +794,8 @@ def test_radius_encloses_the_reference_when_a_firm_owes_nothing():
     cash = shared_default_cash(rng, np.maximum(net.pbar[1:], 1.0), m=12)
     ref = oracles.clear_top_down(nominal, cash)
     assert (ref < net.pbar[1:, None]).any()
-    radii = radius_encloses(net, cash, ref, atol=1e-9)
-    assert np.isfinite(radii).all() and radii[-1].max() < radii[0].max()
+    gaps = radius_encloses(net, cash, ref, atol=1e-9)
+    assert gaps[-1].max() < gaps[0].max()
 
 
 def test_contraction_factor_is_one_minus_the_inverse_of_the_largest_weight():
@@ -848,20 +850,17 @@ def test_inverted_bracket_is_a_model_error():
     x = np.array([[0.5], [0.0]])
     s = np.array([[1.0], [1.0]])
 
-    def scripted(top, floor, swept):
-        def f(y):
-            if np.ndim(y) == 0:
-                return top if y == 0.0 else floor
-            return np.array(swept)
-        return f
+    def scripted(swept):
+        return lambda y: np.array(swept)
 
-    cases = [
-        (scripted(1.0, 1.2, [1.0, 1.2]), "lower payment bound exceeds the upper"),
-        (scripted(1.0, 0.5, [0.9, 0.95]), "lower price bound exceeds the upper"),
+    cases = [  # (f(0), f(largest sale), the prices of the first sweep)
+        (1.0, 1.2, [1.0, 1.2], "lower payment bound exceeds the upper"),
+        (1.0, 0.5, [0.9, 0.95], "lower price bound exceeds the upper"),
     ]
-    for f, message in cases:
+    for top, floor, swept, message in cases:
         with pytest.raises(ModelError, match=message):
-            next(_bracket(net, x, s, f, 1e-12, 100, ClearingStats()))
+            next(_paired(net, x, s, scripted(swept), top, floor, 1e-12, 100, ClearingStats(),
+                         (), (), _Point(None)))
 
 
 def two_group_model(rng, f, tol=1e-10, m=12):
@@ -930,14 +929,15 @@ def test_a_start_that_is_no_bound_is_a_model_error():
     rng = np.random.default_rng(97)
     for f in (UNIT_PRICE, LinearSqrtPrice()):
         model = bracket_model(rng, f)
+        size = model.n_groups
 
-        def evaluate(k, **starts):
-            point = _Point(np.array([k]))
-            x = model.scenarios_x.values + k
-            for _ in _bracket(model.network, x, model.scenarios_s.values, f, 1e-10, 100_000,
-                              ClearingStats(), point=point, **starts):
-                pass
-            return point
+        def evaluate(k, above=(), below=()):
+            # clear k from the given points, remembered as points with more and less capital
+            model._history.clear()
+            model._history.extend(_Point(np.full(size, k + 1.0), e.p, e.pi) for e in above)
+            model._history.extend(_Point(np.full(size, k - 1.0), e.p, e.pi) for e in below)
+            model.samples_at(np.full(size, k))
+            return model._history[-1]
 
         less, more = evaluate(0.0), evaluate(1.0)
         evaluate(0.5, above=[more], below=[less])
@@ -948,6 +948,26 @@ def test_a_start_that_is_no_bound_is_a_model_error():
         else:
             with pytest.raises(ModelError, match="iterate decreased"):
                 evaluate(0.5, below=[more])
+
+
+def test_the_clearing_regime_is_fixed_per_model():
+    # capital never changes the illiquid holdings, so a model reads its price range f(0) and
+    # f(largest sale) once, when it is built; its calls evaluate the curve on sales alone
+    rng = np.random.default_rng(103)
+    for curve in (ConstantPrice(0.7), LinearSqrtPrice()):
+        scalar_calls = []
+
+        def counted(y):
+            if np.ndim(y) == 0:
+                scalar_calls.append(y)
+            return curve(y)
+
+        model = bracket_model(rng, counted)
+        assert (model._illiquid_value is None) == isinstance(curve, LinearSqrtPrice)
+        built = len(scalar_calls)
+        for _ in range(20):
+            list(model.bounds_at(rng.uniform(0.0, 0.5, size=model.n_groups)))
+        assert len(scalar_calls) == built
 
 
 def test_labels_do_not_depend_on_the_clearing_tolerance():
