@@ -788,10 +788,6 @@ class NetworkValueModel:
         self.max_iter = max_iter
         self.groups = network.groups
         self._prices = (float(f(0.0)), float(f(largest_sale)))  # the reachable price range
-        # at constant price, the illiquid holdings marked at it; None with price impact
-        self._illiquid_value = (
-            self._prices[0] * scenarios_s.values if self._prices[0] == self._prices[1] else None
-        )
         self.stats = ClearingStats()  # summed over every call
         self._history = collections.deque(maxlen=_HISTORY)  # _Points, oldest first
         # the clearing's share of a verdict's error budget, in units of society equity
@@ -826,13 +822,15 @@ class NetworkValueModel:
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]
         point = _Point(k)
         above = [e for e in self._history if (e.k >= k).all()]
-        if self._illiquid_value is not None:
-            clearing = _top_down(self.network, x + self._illiquid_value, self.tol, self.max_iter,
+        s = self.scenarios_s.values
+        price_top, price_floor = self._prices
+        if price_top == price_floor:  # constant price: the illiquid holdings count as cash
+            clearing = _top_down(self.network, x + price_top * s, self.tol, self.max_iter,
                                  self.stats, above, point)
         else:
             below = [e for e in self._history if (e.k <= k).all()]
-            clearing = _paired(self.network, x, self.scenarios_s.values, self.f, *self._prices,
-                               self.tol, self.max_iter, self.stats, above, below, point)
+            clearing = _paired(self.network, x, s, self.f, price_top, price_floor, self.tol,
+                               self.max_iter, self.stats, above, below, point)
         try:
             y = yield from clearing
         except GeneratorExit:  # yield from has closed the clearing: point holds its last iterates

@@ -32,7 +32,13 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk.clearing import _WARMUP_SWEEPS, _clear_constant_price, _paired, _Point
+from sysrisk.clearing import (
+    _WARMUP_SWEEPS,
+    _clear_constant_price,
+    _paired,
+    _Point,
+    _top_down,
+)
 import oracles
 from oracles import ClearingResult, clear, equity
 
@@ -735,21 +741,46 @@ def reference_payments(model, k):
 
 
 def test_bracket_encloses_the_reference_after_every_sweep():
-    # every pair of bounds_at encloses society equity at the reference payments: at constant
-    # price (e0 - radius, e0) at the top-down iterate, with price impact the paired bracket
+    # after every sweep the payment iterates enclose the reference payments firm by firm: the
+    # top-down ones lie above it, and with price impact the bottom-up ones below; each equity
+    # pair, of the clearing generator and of bounds_at, encloses society equity there
     rng = np.random.default_rng(61)
     for case in range(30):
         model = bracket_model(rng, BRACKET_CURVES[case % 3])
         k = rng.uniform(0.0, 0.5, size=model.n_groups)
         ref = reference_payments(model, k)
+        m = ref.shape[1]
         e0_ref = model.network.relative[1:, 0] @ ref
+        x = model.scenarios_x.values + model.groups.expand(k)[:, None]
+        s = model.scenarios_s.values
+        stats, point = ClearingStats(), _Point(k)
+        constant = isinstance(model.f, ConstantPrice)
+        if constant:  # a contracting network: the equity radius is finite
+            assert model.network._contraction is not None
+            clearing = _top_down(model.network, x + model.f.price * s, 1e-10, 100_000, stats, (),
+                                 point)
+        else:
+            clearing = _paired(model.network, x, s, model.f, *model._prices, 1e-10, 100_000,
+                               stats, (), (), point)
+        while True:
+            try:
+                lower, upper = next(clearing)
+            except StopIteration as finished:
+                y = finished.value
+                break
+            assert (ref <= point.p[:, :m] + 1e-9).all()
+            if not constant:
+                assert (point.p[:, m:] <= ref + 1e-9).all()
+            assert (lower <= e0_ref + 1e-9).all() and (e0_ref <= upper + 1e-9).all()
+        assert np.max(np.abs(point.p[:, :m] - ref)) <= 1e-8
+        assert np.max(np.abs(y - e0_ref)) <= 1e-8
+        if constant:  # sweeps until the exact solve takes over
+            assert stats.sweeps <= _WARMUP_SWEEPS
         for lower, upper in model.bounds_at(k):
             assert np.isfinite(lower).all()
             assert (lower <= e0_ref + 1e-9).all() and (e0_ref <= upper + 1e-9).all()
         assert lower is upper and np.max(np.abs(upper - e0_ref)) <= 1e-8
-        assert np.max(np.abs(model._history[-1].p[:, :ref.shape[1]] - ref)) <= 1e-8
-        if isinstance(model.f, ConstantPrice):  # sweeps until the exact solve takes over
-            assert model.stats.sweeps <= _WARMUP_SWEEPS
+        assert np.max(np.abs(model._history[-1].p[:, :m] - ref)) <= 1e-8
 
 
 def radius_encloses(net, cash, ref, atol):
@@ -963,7 +994,7 @@ def test_the_clearing_regime_is_fixed_per_model():
             return curve(y)
 
         model = bracket_model(rng, counted)
-        assert (model._illiquid_value is None) == isinstance(curve, LinearSqrtPrice)
+        assert (model._prices[0] == model._prices[1]) == isinstance(curve, ConstantPrice)
         built = len(scalar_calls)
         for _ in range(20):
             list(model.bounds_at(rng.uniform(0.0, 0.5, size=model.n_groups)))
