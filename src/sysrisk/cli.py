@@ -18,12 +18,15 @@ closed before the command had printed everything (as by `| head`; 128 +
 SIGPIPE, what a shell reports for a command a broken pipe ends), with
 nothing on stderr. A run then drops its remaining stdout lines, writes all
 its outputs and its final manifest, and exits 141 where it would exit 0;
-the other commands stop at that print.
+the other commands stop at that print. A run that cannot write its output
+directory, or after its search an output file or its manifest, exits 2
+with one "error: cannot write ..." line and a failed manifest if it can.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -358,66 +361,75 @@ def cmd_run(args) -> int:
     clock.lap("search")
 
     outputs = ["manifest.json", "inner_frontier.csv", "outer_frontier.csv"]
-    write_frontier_csv(approx.inner_frontier, os.path.join(outdir, "inner_frontier.csv"))
-    write_frontier_csv(approx.outer_frontier, os.path.join(outdir, "outer_frontier.csv"))
-    if resolved["output"]["write_labels"]:
-        write_labels_csv(approx, os.path.join(outdir, "labels.csv"))
-        outputs.append("labels.csv")
-    if resolved["output"]["write_scenarios"]:
-        write_scenario_csv(plan.scenario_matrix, os.path.join(outdir, "scenarios.csv"))
-        outputs.append("scenarios.csv")
-    if resolved["output"]["write_network"] and plan.network is not None:
-        write_edge_csv(plan.network, os.path.join(outdir, "network.csv"))
-        outputs.append("network.csv")
-    clock.lap("write")
+    try:
+        write_frontier_csv(approx.inner_frontier, os.path.join(outdir, "inner_frontier.csv"))
+        write_frontier_csv(approx.outer_frontier, os.path.join(outdir, "outer_frontier.csv"))
+        if resolved["output"]["write_labels"]:
+            write_labels_csv(approx, os.path.join(outdir, "labels.csv"))
+            outputs.append("labels.csv")
+        if resolved["output"]["write_scenarios"]:
+            write_scenario_csv(plan.scenario_matrix, os.path.join(outdir, "scenarios.csv"))
+            outputs.append("scenarios.csv")
+        if resolved["output"]["write_network"] and plan.network is not None:
+            write_edge_csv(plan.network, os.path.join(outdir, "network.csv"))
+            outputs.append("network.csv")
+        clock.lap("write")
 
-    n_acc = int(np.count_nonzero(approx.labels == 1))
-    say(
-        f"labels: {n_acc} acceptable / {approx.labels.size - n_acc} unacceptable, "
-        f"{approx.oracle_calls} oracle calls"
-        + (f", degenerate ({approx.degenerate})" if approx.degenerate else "")
-    )
-    say(
-        f"frontiers: {len(approx.inner_frontier)} inner, {len(approx.outer_frontier)} outer, "
-        f"certified spacing {[float(v) for v in approx.v]!r}"
-    )
+        n_acc = int(np.count_nonzero(approx.labels == 1))
+        say(
+            f"labels: {n_acc} acceptable / {approx.labels.size - n_acc} unacceptable, "
+            f"{approx.oracle_calls} oracle calls"
+            + (f", degenerate ({approx.degenerate})" if approx.degenerate else "")
+        )
+        say(
+            f"frontiers: {len(approx.inner_frontier)} inner, {len(approx.outer_frontier)} outer, "
+            f"certified spacing {[float(v) for v in approx.v]!r}"
+        )
 
-    ear_results = []
-    for w in plan.ear_weights:
-        try:
-            result = ear(approx, w)
-        except DegenerateBoxError as exc:
-            clock.lap("ear")
-            guidance = _degenerate_guidance(approx)
-            _finish_manifest(
-                manifest_path, manifest, "failed", started,
-                error=f"{exc}; {guidance}",
-                oracle_calls=int(approx.oracle_calls),
-                **_run_stats(clock, plan),
-            )
-            print(f"error: {exc}\nguidance: {guidance}", file=sys.stderr)
-            return 4
-        ear_results.append(ear_record(result))
-        mins = ", ".join(str([float(v) for v in row]) for row in result.minimizers[:4])
-        more = "" if len(result.minimizers) <= 4 else f" (+{len(result.minimizers) - 4} more)"
-        flag = " [on box boundary]" if result.on_box_boundary else ""
-        say(f"ear w={[float(v) for v in result.weights]}: cost {result.min_value!r} at {mins}{more}{flag}")
-    clock.lap("ear")
-    if plan.ear_weights:
-        _write_json(os.path.join(outdir, "ear.json"), {"results": ear_results})
-        outputs.append("ear.json")
-    clock.lap("write")
+        ear_results = []
+        for w in plan.ear_weights:
+            try:
+                result = ear(approx, w)
+            except DegenerateBoxError as exc:
+                clock.lap("ear")
+                guidance = _degenerate_guidance(approx)
+                _finish_manifest(
+                    manifest_path, manifest, "failed", started,
+                    error=f"{exc}; {guidance}",
+                    oracle_calls=int(approx.oracle_calls),
+                    **_run_stats(clock, plan),
+                )
+                print(f"error: {exc}\nguidance: {guidance}", file=sys.stderr)
+                return 4
+            ear_results.append(ear_record(result))
+            mins = ", ".join(str([float(v) for v in row]) for row in result.minimizers[:4])
+            more = "" if len(result.minimizers) <= 4 else f" (+{len(result.minimizers) - 4} more)"
+            flag = " [on box boundary]" if result.on_box_boundary else ""
+            say(f"ear w={[float(v) for v in result.weights]}: cost {result.min_value!r} at {mins}{more}{flag}")
+        clock.lap("ear")
+        if plan.ear_weights:
+            _write_json(os.path.join(outdir, "ear.json"), {"results": ear_results})
+            outputs.append("ear.json")
+        clock.lap("write")
 
-    _finish_manifest(
-        manifest_path, manifest, "completed", started,
-        oracle_calls=int(approx.oracle_calls),
-        lattice_points=int(approx.labels.size),
-        acceptable_points=n_acc,
-        degenerate=approx.degenerate,
-        certified=True,  # grid_search raises unless the sandwich holds
-        outputs=outputs,
-        **_run_stats(clock, plan),
-    )
+        _finish_manifest(
+            manifest_path, manifest, "completed", started,
+            oracle_calls=int(approx.oracle_calls),
+            lattice_points=int(approx.labels.size),
+            acceptable_points=n_acc,
+            degenerate=approx.degenerate,
+            certified=True,  # grid_search raises unless the sandwich holds
+            outputs=outputs,
+            **_run_stats(clock, plan),
+        )
+    except OSError as exc:  # an output file or the manifest
+        clock.lap("write")
+        message = f"cannot write {exc.filename or outdir}: {exc.strerror or exc}"
+        with contextlib.suppress(OSError):  # a manifest left at "running" still exits 2
+            _finish_manifest(manifest_path, manifest, "failed", started, error=message,
+                             oracle_calls=int(approx.oracle_calls), **_run_stats(clock, plan))
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     say(f"wrote {outdir}/ ({', '.join(outputs)})")
     return 141 if say.gone else 0
 

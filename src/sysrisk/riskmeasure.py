@@ -5,26 +5,26 @@ acceptable}. With scenarios fixed once per run, the membership oracle is
 deterministic and monotone, so R restricted to a box is completely described
 by its staircase boundary. The search labels every lattice point while
 calling the oracle as rarely as possible: each verdict is propagated to the
-full upper or lower orthant it implies, a diagonal bisection seeds the
-labels, and a galloping walk then follows the staircase of every 2-D slice.
+full upper or lower orthant it implies, and a galloping walk follows the
+staircase of every 2-D slice.
 
 The walk runs over the last two axes, once per index prefix of the other
 axes in lexicographic order. Column i is the line along the last axis at
 index i of the second-to-last; row j is the line along the second-to-last
-axis at index j of the last. The walk bisects column 0 for its threshold
-t, the first acceptable index. It then alternates two legs. A horizontal
-leg gallops along row t - 1 (steps 1, 2, 4, ..., then bisection) to the
-first column acceptable there; every column it passes has the same
-threshold t. A vertical leg gallops down that column from its known
-acceptable point to the column's own threshold. The walk ends when a leg runs off the slice or
-the threshold reaches 0. Every leg searches only the unknown gap its line
-still has, so points labelled earlier (by propagation from other prefixes
-or by the diagonal seed) cost nothing. A 1-D lattice is a single bisection
-of its one line, which the diagonal seed has already closed.
+axis at index j of the last. The walk gallops down column 0 from its top
+to its threshold t, the first acceptable index. It then alternates two
+legs. A horizontal leg gallops along row t - 1 (steps 1, 2, 4, ..., then
+bisection) to the first column acceptable there; every column it passes
+has the same threshold t. A vertical leg gallops down that column from its
+known acceptable point to the column's own threshold. The walk ends when a
+leg runs off the slice or the threshold reaches 0. Every leg searches only
+the unknown gap its line still has, so points labelled earlier (by
+propagation from other prefixes) cost nothing. A 1-D lattice is a single
+bisection of its one line.
 
-On the presets at their seed 1 the walk asks the oracle 37 times on
+On the presets at their seed 1 the walk asks the oracle 28 times on
 agg_lognormal:exp_sensitive, where bisecting every column asked 258 times;
-53 against 133 on two_tier:B2 and 24 against 47 on three_tier:alpha=0.6.
+53 against 133 on two_tier:B2 and 22 against 47 on three_tier:alpha=0.6.
 
 The result is certified as a sandwich: the minimal acceptable lattice points
 (inner frontier) are inside R, and every maximal unacceptable point moved up
@@ -295,27 +295,6 @@ class _LabelStore:
         view[...] = verdict
 
 
-def _seed_labels(store: _LabelStore) -> None:
-    """Corner checks, then diagonal bisection to seed both orthants.
-
-    An acceptable bottom corner or an unacceptable top corner labels the
-    whole box, so every later query of a degenerate box hits a propagated
-    label and costs nothing.
-    """
-    res = store.grid.resolution
-    nd = store.grid.ndim
-    store.query((0,) * nd)
-    store.query(tuple(r - 1 for r in res))
-    lo, hi = 0, min(res) - 1
-    if store.query((hi,) * nd) == ACCEPTABLE:  # cached for square grids (it is the top corner)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if store.query((mid,) * nd) == ACCEPTABLE:
-                hi = mid
-            else:
-                lo = mid
-
-
 def _threshold(store: _LabelStore, line: tuple, gallop: int) -> int:
     """First acceptable position on one lattice line, or the line length if there is none.
 
@@ -355,12 +334,14 @@ def _walk(store: _LabelStore) -> None:
     """Label every UNKNOWN point by walking the staircase of each 2-D slice.
 
     Worst case per r1 x r2 slice, whatever is already labelled: at most
-    ceil(log2(r2 + 1)) + floor(3 * (r1 + r2) / 2) oracle calls. Column 0
-    is a bisection over at most r2 unknown points. A leg that moves the
-    walk d steps (d columns, or a threshold drop of d) probes offsets 1, 3,
-    7, ... and then bisects: 2 * ceil(log2(d + 1)) - 1 calls, never more
-    than 3d/2. The horizontal legs move at most r1 columns in total and the
-    vertical legs drop the threshold by at most r2.
+    floor(3 * (r1 + r2) / 2) oracle calls. A leg that moves the walk d
+    steps (d columns, or a threshold drop of d) probes offsets 1, 3, 7, ...
+    and then bisects: 2 * ceil(log2(d + 1)) - 1 calls, at most 3d/2. The
+    horizontal legs move at most r1 columns in total. Column 0 counts as a
+    drop from r2 + 1, since its top point is not known acceptable, so the
+    vertical legs drop at most r2 + 1. The last leg runs off the slice or
+    down to threshold 0 without bisecting: ceil(log2(d)) calls, at most
+    3d/2 - 3/2, which pays for the extra step.
     """
     res = store.grid.resolution
     if len(res) == 1:
@@ -368,7 +349,7 @@ def _walk(store: _LabelStore) -> None:
         return
     rows = res[-2]
     for prefix in np.ndindex(*res[:-2]):  # lexicographic for reproducibility
-        t = _threshold(store, prefix + (0, slice(None)), 0)
+        t = _threshold(store, prefix + (0, slice(None)), -1)
         while t > 0:
             i = _threshold(store, prefix + (slice(None), t - 1), +1)
             if i == rows:
@@ -456,7 +437,7 @@ def _finalize(store: _LabelStore) -> GridApproximation:
 
 
 def grid_search(oracle, grid: GridSpec) -> GridApproximation:
-    """Label the whole lattice and extract the frontier sandwich.
+    """Label the whole lattice by the staircase walk and extract the frontier sandwich.
 
     The oracle must be monotone (true at k stays true at any k' >= k). This
     is not verified: only unlabelled points are queried, and no verdict at
@@ -465,7 +446,6 @@ def grid_search(oracle, grid: GridSpec) -> GridApproximation:
     oracle the labels are ground truth regardless of evaluation order.
     """
     store = _LabelStore(oracle, grid)
-    _seed_labels(store)
     _walk(store)
     return _finalize(store)
 

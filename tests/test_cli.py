@@ -508,13 +508,12 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
 
 
 @pytest.mark.parametrize("preset, clearing", [
-    # constant price: every call decided by the equity radius of its top-down iteration, also
-    # the one 19 from the tie, where every firm pays in full and the radius is the rounding
-    # slack alone; seven calls start from an evaluated point with more capital
-    ("two_tier:C5", {"calls": 13, "decided": 13, "warm": 7, "sweeps": 35, "rounds": 0,
+    # constant price: every call decided by the equity radius of its top-down iteration;
+    # six calls start from an evaluated point with more capital
+    ("two_tier:C5", {"calls": 12, "decided": 12, "warm": 6, "sweeps": 40, "rounds": 0,
                      "solves": 0, "closest_tie": None}),
     # price impact: every call decided by its bracket
-    ("three_tier:alpha=0.6", {"calls": 12, "decided": 12, "warm": 11, "sweeps": 23, "rounds": 0,
+    ("three_tier:alpha=0.6", {"calls": 9, "decided": 9, "warm": 8, "sweeps": 21, "rounds": 0,
                               "solves": 0, "closest_tie": None}),
 ])
 def test_network_run_records_its_clearing_counters(tmp_path, capsys, preset, clearing):
@@ -536,8 +535,8 @@ def test_sensitive_aggregation_run_records_its_counters(tmp_path, capsys):
     assert main(["run", "--preset", "agg_lognormal:exp_sensitive", "--seed", "1",
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["oracle_calls"] == 37
-    assert manifest["stats"]["aggregation"] == {"calls": 37, "block_sums": 48, "tables": 2}
+    assert manifest["oracle_calls"] == 28
+    assert manifest["stats"]["aggregation"] == {"calls": 28, "block_sums": 29, "tables": 2}
     assert "clearing" not in manifest["stats"]
 
 
@@ -616,6 +615,43 @@ def test_run_unwritable_output_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path, small_agg_cfg(blocker))
     assert main(["run", "--config", path]) == 2
     assert f"cannot write output directory {blocker}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["inner_frontier.csv", "labels.csv", "scenarios.csv", "ear.json"])
+def test_run_unwritable_output_file_exits_2_with_failed_manifest(tmp_path, capsys, name):
+    # a directory where an output file belongs fails that write after the search
+    outdir = tmp_path / "out"
+    (outdir / name).mkdir(parents=True)
+    path = write_cfg(tmp_path, small_agg_cfg(outdir))
+    assert main(["run", "--config", path]) == 2
+    message = f"cannot write {outdir / name}: Is a directory"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == message
+    assert manifest["oracle_calls"] > 0
+    assert manifest["stats"]["seconds"]["write"] > 0.0
+
+
+# a blocked output file, then the manifest; or the manifest of an all-out box that would exit 4
+@pytest.mark.parametrize("blocked, shift", [("labels.csv", 0.0), (None, 1e6)])
+def test_run_exits_2_when_the_manifest_cannot_be_finished(tmp_path, capsys, monkeypatch,
+                                                          blocked, shift):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    if blocked:
+        (outdir / blocked).mkdir()
+    cfg = small_agg_cfg(outdir)
+    cfg["acceptance"]["shift"] = shift
+    path = write_cfg(tmp_path, cfg)
+
+    def no_manifest(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_finish_manifest", no_manifest)
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert json.loads((outdir / "manifest.json").read_text())["status"] == "running"
 
 
 def test_run_clearing_divergence_exits_3(tmp_path, capsys):

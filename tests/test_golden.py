@@ -17,6 +17,10 @@ Rerecord only when an output change is intended, and name the reason and
 the changed cases in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+The record ends with a summary against the golden.json it replaces: the
+cases whose digests or exit code changed, and those whose oracle calls
+moved, with the totals before and after.
 """
 
 from __future__ import annotations
@@ -93,14 +97,58 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden["cases"]) == sorted(case_id(*c) for c in cases())
 
 
+def test_record_summary_names_what_moved():
+    def case(calls, digest="a", code=0):
+        return {"exit_code": code, "oracle_calls": calls, "sha256": {"labels.csv": digest}}
+
+    old = {"numpy": "1", "cases": {"p": case(10), "q": case(5), "r": case(7), "gone": case(1)}}
+    new = {"numpy": "1", "cases": {"p": case(8), "q": case(5, "b"), "r": case(7, code=4),
+                                   "new": case(2)}}
+    assert summary(old, new) == [
+        "added: new",
+        "removed: gone",
+        "outputs or exit code changed: q",
+        "outputs or exit code changed: r",
+        "oracle_calls 10 -> 8: p",
+        "oracle_calls moved in 1 of 3 common cases, total 22 -> 20",
+    ]
+    assert summary(old, old)[-2:] == [
+        "outputs and exit codes: unchanged in every common case",
+        "oracle_calls moved in 0 of 4 common cases, total 23 -> 23",
+    ]
+
+
+def summary(old: dict, new: dict) -> list[str]:
+    """What a new record changes against the old one, one line per finding."""
+    before, after = old.get("cases", {}), new["cases"]
+    lines = [f"numpy {old.get('numpy')} -> {new['numpy']}"] if old.get("numpy") != new["numpy"] else []
+    lines += [f"added: {c}" for c in after if c not in before]
+    lines += [f"removed: {c}" for c in before if c not in after]
+    common = [c for c in after if c in before]
+    outputs = [c for c in common if (before[c]["sha256"], before[c]["exit_code"])
+               != (after[c]["sha256"], after[c]["exit_code"])]
+    lines += [f"outputs or exit code changed: {c}" for c in outputs]
+    if not outputs:
+        lines.append("outputs and exit codes: unchanged in every common case")
+    calls = [c for c in common if before[c]["oracle_calls"] != after[c]["oracle_calls"]]
+    lines += [f"oracle_calls {before[c]['oracle_calls']} -> {after[c]['oracle_calls']}: {c}"
+              for c in calls]
+    total = [sum(doc[c]["oracle_calls"] or 0 for c in common) for doc in (before, after)]
+    lines.append(f"oracle_calls moved in {len(calls)} of {len(common)} common cases, "
+                 f"total {total[0]} -> {total[1]}")
+    return lines
+
+
 def record() -> None:
     doc = {"numpy": np.__version__, "cases": {}}
     for case in cases():
         with tempfile.TemporaryDirectory() as tmp:
             doc["cases"][case_id(*case)] = run_case(*case, Path(tmp))
         print(case_id(*case), doc["cases"][case_id(*case)]["oracle_calls"])
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
+    print("\n".join(summary(old, doc)))
 
 
 if __name__ == "__main__":

@@ -78,12 +78,7 @@ def unit_grid(shape):
 
 def walk_bound(r1, r2):
     """The worst case stated in riskmeasure._walk for one r1 x r2 slice."""
-    return math.ceil(math.log2(r2 + 1)) + 3 * (r1 + r2) // 2
-
-
-def seed_bound(shape):
-    """Corner checks, the diagonal end point and the diagonal bisection of _seed_labels."""
-    return 3 + math.ceil(math.log2(min(shape) - 1))
+    return 3 * (r1 + r2) // 2
 
 
 def assert_matches_truth(approx, truth):
@@ -259,25 +254,21 @@ def test_random_staircases_match_oracle_frontiers():
         approx = grid_search(staircase_oracle(truth, grid), grid)
         assert_matches_truth(approx, truth)
         assert approx.oracle_calls <= truth.size
-        assert approx.oracle_calls <= seed_bound(shape) + walk_bound(*shape)
+        assert approx.oracle_calls <= walk_bound(*shape)
 
 
 @pytest.mark.parametrize("shape", [(2,), (3,), (9,), (16,), (33,)])
 def test_one_dimensional_lattices(shape):
     (r,) = shape
     grid = unit_grid(shape)
-    for t in range(1, r):  # first acceptable index; 0 and r are degenerate boxes
+    for t in range(r + 1):  # first acceptable index; 0 and r are degenerate boxes
         truth = (np.arange(r) >= t).astype(np.int8)
         approx = grid_search(staircase_oracle(truth, grid), grid)
-        assert_matches_truth(approx, truth)
-        # the diagonal seed is the whole lattice: nothing is left to walk
-        assert approx.oracle_calls <= 2 + math.ceil(math.log2(r - 1))
-    for t in range(r + 1):  # the walk alone bisects its one line
-        truth = (np.arange(r) >= t).astype(np.int8)
-        store = _LabelStore(staircase_oracle(truth, grid), grid)
-        _walk(store)
-        assert np.array_equal(store.labels, truth)
-        assert store.calls <= math.ceil(math.log2(r + 1))
+        assert np.array_equal(approx.labels, truth)
+        if 0 < t < r:
+            assert_matches_truth(approx, truth)
+        # the walk bisects its one line
+        assert approx.oracle_calls <= math.ceil(math.log2(r + 1))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (5, 2), (3, 4), (4, 4), (5, 5), (4, 6)])
@@ -335,7 +326,7 @@ def test_higher_dimensional_staircases(shape):
         truth = random_staircase(rng, shape)
         approx = grid_search(staircase_oracle(truth, grid), grid)
         assert_matches_truth(approx, truth)
-        assert approx.oracle_calls <= seed_bound(shape) + slices * walk_bound(*shape[-2:])
+        assert approx.oracle_calls <= slices * walk_bound(*shape[-2:])
         assert approx.oracle_calls < truth.size
 
 
@@ -353,7 +344,7 @@ def test_three_dimensional_staircase():
 def test_refine_walks_prepainted_lattices(coarse_shape, factor):
     # a refine factor F searches the (r-1)*F+1 lattice directly: its labels
     # match the truth, hold the coarse labels at every F-th index, and the
-    # search stays within the diagonal seed plus one walk per slice
+    # search stays within one walk per slice
     rng = np.random.default_rng(91)
     fine_shape = tuple((r - 1) * factor + 1 for r in coarse_shape)
     upper = [float(r - 1) for r in fine_shape]
@@ -369,13 +360,13 @@ def test_refine_walks_prepainted_lattices(coarse_shape, factor):
         assert fine.grid.resolution == fine_shape
         assert_matches_truth(fine, truth)
         assert np.array_equal(fine.labels[coincident], coarse.labels)
-        assert fine.oracle_calls <= seed_bound(fine_shape) + slices * walk_bound(*fine_shape[-2:])
+        assert fine.oracle_calls <= slices * walk_bound(*fine_shape[-2:])
 
 
 def test_labels_independent_of_evaluation_order():
-    # stores that already hold verdicts queried in random orders, as the
-    # diagonal seed and neighbouring slices leave them, walk to the same
-    # labels, and the walk's worst case holds whatever is already labelled
+    # stores that already hold verdicts queried in random orders, as
+    # neighbouring slices leave them, walk to the same labels, and the
+    # walk's worst case holds whatever is already labelled
     rng = np.random.default_rng(92)
     grid = GridSpec([0.0, 0.0], [4.0, 4.0], 21)
     oracle = half_space(3.3)
@@ -476,8 +467,8 @@ def test_fine_lattice_agrees_with_coarse_at_coincident_points():
 
 
 def test_refine_degenerate_box_stays_degenerate():
-    # the corner checks label a degenerate box whole, so a finer lattice
-    # costs no further oracle calls
+    # a box entirely inside or outside stays flagged on a finer lattice,
+    # searched within the walk's worst case
     fine_grid = GridSpec([0.0, 0.0], [4.0, 4.0], 9)
     for oracle, flag, label in [(lambda k: True, "all_in", 1), (lambda k: False, "all_out", 0)]:
         coarse = grid_search(oracle, BOX04)
@@ -485,7 +476,7 @@ def test_refine_degenerate_box_stays_degenerate():
         assert fine.degenerate == coarse.degenerate == flag
         assert (fine.labels == label).all()
         assert fine.inner_frontier.shape == fine.outer_frontier.shape == (0, 2)
-        assert fine.oracle_calls == coarse.oracle_calls
+        assert fine.oracle_calls <= walk_bound(*fine_grid.resolution)
 
 
 def test_refine_rejects_small_factor():
