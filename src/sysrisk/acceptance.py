@@ -218,14 +218,14 @@ def entropic_rho(samples, level: float) -> float:
     """Entropic risk at a given acceptability level: log mean(e^(-M)) + level.
 
     This is the closed form of shortfall risk with exponential loss and
-    z = e^(-level), evaluated by log-sum-exp so that no exponential overflows.
+    z = e^(-level), evaluated by log-sum-exp shifted by the largest -M, so
+    that no exponential overflows and the largest term is exactly 1.
     """
-    from scipy.special import logsumexp  # imported here, so that start-up does not pay for scipy
-
     if not np.isfinite(level):
         raise ParameterError("entropic level must be finite")
     m = _as_samples(samples)
-    return float(logsumexp(-m) - np.log(m.size) + level)
+    top = -float(m.min())
+    return float(np.log(np.exp(-m - top).sum()) + top - np.log(m.size) + level)
 
 
 def oce_rho(samples, utility_fn) -> float:

@@ -21,6 +21,9 @@ its outputs and its final manifest, and exits 141 where it would exit 0;
 the other commands stop at that print. A run that cannot write its output
 directory, or after its search an output file or its manifest, exits 2
 with one "error: cannot write ..." line and a failed manifest if it can.
+A run whose build or search fails and whose manifest then cannot be
+finished keeps its exit code (2 after the build; 3 or 1 after the search)
+and its "error:" line, and adds one "error: cannot write ..." line.
 """
 
 from __future__ import annotations
@@ -260,6 +263,14 @@ def _finish_manifest(path: str, manifest: dict, status: str, started: float, **e
     _write_json(path, manifest)
 
 
+def _finish_failed(path: str, manifest: dict, started: float, **extra) -> None:
+    """Finish the manifest as failed; if it cannot be written, say so on stderr and go on."""
+    try:
+        _finish_manifest(path, manifest, "failed", started, **extra)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -341,9 +352,8 @@ def cmd_run(args) -> int:
         plan = build_run(resolved)
     except SysriskError as exc:
         clock.lap("build")
-        _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc),
-                         **_run_stats(clock))
         print(f"error: {exc}", file=sys.stderr)
+        _finish_failed(manifest_path, manifest, started, error=str(exc), **_run_stats(clock))
         return 2
     clock.lap("build")
 
@@ -354,9 +364,9 @@ def cmd_run(args) -> int:
         approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
     except SysriskError as exc:
         clock.lap("search")
-        _finish_manifest(manifest_path, manifest, "failed", started, error=str(exc),
-                         **_run_stats(clock, plan))
         print(f"error: {exc}", file=sys.stderr)
+        _finish_failed(manifest_path, manifest, started, error=str(exc),
+                       **_run_stats(clock, plan))
         return 3 if isinstance(exc, ConvergenceError) else 1
     clock.lap("search")
 

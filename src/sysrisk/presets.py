@@ -29,8 +29,8 @@ from .errors import ConfigurationError
 __all__ = ["preset_names", "preset_config"]
 
 # Lognormal location putting the marginal loss probability at 25% when
-# sigma = 1 and the worst loss is -1: float(scipy.special.ndtri(0.75)), written
-# out so that importing the presets does not load scipy.
+# sigma = 1 and the worst loss is -1: the normal quantile at 0.75, written out
+# (a test checks it against scipy.special.ndtri).
 _MU_Q75 = 0.6744897501960817
 
 _DEFAULT_SEED = 1

@@ -14,6 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import _special
 from .errors import ConfigurationError, GenerationError, ParameterError
 
 __all__ = [
@@ -34,8 +35,9 @@ _BETA_TOL = 1e-10
 _TABLE_NODES = 129
 _TABLE_LOGIT = 40.0
 _TABLE_STEP = _TABLE_LOGIT / (_TABLE_NODES - 1)
+_TABLE_BISECTIONS = 32  # from the 2**62 bit patterns of [0, 1] to 2**30, 2**-22 of a binade
 _NEWTON_STEPS = 2
-_NEWTON_BLOCK = 2**12  # values per pass, which keeps its twenty-odd temporaries near 0.7 MB
+_NEWTON_BLOCK = 2**13  # values per pass: 0.7 MB of temporaries when u is spread about 1/2, 1.3 MB at most
 # apply_marginal: values per transform call, so that wide rows keep small temporaries
 _CHUNK = 2**15
 
@@ -110,13 +112,11 @@ class ScaledBeta:
     def transform(self, z: np.ndarray) -> np.ndarray:
         """Map normals z to the margin, elementwise.
 
-        beta_inverse_cdf tabulates its start (258 library inverses, well under
-        a millisecond) once per call, so a call should carry many values:
-        apply_marginal passes up to 2**15 at a time.
+        Phi is _special.ndtr. beta_inverse_cdf bisects its start table (2 x 129
+        nodes, under a millisecond at (2, 5)) once per call, so a call should
+        carry many values: apply_marginal passes up to 2**15 at a time.
         """
-        from scipy import special  # imported here, so that start-up does not pay for scipy
-
-        u = special.ndtr(np.asarray(z, dtype=float))
+        u = _special.ndtr(z)
         return self.scale * beta_inverse_cdf(u, self.alpha, self.beta) + self.shift
 
 
@@ -240,56 +240,61 @@ def generate_scenarios(
 
 
 def _inverse_table(alpha: float, beta: float) -> np.ndarray:
-    """Exact inverses at fixed nodes, as logit(x) against logit(p) for p <= 1/2.
+    """Inverses at fixed nodes, as logit(x) against logit(p) for p <= 1/2.
 
     Row 0 holds the lower half of Beta(alpha, beta), row 1 the lower half of
     the reflected Beta(beta, alpha), whose inverse at p is 1 - x at u = 1 - p.
+    Each node is bisected on the bit patterns of the doubles in [0, 1], whose
+    order is that of the values, to within 2**-22 of its binade: far inside
+    the error of interpolating between nodes (5e-4 in logit at (2, 5)),
+    which _newton_inverse removes. A node whose inverse underflows ends at a
+    subnormal double, with a finite logit near -724.
     """
-    from scipy import special
+    p = _special.expit(np.linspace(-_TABLE_LOGIT, 0.0, _TABLE_NODES))
+    lo = np.zeros((2, _TABLE_NODES), dtype=np.int64)
+    hi = np.full_like(lo, np.float64(1.0).view(np.int64))
+    below = np.empty(lo.shape, dtype=bool)
+    # near x = 1 the binomial sum of integer shapes overflows to inf or nan; neither is below p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_TABLE_BISECTIONS):
+            mid = (lo + hi) // 2
+            x = mid.view(np.float64)
+            np.less(_special.lower_tail(alpha, beta, x[0]), p, out=below[0])
+            np.less(_special.lower_tail(beta, alpha, x[1]), p, out=below[1])
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    x = ((lo + hi) // 2).view(np.float64)  # in (0, 1): its logit is finite
+    return np.log(x / (1.0 - x))
 
-    p = special.expit(np.linspace(-_TABLE_LOGIT, 0.0, _TABLE_NODES))
-    with np.errstate(divide="ignore"):  # a node inverse may underflow to 0: logit -inf
-        return special.logit(
-            np.stack([special.betaincinv(alpha, beta, p), special.betaincinv(beta, alpha, p)])
-        )
 
+def _newton_inverse(p: np.ndarray, a: float, b: float, nodes: np.ndarray) -> np.ndarray:
+    """Solve I_x(a, b) = p for p <= 1/2 by a tabulated start and Newton steps, elementwise.
 
-def _newton_inverse(u: np.ndarray, alpha: float, beta: float, table: np.ndarray) -> np.ndarray:
-    """Inverse of I_x(alpha, beta) by a tabulated start and Newton steps, elementwise.
-
-    Each u > 1/2 is reflected to p = 1 - u (exact in float64) and solved for
-    y = 1 - x under Beta(beta, alpha), so that both tails keep full relative
-    precision. The unknown is r = logit(x) (or logit(y)) and the function
-    G(r) = log I - log p: the density of logit(X) is log-concave, so G is
-    concave and increasing, and in the tail it is linear (I ~ x^a / (a B)).
-    The start interpolates the table linearly in logit(p), below the table
-    along the tail slope 1/alpha. Each step is Newton's, with Halley's
-    second-order correction, which G's closed-form derivatives make cheap.
-    Only elementwise operations are used, so a value does not depend on the
-    other values of the call.
+    The unknown is r = logit(x) and the function G(r) = log I - log p: the
+    density of logit(X) is log-concave, so G is concave and increasing, and
+    in the tail it is linear (I ~ x^a / (a B)). The start interpolates the
+    table row `nodes` linearly in logit(p), below the table along the tail
+    slope 1/a. Each step is Newton's, with Halley's second-order
+    correction, which G's closed-form derivatives make cheap. Since p <= 1/2,
+    I is needed only where it is at most about 1/2: one lower-tail
+    evaluation per step. Only elementwise operations are used, so a value
+    does not depend on the other values of the call.
     """
-    from scipy import special
-
-    upper = u > 0.5
-    a = np.where(upper, beta, alpha)
-    b = np.where(upper, alpha, beta)
-    lbeta = special.betaln(alpha, beta)
+    lbeta = _special.betaln(a, b)
     with np.errstate(all="ignore"):  # p = 0 and underflowing I run through as inf/nan
-        p = np.where(upper, 1.0 - u, u)
         log_p = np.log(p)
         pos = (log_p - np.log1p(-p) + _TABLE_LOGIT) / _TABLE_STEP
         j = np.clip(np.floor(pos), 0, _TABLE_NODES - 2).astype(np.intp)
-        side = upper.astype(np.intp)
-        left = table[side, j]
+        left = nodes[j]
         r = np.where(
             pos < 0,
             left + pos * _TABLE_STEP / a,
-            left + (pos - j) * (table[side, j + 1] - left),
+            left + (pos - j) * (nodes[j + 1] - left),
         )
         for _ in range(_NEWTON_STEPS):
-            v = special.expit(r)
+            v = _special.expit(r)
             log_v = np.log(v)
-            cdf = special.betainc(a, b, v)
+            cdf = _special.lower_tail(a, b, v)
             log_cdf = np.log(cdf)
             slope = np.exp(a * log_v + b * (log_v - r) - lbeta - log_cdf)  # G'(r)
             step = (log_cdf - log_p) / slope
@@ -299,8 +304,7 @@ def _newton_inverse(u: np.ndarray, alpha: float, beta: float, table: np.ndarray)
         # expit(r) to second order about the v of the last step: that step corrects the
         # rounded v itself, so only the rounding of this sum remains
         v -= step * v * (1.0 - v) * (1.0 - 0.5 * step * (1.0 - 2.0 * v))
-    x = np.where(upper, 1.0 - v, v)
-    return np.where(u == 0, 0.0, np.where(u == 1, 1.0, x))
+    return v
 
 
 def beta_inverse_cdf(u, alpha: float, beta: float):
@@ -308,20 +312,20 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
 
     Returns x in [0, 1] with I_x(alpha, beta) = u to absolute residual 1e-10;
     u = 0 gives 0 and u = 1 gives 1 exactly. Each call tabulates 2 x 129
-    exact inverses (scipy's betaincinv) at fixed nodes in logit space, starts
-    every value from that table and polishes it by two Newton steps with
-    Halley's correction (see _newton_inverse), in blocks of 2**12 values:
-    three betainc evaluations per value, residual check included. The result
-    agrees with betaincinv to about 1e-15 and depends on no other value in
-    u. Where the residual exceeds the tolerance, the value is replaced by
-    bisection.
+    inverses at fixed nodes in logit space, bisected to adjacent doubles
+    (see _inverse_table), starts every value from that table and polishes it
+    by two Newton steps with Halley's correction (see _newton_inverse), in
+    blocks of 2**12 values: three betainc evaluations per value, residual
+    check included. Each u > 1/2 is reflected to p = 1 - u (exact in
+    float64) and solved for y = 1 - x under Beta(beta, alpha), so that both
+    tails keep full relative precision. The result depends on no other
+    value in u. Where the residual exceeds the tolerance, the value is
+    replaced by bisection.
     Near-degenerate shapes (alpha or beta ~ 0.03) can make the tolerance
     unattainable in float64 because the CDF jumps by more than 1e-10 between
     adjacent representable x near an endpoint; the closest representable
     solution is returned in that case.
     """
-    from scipy import special
-
     if alpha <= 0 or beta <= 0:
         raise ParameterError("beta shape parameters must be positive")
     u_arr = np.asarray(u, dtype=float)
@@ -333,8 +337,18 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
     for start in range(0, flat.size, _NEWTON_BLOCK):  # blocks bound the temporaries
         target = flat[start:start + _NEWTON_BLOCK]
         x = out[start:start + _NEWTON_BLOCK]
-        x[:] = _newton_inverse(target, alpha, beta, table)
-        residual = np.abs(special.betainc(alpha, beta, x) - target)
+        upper = target > 0.5
+        lower = ~upper
+        p_lower, p_upper = target[lower], 1.0 - target[upper]
+        x[lower] = _newton_inverse(p_lower, alpha, beta, table[0])
+        x[upper] = 1.0 - _newton_inverse(p_upper, beta, alpha, table[1])
+        x[target == 0] = 0.0
+        x[target == 1] = 1.0
+        # |I_x(alpha, beta) - u|, on the upper half as |I_{1-x}(beta, alpha) - (1 - u)|
+        residual = np.empty_like(target)
+        residual[lower] = _special.lower_tail(alpha, beta, x[lower]) - p_lower
+        residual[upper] = _special.lower_tail(beta, alpha, 1.0 - x[upper]) - p_upper
+        np.abs(residual, out=residual)
         # a start that underflows or a degenerate table yields nan; a nan residual must count as bad
         bad = ~(residual <= _BETA_TOL)
         if bad.any():
@@ -342,7 +356,7 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
             hi = np.ones_like(lo)
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                below = special.betainc(alpha, beta, mid) < target[bad]
+                below = _special.betainc(alpha, beta, mid) < target[bad]
                 lo = np.where(below, mid, lo)
                 hi = np.where(below, hi, mid)
             x[bad] = 0.5 * (lo + hi)

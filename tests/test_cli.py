@@ -654,6 +654,33 @@ def test_run_exits_2_when_the_manifest_cannot_be_finished(tmp_path, capsys, monk
     assert json.loads((outdir / "manifest.json").read_text())["status"] == "running"
 
 
+# a missing edge list fails the build (exit 2); one clearing sweep fails the search (exit 3)
+@pytest.mark.parametrize("failure, code, fragment", [
+    ("build", 2, "cannot read edge list"),
+    ("search", 3, "bracket width"),
+])
+def test_failed_run_keeps_its_exit_code_when_the_manifest_cannot_be_finished(
+        tmp_path, capsys, monkeypatch, failure, code, fragment):
+    outdir = tmp_path / "out"
+    cfg = small_net_cfg(outdir)
+    if failure == "build":
+        cfg["model"]["network"] = {"edges_file": str(tmp_path / "missing.csv")}
+    else:
+        cfg["model"]["network"]["clearing"] = {"max_iter": 1}
+        cfg["acceptance"]["shift"] = 0.5
+    path = write_cfg(tmp_path, cfg)
+
+    def no_manifest(manifest_path, *args, **kwargs):
+        raise OSError(28, "No space left on device", manifest_path)
+
+    monkeypatch.setattr(cli, "_finish_manifest", no_manifest)
+    assert main(["run", "--config", path]) == code
+    own, cannot_write = capsys.readouterr().err.splitlines()
+    assert own.startswith("error: ") and fragment in own
+    assert cannot_write == f"error: cannot write {outdir / 'manifest.json'}: No space left on device"
+    assert json.loads((outdir / "manifest.json").read_text())["status"] == "running"
+
+
 def test_run_clearing_divergence_exits_3(tmp_path, capsys):
     # the shift puts the first call's verdict inside its one-sweep bracket, so
     # that call cannot be decided before clearing runs out of max_iter
@@ -861,17 +888,29 @@ def test_lognormal_location_is_the_normal_upper_quartile():
     assert presets._MU_Q75 == float(ndtri(0.75))
 
 
-def test_aggregation_run_loads_no_scipy(tmp_path):
-    # scipy is imported only where a run needs it: beta margins and the entropic criterion
+@pytest.mark.parametrize("preset", [
+    "agg_lognormal:exp_sensitive",
+    "two_tier:B2",
+    "three_tier:alpha=0.6",  # the entropic criterion
+    None,  # a network config with a Beta(2.5, 0.7) margin: the continued fraction
+], ids=["agg_lognormal:exp_sensitive", "two_tier:B2", "three_tier:alpha=0.6", "beta_2.5_0.7"])
+def test_run_loads_no_scipy(tmp_path, preset):
+    # scipy is a test dependency only: no run imports it
+    out = tmp_path / "out"
+    if preset:
+        source = ["--preset", preset, "--scenarios", "300"]
+    else:
+        cfg = small_net_cfg(out)
+        cfg["scenarios"]["margins"][0].update(alpha=2.5, beta=0.7)
+        source = ["--config", write_cfg(tmp_path, cfg)]
     script = (
         "import sys\n"
         "from sysrisk.cli import main\n"
-        "assert main(['run', '--preset', 'agg_lognormal:exp_sensitive', '--scenarios', '300',\n"
-        f"             '--grid-res', '5', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"assert main(['run', *{source!r}, '--grid-res', '5', '--out', {str(out)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = fresh_python("-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    out, err = proc.communicate(timeout=120)
+    stdout, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
-    assert out.splitlines()[-1] == "[]"
-    assert (tmp_path / "out" / "labels.csv").exists()
+    assert stdout.splitlines()[-1] == "[]"
+    assert (out / "labels.csv").exists()
