@@ -345,37 +345,36 @@ def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
     top = math.inf if groups is None else groups.n_firms
     allowed = "non-negative" if groups is None else f"in 0..{top}, society and the groups' firms"
     rows = []
-    try:
-        fh = open(path)
+    try:  # utf-8-sig: a spreadsheet's export may begin with a byte order mark
+        with open(path, encoding="utf-8-sig") as fh:
+            header, *lines = fh.read().split("\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot read edge list {path}: {exc.strerror}") from None
-    with fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "from,to,amount":
-            raise ConfigurationError(f"{path}: expected header 'from,to,amount', got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"{path} line {line_no}: expected 3 fields, got {len(parts)}"
-                )
-            try:
-                i, j, amount = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path} line {line_no}: expected integer node ids and a number, got {line!r}"
-                ) from None
-            if not (0 <= i <= top and 0 <= j <= top):
-                raise ConfigurationError(
-                    f"{path} line {line_no}: node ids must be {allowed}, got {i} and {j}"
-                )
-            if not (i not in (0, j) and math.isfinite(amount) and amount >= 0):
-                raise ConfigurationError(f"{path} line {line_no}: expected an edge from a firm "
-                                         f"to another node, amount finite and >= 0, got {line!r}")
-            rows.append((i, j, amount))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read edge list {path}: not UTF-8 text ({exc.reason} "
+                                 f"at byte {exc.start})") from None
+    header = header.strip()
+    if header.replace(" ", "") != "from,to,amount":
+        raise ConfigurationError(f"{path}: expected header 'from,to,amount', got {header!r}")
+    for line_no, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ConfigurationError(f"{path} line {line_no}: expected 3 fields, got {len(parts)}")
+        try:
+            i, j, amount = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ConfigurationError(f"{path} line {line_no}: expected integer node ids and a "
+                                     f"number, got {line!r}") from None
+        if not (0 <= i <= top and 0 <= j <= top):
+            raise ConfigurationError(f"{path} line {line_no}: node ids must be {allowed}, "
+                                     f"got {i} and {j}")
+        if not (i not in (0, j) and math.isfinite(amount) and amount >= 0):
+            raise ConfigurationError(f"{path} line {line_no}: expected an edge from a firm "
+                                     f"to another node, amount finite and >= 0, got {line!r}")
+        rows.append((i, j, amount))
     if not rows:
         raise ConfigurationError(f"{path}: edge list is empty")
     size = max(max(i, j) for i, j, _ in rows) + 1

@@ -4,12 +4,13 @@ A run takes one config (a YAML file or a built-in preset), generates the
 scenario set and the value model, labels the whole capital lattice with
 the monotone grid search, extracts capital allocation rules for the
 configured weight vectors, and writes plot-ready CSV datasets plus a
-JSON manifest. A refine factor F makes the searched lattice (R-1)*F+1
-points per axis. The manifest is written with status "running" before
-the heavy computation starts and finalized afterwards, so an interrupted
-run still leaves its full resolved configuration on disk. Feeding a finished manifest back through
---config reproduces the CSV outputs byte for byte. A sweep searches
-several presets the same way and writes nothing.
+JSON manifest. The lattice has grid.resolution points per axis, and
+--grid-res overrides it. The manifest is written with status "running"
+before the heavy computation starts and finalized afterwards, so an
+interrupted run still leaves its full resolved configuration on disk.
+Feeding a finished manifest back through --config reproduces the CSV
+outputs byte for byte. A sweep searches several presets the same way and
+writes nothing.
 
 Exit codes: 0 success, 2 configuration or validation problem,
 3 convergence failure, 4 degenerate search box (run only, with guidance),
@@ -88,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lattice resolution override, scalar or one value per free dimension",
     )
     group.add_argument(
-        "--refine", type=int, metavar="F",
-        help="subdivision factor: search (R-1)*F+1 lattice points per axis (1 = off)",
-    )
-    group.add_argument(
         "--ear-weights",
         metavar="W",
         help="weight vectors like '1,1;10,90' (semicolon separates vectors)",
@@ -164,8 +161,6 @@ def _apply_overrides(raw: dict, args) -> dict:
         raw.setdefault("scenarios", {})["count"] = args.scenarios
     if args.grid_res is not None:
         raw.setdefault("grid", {})["resolution"] = _parse_grid_res(args.grid_res)
-    if args.refine is not None:
-        raw["refine"] = args.refine
     if args.out is not None:
         raw.setdefault("output", {})["directory"] = args.out
     if args.ear_weights is not None:

@@ -233,7 +233,8 @@ def resolve_config(cfg: dict) -> dict:
     # threads changes nothing (the search is sequential); configs and manifests written
     # with it still resolve, to the same config as without it
     _get_int(cfg, "config", "threads", minimum=1)
-    out["refine"] = _get_int(cfg, "config", "refine", default=1, minimum=1)
+    # older configs and manifests carry refine: F; it folds into grid.resolution below
+    refine = _get_int(cfg, "config", "refine", default=1, minimum=1)
 
     # scenarios
     sc = _expect_mapping(cfg.get("scenarios", None) or {}, "scenarios")
@@ -377,18 +378,22 @@ def resolve_config(cfg: dict) -> dict:
     for i, v in enumerate(res):
         if isinstance(v, bool) or not isinstance(v, int):
             _fail(f"grid.resolution[{i}]", f"expected an integer, got {v!r}")
-    rgrid["resolution"] = list(res)
+    rgrid["resolution"] = [(r - 1) * refine + 1 if r >= 2 else r for r in res]
     rgrid["nonneg"] = _get_bool(gc, "grid", "nonneg", default=False)
     fixed_raw = gc.get("fixed") or {}
     fixed_raw = _expect_mapping(fixed_raw, "grid.fixed")
     rfixed = {}
     for key, value in fixed_raw.items():
-        try:
+        try:  # an integral float is a group number too, a bool or a fraction is not
+            if isinstance(key, bool) or isinstance(key, float) and not key.is_integer():
+                raise TypeError
             group_no = int(key)
         except (TypeError, ValueError):
             _fail("grid.fixed", f"keys must be group numbers (1-based), got {key!r}")
         if not 1 <= group_no <= n_groups:
             _fail("grid.fixed", f"group number {group_no} out of range 1..{n_groups}")
+        if str(group_no) in rfixed:
+            _fail("grid.fixed", f"group {group_no} is pinned twice")
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
             _fail("grid.fixed", f"pinned value for group {group_no} must be a finite number")
         rfixed[str(group_no)] = float(value)
@@ -410,9 +415,9 @@ def resolve_config(cfg: dict) -> dict:
             if value < 0:
                 _fail(f"grid.fixed.{key}", f"network models take no negative capital, got {value}")
     _reject_unknown(gc, "grid", {"lower", "upper", "resolution", "nonneg", "fixed"})
-    # entries below 2 are left to GridSpec to reject
-    if math.prod((max(r, 1) - 1) * out["refine"] + 1 for r in rgrid["resolution"]) > _MAX_ENTRIES:
-        _fail("refine" if out["refine"] > 1 else "grid.resolution",
+    # entries below 2, which refine leaves as configured, are left to GridSpec to reject
+    if math.prod(max(r, 1) for r in rgrid["resolution"]) > _MAX_ENTRIES:
+        _fail("refine" if refine > 1 else "grid.resolution",
               f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
     try:
         GridSpec(rgrid["lower"], rgrid["upper"], rgrid["resolution"], rgrid["nonneg"])
@@ -535,12 +540,10 @@ def build_run(resolved: dict) -> RunPlan:
         shift += acc["shift_fraction_of_promised"] * network.society_promised
     spec = AcceptanceSpec(acc["criterion"], shift, **{k: acc[k] for k in _ACCEPTANCE_FIELDS})
 
-    # a refine factor F puts F - 1 points between neighbours of the configured lattice
-    factor = resolved["refine"]
     grid = GridSpec(
         resolved["grid"]["lower"],
         resolved["grid"]["upper"],
-        [(r - 1) * factor + 1 for r in resolved["grid"]["resolution"]],
+        resolved["grid"]["resolution"],
         nonneg_constraint=resolved["grid"]["nonneg"],
         fixed={int(key) - 1: value for key, value in resolved["grid"]["fixed"].items()},
     )

@@ -239,31 +239,38 @@ def generate_scenarios(
     return _transform_rows(sample_equicorrelated_normals(copula), per_firm)
 
 
+def _bisect(a: float, b: float, p: np.ndarray, steps: int) -> np.ndarray:
+    """Solve I_x(a, b) = p for p <= 1/2 by bisection on the doubles in [0, 1], elementwise.
+
+    It bisects their bit patterns, ordered as the values and fewer than 2**62,
+    so 62 steps end at adjacent doubles and 32 within 2**-22 of a binade.
+    Near x = 1 the binomial sum of integer shapes overflows to inf or nan;
+    neither is below p, and the midpoint returned is never 1.
+    """
+    lo = np.zeros(np.shape(p), dtype=np.int64)
+    hi = np.full_like(lo, np.float64(1.0).view(np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            mid = (lo + hi) // 2
+            below = _special.lower_tail(a, b, mid.view(np.float64)) < p
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    return ((lo + hi) // 2).view(np.float64)
+
+
 def _inverse_table(alpha: float, beta: float) -> np.ndarray:
     """Inverses at fixed nodes, as logit(x) against logit(p) for p <= 1/2.
 
     Row 0 holds the lower half of Beta(alpha, beta), row 1 the lower half of
     the reflected Beta(beta, alpha), whose inverse at p is 1 - x at u = 1 - p.
-    Each node is bisected on the bit patterns of the doubles in [0, 1], whose
-    order is that of the values, to within 2**-22 of its binade: far inside
-    the error of interpolating between nodes (5e-4 in logit at (2, 5)),
-    which _newton_inverse removes. A node whose inverse underflows ends at a
-    subnormal double, with a finite logit near -724.
+    Each node is bisected to within 2**-22 of its binade (see _bisect): far
+    inside the error of interpolating between nodes (5e-4 in logit at
+    (2, 5)), which _newton_inverse removes. A node whose inverse underflows
+    ends at a subnormal double, with a finite logit near -724.
     """
     p = _special.expit(np.linspace(-_TABLE_LOGIT, 0.0, _TABLE_NODES))
-    lo = np.zeros((2, _TABLE_NODES), dtype=np.int64)
-    hi = np.full_like(lo, np.float64(1.0).view(np.int64))
-    below = np.empty(lo.shape, dtype=bool)
-    # near x = 1 the binomial sum of integer shapes overflows to inf or nan; neither is below p
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_TABLE_BISECTIONS):
-            mid = (lo + hi) // 2
-            x = mid.view(np.float64)
-            np.less(_special.lower_tail(alpha, beta, x[0]), p, out=below[0])
-            np.less(_special.lower_tail(beta, alpha, x[1]), p, out=below[1])
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    x = ((lo + hi) // 2).view(np.float64)  # in (0, 1): its logit is finite
+    x = np.stack([_bisect(alpha, beta, p, _TABLE_BISECTIONS),
+                  _bisect(beta, alpha, p, _TABLE_BISECTIONS)])  # in (0, 1): finite logits
     return np.log(x / (1.0 - x))
 
 
@@ -312,19 +319,19 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
 
     Returns x in [0, 1] with I_x(alpha, beta) = u to absolute residual 1e-10;
     u = 0 gives 0 and u = 1 gives 1 exactly. Each call tabulates 2 x 129
-    inverses at fixed nodes in logit space, bisected to adjacent doubles
-    (see _inverse_table), starts every value from that table and polishes it
-    by two Newton steps with Halley's correction (see _newton_inverse), in
-    blocks of 2**12 values: three betainc evaluations per value, residual
+    inverses at fixed nodes in logit space (see _inverse_table), starts
+    every value from that table and polishes it by two Newton steps with
+    Halley's correction (see _newton_inverse), in blocks of 2**13 values:
+    three incomplete beta evaluations per value, residual
     check included. Each u > 1/2 is reflected to p = 1 - u (exact in
     float64) and solved for y = 1 - x under Beta(beta, alpha), so that both
     tails keep full relative precision. The result depends on no other
     value in u. Where the residual exceeds the tolerance, the value is
-    replaced by bisection.
+    replaced by bisection to adjacent doubles on the same half (see _bisect).
     Near-degenerate shapes (alpha or beta ~ 0.03) can make the tolerance
     unattainable in float64 because the CDF jumps by more than 1e-10 between
-    adjacent representable x near an endpoint; the closest representable
-    solution is returned in that case.
+    adjacent representable x near an endpoint; one of the two adjacent
+    doubles that bracket the solution is returned in that case.
     """
     if alpha <= 0 or beta <= 0:
         raise ParameterError("beta shape parameters must be positive")
@@ -352,14 +359,9 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
         # a start that underflows or a degenerate table yields nan; a nan residual must count as bad
         bad = ~(residual <= _BETA_TOL)
         if bad.any():
-            lo = np.zeros(np.count_nonzero(bad))
-            hi = np.ones_like(lo)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                below = _special.betainc(alpha, beta, mid) < target[bad]
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            x[bad] = 0.5 * (lo + hi)
+            bad_lower, bad_upper = bad & lower, bad & upper
+            x[bad_lower] = _bisect(alpha, beta, target[bad_lower], 62)
+            x[bad_upper] = 1.0 - _bisect(beta, alpha, 1.0 - target[bad_upper], 62)
     if u_arr.ndim == 0:
         return float(out[0])
     return out.reshape(u_arr.shape)

@@ -1047,6 +1047,14 @@ def test_edge_csv_accumulates_duplicates(tmp_path):
     assert net.nominal[1, 0] == 0.75
 
 
+def test_edge_csv_reads_past_a_byte_order_mark(tmp_path):
+    # as a spreadsheet's CSV export begins
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbffrom,to,amount\r\n1,0,0.5\r\n2,1,0.25\r\n")
+    net = read_edge_csv(path)
+    assert net.nominal[1, 0] == 0.5 and net.nominal[2, 1] == 0.25
+
+
 def test_edge_csv_errors(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("source,target,w\n1,0,1.0\n")
@@ -1064,6 +1072,10 @@ def test_edge_csv_errors(tmp_path):
     negative.write_text("from,to,amount\n-1,0,1.0\n")
     with pytest.raises(ConfigurationError):
         read_edge_csv(negative)
+    latin1 = tmp_path / "l.csv"
+    latin1.write_bytes("from,to,amount\n1,0,0.5 \u00e9\n".encode("latin-1"))
+    with pytest.raises(ConfigurationError, match="not UTF-8 text .* at byte 23"):
+        read_edge_csv(latin1)
 
 
 def test_edge_csv_errors_name_the_file_and_line(tmp_path):

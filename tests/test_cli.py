@@ -362,12 +362,15 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind, fragment):
     ("from,to,amount\n1,0,1.0\nx,0,1.0\n", "line 3: expected integer node ids"),
     # checked against the groups before the (id + 1)^2 matrix, 728 TiB here, is allocated
     ("from,to,amount\n1,0,1.0\n10000000,0,1.0\n", "line 3: node ids must be in 0.."),
+    ("from,to,amount\n1,0,1.0 \u20ac\n".encode("cp1252"), "not UTF-8 text"),
 ])
 def test_bad_edges_file_exits_2(tmp_path, capsys, edges, fragment):
     outdir = tmp_path / "out"
     cfg = small_net_cfg(outdir)
     edges_path = tmp_path / "edges.csv"
-    if edges is not None:
+    if isinstance(edges, bytes):
+        edges_path.write_bytes(edges)
+    elif edges is not None:
         edges_path.write_text(edges)
     cfg["model"]["network"] = {"edges_file": str(edges_path)}
     path = write_cfg(tmp_path, cfg)
@@ -379,6 +382,21 @@ def test_bad_edges_file_exits_2(tmp_path, capsys, edges, fragment):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["stats"]["seconds"]["search"] == 0.0  # failed while building
+
+
+@pytest.mark.parametrize("fixed,fragment", [
+    ({True: 0.0}, "keys must be group numbers (1-based), got True"),
+    ({2.7: 0.0}, "keys must be group numbers (1-based), got 2.7"),
+    ({"2": 0.0, 2: 1.0}, "group 2 is pinned twice"),
+])
+def test_bad_fixed_group_exits_2(tmp_path, capsys, fixed, fragment):
+    cfg = preset_config("three_tier:alpha=0.6")
+    cfg["grid"]["fixed"] = fixed
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.dump(cfg, sort_keys=False))  # keeps bool, float and int keys as such
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error at grid.fixed: {fragment}" in capsys.readouterr().err
 
 
 def test_negative_network_capital_exits_2(tmp_path, capsys):
@@ -546,7 +564,7 @@ def test_run_overrides_land_in_manifest(tmp_path):
     path = write_cfg(tmp_path, small_agg_cfg(outdir))
     rc = main([
         "run", "--config", path, "--seed", "123", "--scenarios", "33",
-        "--grid-res", "7", "--refine", "2",
+        "--grid-res", "7",
         "--ear-weights", "1;2", "--out", str(override_dir),
     ])
     assert rc == 0
@@ -556,24 +574,65 @@ def test_run_overrides_land_in_manifest(tmp_path):
     assert resolved["scenarios"]["seed"] == 123
     assert resolved["scenarios"]["count"] == 33
     assert resolved["grid"]["resolution"] == [7]
-    assert resolved["refine"] == 2
     assert resolved["ear"]["weights"] == [[1.0], [2.0]]
     assert resolved["output"]["directory"] == str(override_dir)
     manifest = json.loads((override_dir / "manifest.json").read_text())
-    assert manifest["lattice_points"] == 13  # resolution 7 refined by 2
+    assert manifest["lattice_points"] == 7
 
 
 def test_run_refine_matches_direct_fine_lattice(tmp_path, capsys):
-    # refine 2 on the 7-point lattice is a search of the 13-point lattice itself
-    common = ["--preset", "agg_lognormal:loss_sensitive", "--scenarios", "200"]
+    # a config's refine 2 on the 7-point lattice is the 13-point lattice itself
+    raw = preset_config("agg_lognormal:loss_sensitive")
+    raw["scenarios"]["count"] = 200
+    raw["grid"]["resolution"] = 7
+    raw["refine"] = 2
+    path = write_cfg(tmp_path, raw)
     refined, direct = tmp_path / "refined", tmp_path / "direct"
-    assert main(["validate", *common, "--grid-res", "7", "--refine", "2"]) == 0
+    assert main(["validate", "--config", path]) == 0
     assert "grid: 13x13 lattice" in capsys.readouterr().out
-    assert main(["run", *common, "--grid-res", "7", "--refine", "2", "--out", str(refined)]) == 0
+    assert main(["run", "--config", path, "--out", str(refined)]) == 0
     assert "13x13 lattice" in capsys.readouterr().out
-    assert main(["run", *common, "--grid-res", "13", "--out", str(direct)]) == 0
+    resolved = json.loads((refined / "manifest.json").read_text())["resolved_config"]
+    assert resolved["grid"]["resolution"] == [13, 13] and "refine" not in resolved
+    assert main(["run", "--preset", "agg_lognormal:loss_sensitive", "--scenarios", "200",
+                 "--grid-res", "13", "--out", str(direct)]) == 0
     for name in ("labels.csv", "inner_frontier.csv", "outer_frontier.csv", "ear.json"):
         assert (refined / name).read_bytes() == (direct / name).read_bytes(), name
+
+
+def test_manifest_with_refine_replays_byte_identical(tmp_path):
+    # refine is no longer written, but a manifest that records the 13-point lattice
+    # as resolution 7 refined by 2 still replays to it
+    out1, out2 = tmp_path / "out1", tmp_path / "out2"
+    cfg = small_agg_cfg(out1)
+    cfg["grid"]["resolution"] = 13
+    assert main(["run", "--config", write_cfg(tmp_path, cfg)]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert "refine" not in manifest["resolved_config"]
+    manifest["resolved_config"]["grid"]["resolution"] = [7]
+    manifest["resolved_config"]["refine"] = 2
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["run", "--config", str(old), "--out", str(out2)]) == 0
+    for name in ("inner_frontier.csv", "outer_frontier.csv", "labels.csv",
+                 "scenarios.csv", "ear.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    replayed = json.loads((out2 / "manifest.json").read_text())
+    assert replayed["lattice_points"] == 13
+    assert replayed["resolved_config"]["grid"]["resolution"] == [13]
+    assert "refine" not in replayed["resolved_config"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_refine_flag_is_a_usage_error(capsys, command):
+    source = ["agg_lognormal:sum"] if command == "sweep" else ["--preset", "agg_lognormal:sum"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--refine", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --refine" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--refine" not in capsys.readouterr().out
 
 
 def test_run_respects_write_flags(tmp_path):

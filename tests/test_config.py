@@ -135,7 +135,7 @@ def test_aggregation_defaults():
     assert r["name"] == "run"
     assert r["seed"] == 7
     assert "threads" not in r
-    assert r["refine"] == 1
+    assert "refine" not in r
     assert r["scenarios"]["correlation"] == 0.0
     assert r["scenarios"]["seed"] == 7  # defaults to the master seed
     assert r["scenarios"]["liquid_fraction"] is None
@@ -218,6 +218,8 @@ def test_fixed_accepts_int_keys():
     cfg["grid"]["upper"] = [4.0]
     r = resolve_config(cfg)
     assert r["grid"]["fixed"] == {"1": 0.5}
+    cfg["grid"]["fixed"] = {1.0: 0.5}  # an integral float names a group too
+    assert resolve_config(cfg)["grid"]["fixed"] == {"1": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +510,26 @@ def test_grid_fixed_validation():
     cfg = agg_config_two_groups()
     cfg["grid"]["fixed"] = {"1": 0.0, "2": 0.0}
     assert_rejects(cfg, "at least one group must remain free")
+    # a bool, a fraction or an infinity names no group, and a group is pinned once
+    for fixed, fragment in [({True: 0.0}, "group numbers (1-based), got True"),
+                            ({2.7: 0.0}, "group numbers (1-based), got 2.7"),
+                            ({float("inf"): 0.0}, "group numbers (1-based), got inf"),
+                            ({"2": 0.0, 2: 1.0}, "group 2 is pinned twice")]:
+        cfg = agg_config_two_groups()
+        cfg["grid"]["fixed"] = fixed
+        assert_rejects(cfg, fragment)
+
+
+def test_refine_folds_into_the_resolution():
+    # refine, which older configs and manifests carry, resolves to the lattice it searched
+    cfg = agg_config_two_groups()
+    cfg["grid"]["resolution"] = [7, 5]
+    cfg["refine"] = 2
+    refined = resolve_config(cfg)
+    assert refined["grid"]["resolution"] == [13, 9] and "refine" not in refined
+    cfg["grid"]["resolution"] = [13, 9]
+    del cfg["refine"]
+    assert resolve_config(cfg) == refined
 
 
 def test_grid_resolution_entries_must_be_integers():

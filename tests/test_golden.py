@@ -1,8 +1,8 @@
 """Golden outputs: every preset's labels, frontiers and EARs, pinned by digest.
 
 Each case is one `sysrisk run` with --scenarios 150, in two configurations:
-seed 1 with --grid-res 10 for all 25 presets, plus refine 2 for one preset
-per family; and seed 3 with --grid-res 20 for all 25 presets. At seed 1
+seed 1 with --grid-res 10 for all 25 presets, plus --grid-res 19 for one
+preset per family; and seed 3 with --grid-res 20 for all 25 presets. At seed 1
 several presets share their labels (two_tier B1/B2, A2/C2/C5 and B3/B4,
 three_tier alpha 0/0.2 and 0.4/0.6/0.8); in the second configuration only
 B1 and C1, one preset by construction, share them, so a change that moves
@@ -41,28 +41,25 @@ from sysrisk.presets import preset_names
 
 GOLDEN = Path(__file__).with_name("golden.json")
 OUTPUTS = ("labels.csv", "inner_frontier.csv", "outer_frontier.csv", "ear.json")
-REFINED = ("agg_lognormal:sum", "two_tier:B2", "three_tier:alpha=0.6")
+FINE = ("agg_lognormal:sum", "two_tier:B2", "three_tier:alpha=0.6")  # also at grid 19
 SECOND = (3, 20)  # seed and grid resolution of the second configuration
 
 
-def cases() -> list[tuple[str, int, int, int]]:
-    """(preset, seed, grid resolution, refine) of every case."""
+def cases() -> list[tuple[str, int, int]]:
+    """(preset, seed, grid resolution) of every case."""
     names = preset_names()
-    return ([(name, 1, 10, 1) for name in names] + [(name, 1, 10, 2) for name in REFINED]
-            + [(name, *SECOND, 1) for name in names])
+    return ([(name, 1, 10) for name in names] + [(name, 1, 19) for name in FINE]
+            + [(name, *SECOND) for name in names])
 
 
-def case_id(preset: str, seed: int, grid_res: int, refine: int) -> str:
-    suffix = "" if refine == 1 else f" refine {refine}"
-    if (seed, grid_res) != (1, 10):
-        suffix += f" seed {seed} grid {grid_res}"
-    return preset + suffix
+def case_id(preset: str, seed: int, grid_res: int) -> str:
+    return preset if (seed, grid_res) == (1, 10) else f"{preset} seed {seed} grid {grid_res}"
 
 
-def run_case(preset: str, seed: int, grid_res: int, refine: int, outdir: Path) -> dict:
+def run_case(preset: str, seed: int, grid_res: int, outdir: Path) -> dict:
     argv = [
         "run", "--preset", preset, "--seed", str(seed), "--scenarios", "150",
-        "--grid-res", str(grid_res), "--refine", str(refine), "--out", str(outdir),
+        "--grid-res", str(grid_res), "--out", str(outdir),
     ]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
