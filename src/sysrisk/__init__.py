@@ -11,16 +11,10 @@ for the acceptance frontier, certifying the result to one grid spacing.
 from ._version import __version__
 from .acceptance import (
     AcceptanceSpec,
-    AvarUtility,
-    ExpLoss,
-    Log1pUtility,
-    PolynomialLoss,
     avar,
     bracket_verdict,
     entropic_rho,
     is_acceptable,
-    make_loss,
-    make_utility,
     oce_rho,
     rho,
     ubsr,
@@ -106,10 +100,6 @@ __all__ = [
     "write_scenario_csv",
     # acceptance
     "AcceptanceSpec",
-    "ExpLoss",
-    "PolynomialLoss",
-    "Log1pUtility",
-    "AvarUtility",
     "avar",
     "ubsr",
     "entropic_rho",
@@ -117,8 +107,6 @@ __all__ = [
     "rho",
     "is_acceptable",
     "bracket_verdict",
-    "make_loss",
-    "make_utility",
     # aggregation
     "GroupMap",
     "AggregationSpec",

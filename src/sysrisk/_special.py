@@ -118,15 +118,36 @@ def betainc(a: float, b: float, x) -> np.ndarray:
     benchmark's two_tier_B2 workload.
     """
     x = np.asarray(x, dtype=float)
-    flip = x > (a + 1.0) / (a + b + 2.0)
     if _binomial(a, b):
+        flip = x > (a + 1.0) / (a + b + 2.0)
         out = np.empty_like(x)
         out[~flip] = _binomial_sum(a, b, x[~flip])
         out[flip] = 1.0 - _binomial_sum(b, a, 1.0 - x[flip])
         return out
-    # one pass of the fraction, with the shapes swapped where x is reflected
+    return _reflected_fraction(a, b, x, betaln(a, b))
+
+
+def lower_tails(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """lower_tail(a, b, x[0]) and lower_tail(b, a, x[1]), stacked, bit for bit.
+
+    For non-integer shapes both rows share one continued fraction: it takes
+    elementwise shapes, and betaln(a, b) == betaln(b, a) exactly, since
+    float addition commutes. The (a, b) -> (b, a) pair is what a beta
+    distribution and its reflection need.
+    """
+    if _binomial(a, b):
+        return np.stack([_binomial_sum(a, b, x[0]), _binomial_sum(b, a, x[1])])
+    return _reflected_fraction(np.array([[a], [b]]), np.array([[b], [a]]), x, betaln(a, b))
+
+
+def _reflected_fraction(a, b, x: np.ndarray, lbeta: float) -> np.ndarray:
+    """I_x(a, b) by one pass of the fraction, with the shapes swapped where x is reflected.
+
+    a and b may be arrays that broadcast against x, all of one pair of shapes.
+    """
+    flip = x > (a + 1.0) / (a + b + 2.0)
     value = _continued_fraction(np.where(flip, b, a), np.where(flip, a, b),
-                                np.where(flip, 1.0 - x, x), betaln(a, b))
+                                np.where(flip, 1.0 - x, x), lbeta)
     return np.where(flip, 1.0 - value, value)
 
 

@@ -6,20 +6,30 @@ rho(samples) + shift <= 0. Shifted rules ("pay at least 90% of promised",
 "expected log utility above -10") are therefore configuration, not separate
 code paths.
 
+There are four criteria, one function each, with plain float parameters:
+avar(samples, lam), ubsr(samples, power, z) with the loss max(t, 0)^power,
+oce_rho(samples) with the log utility, and entropic_rho(samples, level).
+Two other criteria are these under another name: the OCE with the utility
+min(t, 0) / lam is AV@R at lam (Ben-Tal and Teboulle), and shortfall risk
+with the loss e^t is the entropic risk at level -log z (Foellmer and
+Schied). resolve_config folds configs that still spell them so.
+
 Membership compares a float against zero, so exact ties are resolved in a
 fixed direction: values within 1e-12 of zero count as acceptable.
 
-Error budgets: shortfall risk bisects to a residual of 1e-10; the OCE with
-log utility takes Newton steps on its first-order condition until a step
+Error budgets: shortfall risk bisects until its bracket is at most
+1e-10 max(1, |rho|) wide, so its value lies within that width of the root;
+the OCE takes Newton steps on its first-order condition until a step
 moves eta by at most 1e-9 (or eta cannot move), then evaluates the value
-once; average value at risk, the entropic risk and the OCE with the AV@R
-utility are closed forms. bracket_verdict decides from samples known only
-between two bounds, and only when the bounds clear the tie by the bounds'
-own error plus that budget (1e-12, the tie, for the closed forms).
+once; average value at risk and the entropic risk are closed forms.
+bracket_verdict decides from samples known only between two bounds, and
+only when the bounds clear the tie by the bounds' own error plus that
+budget (1e-12, the tie, for the closed forms).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +38,6 @@ from .errors import ConvergenceError, ParameterError
 
 __all__ = [
     "AcceptanceSpec",
-    "ExpLoss",
-    "PolynomialLoss",
-    "Log1pUtility",
-    "AvarUtility",
     "avar",
     "ubsr",
     "entropic_rho",
@@ -39,12 +45,10 @@ __all__ = [
     "rho",
     "is_acceptable",
     "bracket_verdict",
-    "make_loss",
-    "make_utility",
 ]
 
 TIE_TOLERANCE = 1e-12
-UBSR_RESIDUAL_TOL = 1e-10
+UBSR_WIDTH_TOL = 1e-10
 OCE_ETA_TOL = 1e-9
 OCE_MAX_PASSES = 200
 
@@ -56,84 +60,6 @@ def _as_samples(samples) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ParameterError("sample vector contains non-finite values")
     return arr
-
-
-# ---------------------------------------------------------------------------
-# loss functions (for UBSR) and utilities (for OCE)
-
-
-@dataclass(frozen=True)
-class ExpLoss:
-    """l(t) = e^t. Strictly increasing and convex on all of R."""
-
-    def __call__(self, t):
-        with np.errstate(over="ignore"):
-            return np.exp(t)
-
-
-@dataclass(frozen=True)
-class PolynomialLoss:
-    """l(t) = max(t, 0)^power; convex and non-decreasing for power >= 1."""
-
-    power: float
-
-    def __post_init__(self):
-        if self.power < 1:
-            raise ParameterError(f"polynomial loss needs power >= 1, got {self.power}")
-
-    def __call__(self, t):
-        return np.maximum(t, 0.0) ** self.power
-
-
-@dataclass(frozen=True)
-class Log1pUtility:
-    """u(t) = log(1 + t) on t > -1, -inf below; u'(t) = 1 / (1 + t) and u'' = -u'^2."""
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log1p(t, out=np.empty(t.shape))
-        # log1p is NaN below -1; fmax maps NaN to -inf
-        return np.fmax(vals, -np.inf, out=vals)
-
-    def derivative(self, t):
-        """u'(t) on t > -1."""
-        vals = np.add(t, 1.0, dtype=float)
-        return np.reciprocal(vals, out=vals)
-
-
-@dataclass(frozen=True)
-class AvarUtility:
-    """u(t) = t/lam for t <= 0, else 0. Plugging this into the OCE recovers AV@R at level lam."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ParameterError(f"lam must lie in (0, 1), got {self.lam}")
-
-    def __call__(self, t):
-        return np.minimum(t, 0.0) / self.lam
-
-
-def make_loss(name: str, power: float | None = None):
-    if name == "exp":
-        return ExpLoss()
-    if name == "polynomial":
-        if power is None:
-            raise ParameterError("polynomial loss requires a power")
-        return PolynomialLoss(power)
-    raise ParameterError(f"unknown loss function {name!r}")
-
-
-def make_utility(name: str, lam: float | None = None):
-    if name == "log1p":
-        return Log1pUtility()
-    if name == "avar":
-        if lam is None:
-            raise ParameterError("avar utility requires a tail level lam")
-        return AvarUtility(lam)
-    raise ParameterError(f"unknown utility function {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,57 +87,52 @@ def avar(samples, lam: float) -> float:
     return -tail / t
 
 
-def ubsr(samples, loss_fn, z: float) -> float:
+def ubsr(samples, power: float, z: float) -> float:
     """Utility-based shortfall risk: the root m* of mean(l(-M - m*)) = z.
 
-    The map m -> mean(l(-M - m)) is non-increasing (l non-decreasing), so the
-    root is found by geometric bracket expansion followed by bisection. The
-    returned value satisfies |mean(l(-M - m*)) - z| <= 1e-10.
+    The loss l(t) = max(t, 0)^power is convex and non-decreasing for
+    power >= 1, so m -> mean(l(-M - m)) is non-increasing, and strictly
+    decreasing where it exceeds 0 < z. Every loss is 0 at m = 1 + max|M|;
+    the lower end of the bracket doubles outward from -(1 + max|M|) until
+    the mean reaches z. Bisection then stops once the bracket is at most
+    1e-10 max(1, |mid|) wide, or spans adjacent doubles, and returns its
+    midpoint: the root lies within that width of the value returned. A
+    residual test would not bound the error in m, since the slope
+    mean(l'(-M - m*)) can be far below 1.
     """
     m = _as_samples(samples)
-    if not np.isfinite(z):
-        raise ParameterError("z must be finite")
+    _check_shortfall(power, z)
 
     def g(level: float) -> float:
         with np.errstate(over="ignore"):
-            return float(np.mean(loss_fn(-m - level))) - z
+            return float(np.mean(np.maximum(-m - level, 0.0) ** power)) - z
 
-    half_width = 1.0 + float(np.max(np.abs(m)))
-    lo, hi = -half_width, half_width
-    # need g(lo) >= 0 >= g(hi); double outward until bracketed
-    for _ in range(200):
-        if g(lo) >= 0.0:
-            break
+    hi = 1.0 + float(np.max(np.abs(m)))
+    lo = -hi
+    while g(lo) < 0.0:
         lo *= 2.0
-    else:
-        raise ConvergenceError("ubsr bracket expansion failed on the lower side")
-    for _ in range(200):
-        if g(hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("ubsr bracket expansion failed on the upper side")
-
-    best = hi
-    best_residual = abs(g(hi))
-    for _ in range(300):
+        if lo == -math.inf:
+            raise ConvergenceError(f"ubsr: no finite level brings the mean loss up to z = {z}")
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats, interval cannot shrink further
-        val = g(mid)
-        if abs(val) < best_residual:
-            best, best_residual = mid, abs(val)
-        if best_residual <= UBSR_RESIDUAL_TOL:
-            return best
-        if val > 0.0:
+        if hi - lo <= _ubsr_width(mid) or mid == lo or mid == hi:
+            return mid
+        if g(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    if best_residual <= UBSR_RESIDUAL_TOL:
-        return best
-    raise ConvergenceError(
-        f"ubsr bisection stalled with residual {best_residual:.3e} > {UBSR_RESIDUAL_TOL:.0e}"
-    )
+
+
+def _ubsr_width(value: float) -> float:
+    """The bracket width at which ubsr stops, and so its error, around a value."""
+    return UBSR_WIDTH_TOL * max(1.0, abs(value))
+
+
+def _check_shortfall(power, z) -> None:
+    if not (math.isfinite(power) and power >= 1.0):
+        raise ParameterError(f"ubsr needs a finite power >= 1, got {power}")
+    if not (math.isfinite(z) and z > 0.0):
+        raise ParameterError(f"ubsr needs a finite target z > 0, got {z}")
 
 
 def entropic_rho(samples, level: float) -> float:
@@ -228,13 +149,10 @@ def entropic_rho(samples, level: float) -> float:
     return float(np.log(np.exp(-m - top).sum()) + top - np.log(m.size) + level)
 
 
-def oce_rho(samples, utility_fn) -> float:
+def oce_rho(samples) -> float:
     """Negated optimized certainty equivalent: -sup over eta of { eta + mean(u(M - eta)) }.
 
-    For the AV@R utility u(t) = min(t, 0) / lam the OCE is AV@R at level lam
-    (Rockafellar-Uryasev), so this returns avar(samples, lam) exactly.
-
-    For u = log(1 + t) the objective h is concave and its maximizer lies in
+    The utility is u(t) = log(1 + t). The objective h is concave and its maximizer lies in
     the bracket [min(M), min(max(M), cap)]: h'(eta) = 1 - mean(u'(M - eta))
     is >= 0 at min(M) and <= 0 at max(M), and the cap keeps eta below the
     pole at min(M) + 1. The cap is min(M) + 1 - 1e-9, or the largest float
@@ -251,19 +169,15 @@ def oce_rho(samples, utility_fn) -> float:
     rest puts the maximizer within about 1 / len(M) of the pole.
     """
     m = _as_samples(samples)
-    if isinstance(utility_fn, AvarUtility):
-        return avar(m, utility_fn.lam)
-    if not isinstance(utility_fn, Log1pUtility):
-        raise ParameterError(f"oce_rho needs a log1p or avar utility, got {utility_fn!r}")
     lo = float(m.min())
     hi = min(float(m.max()), lo + 1.0 - OCE_ETA_TOL, float(np.nextafter(lo + 1.0, -np.inf)))
     if hi <= lo:
         # constant sample, or lo + 1 rounds to lo: eta = min(M), u(0) = 0
-        return -lo - float(np.mean(utility_fn(m - lo)))
+        return -lo - float(np.mean(_log_utility(m - lo)))
 
     a, b, eta = lo, hi, hi
     for _ in range(OCE_MAX_PASSES):
-        w = utility_fn.derivative(m - eta)
+        w = _log_utility_slope(m - eta)
         s = float(np.mean(w))
         if s < 1.0:
             a = eta  # h' > 0: the maximizer lies above
@@ -286,7 +200,21 @@ def oce_rho(samples, utility_fn) -> float:
             f"oce Newton iteration did not settle in {OCE_MAX_PASSES} passes "
             f"(bracket [{a!r}, {b!r}])"
         )
-    return -(eta + float(np.mean(utility_fn(m - eta))))
+    return -(eta + float(np.mean(_log_utility(m - eta))))
+
+
+def _log_utility(t: np.ndarray) -> np.ndarray:
+    """u(t) = log(1 + t) on t > -1, -inf below."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log1p(t, out=np.empty(t.shape))
+    # log1p is NaN below -1; fmax maps NaN to -inf
+    return np.fmax(vals, -np.inf, out=vals)
+
+
+def _log_utility_slope(t: np.ndarray) -> np.ndarray:
+    """u'(t) = 1 / (1 + t) on t > -1; u'' = -u'^2."""
+    vals = np.add(t, 1.0, dtype=float)
+    return np.reciprocal(vals, out=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +226,16 @@ class AcceptanceSpec:
     """Configured acceptance criterion.
 
     criterion selects the risk functional; the remaining fields are its
-    parameters. shift is added to the risk value before the sign test, in
+    parameters: lam for avar, power and z for ubsr, level for entropic (oce
+    has none). shift is added to the risk value before the sign test, in
     the same currency units as the samples.
     """
 
     criterion: str
     shift: float = 0.0
     lam: float | None = None
-    loss: str | None = None
     power: float | None = None
     z: float | None = None
-    utility: str | None = None
-    utility_lam: float | None = None
     level: float | None = None
 
     def __post_init__(self):
@@ -319,19 +245,13 @@ class AcceptanceSpec:
             if self.lam is None or not 0.0 < self.lam < 1.0:
                 raise ParameterError("avar criterion needs lam in (0, 1)")
         elif self.criterion == "ubsr":
-            if self.loss is None or self.z is None:
-                raise ParameterError("ubsr criterion needs a loss function and target z")
-            if self.z <= 0:
-                raise ParameterError("z must be interior to the loss range: z > 0")
-            make_loss(self.loss, self.power)  # validates name/power
-        elif self.criterion == "oce":
-            if self.utility is None:
-                raise ParameterError("oce criterion needs a utility function")
-            make_utility(self.utility, self.utility_lam)
+            if self.power is None or self.z is None:
+                raise ParameterError("ubsr criterion needs a power and a target z")
+            _check_shortfall(self.power, self.z)
         elif self.criterion == "entropic":
             if self.level is None or not np.isfinite(self.level):
                 raise ParameterError("entropic criterion needs a finite level")
-        else:
+        elif self.criterion != "oce":
             raise ParameterError(f"unknown criterion {self.criterion!r}")
 
 
@@ -340,12 +260,10 @@ def rho(samples, spec: AcceptanceSpec) -> float:
     if spec.criterion == "avar":
         return avar(samples, spec.lam)
     if spec.criterion == "ubsr":
-        return ubsr(samples, make_loss(spec.loss, spec.power), spec.z)
+        return ubsr(samples, spec.power, spec.z)
     if spec.criterion == "oce":
-        return oce_rho(samples, make_utility(spec.utility, spec.utility_lam))
-    if spec.criterion == "entropic":
-        return entropic_rho(samples, spec.level)
-    raise ParameterError(f"unknown criterion {spec.criterion!r}")
+        return oce_rho(samples)
+    return entropic_rho(samples, spec.level)
 
 
 def is_acceptable(samples, spec: AcceptanceSpec) -> bool:
@@ -358,21 +276,22 @@ def bracket_verdict(lower, upper, spec: AcceptanceSpec, slack: float) -> bool | 
 
     rho is monotone, so rho(upper) <= rho(Y) <= rho(lower). A verdict needs
     the bracket to clear the tie by the error budget: slack (the error of
-    the bounds) plus the criterion's own numerical error, the shortfall
-    residual 1e-10, the OCE Newton step 1e-9 with log utility, and the tie
-    1e-12 for the closed forms.
+    the bounds) plus the criterion's own numerical error at the value found,
+    the shortfall bisection's final width 1e-10 max(1, |rho|), the OCE
+    Newton step 1e-9, and the tie 1e-12 for the closed forms.
     """
-    if spec.criterion == "ubsr":
-        own = UBSR_RESIDUAL_TOL
-    elif spec.criterion == "oce" and spec.utility == "log1p":
-        own = OCE_ETA_TOL
-    else:
-        own = TIE_TOLERANCE
-    budget = slack + own
-    high = rho(lower, spec) + spec.shift
-    if high <= TIE_TOLERANCE - budget:
+    high = rho(lower, spec)
+    if high + spec.shift <= TIE_TOLERANCE - (slack + _own_error(spec, high)):
         return True
-    low = rho(upper, spec) + spec.shift
-    if low > TIE_TOLERANCE + budget:
+    low = rho(upper, spec)
+    if low + spec.shift > TIE_TOLERANCE + (slack + _own_error(spec, low)):
         return False
     return None
+
+
+def _own_error(spec: AcceptanceSpec, value: float) -> float:
+    if spec.criterion == "ubsr":
+        return _ubsr_width(value)
+    if spec.criterion == "oce":
+        return OCE_ETA_TOL
+    return TIE_TOLERANCE

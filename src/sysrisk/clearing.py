@@ -786,7 +786,10 @@ class NetworkValueModel:
         self.tol = tol
         self.max_iter = max_iter
         self.groups = network.groups
-        self._prices = (float(f(0.0)), float(f(largest_sale)))  # the reachable price range
+        price_top, price_floor = float(f(0.0)), float(f(largest_sale))  # the reachable price range
+        self._prices = (price_top, price_floor)
+        # at constant price the illiquid holdings count as cash, pi * s at every k
+        self._cash = price_top * scenarios_s.values if price_top == price_floor else None
         self.stats = ClearingStats()  # summed over every call
         self._history = collections.deque(maxlen=_HISTORY)  # _Points, oldest first
         # the clearing's share of a verdict's error budget, in units of society equity
@@ -821,15 +824,14 @@ class NetworkValueModel:
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]
         point = _Point(k)
         above = [e for e in self._history if (e.k >= k).all()]
-        s = self.scenarios_s.values
-        price_top, price_floor = self._prices
-        if price_top == price_floor:  # constant price: the illiquid holdings count as cash
-            clearing = _top_down(self.network, x + price_top * s, self.tol, self.max_iter,
-                                 self.stats, above, point)
+        if self._cash is not None:
+            x += self._cash
+            clearing = _top_down(self.network, x, self.tol, self.max_iter, self.stats, above,
+                                 point)
         else:
             below = [e for e in self._history if (e.k <= k).all()]
-            clearing = _paired(self.network, x, s, self.f, price_top, price_floor, self.tol,
-                               self.max_iter, self.stats, above, below, point)
+            clearing = _paired(self.network, x, self.scenarios_s.values, self.f, *self._prices,
+                               self.tol, self.max_iter, self.stats, above, below, point)
         try:
             y = yield from clearing
         except GeneratorExit:  # yield from has closed the clearing: point holds its last iterates

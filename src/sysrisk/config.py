@@ -53,7 +53,7 @@ _MARGIN_FIELDS = {
     "scaled_beta": {"alpha": None, "beta": None, "scale": 1.0, "shift": 0.0},
 }
 
-_ACCEPTANCE_FIELDS = ("lam", "loss", "power", "z", "utility", "utility_lam", "level")
+_ACCEPTANCE_FIELDS = ("lam", "power", "z", "level")
 
 _MAX_ENTRIES = int(np.iinfo(np.intp).max)  # the most entries a numpy array can index
 _MAX_SEED = 2**64 - 1  # the scenario stream's Philox generator takes an unsigned 64-bit key
@@ -351,14 +351,26 @@ def resolve_config(cfg: dict) -> dict:
         "shift": _get_number(ac, "acceptance", "shift", default=0.0),
     }
     for key in _ACCEPTANCE_FIELDS:
-        getter = _get_str if key in ("loss", "utility") else _get_number
-        racc[key] = getter(ac, "acceptance", key, default=None)
+        racc[key] = _get_number(ac, "acceptance", key, default=None)
+    # older configs and manifests name a loss for ubsr and a utility for oce; both fold
+    # here, and log1p and polynomial, which the criteria now always use, are dropped
+    loss = _get_str(ac, "acceptance", "loss", choices={"exp", "polynomial"})
+    utility = _get_str(ac, "acceptance", "utility", choices={"log1p", "avar"})
+    if racc["criterion"] == "oce" and utility == "avar":  # the OCE with this utility is AV@R
+        lam = _get_number(ac, "acceptance", "utility_lam", required=True)
+        if not 0.0 < lam < 1.0:
+            _fail("acceptance.utility_lam", f"must lie in (0, 1), got {lam}")
+        racc["criterion"], racc["lam"] = "avar", lam
+    if racc["criterion"] == "ubsr" and loss == "exp":  # shortfall with e^t is entropic risk
+        if racc["z"] is None or not racc["z"] > 0:
+            _fail("acceptance.z", f"the exp loss needs a positive target z, got {racc['z']}")
+        racc["criterion"], racc["level"], racc["z"] = "entropic", -math.log(racc["z"]), None
     frac = _get_number(ac, "acceptance", "shift_fraction_of_promised", default=None)
     if frac is not None and mtype != "network":
         _fail("acceptance.shift_fraction_of_promised", "only valid for network models")
     racc["shift_fraction_of_promised"] = frac
-    _reject_unknown(ac, "acceptance",
-                    {"criterion", "shift", "shift_fraction_of_promised", *_ACCEPTANCE_FIELDS})
+    _reject_unknown(ac, "acceptance", {"criterion", "shift", "shift_fraction_of_promised", "loss",
+                                       "utility", "utility_lam", *_ACCEPTANCE_FIELDS})
     try:  # surface criterion/parameter mismatches at validation time
         AcceptanceSpec(racc["criterion"], racc["shift"], **{k: racc[k] for k in _ACCEPTANCE_FIELDS})
     except Exception as exc:
@@ -378,7 +390,9 @@ def resolve_config(cfg: dict) -> dict:
     for i, v in enumerate(res):
         if isinstance(v, bool) or not isinstance(v, int):
             _fail(f"grid.resolution[{i}]", f"expected an integer, got {v!r}")
-    rgrid["resolution"] = [(r - 1) * refine + 1 if r >= 2 else r for r in res]
+        if v < 2:
+            _fail(f"grid.resolution[{i}]", f"must be at least 2, got {v}")
+    rgrid["resolution"] = [(r - 1) * refine + 1 for r in res]
     rgrid["nonneg"] = _get_bool(gc, "grid", "nonneg", default=False)
     fixed_raw = gc.get("fixed") or {}
     fixed_raw = _expect_mapping(fixed_raw, "grid.fixed")
@@ -415,8 +429,7 @@ def resolve_config(cfg: dict) -> dict:
             if value < 0:
                 _fail(f"grid.fixed.{key}", f"network models take no negative capital, got {value}")
     _reject_unknown(gc, "grid", {"lower", "upper", "resolution", "nonneg", "fixed"})
-    # entries below 2, which refine leaves as configured, are left to GridSpec to reject
-    if math.prod(max(r, 1) for r in rgrid["resolution"]) > _MAX_ENTRIES:
+    if math.prod(rgrid["resolution"]) > _MAX_ENTRIES:
         _fail("refine" if refine > 1 else "grid.resolution",
               f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
     try:

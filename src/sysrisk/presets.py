@@ -88,7 +88,7 @@ def _agg_lognormal(variant: str) -> dict:
             "groups": [50, 50],
             "aggregation": {"kind": kind, "mode": mode},
         },
-        "acceptance": {"criterion": "oce", "utility": "log1p", "shift": -10.0},
+        "acceptance": {"criterion": "oce", "shift": -10.0},
         "grid": {
             "lower": [0.0, 0.0],
             "upper": [2.0, 2.0],

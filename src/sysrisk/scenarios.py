@@ -9,6 +9,7 @@ which the grid search relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 from typing import Sequence, Union
 
@@ -239,8 +240,10 @@ def generate_scenarios(
     return _transform_rows(sample_equicorrelated_normals(copula), per_firm)
 
 
-def _bisect(a: float, b: float, p: np.ndarray, steps: int) -> np.ndarray:
-    """Solve I_x(a, b) = p for p <= 1/2 by bisection on the doubles in [0, 1], elementwise.
+def _bisect(tail, p: np.ndarray, steps: int) -> np.ndarray:
+    """Solve tail(x) = p for p <= 1/2 by bisection on the doubles in [0, 1], elementwise.
+
+    tail is a lower tail of _special, x -> I_x(a, b), bound to its shapes.
 
     It bisects their bit patterns, ordered as the values and fewer than 2**62,
     so 62 steps end at adjacent doubles and 32 within 2**-22 of a binade.
@@ -252,7 +255,7 @@ def _bisect(a: float, b: float, p: np.ndarray, steps: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             mid = (lo + hi) // 2
-            below = _special.lower_tail(a, b, mid.view(np.float64)) < p
+            below = tail(mid.view(np.float64)) < p
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
     return ((lo + hi) // 2).view(np.float64)
@@ -269,8 +272,8 @@ def _inverse_table(alpha: float, beta: float) -> np.ndarray:
     ends at a subnormal double, with a finite logit near -724.
     """
     p = _special.expit(np.linspace(-_TABLE_LOGIT, 0.0, _TABLE_NODES))
-    x = np.stack([_bisect(alpha, beta, p, _TABLE_BISECTIONS),
-                  _bisect(beta, alpha, p, _TABLE_BISECTIONS)])  # in (0, 1): finite logits
+    # both rows in one call per step: in (0, 1), so finite logits
+    x = _bisect(partial(_special.lower_tails, alpha, beta), np.stack([p, p]), _TABLE_BISECTIONS)
     return np.log(x / (1.0 - x))
 
 
@@ -360,8 +363,10 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
         bad = ~(residual <= _BETA_TOL)
         if bad.any():
             bad_lower, bad_upper = bad & lower, bad & upper
-            x[bad_lower] = _bisect(alpha, beta, target[bad_lower], 62)
-            x[bad_upper] = 1.0 - _bisect(beta, alpha, 1.0 - target[bad_upper], 62)
+            x[bad_lower] = _bisect(partial(_special.lower_tail, alpha, beta),
+                                   target[bad_lower], 62)
+            x[bad_upper] = 1.0 - _bisect(partial(_special.lower_tail, beta, alpha),
+                                         1.0 - target[bad_upper], 62)
     if u_arr.ndim == 0:
         return float(out[0])
     return out.reshape(u_arr.shape)

@@ -108,11 +108,6 @@ def log1p_utility(t):
     return out
 
 
-def avar_utility(t, lam: float):
-    t = np.asarray(t, dtype=float)
-    return np.minimum(t, 0.0) / lam
-
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 

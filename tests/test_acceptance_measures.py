@@ -10,22 +10,18 @@ from hypothesis import strategies as st
 import oracles
 from sysrisk import (
     AcceptanceSpec,
-    AvarUtility,
+    ConfigurationError,
     ConvergenceError,
-    ExpLoss,
-    Log1pUtility,
     ParameterError,
-    PolynomialLoss,
+    acceptance,
     avar,
     entropic_rho,
     is_acceptable,
-    make_loss,
-    make_utility,
     oce_rho,
     rho,
     ubsr,
 )
-from sysrisk.acceptance import OCE_ETA_TOL, TIE_TOLERANCE, UBSR_RESIDUAL_TOL
+from sysrisk.acceptance import OCE_ETA_TOL, TIE_TOLERANCE, UBSR_WIDTH_TOL
 from sysrisk.config import build_run, resolve_config
 from sysrisk.presets import preset_config
 from sysrisk.riskmeasure import grid_search
@@ -38,6 +34,19 @@ def random_vectors(seed, count, size_range=(1, 60), scale=5.0):
         n = int(rng.integers(*size_range))
         out.append(rng.normal(0.0, scale, size=n))
     return out
+
+
+def folded(**block) -> AcceptanceSpec:
+    """The criterion an acceptance block resolves to; a loss or utility named in it folds."""
+    cfg = preset_config("agg_lognormal:sum")
+    cfg["acceptance"] = block
+    acc = resolve_config(cfg)["acceptance"]
+    return AcceptanceSpec(acc["criterion"], acc["shift"], lam=acc["lam"], power=acc["power"],
+                          z=acc["z"], level=acc["level"])
+
+
+def power_loss(power):
+    return lambda t: np.maximum(t, 0.0) ** power
 
 
 # ---------------------------------------------------------------------------
@@ -116,68 +125,90 @@ def test_avar_mixture_convexity():
 
 
 def test_ubsr_constant_exp_unit_target():
+    # spelled with the exp loss, shortfall risk resolves to the entropic risk at level -log z
+    spec = folded(criterion="ubsr", loss="exp", z=1.0)
     for c in (-3.0, 0.0, 2.5):
-        assert ubsr([c] * 5, ExpLoss(), 1.0) == pytest.approx(-c, abs=1e-9)
+        assert rho([c] * 5, spec) == pytest.approx(-c, abs=1e-9)
 
 
 def test_ubsr_constant_exp_level_target():
     # z = exp(-0.9) shifts the root by the level
+    spec = folded(criterion="ubsr", loss="exp", z=math.exp(-0.9))
     for c in (-1.0, 0.4):
         expected = 0.9 - c
-        assert ubsr([c, c], ExpLoss(), math.exp(-0.9)) == pytest.approx(expected, abs=1e-9)
+        assert rho([c, c], spec) == pytest.approx(expected, abs=1e-9)
 
 
 def test_ubsr_two_point_exp_closed_form():
     # solve 0.5 (e^{-m} + e^{2-m}) = 1 for m
-    value = ubsr([0.0, -2.0], ExpLoss(), 1.0)
+    value = rho([0.0, -2.0], folded(criterion="ubsr", loss="exp", z=1.0))
     assert value == pytest.approx(math.log((1.0 + math.e**2) / 2.0), abs=1e-10)
     assert value == pytest.approx(1.433780830483027, abs=1e-10)
 
 
+def test_ubsr_constant_power_closed_form():
+    # mean(max(-c - m, 0)^p) = z at m = -c - z^(1/p)
+    for power, z in ((1.0, 0.5), (2.0, 0.25), (3.0, 8.0)):
+        for c in (-3.0, 0.0, 2.5):
+            assert ubsr([c] * 4, power, z) == pytest.approx(-c - z ** (1.0 / power), abs=1e-9)
+
+
 def test_ubsr_residual_postcondition():
+    # the residual mean(l(-M - m)) - z changes sign within the value's error width
     rng = np.random.default_rng(5)
     for m in random_vectors(seed=55, count=15, scale=2.0):
         z = float(rng.uniform(0.2, 3.0))
-        root = ubsr(m, ExpLoss(), z)
-        residual = abs(float(np.mean(np.exp(-m - root))) - z)
-        assert residual <= UBSR_RESIDUAL_TOL
+        for power in (1.0, 2.0):
+            root = ubsr(m, power, z)
+            width = UBSR_WIDTH_TOL * max(1.0, abs(root))
+            residual = [float(np.mean(power_loss(power)(-m - level))) - z
+                        for level in (root - width, root + width)]
+            assert residual[0] >= 0.0 >= residual[1]
 
 
 @pytest.mark.parametrize(
     "loss,z",
     [
-        (ExpLoss(), 1.0),
-        (ExpLoss(), 0.3),
-        (PolynomialLoss(2.0), 0.7),
-        (PolynomialLoss(1.0), 1.4),
+        ({"loss": "exp"}, 1.0),
+        ({"loss": "exp"}, 0.3),
+        ({"loss": "polynomial", "power": 2.0}, 0.7),
+        ({"loss": "polynomial", "power": 1.0}, 1.4),
     ],
 )
 def test_ubsr_matches_brent_oracle(loss, z):
+    # shortfall risk as configured with a named loss, against Brent's method on that loss
+    spec = folded(criterion="ubsr", z=z, **loss)
+    fn = np.exp if loss["loss"] == "exp" else power_loss(loss["power"])
     for m in random_vectors(seed=202, count=12, scale=2.0):
-        assert ubsr(m, loss, z) == pytest.approx(oracles.ubsr_root(m, loss, z), abs=1e-8)
+        assert rho(m, spec) == pytest.approx(oracles.ubsr_root(m, fn, z), abs=1e-8)
+
+
+@pytest.mark.parametrize("power,z", [(2.0, 1e-4), (2.0, 1e-3), (1.0, 0.01)])
+def test_ubsr_error_stays_within_its_budget(power, z):
+    # a small z flattens the slope at the root, so a residual of 1e-10 there would
+    # put the root some 1e-8 off; the bisection's final width bounds the error instead
+    m = np.random.default_rng(41).normal(size=10_000)
+    value = ubsr(m, power, z)
+    exact = oracles.ubsr_root(m, power_loss(power), z)
+    assert abs(value - exact) <= UBSR_WIDTH_TOL * max(1.0, abs(value))
 
 
 def test_ubsr_rejects_nonfinite_target():
     with pytest.raises(ParameterError):
-        ubsr([1.0], ExpLoss(), math.nan)
+        ubsr([1.0], 2.0, math.nan)
 
 
-def test_ubsr_bracket_failure_on_bounded_loss():
-    # loss capped at 0.5 can never reach z = 1 on the lower side
-    def capped(t):
-        return np.minimum(np.exp(t), 0.5)
+@pytest.mark.parametrize("power,z", [(0.5, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                                     (2.0, 0.0), (2.0, -1.0), (2.0, math.inf)])
+def test_ubsr_rejects_bad_power_and_target(power, z):
+    with pytest.raises(ParameterError):
+        ubsr([0.0, 1.0], power, z)
 
+
+def test_ubsr_bracket_failure_on_unreachable_target():
+    # the mean loss stays below z = 1.7e308 at every finite level: the bracket overflows
     with pytest.raises(ConvergenceError):
-        ubsr([0.0, 1.0], capped, 1.0)
-
-
-def test_ubsr_stall_on_step_loss():
-    # a step loss jumps over z, so no root exists and bisection stalls
-    def step(t):
-        return np.where(np.asarray(t) >= 0.0, 1.0, 0.0)
-
-    with pytest.raises(ConvergenceError):
-        ubsr([0.0, 0.0], step, 0.5)
+        ubsr([0.0], 1.0, 1.7e308)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +230,12 @@ def test_entropic_matches_closed_form():
 
 
 def test_entropic_equals_exp_shortfall_at_shifted_target():
-    # ubsr's bisection stops at a residual of UBSR_RESIDUAL_TOL in mean(e^(-M - m)),
-    # whose slope at the root is -z, so its root lies within that residual / z
+    # the root of mean(e^(-M - m)) = z, found by Brent's method
     rng = np.random.default_rng(9)
     m = rng.normal(size=40)
     level = 0.9
-    z = math.exp(-level)
     assert entropic_rho(m, level) == pytest.approx(
-        ubsr(m, ExpLoss(), z), abs=1.01 * UBSR_RESIDUAL_TOL / z
+        oracles.ubsr_root(m, np.exp, math.exp(-level)), abs=1e-12
     )
 
 
@@ -220,23 +249,24 @@ def test_entropic_rejects_nonfinite_level():
 
 
 def test_oce_constant_sample_any_utility():
-    for u in (Log1pUtility(), AvarUtility(0.3)):
+    # the log utility, and the avar utility, which resolves to the avar criterion
+    for spec in (AcceptanceSpec("oce"), folded(criterion="oce", utility="avar", utility_lam=0.3)):
         for c in (-10.0, 0.0, 4.5):
-            assert oce_rho([c, c, c], u) == pytest.approx(-c, abs=1e-9)
+            assert rho([c, c, c], spec) == pytest.approx(-c, abs=1e-9)
 
 
 def test_oce_two_point_log_utility_closed_form():
     # maximizer eta* = (3 - sqrt(5)) / 2 from the first-order condition
     eta = (3.0 - math.sqrt(5.0)) / 2.0
     expected = -(eta + 0.5 * (math.log(1.0 - eta) + math.log(3.0 - eta)))
-    value = oce_rho([0.0, 2.0], Log1pUtility())
+    value = oce_rho([0.0, 2.0])
     assert value == pytest.approx(expected, abs=1e-9)
     assert value == pytest.approx(-0.6225719237799069, abs=1e-9)
 
 
 def test_oce_matches_dense_grid_oracle():
     for m in random_vectors(seed=404, count=10, scale=1.0):
-        mine = oce_rho(m, Log1pUtility())
+        mine = oce_rho(m)
         ref = oracles.oce_dense_scan(m, oracles.log1p_utility)
         assert mine == pytest.approx(ref, abs=1e-6)
 
@@ -247,13 +277,13 @@ def test_oce_avar_utility_recovers_avar():
         n = int(rng.integers(1, 50))
         m = rng.normal(0.0, 4.0, size=n)
         lam = float(rng.uniform(0.05, 0.95))
-        assert oce_rho(m, AvarUtility(lam)) == avar(m, lam)
+        assert rho(m, folded(criterion="oce", utility="avar", utility_lam=lam)) == avar(m, lam)
 
 
 def test_oce_log_utility_bracket_respects_domain():
     # min(M) + 1 caps the bracket; the value must still be finite and sane
     m = np.array([-0.5, 30.0])
-    value = oce_rho(m, Log1pUtility())
+    value = oce_rho(m)
     assert math.isfinite(value)
     assert value <= 0.5 + 1e-9  # eta = min(M) is always feasible
 
@@ -273,7 +303,7 @@ def _oce_edge_cases():
 @pytest.mark.parametrize("scale", [0.1, 1.0, 5.0, 50.0])
 def test_oce_newton_matches_golden_section_and_dense_scan(scale):
     for m in random_vectors(seed=int(10 * scale), count=5, scale=scale):
-        mine = oce_rho(m, Log1pUtility())
+        mine = oce_rho(m)
         assert mine == pytest.approx(oracles.oce_golden(m, oracles.log1p_utility), abs=1e-9)
         assert mine == pytest.approx(oracles.oce_dense_scan(m, oracles.log1p_utility), abs=1e-9)
 
@@ -281,30 +311,31 @@ def test_oce_newton_matches_golden_section_and_dense_scan(scale):
 @pytest.mark.parametrize("name", list(_oce_edge_cases()))
 def test_oce_newton_edge_cases_match_references(name):
     m = _oce_edge_cases()[name]
-    mine = oce_rho(m, Log1pUtility())
+    mine = oce_rho(m)
     assert mine == pytest.approx(oracles.oce_golden(m, oracles.log1p_utility), abs=1e-9)
     assert mine == pytest.approx(oracles.oce_dense_scan(m, oracles.log1p_utility), abs=1e-9)
 
 
-class _CountingLog1p(Log1pUtility):
-    """log1p utility that counts its passes over the sample vector, of u and of u'."""
+class _CountingLog1p:
+    """Counts oce_rho's passes over the sample vector, of u and of u', through its helpers."""
 
     def __init__(self):
-        object.__setattr__(self, "passes", [0])
+        self.passes = 0
 
-    def __call__(self, t):
-        self.passes[0] += 1
-        return super().__call__(t)
-
-    def derivative(self, t):
-        self.passes[0] += 1
-        return super().derivative(t)
+    def wrap(self, helper):
+        def counted(t):
+            self.passes += 1
+            return helper(t)
+        return counted
 
 
 def _count_passes(samples) -> int:
-    utility = _CountingLog1p()
-    oce_rho(samples, utility)
-    return utility.passes[0]
+    counter = _CountingLog1p()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_log_utility", "_log_utility_slope"):
+            patch.setattr(acceptance, name, counter.wrap(getattr(acceptance, name)))
+        oce_rho(samples)
+    return counter.passes
 
 
 @pytest.mark.parametrize("magnitude", [1e7, 1e9, 1e12, -1e7, -1e9, -1e12])
@@ -315,8 +346,8 @@ def test_oce_returns_for_samples_of_large_magnitude(magnitude):
     m = magnitude + np.array([0.0, 5.0])
     passes = _count_passes(m)
     assert passes <= 40
-    shifted = oce_rho([0.0, 5.0], Log1pUtility()) - magnitude
-    assert oce_rho(m, Log1pUtility()) == pytest.approx(shifted, abs=4 * abs(np.spacing(magnitude)))
+    shifted = oce_rho([0.0, 5.0]) - magnitude
+    assert oce_rho(m) == pytest.approx(shifted, abs=4 * abs(np.spacing(magnitude)))
 
 
 def test_oce_newton_pass_count_on_the_exp_sensitive_case_study():
@@ -341,53 +372,16 @@ def test_oce_newton_pass_count_on_the_exp_sensitive_case_study():
 
 
 def test_oce_rejects_utilities_without_a_solver():
-    with pytest.raises(ParameterError, match="log1p or avar"):
-        oce_rho([0.0, 1.0], lambda t: np.minimum(t, 0.0))
+    # log1p is the OCE's utility; avar folds into the avar criterion, and no other is read
+    with pytest.raises(ConfigurationError, match="acceptance.utility: must be one of"):
+        folded(criterion="oce", utility="sqrt")
 
 
-# ---------------------------------------------------------------------------
-# loss and utility factories
-
-
-def test_make_loss_exp():
-    assert isinstance(make_loss("exp"), ExpLoss)
-
-
-def test_make_loss_polynomial():
-    loss = make_loss("polynomial", 2.0)
-    assert isinstance(loss, PolynomialLoss)
-    assert loss(np.array([-1.0, 3.0])) == pytest.approx([0.0, 9.0])
-
-
-def test_make_loss_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        make_loss("polynomial")
-    with pytest.raises(ParameterError):
-        make_loss("polynomial", 0.5)
-    with pytest.raises(ParameterError):
-        make_loss("huber")
-
-
-def test_make_utility_log1p_domain():
-    u = make_utility("log1p")
-    out = u(np.array([-2.0, 0.0, 1.0]))
-    assert out[0] == -math.inf
-    assert out[1] == 0.0
-    assert out[2] == pytest.approx(math.log(2.0))
-
-
-def test_make_utility_avar_kink():
-    u = make_utility("avar", 0.25)
-    assert u(np.array([-1.0, 2.0])) == pytest.approx([-4.0, 0.0])
-
-
-def test_make_utility_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        make_utility("avar")
-    with pytest.raises(ParameterError):
-        make_utility("avar", 1.5)
-    with pytest.raises(ParameterError):
-        make_utility("sqrt")
+def test_log_utility_domain():
+    out = acceptance._log_utility(np.array([-2.0, -1.0, 0.0, 1.0]))
+    assert out.tolist() == [-math.inf, -math.inf, 0.0, pytest.approx(math.log(2.0))]
+    slope = acceptance._log_utility_slope(np.array([0.0, 1.0, 3.0]))
+    assert slope.tolist() == [1.0, 0.5, 0.25]
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +393,9 @@ def test_spec_dispatch_matches_direct_calls():
     m = rng.normal(size=25)
     pairs = [
         (AcceptanceSpec("avar", lam=0.1), avar(m, 0.1)),
-        (AcceptanceSpec("ubsr", loss="exp", z=1.0), ubsr(m, ExpLoss(), 1.0)),
-        (
-            AcceptanceSpec("ubsr", loss="polynomial", power=2.0, z=0.5),
-            ubsr(m, PolynomialLoss(2.0), 0.5),
-        ),
-        (AcceptanceSpec("oce", utility="log1p"), oce_rho(m, Log1pUtility())),
-        (
-            AcceptanceSpec("oce", utility="avar", utility_lam=0.2),
-            oce_rho(m, AvarUtility(0.2)),
-        ),
+        (AcceptanceSpec("ubsr", power=2.0, z=0.5), ubsr(m, 2.0, 0.5)),
+        (AcceptanceSpec("ubsr", power=1.0, z=1.0), ubsr(m, 1.0, 1.0)),
+        (AcceptanceSpec("oce"), oce_rho(m)),
         (AcceptanceSpec("entropic", level=0.9), entropic_rho(m, 0.9)),
     ]
     for spec, expected in pairs:
@@ -421,12 +408,12 @@ def test_spec_dispatch_matches_direct_calls():
         {"criterion": "avar"},
         {"criterion": "avar", "lam": 0.0},
         {"criterion": "avar", "lam": 1.0},
-        {"criterion": "ubsr", "loss": "exp"},
+        {"criterion": "ubsr", "power": 2.0},
         {"criterion": "ubsr", "z": 1.0},
-        {"criterion": "ubsr", "loss": "exp", "z": -1.0},
-        {"criterion": "ubsr", "loss": "polynomial", "z": 1.0},
-        {"criterion": "oce"},
-        {"criterion": "oce", "utility": "avar"},
+        {"criterion": "ubsr", "power": 2.0, "z": -1.0},
+        {"criterion": "ubsr", "power": 0.5, "z": 1.0},
+        {"criterion": "ubsr", "power": math.inf, "z": 1.0},
+        {"criterion": "ubsr", "power": 2.0, "z": math.nan},
         {"criterion": "entropic"},
         {"criterion": "entropic", "level": math.inf},
         {"criterion": "median"},
@@ -447,7 +434,7 @@ def test_entropic_constant_threshold():
 
 def test_log_utility_floor_threshold():
     # expected-log-utility floor of -10 expressed as an additive shift
-    spec = AcceptanceSpec("oce", utility="log1p", shift=-10.0)
+    spec = AcceptanceSpec("oce", shift=-10.0)
     assert is_acceptable([-10.0] * 3, spec)
     assert is_acceptable([-9.5] * 3, spec)
     assert not is_acceptable([-10.0 - 1e-6] * 3, spec)
@@ -476,13 +463,15 @@ def test_tie_tolerance_direction():
 # ---------------------------------------------------------------------------
 # shared axioms
 
+# ubsr_exp and oce_avar are the criteria those older spellings resolve to
 CRITERIA = [
     AcceptanceSpec("avar", lam=0.05),
     AcceptanceSpec("avar", lam=0.5),
-    AcceptanceSpec("ubsr", loss="exp", z=1.0),
-    AcceptanceSpec("ubsr", loss="polynomial", power=2.0, z=0.5),
-    AcceptanceSpec("oce", utility="log1p"),
-    AcceptanceSpec("oce", utility="avar", utility_lam=0.3),
+    folded(criterion="ubsr", loss="exp", z=1.0),
+    AcceptanceSpec("ubsr", power=2.0, z=0.5),
+    AcceptanceSpec("ubsr", power=1.0, z=0.5),
+    AcceptanceSpec("oce"),
+    folded(criterion="oce", utility="avar", utility_lam=0.3),
     AcceptanceSpec("entropic", level=0.9),
 ]
 
@@ -491,6 +480,7 @@ CRITERION_IDS = [
     "avar50",
     "ubsr_exp",
     "ubsr_poly",
+    "ubsr_linear",
     "oce_log",
     "oce_avar",
     "entropic",

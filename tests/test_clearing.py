@@ -714,8 +714,8 @@ def test_make_network_cvm_group_override():
 BRACKET_CURVES = [ConstantPrice(0.7), LinearSqrtPrice(), LinearCapPrice(slope=0.25, floor=0.5)]
 CRITERIA = [
     AcceptanceSpec("avar", lam=0.2),
-    AcceptanceSpec("ubsr", loss="polynomial", power=2.0, z=0.5),
-    AcceptanceSpec("oce", utility="log1p"),
+    AcceptanceSpec("ubsr", power=2.0, z=0.5),
+    AcceptanceSpec("oce"),
     AcceptanceSpec("entropic", level=0.0),
 ]
 

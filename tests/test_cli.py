@@ -250,6 +250,24 @@ def test_resolution_past_the_index_range_exits_2(capsys):
     assert "config error at grid.resolution: the searched lattice exceeds" in capsys.readouterr().err
 
 
+def test_resolution_past_the_float_range_exits_2_naming_its_bound(capsys):
+    assert main(["validate", "--preset", "two_tier:B2", "--grid-res=-" + "9" * 400]) == 2
+    assert "config error at grid.resolution[0]: must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("acceptance,key", [
+    ({"criterion": "oce", "utility": "sqrt"}, "acceptance.utility:"),
+    ({"criterion": "oce", "utility": "avar"}, "acceptance.utility_lam:"),
+    ({"criterion": "ubsr", "loss": "exp", "z": 0.0}, "acceptance.z:"),
+    ({"criterion": "ubsr", "power": 0.5, "z": 1.0}, "power >= 1"),
+])
+def test_bad_loss_utility_or_power_exits_2_naming_the_key(tmp_path, capsys, acceptance, key):
+    cfg = small_agg_cfg(tmp_path / "out")
+    cfg["acceptance"] = acceptance
+    assert main(["validate", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where,path", [("seed", "config.seed"), ("scenarios.seed", "scenarios.seed")])
 def test_seed_past_64_bits_exits_2_without_a_manifest(tmp_path, capsys, where, path):
     outdir = tmp_path / "out"
@@ -621,6 +639,27 @@ def test_manifest_with_refine_replays_byte_identical(tmp_path):
     assert replayed["lattice_points"] == 13
     assert replayed["resolved_config"]["grid"]["resolution"] == [13]
     assert "refine" not in replayed["resolved_config"]
+
+
+def test_manifest_with_loss_and_utility_replays_byte_identical(tmp_path):
+    # older manifests carry loss, utility and utility_lam; the OCE with the avar
+    # utility resolves to avar itself and replays to the same files
+    out1, out2 = tmp_path / "out1", tmp_path / "out2"
+    assert main(["run", "--config", write_cfg(tmp_path, small_agg_cfg(out1))]) == 0
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    acceptance = dict(manifest["resolved_config"]["acceptance"])
+    assert acceptance["criterion"] == "avar"
+    assert not {"loss", "utility", "utility_lam"} & set(acceptance)
+    manifest["resolved_config"]["acceptance"].update(
+        criterion="oce", lam=None, loss=None, utility="avar", utility_lam=acceptance["lam"])
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["run", "--config", str(old), "--out", str(out2)]) == 0
+    for name in ("inner_frontier.csv", "outer_frontier.csv", "labels.csv",
+                 "scenarios.csv", "ear.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    replayed = json.loads((out2 / "manifest.json").read_text())
+    assert replayed["resolved_config"]["acceptance"] == acceptance
 
 
 @pytest.mark.parametrize("command", ["run", "validate", "sweep"])

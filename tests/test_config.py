@@ -1,6 +1,7 @@
 """Config loading, resolution, hashing, and run construction."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ def test_aggregation_defaults():
     }
     assert r["model"]["aggregation"]["theta"] == 2.0
     assert r["acceptance"]["shift"] == 0.0
-    assert r["acceptance"]["loss"] is None
+    assert set(r["acceptance"]) == {"criterion", "shift", "lam", "power", "z", "level",
+                                    "shift_fraction_of_promised"}
     assert r["acceptance"]["shift_fraction_of_promised"] is None
     assert r["grid"]["resolution"] == [5]
     assert r["grid"]["nonneg"] is False
@@ -468,12 +470,55 @@ def test_acceptance_validation():
 
 
 def test_acceptance_named_loss_resolves():
+    # shortfall risk with the exp loss is the entropic risk at level -log z
     cfg = agg_config()
-    cfg["acceptance"] = {"criterion": "ubsr", "loss": "exp", "z": 1.0}
+    cfg["acceptance"] = {"criterion": "ubsr", "loss": "exp", "z": 0.25}
     r = resolve_config(cfg)
-    assert r["acceptance"]["loss"] == "exp"
-    assert r["acceptance"]["z"] == 1.0
-    assert r["acceptance"]["lam"] is None
+    assert r["acceptance"]["criterion"] == "entropic"
+    assert r["acceptance"]["level"] == -math.log(0.25)
+    assert r["acceptance"]["z"] is None and r["acceptance"]["lam"] is None
+    assert "loss" not in r["acceptance"]
+    assert resolve_config(r) == r
+    cfg["acceptance"] = {"criterion": "entropic", "level": -math.log(0.25)}
+    assert resolve_config(cfg) == r
+
+
+@pytest.mark.parametrize("old,new", [
+    # the OCE with the piecewise-linear utility is AV@R at utility_lam
+    ({"criterion": "oce", "utility": "avar", "utility_lam": 0.3, "lam": 0.9},
+     {"criterion": "avar", "lam": 0.3}),
+    ({"criterion": "oce", "utility": "log1p", "shift": -10.0}, {"criterion": "oce", "shift": -10.0}),
+    ({"criterion": "ubsr", "loss": "polynomial", "power": 2.0, "z": 0.5},
+     {"criterion": "ubsr", "power": 2.0, "z": 0.5}),
+    # a loss or utility the criterion never used was read and ignored, and still is
+    ({"criterion": "avar", "lam": 0.5, "loss": "exp", "utility": "avar"},
+     {"criterion": "avar", "lam": 0.5}),
+])
+def test_acceptance_loss_and_utility_fold_into_the_criterion(old, new):
+    cfg = agg_config()
+    cfg["acceptance"] = old
+    folded = resolve_config(cfg)
+    cfg["acceptance"] = new
+    assert folded == resolve_config(cfg)
+    assert not {"loss", "utility", "utility_lam"} & set(folded["acceptance"])
+
+
+@pytest.mark.parametrize("acceptance,fragment", [
+    ({"criterion": "oce", "utility": "sqrt"},
+     "acceptance.utility: must be one of ['avar', 'log1p'], got 'sqrt'"),
+    ({"criterion": "oce", "utility": "avar"}, "acceptance.utility_lam: required value missing"),
+    ({"criterion": "oce", "utility": "avar", "utility_lam": 1.5},
+     "acceptance.utility_lam: must lie in (0, 1), got 1.5"),
+    ({"criterion": "ubsr", "loss": "exp"}, "acceptance.z: the exp loss needs a positive target z"),
+    ({"criterion": "ubsr", "loss": "exp", "z": -1.0}, "acceptance.z: the exp loss needs a positive"),
+    ({"criterion": "ubsr", "loss": "huber", "z": 1.0}, "acceptance.loss: must be one of"),
+    ({"criterion": "ubsr", "power": 0.5, "z": 1.0}, "ubsr needs a finite power >= 1, got 0.5"),
+    ({"criterion": "ubsr", "loss": "polynomial", "z": 1.0}, "ubsr criterion needs a power"),
+])
+def test_acceptance_bad_loss_utility_and_power_name_their_key(acceptance, fragment):
+    cfg = agg_config()
+    cfg["acceptance"] = acceptance
+    assert_rejects(cfg, fragment)
 
 
 def test_grid_bounds_must_be_lists_sized_to_free_dims():
@@ -530,6 +575,17 @@ def test_refine_folds_into_the_resolution():
     cfg["grid"]["resolution"] = [13, 9]
     del cfg["refine"]
     assert resolve_config(cfg) == refined
+
+
+def test_grid_resolution_below_2_is_rejected_at_its_entry():
+    cfg = agg_config_two_groups()
+    cfg["grid"]["resolution"] = [5, 1]
+    assert_rejects(cfg, "grid.resolution[1]: must be at least 2, got 1")
+    # past the float range too: the entry is checked before anything converts it
+    cfg["grid"]["resolution"] = [-(10**400 - 1), 5]
+    assert_rejects(cfg, "grid.resolution[0]: must be at least 2, got -9999")
+    cfg["refine"] = 3  # refine folds only lattices it could search
+    assert_rejects(cfg, "grid.resolution[0]: must be at least 2")
 
 
 def test_grid_resolution_entries_must_be_integers():

@@ -1,4 +1,5 @@
-"""The README against the code: its complete config example resolves, and its flags exist."""
+"""The README against the code: its complete config example resolves, its flags exist,
+and every acceptance key and criterion it names is one a config may carry."""
 
 import argparse
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 
 from sysrisk.cli import build_parser
 from sysrisk.config import load_config, resolve_config
+from sysrisk.presets import preset_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +29,32 @@ def test_readme_flags_are_options_of_a_subcommand():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text()))
     assert named, "the README names no flags"
     assert named <= options, sorted(named - options)
+
+
+# one acceptance block per criterion and per older loss or utility spelling
+ACCEPTANCE_BLOCKS = [
+    {"criterion": "avar", "lam": 0.5, "shift": 1.0},
+    {"criterion": "ubsr", "power": 2.0, "z": 1.0},
+    {"criterion": "oce"},
+    {"criterion": "entropic", "level": 0.9},
+    {"criterion": "ubsr", "loss": "exp", "z": 1.0},
+    {"criterion": "ubsr", "loss": "polynomial", "power": 2.0, "z": 1.0},
+    {"criterion": "oce", "utility": "log1p"},
+    {"criterion": "oce", "utility": "avar", "utility_lam": 0.1},
+]
+
+
+def test_readme_criterion_keys_resolve():
+    # every key and value the criterion paragraphs name in backticks is one a config may carry
+    text = README.read_text()
+    paragraphs = text[text.index("The criterion parameters are"):text.index("The OCE is -sup")]
+    named = {part.strip() for token in re.findall(r"`([^`]+)`", paragraphs)
+             for part in token.split(":")}
+    accepted = set()
+    for block in ACCEPTANCE_BLOCKS:
+        cfg = preset_config("agg_lognormal:sum")
+        cfg["acceptance"] = block
+        resolve_config(cfg)
+        accepted |= set(block) | {v for v in block.values() if isinstance(v, str)}
+    assert "loss" in named and "utility_lam" in named, "the paragraphs name no older spelling"
+    assert named <= accepted, sorted(named - accepted)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -301,6 +302,22 @@ def test_beta_inverse_cdf_residual_contract():
         x = beta_inverse_cdf(u, a, b)
         residual = np.abs(special.betainc(a, b, x) - u)
         assert residual.max() <= 1e-10
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 0.25)])
+def test_beta_inverse_cdf_residual_contract_near_one_against_mpmath(a, b):
+    # scipy's betainc errs by up to 2.8e-9 here at (0.5, 0.5), more than the contract;
+    # the residual is taken at 40 digits, where no double meets it the fallback's bracket
+    def cdf(x):
+        return mpmath.betainc(a, b, 0, mpmath.mpf(float(x)), regularized=True)
+
+    u = 1.0 - np.logspace(-13, -3, 25)
+    x = beta_inverse_cdf(u, a, b)
+    with mpmath.workdps(40):
+        for ui, xi in zip(u, x):
+            target = mpmath.mpf(float(ui))
+            if abs(cdf(xi) - target) > 1e-10:
+                assert cdf(np.nextafter(xi, 0.0)) <= target <= cdf(np.nextafter(xi, 1.0))
 
 
 def test_beta_inverse_cdf_monotone_in_u():
