@@ -24,7 +24,6 @@ from .aggregation import (
     AggregationStats,
     AggregationValueModel,
     GroupMap,
-    aggregate,
 )
 from .clearing import (
     ClearingStats,
@@ -70,7 +69,6 @@ from .scenarios import (
     ScaledBeta,
     ScenarioMatrix,
     ShiftedLognormal,
-    apply_marginal,
     beta_inverse_cdf,
     generate_scenarios,
     sample_equicorrelated_normals,
@@ -94,7 +92,6 @@ __all__ = [
     "MarginalSpec",
     "ScenarioMatrix",
     "sample_equicorrelated_normals",
-    "apply_marginal",
     "generate_scenarios",
     "beta_inverse_cdf",
     "write_scenario_csv",
@@ -112,7 +109,6 @@ __all__ = [
     "AggregationSpec",
     "AggregationStats",
     "AggregationValueModel",
-    "aggregate",
     # clearing
     "LiabilityNetwork",
     "ClearingStats",

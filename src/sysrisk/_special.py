@@ -95,35 +95,19 @@ def _binomial(a: float, b: float) -> bool:
 def lower_tail(a: float, b: float, x) -> np.ndarray:
     """I_x(a, b) to full relative precision where I <= 1/2.
 
-    For integer shapes this is the binomial sum alone: all its terms are
+    Integer shapes with a + b - 1 <= 56 (Beta(2, 5), every shipped margin,
+    among them) use the finite binomial sum alone: all its terms are
     positive wherever x < 1, so it needs no reflection below the median.
-    Otherwise it is betainc, which reflects past (a + 1) / (a + b + 2).
-    """
-    if _binomial(a, b):
-        return _binomial_sum(a, b, np.asarray(x, dtype=float))
-    return betainc(a, b, x)
-
-
-def betainc(a: float, b: float, x) -> np.ndarray:
-    """Regularized incomplete beta function I_x(a, b) for x in [0, 1], elementwise.
-
-    Below x = (a + 1) / (a + b + 2) it is evaluated directly, above it as
-    1 - I_{1-x}(b, a), so the lower tail keeps full relative precision and
-    the upper tail full absolute precision. Integer shapes with
-    a + b - 1 <= 56 (Beta(2, 5), every shipped margin, among them) use the
-    finite binomial sum; all others the continued fraction. The branch
-    exists for speed: per 4096 values at (2, 5) the continued fraction takes
-    0.8 ms and the sum 0.05 ms (2 vCPU). At three evaluations per value,
-    the fraction would add about 15 ms to the 11 ms set-up of the
-    benchmark's two_tier_B2 workload.
+    All others use the continued fraction, reflected past
+    (a + 1) / (a + b + 2), which on the upper half gives I to full absolute
+    precision. The binomial branch exists for speed: per 4096 values at
+    (2, 5) the continued fraction takes 0.8 ms and the sum 0.05 ms (2 vCPU).
+    At three evaluations per value, the fraction would add about 15 ms to
+    the set-up of the benchmark's two_tier_B2 workload.
     """
     x = np.asarray(x, dtype=float)
     if _binomial(a, b):
-        flip = x > (a + 1.0) / (a + b + 2.0)
-        out = np.empty_like(x)
-        out[~flip] = _binomial_sum(a, b, x[~flip])
-        out[flip] = 1.0 - _binomial_sum(b, a, 1.0 - x[flip])
-        return out
+        return _binomial_sum(a, b, x)
     return _reflected_fraction(a, b, x, betaln(a, b))
 
 

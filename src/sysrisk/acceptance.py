@@ -105,7 +105,11 @@ def ubsr(samples, power: float, z: float) -> float:
 
     def g(level: float) -> float:
         with np.errstate(over="ignore"):
-            return float(np.mean(np.maximum(-m - level, 0.0) ** power)) - z
+            losses = np.maximum(-m - level, 0.0) ** power
+            mean = float(np.mean(losses))
+            if mean == math.inf and np.isfinite(losses).all():  # the sum overflowed, no loss did
+                mean = float(np.sum(losses / losses.size))
+        return mean - z
 
     hi = 1.0 + float(np.max(np.abs(m)))
     lo = -hi

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, ModelError, ParameterError
 from .scenarios import ScenarioMatrix
 
-__all__ = ["GroupMap", "AggregationSpec", "AggregationStats", "AggregationValueModel", "aggregate"]
+__all__ = ["GroupMap", "AggregationSpec", "AggregationStats", "AggregationValueModel"]
 
 AGGREGATION_KINDS = ("sum", "loss", "exp")
 AGGREGATION_MODES = ("insensitive", "sensitive")
@@ -71,7 +71,12 @@ class AggregationSpec:
 
 
 def _aggregate_array(x: np.ndarray, spec: AggregationSpec) -> np.ndarray:
-    """Column sums of the chosen per-firm transform; works on (n,) or (n, m) arrays."""
+    """Column sums of the chosen per-firm transform of an (n, m) wealth array.
+
+    sum: total wealth. loss: negated total shortfall (profits cannot subsidize
+    losses). exp: sum of 1 - exp(theta * shortfall_i), penalizing large
+    individual losses progressively harder.
+    """
     if spec.kind == "sum":
         return x.sum(axis=0)
     losses = np.maximum(-x, 0.0)
@@ -85,19 +90,6 @@ def _aggregate_array(x: np.ndarray, spec: AggregationSpec) -> np.ndarray:
             f"exp aggregation overflowed: theta*loss = {spec.theta * worst:.4g} exceeds float range"
         )
     return (1.0 - penalties).sum(axis=0)
-
-
-def aggregate(x, spec: AggregationSpec) -> float:
-    """Aggregate a per-firm wealth vector to a single outcome.
-
-    sum: total wealth. loss: negated total shortfall (profits cannot subsidize
-    losses). exp: sum of 1 - exp(theta * shortfall_i), penalizing large
-    individual losses progressively harder.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.isfinite(x).all():
-        raise ParameterError("wealth vector contains non-finite values")
-    return float(_aggregate_array(x, spec))
 
 
 @dataclass
@@ -245,14 +237,11 @@ class AggregationValueModel:
         self.stats.tables += 1
         return x_min, table
 
-    def with_scenarios(self, scenarios: ScenarioMatrix) -> "AggregationValueModel":
-        """Same model structure over a different scenario matrix."""
-        return AggregationValueModel(scenarios, self.spec, self.groups)
-
     def blend(self, other: "AggregationValueModel", alpha: float) -> "AggregationValueModel":
         """Model over the scenario-wise convex combination alpha*X_self + (1-alpha)*X_other."""
         if not 0.0 <= alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
         if self.spec != other.spec or self.groups != other.groups:
             raise ConfigurationError("blending requires identical model structure")
-        return self.with_scenarios(self.scenarios.blended(other.scenarios, alpha))
+        return AggregationValueModel(self.scenarios.blended(other.scenarios, alpha), self.spec,
+                                     self.groups)

@@ -788,8 +788,10 @@ class NetworkValueModel:
         self.groups = network.groups
         price_top, price_floor = float(f(0.0)), float(f(largest_sale))  # the reachable price range
         self._prices = (price_top, price_floor)
-        # at constant price the illiquid holdings count as cash, pi * s at every k
-        self._cash = price_top * scenarios_s.values if price_top == price_floor else None
+        # at constant price nonzero illiquid holdings count as cash, pi * s at every k
+        self._cash = None
+        if price_top == price_floor and scenarios_s.values.any():
+            self._cash = price_top * scenarios_s.values
         self.stats = ClearingStats()  # summed over every call
         self._history = collections.deque(maxlen=_HISTORY)  # _Points, oldest first
         # the clearing's share of a verdict's error budget, in units of society equity
@@ -824,8 +826,9 @@ class NetworkValueModel:
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]
         point = _Point(k)
         above = [e for e in self._history if (e.k >= k).all()]
-        if self._cash is not None:
-            x += self._cash
+        if self._prices[0] == self._prices[1]:
+            if self._cash is not None:
+                x += self._cash
             clearing = _top_down(self.network, x, self.tol, self.max_iter, self.stats, above,
                                  point)
         else:
@@ -849,22 +852,19 @@ class NetworkValueModel:
         *_, (_, e0) = self.bounds_at(k)
         return e0
 
-    def with_scenarios(
-        self, scenarios_x: ScenarioMatrix, scenarios_s: ScenarioMatrix
-    ) -> "NetworkValueModel":
-        return NetworkValueModel(
-            self.network, scenarios_x, scenarios_s, self.f, self.tol, self.max_iter
-        )
-
     def blend(self, other: "NetworkValueModel", alpha: float) -> "NetworkValueModel":
-        """Model over scenario-wise convex combinations of both holdings matrices."""
+        """Model over scenario-wise convex combinations of both holdings matrices.
+
+        Both models must share the nominal matrix, its groups and the inverse demand (by ==).
+        """
         if not 0.0 <= alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
         if self.network is not other.network and not np.array_equal(
             self.network.nominal, other.network.nominal
         ):
             raise ConfigurationError("blending requires the same liability network")
-        return self.with_scenarios(
-            self.scenarios_x.blended(other.scenarios_x, alpha),
-            self.scenarios_s.blended(other.scenarios_s, alpha),
-        )
+        if self.groups != other.groups or self.f != other.f:
+            raise ConfigurationError("blending requires identical model structure")
+        return NetworkValueModel(self.network, self.scenarios_x.blended(other.scenarios_x, alpha),
+                                 self.scenarios_s.blended(other.scenarios_s, alpha), self.f,
+                                 self.tol, self.max_iter)

@@ -12,14 +12,15 @@ Feeding a finished manifest back through --config reproduces the CSV
 outputs byte for byte. A sweep searches several presets the same way and
 writes nothing.
 
-Exit codes: 0 success, 2 configuration or validation problem,
-3 convergence failure, 4 degenerate search box (run only, with guidance),
-1 any other error during the search (a model error, for one), 141 stdout
-closed before the command had printed everything (as by `| head`; 128 +
-SIGPIPE, what a shell reports for a command a broken pipe ends), with
-nothing on stderr. A run then drops its remaining stdout lines, writes all
-its outputs and its final manifest, and exits 141 where it would exit 0;
-the other commands stop at that print. A run that cannot write its output
+Exit codes: 0 success, 2 configuration or validation problem (an array
+too large for memory at the build among them), 3 convergence failure,
+4 degenerate search box (run only, with guidance), 1 any other error
+during the search (a model error or an array too large for memory),
+141 stdout closed before the command had printed everything (as by
+`| head`; 128 + SIGPIPE, what a shell reports for a command a broken pipe
+ends), with nothing on stderr. A run then drops its remaining stdout
+lines, writes all its outputs and its final manifest, and exits 141 where
+it would exit 0; the other commands stop at that print. A run that cannot write its output
 directory, or after its search an output file or its manifest, exits 2
 with one "error: cannot write ..." line and a failed manifest if it can.
 A run whose build or search fails and whose manifest then cannot be
@@ -269,6 +270,14 @@ def _finish_failed(path: str, manifest: dict, started: float, **extra) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+# what a command reports as one error line: a failure of the package, or an array too large
+# for memory (numpy names the array it could not allocate)
+_FAILURES = (SysriskError, MemoryError)
+
+
+def _reason(exc: Exception) -> str:
+    return str(exc) or type(exc).__name__
+
 
 def cmd_list_presets(args) -> int:
     for name in preset_names():
@@ -280,8 +289,8 @@ def cmd_validate(args) -> int:
     try:
         resolved = resolve_config(_apply_overrides(_load_raw(args), args))
         plan = build_run(resolved)
-    except SysriskError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
+    except _FAILURES as exc:
+        print(f"invalid: {_reason(exc)}", file=sys.stderr)
         return 2
     cfg = plan.config
     free = plan.grid.ndim
@@ -329,8 +338,8 @@ def cmd_run(args) -> int:
     say = _Progress()
     try:
         resolved = resolve_config(_apply_overrides(_load_raw(args), args))
-    except SysriskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _FAILURES as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
     clock.lap("resolve")
 
@@ -345,10 +354,10 @@ def cmd_run(args) -> int:
 
     try:
         plan = build_run(resolved)
-    except SysriskError as exc:
+    except _FAILURES as exc:
         clock.lap("build")
-        print(f"error: {exc}", file=sys.stderr)
-        _finish_failed(manifest_path, manifest, started, error=str(exc), **_run_stats(clock))
+        print(f"error: {_reason(exc)}", file=sys.stderr)
+        _finish_failed(manifest_path, manifest, started, error=_reason(exc), **_run_stats(clock))
         return 2
     clock.lap("build")
 
@@ -357,10 +366,10 @@ def cmd_run(args) -> int:
 
     try:
         approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
-    except SysriskError as exc:
+    except _FAILURES as exc:
         clock.lap("search")
-        print(f"error: {exc}", file=sys.stderr)
-        _finish_failed(manifest_path, manifest, started, error=str(exc),
+        print(f"error: {_reason(exc)}", file=sys.stderr)
+        _finish_failed(manifest_path, manifest, started, error=_reason(exc),
                        **_run_stats(clock, plan))
         return 3 if isinstance(exc, ConvergenceError) else 1
     clock.lap("search")
@@ -442,8 +451,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         configs = [resolve_config(_apply_overrides(preset_config(n), args)) for n in args.presets]
-    except SysriskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _FAILURES as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
 
     width = max(len(cfg["name"]) for cfg in configs)
@@ -452,16 +461,16 @@ def cmd_sweep(args) -> int:
     for i, cfg in enumerate(configs, 1):
         try:
             plan = build_run(cfg)
-        except SysriskError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except _FAILURES as exc:
+            print(f"error: {_reason(exc)}", file=sys.stderr)
             return 2
         try:
             approx = grid_search(membership_oracle(plan.model, plan.acceptance), plan.grid)
             firsts = [] if approx.degenerate else [
                 ear(approx, w).minimizers[0] for w in plan.ear_weights
             ]
-        except SysriskError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except _FAILURES as exc:
+            print(f"error: {_reason(exc)}", file=sys.stderr)
             return 3 if isinstance(exc, ConvergenceError) else 1
         acc = approx.labels == 1
         rules = [

@@ -25,7 +25,6 @@ __all__ = [
     "MarginalSpec",
     "ScenarioMatrix",
     "sample_equicorrelated_normals",
-    "apply_marginal",
     "generate_scenarios",
     "beta_inverse_cdf",
     "write_scenario_csv",
@@ -39,7 +38,7 @@ _TABLE_STEP = _TABLE_LOGIT / (_TABLE_NODES - 1)
 _TABLE_BISECTIONS = 32  # from the 2**62 bit patterns of [0, 1] to 2**30, 2**-22 of a binade
 _NEWTON_STEPS = 2
 _NEWTON_BLOCK = 2**13  # values per pass: 0.7 MB of temporaries when u is spread about 1/2, 1.3 MB at most
-# apply_marginal: values per transform call, so that wide rows keep small temporaries
+# generate_scenarios: values per transform call, so that wide rows keep small temporaries
 _CHUNK = 2**15
 
 
@@ -84,7 +83,7 @@ class ShiftedLognormal:
             raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
 
     def transform(self, z: np.ndarray) -> np.ndarray:
-        # one temporary, so a chunk of apply_marginal costs one chunk of memory
+        # one temporary, so a chunk of generate_scenarios costs one chunk of memory
         t = np.empty(np.shape(z))
         np.multiply(self.sigma, z, out=t)
         t += self.mu
@@ -115,7 +114,7 @@ class ScaledBeta:
 
         Phi is _special.ndtr. beta_inverse_cdf bisects its start table (2 x 129
         nodes, under a millisecond at (2, 5)) once per call, so a call should
-        carry many values: apply_marginal passes up to 2**15 at a time.
+        carry many values: generate_scenarios passes up to 2**15 at a time.
         """
         u = _special.ndtr(z)
         return self.scale * beta_inverse_cdf(u, self.alpha, self.beta) + self.shift
@@ -161,9 +160,14 @@ class ScenarioMatrix:
         return self.values.shape[1]
 
     def scaled(self, factor: float) -> "ScenarioMatrix":
-        """Same draw with every value multiplied by a constant (e.g. liquid/illiquid split)."""
+        """Same draw with every value multiplied by a constant (e.g. liquid/illiquid split).
+
+        A factor of 1 returns the matrix itself: it is immutable, and v * 1.0 == v bit for bit.
+        """
         if factor < 0:
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
+        if factor == 1.0:
+            return self
         return ScenarioMatrix._take(self.values * factor)
 
     def blended(self, other: "ScenarioMatrix", alpha: float) -> "ScenarioMatrix":
@@ -193,51 +197,35 @@ def sample_equicorrelated_normals(spec: CopulaSpec) -> np.ndarray:
     return out
 
 
-def apply_marginal(normals: np.ndarray, margins: Sequence[MarginalSpec]) -> ScenarioMatrix:
-    """Push standard-normal rows through per-firm marginal transforms.
-
-    The input is left unchanged: it is copied once, and the copy is
-    transformed in place and becomes the matrix. Each run of consecutive rows
-    with equal margins is transformed as one block, in calls of at most 2**15
-    values (a call may end inside a row). Every transform is elementwise, so
-    the values equal those of transforming each row on its own, bit for bit.
-    """
-    values = np.array(normals, dtype=float, order="C")
-    if values.ndim != 2:
-        raise ParameterError(f"normals must be 2-D, got shape {values.shape}")
-    if len(margins) != values.shape[0]:
-        raise ParameterError(
-            f"need one margin per firm: {len(margins)} margins for {values.shape[0]} rows"
-        )
-    return _transform_rows(values, margins)
-
-
-def _transform_rows(values: np.ndarray, margins: Sequence[MarginalSpec]) -> ScenarioMatrix:
-    """apply_marginal on a fresh C-ordered array that it overwrites and wraps."""
-    flat = values.reshape(-1)
-    stop = 0
-    for margin, rows in groupby(margins):
-        start, stop = stop, stop + values.shape[1] * len(list(rows))
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            flat[lo:hi] = margin.transform(flat[lo:hi])
-    return ScenarioMatrix._take(values)
-
-
 def generate_scenarios(
     copula: CopulaSpec,
     group_margins: Sequence[MarginalSpec],
     group_sizes: Sequence[int],
 ) -> ScenarioMatrix:
-    """Sample the copula and apply one margin per firm group."""
+    """Sample the copula and apply one margin per firm group.
+
+    The fresh normals are transformed in place and become the matrix. Each
+    run of consecutive groups with equal margins is transformed as one
+    block, in calls of at most 2**15 values (a call may end inside a row).
+    Every transform is elementwise, so the values equal those of
+    transforming each row on its own, bit for bit.
+    """
     if len(group_margins) != len(group_sizes):
         raise ParameterError("one margin per group required")
     if sum(group_sizes) != copula.n_firms:
         raise ParameterError(
             f"group sizes sum to {sum(group_sizes)}, copula has {copula.n_firms} firms"
         )
+    values = sample_equicorrelated_normals(copula)
+    flat = values.reshape(-1)
     per_firm = [m for m, size in zip(group_margins, group_sizes) for _ in range(size)]
-    return _transform_rows(sample_equicorrelated_normals(copula), per_firm)
+    stop = 0
+    for margin, rows in groupby(per_firm):
+        start, stop = stop, stop + copula.n_scenarios * len(list(rows))
+        for lo in range(start, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            flat[lo:hi] = margin.transform(flat[lo:hi])
+    return ScenarioMatrix._take(values)
 
 
 def _bisect(tail, p: np.ndarray, steps: int) -> np.ndarray:

@@ -211,6 +211,15 @@ def test_ubsr_bracket_failure_on_unreachable_target():
         ubsr([0.0], 1.0, 1.7e308)
 
 
+def test_ubsr_reads_an_overflowed_sum_of_finite_losses_as_its_mean():
+    # at the bracket end -2**1023 the two losses sum past the float range, though their mean,
+    # 2**1023 - 1/2, is finite and below z: the end must not be taken as reaching z
+    with pytest.raises(ConvergenceError):
+        ubsr([0.0, 1.0], 1.0, 1.7e308)
+    # a target the mean does reach there still has its root found
+    assert ubsr([0.0, 1.0], 1.0, 5e307) == pytest.approx(-5e307, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # entropic criterion
 

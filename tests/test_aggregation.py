@@ -14,13 +14,13 @@ from sysrisk import (
     AggregationValueModel,
     ConfigurationError,
     ConstantPrice,
+    GenerationError,
     GroupMap,
     LiabilityNetwork,
     ModelError,
     NetworkValueModel,
     ParameterError,
     ScenarioMatrix,
-    aggregate,
 )
 from sysrisk.aggregation import _aggregate_array
 from sysrisk.config import build_run, resolve_config
@@ -41,15 +41,22 @@ def random_matrix(seed, n_firms=6, n_scenarios=40, scale=2.0):
 
 
 # ---------------------------------------------------------------------------
-# scalar aggregation
+# one scenario: a wealth vector aggregated to one outcome
+
+
+def aggregate_one(x, spec):
+    # one firm per row of a one-scenario matrix, no capital
+    model = AggregationValueModel(ScenarioMatrix(np.reshape(x, (-1, 1))), spec, GroupMap([len(x)]))
+    (value,) = model.samples_at([0.0])
+    return float(value)
 
 
 def test_loss_aggregation_counts_only_shortfalls():
-    assert aggregate([1.0, -2.0, -3.0], AggregationSpec("loss", "insensitive")) == -5.0
+    assert aggregate_one([1.0, -2.0, -3.0], AggregationSpec("loss", "insensitive")) == -5.0
 
 
 def test_exp_aggregation_two_firms():
-    value = aggregate([0.0, -1.0], AggregationSpec("exp", "insensitive", theta=2.0))
+    value = aggregate_one([0.0, -1.0], AggregationSpec("exp", "insensitive", theta=2.0))
     assert value == pytest.approx(1.0 - math.e**2, abs=1e-12)
 
 
@@ -57,19 +64,23 @@ def test_sum_decomposes_into_loss_plus_gains():
     rng = np.random.default_rng(3)
     for _ in range(25):
         x = rng.normal(size=9)
-        total = aggregate(x, AggregationSpec("sum", "insensitive"))
-        shortfall = aggregate(x, AggregationSpec("loss", "insensitive"))
+        total = aggregate_one(x, AggregationSpec("sum", "insensitive"))
+        shortfall = aggregate_one(x, AggregationSpec("loss", "insensitive"))
         assert total == pytest.approx(shortfall + np.maximum(x, 0.0).sum(), abs=1e-12)
 
 
 def test_aggregate_rejects_nonfinite_wealth():
-    with pytest.raises(ParameterError):
-        aggregate([1.0, math.nan], SUM)
+    # neither the scenarios nor the capital can carry a non-finite wealth into the aggregation
+    with pytest.raises(GenerationError):
+        aggregate_one([1.0, math.nan], SUM)
+    model = AggregationValueModel(ScenarioMatrix([[1.0], [2.0]]), SUM, GroupMap([2]))
+    with pytest.raises(ParameterError, match="not finite"):
+        model.samples_at([math.inf])
 
 
 def test_exp_aggregation_overflow_is_diagnosed():
     with pytest.raises(ModelError, match="overflow"):
-        aggregate([-1000.0], AggregationSpec("exp", "insensitive", theta=2.0))
+        aggregate_one([-1000.0], AggregationSpec("exp", "insensitive", theta=2.0))
 
 
 def test_spec_validation():
@@ -560,16 +571,15 @@ def test_blend_validation():
         a.blend(thinner, 0.5)
 
 
-def test_with_scenarios_swaps_the_draw_only():
+def test_blend_swaps_the_draw_only():
     groups = GroupMap([1, 3])
-    model = AggregationValueModel(
-        random_matrix(94, n_firms=4), AggregationSpec("loss", "sensitive"), groups
-    )
-    fresh = random_matrix(95, n_firms=4)
-    swapped = model.with_scenarios(fresh)
-    assert swapped.spec == model.spec
-    assert swapped.groups == model.groups
-    assert swapped.scenarios is fresh
+    spec = AggregationSpec("loss", "sensitive")
+    a = AggregationValueModel(random_matrix(94, n_firms=4), spec, groups)
+    b = AggregationValueModel(random_matrix(95, n_firms=4), spec, groups)
+    blended = a.blend(b, 0.0)
+    assert blended.spec == spec
+    assert blended.groups == groups
+    assert np.array_equal(blended.scenarios.values, b.scenarios.values)
 
 
 def test_model_is_usable_through_base_class_name():

@@ -693,6 +693,19 @@ def test_model_blend_mixes_both_holdings():
     fewer = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 10)))
     with pytest.raises(ConfigurationError, match="equal shape"):
         a.blend(NetworkValueModel(net, fewer, fewer, LinearSqrtPrice()), 0.5)
+    # one nominal matrix, but other groups or another inverse demand
+    grouped = NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([1, 2])), xa, sa,
+                                ConstantPrice(1.0))
+    for partner in (
+        NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([2, 1])), xb, sb,
+                          LinearSqrtPrice()),
+        NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([2, 1])), xb, sb,
+                          ConstantPrice(1.0)),
+        NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([1, 2])), xb, sb,
+                          LinearSqrtPrice()),
+    ):
+        with pytest.raises(ConfigurationError, match="identical model structure"):
+            grouped.blend(partner, 0.5)
 
 
 def test_make_network_cvm_group_override():
@@ -906,7 +919,8 @@ def two_group_model(rng, f, tol=1e-10, m=12):
 
 def fresh(model):
     # the same model with no evaluated points to start from
-    return model.with_scenarios(model.scenarios_x, model.scenarios_s)
+    return NetworkValueModel(model.network, model.scenarios_x, model.scenarios_s, model.f,
+                             model.tol, model.max_iter)
 
 
 def tied_at(model, spec, k):

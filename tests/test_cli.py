@@ -858,6 +858,39 @@ def test_run_other_search_error_exits_1(tmp_path, capsys, monkeypatch):
     assert "outside the model's domain" in manifest["error"]
 
 
+OUT_OF_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (100, 10000000000)"
+
+
+def _out_of_memory(*args):
+    raise MemoryError(OUT_OF_MEMORY)  # as numpy says it; these tests never allocate that much
+
+
+@pytest.mark.parametrize("stage,code", [("build_run", 2), ("grid_search", 1)])
+def test_run_out_of_memory_exits_with_one_error_line_and_a_failed_manifest(
+        tmp_path, capsys, monkeypatch, stage, code):
+    monkeypatch.setattr(cli, stage, _out_of_memory)
+    outdir = tmp_path / "out"
+    path = write_cfg(tmp_path, small_agg_cfg(outdir))
+    assert main(["run", "--config", path]) == code
+    assert capsys.readouterr().err == f"error: {OUT_OF_MEMORY}\n"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == OUT_OF_MEMORY
+
+
+@pytest.mark.parametrize("argv,stage,code", [
+    (["validate", "--preset", "agg_lognormal:sum"], "build_run", 2),
+    (["sweep", "agg_lognormal:sum", "--scenarios", "50"], "build_run", 2),
+    (["sweep", "agg_lognormal:sum", "--scenarios", "50"], "grid_search", 1),
+])
+def test_other_commands_out_of_memory_exit_like_their_errors(capsys, monkeypatch, argv, stage,
+                                                             code):
+    monkeypatch.setattr(cli, stage, _out_of_memory)
+    assert main(argv) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.endswith(f": {OUT_OF_MEMORY}")
+
+
 def test_run_unparseable_config_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("name: [unclosed\n  - ::\n")

@@ -1,10 +1,12 @@
 """The README against the code: its complete config example resolves, its flags exist,
-and every acceptance key and criterion it names is one a config may carry."""
+every acceptance key and criterion it names is one a config may carry, and every name of
+its library surface is exported."""
 
 import argparse
 import re
 from pathlib import Path
 
+import sysrisk
 from sysrisk.cli import build_parser
 from sysrisk.config import load_config, resolve_config
 from sysrisk.presets import preset_config
@@ -58,3 +60,14 @@ def test_readme_criterion_keys_resolve():
         accepted |= set(block) | {v for v in block.values() if isinstance(v, str)}
     assert "loss" in named and "utility_lam" in named, "the paragraphs name no older spelling"
     assert named <= accepted, sorted(named - accepted)
+
+
+def test_readme_library_names_are_exported():
+    # the leading name of every backticked call or name in the "Library use" bullet list
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    bullets = re.search(r"Each job has one public\s+name:\n\n(.*?)\n\n", section, re.S)
+    assert bullets, "the README's library surface list is gone"
+    named = set(re.findall(r"`([A-Za-z_]\w*)", bullets.group(1)))
+    assert {"generate_scenarios", "AggregationValueModel", "grid_search"} <= named
+    assert named <= set(sysrisk.__all__), sorted(named - set(sysrisk.__all__))

@@ -642,7 +642,8 @@ def test_fixed_groups_search_like_the_hand_embedded_oracle():
         (lambda: AggregationValueModel(scen, AggregationSpec("exp", "sensitive"),
                                        GroupMap([2, 2, 2])),
          GridSpec([0.0], [6.0], 17, fixed={0: 1.0, 2: 0.0}), lambda k: [1.0, k[0], 0.0]),
-        (lambda: network.with_scenarios(network.scenarios_x, network.scenarios_s),
+        (lambda: NetworkValueModel(network.network, network.scenarios_x, network.scenarios_s,
+                                   network.f),
          GridSpec([0.0, 0.0], [1.0, 1.0], 7, fixed={1: 0.3}), lambda k: [k[0], 0.3, k[1]]),
     ]
     for build, grid, embed in cases:

@@ -18,7 +18,6 @@ from sysrisk import (
     ScaledBeta,
     ScenarioMatrix,
     ShiftedLognormal,
-    apply_marginal,
     beta_inverse_cdf,
     generate_scenarios,
     sample_equicorrelated_normals,
@@ -149,15 +148,9 @@ def test_margin_ks_distance(margin, cdf):
     """Empirical margin within the 95% Kolmogorov-Smirnov band at m = 1e5."""
     m = 100_000
     spec = CopulaSpec(n_firms=1, pairwise_correlation=0.0, n_scenarios=m, seed=42)
-    values = apply_marginal(sample_equicorrelated_normals(spec), [margin]).values[0]
+    values = generate_scenarios(spec, [margin], [1]).values[0]
     ks = stats.kstest(values, cdf).statistic
     assert ks < 1.63 / math.sqrt(m)
-
-
-def test_apply_marginal_length_mismatch():
-    z = np.zeros((3, 5))
-    with pytest.raises(ParameterError):
-        apply_marginal(z, [ShiftedLognormal(0.0)] * 2)
 
 
 def test_nonfinite_margin_output_rejected():
@@ -165,7 +158,7 @@ def test_nonfinite_margin_output_rejected():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the GenerationError is the only report
         with pytest.raises(GenerationError):
-            apply_marginal(z, [ShiftedLognormal(mu=500.0)])
+            ScenarioMatrix(ShiftedLognormal(mu=500.0).transform(z))
 
 
 def test_nonfinite_generated_scenarios_rejected():
@@ -174,14 +167,6 @@ def test_nonfinite_generated_scenarios_rejected():
         warnings.simplefilter("error")
         with pytest.raises(GenerationError):
             generate_scenarios(CopulaSpec(2, 0.3, 4, seed=5), [margin], [2])
-
-
-def test_apply_marginal_leaves_its_input_unchanged():
-    normals = sample_equicorrelated_normals(CopulaSpec(4, 0.3, 50, seed=10))
-    before = normals.copy()
-    values = apply_marginal(normals, [ShiftedLognormal(0.1), ScaledBeta(2.0, 5.0)] * 2).values
-    assert np.array_equal(normals, before)
-    assert not np.shares_memory(values, normals)
 
 
 def test_normals_equal_the_one_factor_formula():
@@ -196,12 +181,13 @@ def test_normals_equal_the_one_factor_formula():
 
 @pytest.mark.parametrize("m", [301, 2**15 + 7])
 def test_generate_scenarios_equals_apply_marginal_of_the_normals(m):
+    # each group's margin applied to its whole block of the copula's normals at once
     spec = CopulaSpec(n_firms=5, pairwise_correlation=0.2, n_scenarios=m, seed=12)
     margins = [ShiftedLognormal(MU_75, 1.0, -1.0), ScaledBeta(2.0, 5.0, 0.3)]
     generated = generate_scenarios(spec, margins, [3, 2]).values
-    per_firm = [margins[0]] * 3 + [margins[1]] * 2
-    applied = apply_marginal(sample_equicorrelated_normals(spec), per_firm)
-    assert np.array_equal(generated, applied.values)
+    normals = sample_equicorrelated_normals(spec)
+    assert np.array_equal(generated[:3], margins[0].transform(normals[:3]))
+    assert np.array_equal(generated[3:], margins[1].transform(normals[3:]))
 
 
 def test_generate_scenarios_group_expansion():
@@ -243,8 +229,8 @@ def test_scenario_matrix_copies_the_callers_array():
 def test_built_matrices_are_read_only():
     spec = CopulaSpec(n_firms=3, pairwise_correlation=0.2, n_scenarios=20, seed=13)
     generated = generate_scenarios(spec, [ShiftedLognormal(0.0)], [3])
-    applied = apply_marginal(np.zeros((3, 20)), [ShiftedLognormal(0.0)] * 3)
-    for mat in (generated, applied, generated.scaled(0.5), generated.blended(applied, 0.3)):
+    own = ScenarioMatrix(np.zeros((3, 20)))
+    for mat in (generated, own, generated.scaled(0.5), generated.blended(own, 0.3)):
         assert not mat.values.flags.writeable
         with pytest.raises(ValueError):
             mat.values[0, 0] = 99.0
@@ -272,6 +258,7 @@ def test_scenario_matrix_scaled():
     mat = ScenarioMatrix([[2.0, -4.0]])
     assert np.array_equal(mat.scaled(0.5).values, [[1.0, -2.0]])
     assert np.all(mat.scaled(0.0).values == 0.0)
+    assert mat.scaled(1.0) is mat  # immutable, so the same values need no copy
     with pytest.raises(ParameterError):
         mat.scaled(-1.0)
 
@@ -384,10 +371,11 @@ def test_beta_inverse_cdf_matches_library_inverse(a, b):
 
 def test_beta_rows_do_not_depend_on_their_call():
     # a row inverted alone, in its group's block and in the whole matrix: the same bits
-    normals = sample_equicorrelated_normals(CopulaSpec(7, 0.3, 1001, seed=4))
+    spec = CopulaSpec(7, 0.3, 1001, seed=4)
+    normals = sample_equicorrelated_normals(spec)
     first, second = ScaledBeta(2.0, 5.0, 0.14, 0.04), ScaledBeta(2.0, 5.0, 0.3, 0.0)
-    whole = apply_marginal(normals, [first] * 4 + [second] * 3).values
-    block = apply_marginal(normals[4:], [second] * 3).values
+    whole = generate_scenarios(spec, [first, second], [4, 3]).values
+    block = second.transform(normals[4:])
     for i in range(4, 7):
         alone = second.transform(normals[i])
         assert np.array_equal(alone, block[i - 4]) and np.array_equal(alone, whole[i])
@@ -405,8 +393,10 @@ def test_beta_rows_do_not_depend_on_their_call():
     ([ScaledBeta(2.0, 5.0)] * 2 + [ShiftedLognormal(0.3)] * 2, 2**15 + 7),  # rows wider than a call
 ], ids=["lognormal", "beta", "alternating", "wide"])
 def test_apply_marginal_equals_per_row_transform(margins, m):
-    normals = sample_equicorrelated_normals(CopulaSpec(len(margins), 0.2, m, seed=8))
-    values = apply_marginal(normals, margins).values
+    # generate_scenarios with one firm per group, against each margin applied to its row alone
+    spec = CopulaSpec(len(margins), 0.2, m, seed=8)
+    normals = sample_equicorrelated_normals(spec)
+    values = generate_scenarios(spec, margins, [1] * len(margins)).values
     for i, margin in enumerate(margins):
         assert np.array_equal(values[i], margin.transform(normals[i]))
 
