@@ -54,12 +54,10 @@ from .riskmeasure import (
     EarResult,
     GridApproximation,
     GridSpec,
-    ProbeReport,
     ear,
     ear_record,
     grid_search,
     membership_oracle,
-    quasiconvexity_probe,
     write_frontier_csv,
     write_labels_csv,
 )
@@ -128,11 +126,9 @@ __all__ = [
     "GridSpec",
     "GridApproximation",
     "EarResult",
-    "ProbeReport",
     "membership_oracle",
     "grid_search",
     "ear",
-    "quasiconvexity_probe",
     "write_frontier_csv",
     "write_labels_csv",
     "ear_record",

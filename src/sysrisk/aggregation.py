@@ -236,12 +236,3 @@ class AggregationValueModel:
         self._tables[j] = (x_min, table)
         self.stats.tables += 1
         return x_min, table
-
-    def blend(self, other: "AggregationValueModel", alpha: float) -> "AggregationValueModel":
-        """Model over the scenario-wise convex combination alpha*X_self + (1-alpha)*X_other."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-        if self.spec != other.spec or self.groups != other.groups:
-            raise ConfigurationError("blending requires identical model structure")
-        return AggregationValueModel(self.scenarios.blended(other.scenarios, alpha), self.spec,
-                                     self.groups)

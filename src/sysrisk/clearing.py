@@ -851,20 +851,3 @@ class NetworkValueModel:
         """Society equity per scenario at capital k: bounds_at(k) run to its end."""
         *_, (_, e0) = self.bounds_at(k)
         return e0
-
-    def blend(self, other: "NetworkValueModel", alpha: float) -> "NetworkValueModel":
-        """Model over scenario-wise convex combinations of both holdings matrices.
-
-        Both models must share the nominal matrix, its groups and the inverse demand (by ==).
-        """
-        if not 0.0 <= alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-        if self.network is not other.network and not np.array_equal(
-            self.network.nominal, other.network.nominal
-        ):
-            raise ConfigurationError("blending requires the same liability network")
-        if self.groups != other.groups or self.f != other.f:
-            raise ConfigurationError("blending requires identical model structure")
-        return NetworkValueModel(self.network, self.scenarios_x.blended(other.scenarios_x, alpha),
-                                 self.scenarios_s.blended(other.scenarios_s, alpha), self.f,
-                                 self.tol, self.max_iter)

@@ -199,6 +199,19 @@ def _fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy % (2**63))
 
 
+def _build_margin(mcfg: dict):
+    if mcfg["type"] == "shifted_lognormal":
+        return ShiftedLognormal(mu=mcfg["mu"], sigma=mcfg["sigma"], b=mcfg["b"])
+    return ScaledBeta(
+        alpha=mcfg["alpha"], beta=mcfg["beta"], scale=mcfg["scale"], shift=mcfg["shift"]
+    )
+
+
+def _copula(n_firms: int, rsc: dict) -> CopulaSpec:
+    return CopulaSpec(n_firms=n_firms, pairwise_correlation=rsc["correlation"],
+                      n_scenarios=rsc["count"], seed=rsc["seed"])
+
+
 def _resolve_margin(mcfg, path: str) -> dict:
     mcfg = _expect_mapping(mcfg, path)
     kind = _get_str(mcfg, path, "type", required=True, choices=set(_MARGIN_FIELDS))
@@ -207,6 +220,10 @@ def _resolve_margin(mcfg, path: str) -> dict:
     for key, default in fields.items():
         out[key] = _get_number(mcfg, path, key, default=default, required=default is None)
     _reject_unknown(mcfg, path, {"type", *fields}, what="margin keys")
+    try:  # surface bad margin parameters at validation time
+        _build_margin(out)
+    except SysriskError as exc:
+        _fail(path, str(exc))
     return out
 
 
@@ -270,6 +287,10 @@ def resolve_config(cfg: dict) -> dict:
               f"by this many scenarios exceeds the {_MAX_ENTRIES} entries of an array")
     if len(rsc["margins"]) != n_groups:
         _fail("scenarios.margins", f"{len(rsc['margins'])} margins for {n_groups} groups")
+    try:  # surface a bad correlation at validation time
+        _copula(sum(groups), rsc)
+    except SysriskError as exc:
+        _fail("scenarios.correlation", str(exc))
 
     if mtype == "aggregation":
         if "network" in mc:
@@ -450,6 +471,10 @@ def resolve_config(cfg: dict) -> dict:
             _fail(f"ear.weights[{i}]", f"expected {free_dims} entries")
         if any(v <= 0 for v in vec):
             _fail(f"ear.weights[{i}]", "weights must be strictly positive")
+        if not math.isfinite(sum(v * max(abs(lo), abs(hi))
+                                 for v, lo, hi in zip(vec, rgrid["lower"], rgrid["upper"]))):
+            _fail(f"ear.weights[{i}]", "the weighted capital cost overflows on the grid box; "
+                  "scale the weights down")
         rweights.append(vec)
     _reject_unknown(ec, "ear", {"weights"})
     out["ear"] = {"weights": rweights}
@@ -491,26 +516,12 @@ class RunPlan:
     model_stats: dict  # manifest name -> the model's work counters, filled as it runs
 
 
-def _build_margin(mcfg: dict):
-    if mcfg["type"] == "shifted_lognormal":
-        return ShiftedLognormal(mu=mcfg["mu"], sigma=mcfg["sigma"], b=mcfg["b"])
-    return ScaledBeta(
-        alpha=mcfg["alpha"], beta=mcfg["beta"], scale=mcfg["scale"], shift=mcfg["shift"]
-    )
-
-
 def build_run(resolved: dict) -> RunPlan:
     """Instantiate scenarios, model, criterion, and grid from a resolved config."""
     groups = GroupMap(resolved["model"]["groups"])
     sc = resolved["scenarios"]
-    copula = CopulaSpec(
-        n_firms=groups.n_firms,
-        pairwise_correlation=sc["correlation"],
-        n_scenarios=sc["count"],
-        seed=sc["seed"],
-    )
     margins = [_build_margin(m) for m in sc["margins"]]
-    base = generate_scenarios(copula, margins, groups.group_sizes)
+    base = generate_scenarios(_copula(groups.n_firms, sc), margins, groups.group_sizes)
 
     network = None
     if resolved["model"]["type"] == "aggregation":

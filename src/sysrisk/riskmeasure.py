@@ -49,11 +49,9 @@ __all__ = [
     "GridSpec",
     "GridApproximation",
     "EarResult",
-    "ProbeReport",
     "membership_oracle",
     "grid_search",
     "ear",
-    "quasiconvexity_probe",
     "write_frontier_csv",
     "write_labels_csv",
     "ear_record",
@@ -198,16 +196,6 @@ class EarResult:
     minimizers: np.ndarray
     min_value: float
     on_box_boundary: bool
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Outcome of the scenario-blending convexity check."""
-
-    alpha: float
-    checked: int
-    total_points: int
-    violations: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +456,10 @@ def ear(approximation: GridApproximation, w) -> EarResult:
             + (f" (degenerate: {approximation.degenerate})" if approximation.degenerate else "")
             + "; enlarge or move the box"
         )
-    values = approximation.inner_frontier @ w
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        values = approximation.inner_frontier @ w
+    if not np.isfinite(values).all():
+        raise ParameterError("the weighted capital cost w . m overflows on the inner frontier")
     min_value = float(values.min())
     keep = values <= min_value + EAR_TIE_RTOL * abs(min_value)
     minimizers = approximation.inner_frontier[keep]
@@ -484,36 +475,6 @@ def ear(approximation: GridApproximation, w) -> EarResult:
         minimizers=minimizers,
         min_value=min_value,
         on_box_boundary=bool(on_upper or on_lower),
-    )
-
-
-def quasiconvexity_probe(model_a, model_b, alpha: float, spec: AcceptanceSpec, grid: GridSpec) -> ProbeReport:
-    """Check set-valued quasi-convexity across two scenario draws on a lattice.
-
-    Builds the blended model over alpha*X_a + (1-alpha)*X_b and verifies that
-    every lattice point acceptable under both inputs stays acceptable under
-    the blend. With a concave aggregation (so blending can only improve
-    outcomes) and a convex acceptance criterion no violations should occur;
-    non-concave models can and do violate, and the report lists where, in
-    lexicographic lattice order.
-
-    The three lattices are labelled by grid_search, so model_a, model_b and
-    their blend must all be monotone in capital, as every value model the
-    library builds is. The search does not verify this: for a non-monotone
-    model the report reflects the labels its queried points imply, not a
-    point-by-point check.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    blend = model_a.blend(model_b, alpha)
-    a, b, mixed = (
-        grid_search(membership_oracle(model, spec), grid).labels == ACCEPTABLE
-        for model in (model_a, model_b, blend)
-    )
-    both = a & b
-    violations = _coords(grid.axes(), np.argwhere(both & ~mixed))
-    return ProbeReport(
-        alpha=alpha, checked=int(both.sum()), total_points=both.size, violations=violations
     )
 
 

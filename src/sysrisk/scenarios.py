@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _special
-from .errors import ConfigurationError, GenerationError, ParameterError
+from .errors import GenerationError, ParameterError
 
 __all__ = [
     "CopulaSpec",
@@ -127,9 +127,9 @@ class ScenarioMatrix:
     """Immutable firms x scenarios matrix of realized risk-factor values.
 
     The constructor copies the caller's values, so later writes to them do not
-    reach the matrix. The matrices this package builds itself (the generator,
-    scaled and blended) hand over a fresh array through _take, which
-    wraps it without a copy. Either way the values are checked to be 2-D and
+    reach the matrix. The matrices this package builds itself (the generator
+    and scaled) hand over a fresh array through _take, which wraps it
+    without a copy. Either way the values are checked to be 2-D and
     finite, and they are read-only.
     """
 
@@ -169,14 +169,6 @@ class ScenarioMatrix:
         if factor == 1.0:
             return self
         return ScenarioMatrix._take(self.values * factor)
-
-    def blended(self, other: "ScenarioMatrix", alpha: float) -> "ScenarioMatrix":
-        """Scenario-wise convex combination alpha * self + (1 - alpha) * other."""
-        if self.values.shape != other.values.shape:
-            raise ConfigurationError("blending requires scenario matrices of equal shape")
-        mixed = alpha * self.values
-        mixed += (1.0 - alpha) * other.values
-        return ScenarioMatrix._take(mixed)
 
 
 def sample_equicorrelated_normals(spec: CopulaSpec) -> np.ndarray:

@@ -513,73 +513,24 @@ def test_exp_sensitive_raises_at_exactly_the_reference_levels():
 
 
 # ---------------------------------------------------------------------------
-# scenario blending (the convexity precondition for frontier geometry)
+# concavity over scenario draws (the convexity precondition for frontier geometry)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
 def test_blend_superadditive_for_concave_aggregation(spec):
     # Lambda(alpha X + (1-alpha) X') >= alpha Lambda(X) + (1-alpha) Lambda(X')
     groups = GroupMap([3, 3])
-    a = AggregationValueModel(random_matrix(81, scale=1.0), spec, groups)
-    b = AggregationValueModel(random_matrix(82, scale=1.0), spec, groups)
+    xa, xb = random_matrix(81, scale=1.0), random_matrix(82, scale=1.0)
+    a = AggregationValueModel(xa, spec, groups)
+    b = AggregationValueModel(xb, spec, groups)
     rng = np.random.default_rng(83)
     for _ in range(15):
         alpha = float(rng.uniform())
         k = rng.uniform(0.0, 1.0, size=2)
-        mixed = a.blend(b, alpha).samples_at(k)
+        mixed_values = alpha * xa.values + (1 - alpha) * xb.values
+        mixed = AggregationValueModel(ScenarioMatrix(mixed_values), spec, groups).samples_at(k)
         split = alpha * a.samples_at(k) + (1 - alpha) * b.samples_at(k)
         assert (mixed >= split - 1e-9).all()
-
-
-def test_blend_matches_direct_mixture_aggregation():
-    groups = GroupMap([2, 2])
-    spec = AggregationSpec("exp", "sensitive")
-    a = AggregationValueModel(random_matrix(84, n_firms=4, scale=0.5), spec, groups)
-    b = AggregationValueModel(random_matrix(85, n_firms=4, scale=0.5), spec, groups)
-    alpha = 0.3
-    k = np.array([0.2, 0.7])
-    mixed_values = alpha * a.scenarios.values + (1 - alpha) * b.scenarios.values
-    shifted = mixed_values + groups.expand(k)[:, None]
-    direct = (1.0 - np.exp(spec.theta * np.maximum(-shifted, 0.0))).sum(axis=0)
-    blended = a.blend(b, alpha)
-    assert blended.samples_at(k) == pytest.approx(direct, abs=1e-12)
-    assert not blended.scenarios.values.flags.writeable
-
-
-def test_blend_endpoint_alphas_recover_inputs():
-    groups = GroupMap([2, 2])
-    a = AggregationValueModel(random_matrix(86, n_firms=4), SUM, groups)
-    b = AggregationValueModel(random_matrix(87, n_firms=4), SUM, groups)
-    k = np.array([1.0, -1.0])
-    assert a.blend(b, 1.0).samples_at(k) == pytest.approx(a.samples_at(k), abs=1e-12)
-    assert a.blend(b, 0.0).samples_at(k) == pytest.approx(b.samples_at(k), abs=1e-12)
-
-
-def test_blend_validation():
-    groups = GroupMap([2, 2])
-    a = AggregationValueModel(random_matrix(91, n_firms=4), SUM, groups)
-    b = AggregationValueModel(random_matrix(92, n_firms=4), SUM, groups)
-    with pytest.raises(ParameterError):
-        a.blend(b, 1.5)
-    other_spec = AggregationValueModel(
-        random_matrix(92, n_firms=4), AggregationSpec("loss", "insensitive"), groups
-    )
-    with pytest.raises(ConfigurationError):
-        a.blend(other_spec, 0.5)
-    thinner = AggregationValueModel(random_matrix(93, n_firms=4, n_scenarios=10), SUM, groups)
-    with pytest.raises(ConfigurationError):
-        a.blend(thinner, 0.5)
-
-
-def test_blend_swaps_the_draw_only():
-    groups = GroupMap([1, 3])
-    spec = AggregationSpec("loss", "sensitive")
-    a = AggregationValueModel(random_matrix(94, n_firms=4), spec, groups)
-    b = AggregationValueModel(random_matrix(95, n_firms=4), spec, groups)
-    blended = a.blend(b, 0.0)
-    assert blended.spec == spec
-    assert blended.groups == groups
-    assert np.array_equal(blended.scenarios.values, b.scenarios.values)
 
 
 def test_model_is_usable_through_base_class_name():

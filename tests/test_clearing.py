@@ -666,48 +666,6 @@ def test_model_construction_validation():
             NetworkValueModel(net, good, good, UNIT_PRICE, **bad)
 
 
-def test_model_blend_mixes_both_holdings():
-    rng = np.random.default_rng(129)
-    net = random_network(rng, 3)
-    xa = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 12)))
-    sa = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 12)))
-    xb = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 12)))
-    sb = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 12)))
-    a = NetworkValueModel(net, xa, sa, LinearSqrtPrice())
-    b = NetworkValueModel(net, xb, sb, LinearSqrtPrice())
-    mixed = a.blend(b, 0.25)
-    assert mixed.scenarios_x.values == pytest.approx(
-        0.25 * xa.values + 0.75 * xb.values, abs=1e-15
-    )
-    assert mixed.scenarios_s.values == pytest.approx(
-        0.25 * sa.values + 0.75 * sb.values, abs=1e-15
-    )
-    assert not mixed.scenarios_x.values.flags.writeable
-    assert not mixed.scenarios_s.values.flags.writeable
-    with pytest.raises(ParameterError):
-        a.blend(b, -0.1)
-    other_net = random_network(np.random.default_rng(131), 3)
-    c = NetworkValueModel(other_net, xb, sb, LinearSqrtPrice())
-    with pytest.raises(ConfigurationError):
-        a.blend(c, 0.5)
-    fewer = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(3, 10)))
-    with pytest.raises(ConfigurationError, match="equal shape"):
-        a.blend(NetworkValueModel(net, fewer, fewer, LinearSqrtPrice()), 0.5)
-    # one nominal matrix, but other groups or another inverse demand
-    grouped = NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([1, 2])), xa, sa,
-                                ConstantPrice(1.0))
-    for partner in (
-        NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([2, 1])), xb, sb,
-                          LinearSqrtPrice()),
-        NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([2, 1])), xb, sb,
-                          ConstantPrice(1.0)),
-        NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([1, 2])), xb, sb,
-                          LinearSqrtPrice()),
-    ):
-        with pytest.raises(ConfigurationError, match="identical model structure"):
-            grouped.blend(partner, 0.5)
-
-
 def test_make_network_cvm_group_override():
     # the model searches over the groups of its network; regrouping means a new network
     rng = np.random.default_rng(139)

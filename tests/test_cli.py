@@ -282,6 +282,32 @@ def test_seed_past_64_bits_exits_2_without_a_manifest(tmp_path, capsys, where, p
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("scenarios,fragment", [
+    ({"correlation": 1.0}, "scenarios.correlation: pairwise_correlation must lie in [0, 1)"),
+    ({"correlation": -0.2}, "scenarios.correlation: pairwise_correlation must lie in [0, 1)"),
+    ({"margins": [{"type": "shifted_lognormal", "mu": 0.0, "sigma": -1.0}]},
+     "scenarios.margins[0]: sigma must be >= 0"),
+])
+def test_bad_scenario_parameters_exit_2_without_a_manifest(tmp_path, capsys, scenarios, fragment):
+    cfg = small_agg_cfg(tmp_path / "unused")
+    cfg["scenarios"].update(scenarios)
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(outdir)]) == 2
+    assert f"config error at {fragment}" in capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+
+
+def test_ear_weights_whose_cost_overflows_exit_2(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    argv = ["run", "--preset", "agg_lognormal:sum", "--scenarios", "50", "--grid-res", "5",
+            "--out", str(outdir), "--ear-weights"]
+    assert main(argv + ["1.7e308,1.7e308"]) == 2
+    assert "config error at ear.weights[0]: the weighted capital cost overflows" in \
+        capsys.readouterr().err
+    assert not (outdir / "manifest.json").exists()
+    assert main(argv + ["1,1"]) == 0
+
+
 def test_validate_rejects_revenue_decreasing_demand(tmp_path, capsys):
     cfg = small_net_cfg(tmp_path / "out")
     cfg["model"]["network"]["inverse_demand"] = {

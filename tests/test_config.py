@@ -358,6 +358,30 @@ def test_margin_validation():
     assert_rejects(cfg, "scenarios.margins[0].beta: required value missing")
 
 
+@pytest.mark.parametrize("margin,fragment", [
+    ({"type": "shifted_lognormal", "mu": 0.0, "sigma": -1.0},
+     "scenarios.margins[1]: sigma must be >= 0"),
+    ({"type": "scaled_beta", "alpha": 0.0, "beta": 2.0},
+     "scenarios.margins[1]: beta shape parameters must be positive"),
+    ({"type": "scaled_beta", "alpha": 2.0, "beta": 2.0, "scale": 0.0},
+     "scenarios.margins[1]: scale must be positive"),
+])
+def test_margin_parameters_checked_at_resolve_time(margin, fragment):
+    cfg = agg_config_two_groups()
+    cfg["scenarios"]["margins"][1] = margin
+    assert_rejects(cfg, fragment)
+
+
+@pytest.mark.parametrize("correlation", [1.0, -0.2, 1.5])
+def test_correlation_checked_at_resolve_time(correlation):
+    cfg = agg_config()
+    cfg["scenarios"]["correlation"] = correlation
+    assert_rejects(cfg, "config error at scenarios.correlation: pairwise_correlation must lie "
+                        f"in [0, 1), got {correlation}")
+    cfg["scenarios"]["correlation"] = 0.999
+    assert resolve_config(cfg)["scenarios"]["correlation"] == 0.999
+
+
 @pytest.mark.parametrize("groups", [None, [], [0], [2.5], [True], [2, -1], "two"])
 def test_groups_must_be_positive_ints(groups):
     cfg = agg_config()
@@ -660,6 +684,18 @@ def test_ear_weights_validation():
     cfg = agg_config()
     cfg["ear"] = {"weights": [[1.0], [2.0]]}
     assert resolve_config(cfg)["ear"]["weights"] == [[1.0], [2.0]]
+
+
+def test_ear_weights_whose_cost_overflows_on_the_box_are_rejected():
+    # the cost at the far corner, sum w_i * max(|lower_i|, |upper_i|), must be finite
+    cfg = agg_config_two_groups()
+    cfg["grid"]["lower"] = [-8.0, 0.0]
+    cfg["ear"] = {"weights": [[1.0, 1.0], [3e307, 1.0]]}  # 3e307 * |-8| overflows, * 4 does not
+    assert_rejects(cfg, "config error at ear.weights[1]: the weighted capital cost overflows")
+    cfg["ear"] = {"weights": [[1.5e307, 3e307]]}  # each term is finite, their sum is not
+    assert_rejects(cfg, "config error at ear.weights[0]: the weighted capital cost overflows")
+    cfg["ear"] = {"weights": [[1e307, 2e307]]}
+    assert resolve_config(cfg)["ear"]["weights"] == [[1e307, 2e307]]
 
 
 def test_ear_weights_sized_to_free_dims_after_pinning():

@@ -9,9 +9,10 @@ B1 and C1, one preset by construction, share them, so a change that moves
 the labels of one preset shows even where the first cannot tell it from
 another. golden.json holds, per case, the sha256 of labels.csv, both
 frontier CSVs and ear.json (null where the run writes no such file), the
-oracle calls and the exit code, and the numpy version it was recorded
-with: a different numpy may draw different scenario streams, and a
-mismatch then says so.
+oracle calls, the exit code and the manifest `stats` without `seconds` (so
+a change that moves only work counters, such as clearing rounds, shows),
+and the numpy version it was recorded with: a different numpy may draw
+different scenario streams, and a mismatch then says so.
 
 Rerecord only when an output change is intended, and name the reason and
 the changed cases in CHANGES.md:
@@ -19,8 +20,9 @@ the changed cases in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py --record
 
 The record ends with a summary against the golden.json it replaces: the
-cases whose digests or exit code changed, and those whose oracle calls
-moved, with the totals before and after.
+cases whose digests or exit code changed, those whose `stats` moved (with
+the keys that moved), and those whose oracle calls moved, with the totals
+before and after.
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ def run_case(preset: str, seed: int, grid_res: int, outdir: Path) -> dict:
         if (outdir / name).exists() else None
         for name in OUTPUTS
     }
-    return {"exit_code": code, "oracle_calls": manifest.get("oracle_calls"), "sha256": digests}
+    stats = manifest.get("stats")
+    if stats is not None:
+        stats = {key: value for key, value in stats.items() if key != "seconds"}
+    return {"exit_code": code, "oracle_calls": manifest.get("oracle_calls"), "sha256": digests,
+            "stats": stats}
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,9 @@ def test_golden_outputs(golden, case, tmp_path):
             f" (golden.json was recorded with numpy {golden['numpy']}, this is numpy "
             f"{np.__version__}: the scenario streams may differ)"
         )
+    moved = _moved(expected.get("stats"), got["stats"], "stats")
+    if moved:
+        note = f" (stats moved: {', '.join(moved)}){note}"
     assert got == expected, f"{case_id(*case)} differs from golden.json{note}"
 
 
@@ -95,23 +104,30 @@ def test_golden_covers_every_case(golden):
 
 
 def test_record_summary_names_what_moved():
-    def case(calls, digest="a", code=0):
-        return {"exit_code": code, "oracle_calls": calls, "sha256": {"labels.csv": digest}}
+    def case(calls, digest="a", code=0, rounds=0):
+        return {"exit_code": code, "oracle_calls": calls, "sha256": {"labels.csv": digest},
+                "stats": {"clearing": {"rounds": rounds, "solves": 0}}}
 
-    old = {"numpy": "1", "cases": {"p": case(10), "q": case(5), "r": case(7), "gone": case(1)}}
+    old = {"numpy": "1", "cases": {"p": case(10), "q": case(5), "r": case(7), "s": case(3),
+                                   "gone": case(1)}}
     new = {"numpy": "1", "cases": {"p": case(8), "q": case(5, "b"), "r": case(7, code=4),
-                                   "new": case(2)}}
+                                   "s": case(3, rounds=2), "new": case(2)}}
+    new["cases"]["q"]["stats"] = None
     assert summary(old, new) == [
         "added: new",
         "removed: gone",
         "outputs or exit code changed: q",
         "outputs or exit code changed: r",
+        "stats changed (stats): q",
+        "stats changed (clearing.rounds): s",
+        "stats moved in 2 of 4 common cases",
         "oracle_calls 10 -> 8: p",
-        "oracle_calls moved in 1 of 3 common cases, total 22 -> 20",
+        "oracle_calls moved in 1 of 4 common cases, total 25 -> 23",
     ]
-    assert summary(old, old)[-2:] == [
+    assert summary(old, old)[-3:] == [
         "outputs and exit codes: unchanged in every common case",
-        "oracle_calls moved in 0 of 4 common cases, total 23 -> 23",
+        "stats moved in 0 of 5 common cases",
+        "oracle_calls moved in 0 of 5 common cases, total 26 -> 26",
     ]
 
 
@@ -127,6 +143,10 @@ def summary(old: dict, new: dict) -> list[str]:
     lines += [f"outputs or exit code changed: {c}" for c in outputs]
     if not outputs:
         lines.append("outputs and exit codes: unchanged in every common case")
+    stats = {c: _moved(before[c].get("stats"), after[c].get("stats"), "stats") for c in common}
+    stats = {c: keys for c, keys in stats.items() if keys}
+    lines += [f"stats changed ({', '.join(keys)}): {c}" for c, keys in stats.items()]
+    lines.append(f"stats moved in {len(stats)} of {len(common)} common cases")
     calls = [c for c in common if before[c]["oracle_calls"] != after[c]["oracle_calls"]]
     lines += [f"oracle_calls {before[c]['oracle_calls']} -> {after[c]['oracle_calls']}: {c}"
               for c in calls]
@@ -134,6 +154,14 @@ def summary(old: dict, new: dict) -> list[str]:
     lines.append(f"oracle_calls moved in {len(calls)} of {len(common)} common cases, "
                  f"total {total[0]} -> {total[1]}")
     return lines
+
+
+def _moved(old, new, path: str) -> list[str]:
+    """Dotted paths of the keys whose values differ between two stats blocks."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [key for name in sorted(old.keys() | new.keys())
+                for key in _moved(old.get(name), new.get(name), f"{path}.{name}")]
+    return [] if old == new else [path.removeprefix("stats.")]
 
 
 def record() -> None:

@@ -29,7 +29,6 @@ from sysrisk import (
     is_acceptable,
     membership_oracle,
     preset_config,
-    quasiconvexity_probe,
     resolve_config,
     rho,
     write_frontier_csv,
@@ -550,6 +549,10 @@ def test_ear_weight_validation():
         ear(approx, [1.0, -2.0])
     with pytest.raises(ParameterError):
         ear(approx, [1.0, math.inf])
+    # each weight is finite, but every cost w . m on the inner frontier is inf
+    with pytest.raises(ParameterError, match="overflows on the inner frontier"):
+        ear(approx, [1.7e308, 1.7e308])
+    assert np.isfinite(ear(approx, [1e307, 1e307]).min_value)
 
 
 def test_ear_degenerate_box_raises():
@@ -677,110 +680,46 @@ class _MaxModel:
         k = np.asarray(k, dtype=float)
         return (self.values + k[:, None]).max(axis=0)
 
-    def blend(self, other, alpha):
-        return _MaxModel(alpha * self.values + (1.0 - alpha) * other.values)
 
-
-def _two_group_models(seed_a, seed_b):
+def _two_group_models(seed_a, seed_b, alpha):
+    """Sum aggregations over two scenario draws X_a, X_b and over alpha * X_a + (1 - alpha) * X_b."""
     groups = GroupMap([2, 2])
     spec = AggregationSpec("sum", "sensitive")
-    a = AggregationValueModel(
-        ScenarioMatrix(np.random.default_rng(seed_a).normal(size=(4, 60))), spec, groups
-    )
-    b = AggregationValueModel(
-        ScenarioMatrix(np.random.default_rng(seed_b).normal(size=(4, 60))), spec, groups
-    )
-    return a, b
+    xa, xb = (np.random.default_rng(seed).normal(size=(4, 60)) for seed in (seed_a, seed_b))
+    return [AggregationValueModel(ScenarioMatrix(x), spec, groups)
+            for x in (xa, xb, alpha * xa + (1.0 - alpha) * xb)]
+
+
+def _probe(models, spec, grid):
+    return oracles.probe_scan(*(membership_oracle(m, spec) for m in models), grid.axes())
 
 
 def test_probe_concave_aggregation_has_zero_violations():
-    a, b = _two_group_models(10, 11)
     spec = AcceptanceSpec("avar", lam=0.25)
     grid = GridSpec([0.0, 0.0], [3.0, 3.0], 10)
-    report = quasiconvexity_probe(a, b, 0.5, spec, grid)
-    assert report.total_points == 100
-    assert report.violations.shape == (0, 2)
-    assert 0 < report.checked <= report.total_points
+    checked, total, violations = _probe(_two_group_models(10, 11, 0.5), spec, grid)
+    assert total == 100
+    assert violations.shape == (0, 2)
+    assert 0 < checked <= total
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_probe_endpoint_blends_cannot_violate(alpha):
-    a, b = _two_group_models(12, 13)
     spec = AcceptanceSpec("avar", lam=0.25)
     grid = GridSpec([0.0, 0.0], [3.0, 3.0], 6)
-    report = quasiconvexity_probe(a, b, alpha, spec, grid)
-    assert report.violations.shape[0] == 0
+    _, _, violations = _probe(_two_group_models(12, 13, alpha), spec, grid)
+    assert violations.shape[0] == 0
 
 
 def test_probe_flags_convex_aggregation():
     # max-aggregation: each input is fine on its own, the average is not
-    a = _MaxModel([[0.0], [-10.0]])
-    b = _MaxModel([[-10.0], [0.0]])
+    xa, xb = np.array([[0.0], [-10.0]]), np.array([[-10.0], [0.0]])
+    models = [_MaxModel(x) for x in (xa, xb, 0.5 * xa + 0.5 * xb)]
     spec = AcceptanceSpec("avar", lam=0.5)
-    grid = GridSpec([0.0, 0.0], [1.0, 1.0], 2)
-    report = quasiconvexity_probe(a, b, 0.5, spec, grid)
-    assert report.checked >= 1
-    assert report.violations.shape[0] >= 1
-    assert [0.0, 0.0] in report.violations.tolist()
-
-
-def test_probe_matches_pointwise_scan():
-    rng = np.random.default_rng(716)
-    grid = GridSpec([0.0, 0.0], [2.0, 2.0], 7)
-    cases = [(*_two_group_models(16, 17), AcceptanceSpec("avar", lam=lam)) for lam in (0.1, 0.5)]
-    for _ in range(12):  # convex max-aggregation pairs, which do violate
-        cases.append((
-            _MaxModel(rng.normal(-1.0, 1.0, size=(2, 5))),
-            _MaxModel(rng.normal(-1.0, 1.0, size=(2, 5))),
-            AcceptanceSpec("avar", lam=float(rng.uniform(0.2, 0.8))),
-        ))
-    violating = 0
-    for a, b, spec in cases:
-        for alpha in (0.0, 0.3, 0.5):
-            report = quasiconvexity_probe(a, b, alpha, spec, grid)
-            checked, total, violations = oracles.probe_scan(
-                *(membership_oracle(m, spec) for m in (a, b, a.blend(b, alpha))), grid.axes()
-            )
-            assert (report.checked, report.total_points) == (checked, total)
-            assert np.array_equal(report.violations, violations)
-            violating += violations.shape[0] > 0
-    assert violating > 0
-
-
-class _CountingModel:
-    """Pass-through model counting samples_at calls, blends included, in one shared list."""
-
-    def __init__(self, model, calls):
-        self.model = model
-        self.calls = calls
-        self.n_groups = model.n_groups
-
-    def samples_at(self, k):
-        self.calls.append(k)
-        return self.model.samples_at(k)
-
-    def blend(self, other, alpha):
-        return _CountingModel(self.model.blend(other.model, alpha), self.calls)
-
-
-def test_probe_costs_no_more_than_three_searches():
-    a, b = _two_group_models(18, 19)
-    spec = AcceptanceSpec("avar", lam=0.25)
-    grid = GridSpec([0.0, 0.0], [3.0, 3.0], 30)
-    searches = [grid_search(membership_oracle(m, spec), grid) for m in (a, b, a.blend(b, 0.5))]
-    assert all(s.degenerate is None for s in searches)
-    calls = []
-    counted = [_CountingModel(m, calls) for m in (a, b)]
-    report = quasiconvexity_probe(*counted, 0.5, spec, grid)
-    assert report.total_points == 900
-    assert len(calls) <= sum(s.oracle_calls for s in searches)
-    assert len(calls) < report.checked  # far fewer calls than points checked
-
-
-def test_probe_alpha_validation():
-    a, b = _two_group_models(14, 15)
-    with pytest.raises(ParameterError):
-        quasiconvexity_probe(a, b, 1.5, AcceptanceSpec("avar", lam=0.5), BOX04)
+    checked, _, violations = _probe(models, spec, GridSpec([0.0, 0.0], [1.0, 1.0], 2))
+    assert checked >= 1
+    assert violations.shape[0] >= 1
+    assert [0.0, 0.0] in violations.tolist()
 
 
 # ---------------------------------------------------------------------------

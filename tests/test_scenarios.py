@@ -230,19 +230,10 @@ def test_built_matrices_are_read_only():
     spec = CopulaSpec(n_firms=3, pairwise_correlation=0.2, n_scenarios=20, seed=13)
     generated = generate_scenarios(spec, [ShiftedLognormal(0.0)], [3])
     own = ScenarioMatrix(np.zeros((3, 20)))
-    for mat in (generated, own, generated.scaled(0.5), generated.blended(own, 0.3)):
+    for mat in (generated, own, generated.scaled(0.5)):
         assert not mat.values.flags.writeable
         with pytest.raises(ValueError):
             mat.values[0, 0] = 99.0
-
-
-def test_scenario_matrix_blended():
-    a = ScenarioMatrix([[2.0, -4.0], [1.0, 0.5]])
-    b = ScenarioMatrix([[0.0, 8.0], [3.0, -1.5]])
-    mixed = a.blended(b, 0.25)
-    assert np.array_equal(mixed.values, 0.25 * a.values + 0.75 * b.values)
-    assert np.array_equal(a.blended(b, 1.0).values, a.values)
-    assert np.array_equal(a.blended(b, 0.0).values, b.values)
 
 
 def test_scenario_matrix_shape_and_finiteness():
