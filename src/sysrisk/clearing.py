@@ -19,33 +19,29 @@ range its scenarios can reach, and each call runs one of two generators:
 
 - Constant price on the reachable range, f(0) == f(largest sale), as for
   ConstantPrice or s == 0 (_top_down). The top-down iteration runs alone
-  on an (n, m) array. The map is then a theta-contraction in a weighted
-  l1 norm whenever every firm's chain of creditors reaches society or a
-  firm that owes nothing (LiabilityNetwork._contraction), and the fixed
-  point is unique. So the last step of an iterate bounds its distance to
-  the fixed point, and each sweep yields, per scenario, society equity at
-  the iterate and that minus a radius by which the exact equity may lie
-  below it; without a contraction (a closed cycle, say) the radius is
-  infinite and the lower bound 0. The fixed point is piecewise linear in
-  the payments, and fictitious default finds it exactly. Once the
-  iteration has converged or _WARMUP_SWEEPS sweeps have run, the default
-  set of the iterate, which lies inside the true one, seeds the solve:
-  the scenario columns are grouped by default set, each group takes one
-  linear solve, and new defaults are added until the set stops growing.
-  tol, scaled by max(1, max pbar), bounds the final fixed-point residual
-  |min(pbar, x + pi*s + A'p) - p|. The iteration alone would not do: its
-  step shrinks by the spectral radius rho of the defaulting firms' share
-  matrix, so it takes about log(pbar/tol)/(1 - rho) sweeps and stops up
-  to tol/(1 - rho) above the fixed point. A cycle of three firms that
-  leaks 1e-4 of one obligation to society needs about 7e5 sweeps; the
-  solve clears it exactly in one round.
+  on an (n, m) array. Money is conserved, so the last step of an iterate
+  bounds how far society equity there lies above the exact equity, on
+  every network, closed cycles included: each sweep yields, per scenario,
+  equity at the iterate and that minus a radius. The fixed point is
+  piecewise linear in the payments, and fictitious default finds it
+  exactly. Once the iteration has converged or _WARMUP_SWEEPS sweeps have
+  run, the default set of the iterate, which lies inside the true one,
+  seeds the solve: the scenario columns are grouped by default set, each
+  group takes one linear solve, and new defaults are added until the set
+  stops growing. tol, scaled by max(1, max pbar), bounds the final
+  fixed-point residual |min(pbar, x + pi*s + A'p) - p|. The iteration
+  alone would not do: its step shrinks by the spectral radius rho of the
+  defaulting firms' share matrix, so it takes about
+  log(pbar/tol)/(1 - rho) sweeps and stops up to tol/(1 - rho) above the
+  fixed point. A cycle of three firms that leaks 1e-4 of one obligation
+  to society needs about 7e5 sweeps; the solve clears it exactly in one
+  round.
 - Price impact (_paired). Equilibria need not be unique (Cifuentes,
-  Ferrucci and Shin, JEEA 2005), so no contraction bounds the error, and
-  the map is iterated as well up from the bottom (no payments, the price
-  at the largest sale), which gives payments below the least fixed
-  point. Both halves run as one (n, 2m) iteration, and each sweep yields
-  society equity at both. The top-down half is iterated until it has
-  converged, and its iterate is the result.
+  Ferrucci and Shin, JEEA 2005), so the map is iterated as well up from
+  the bottom (no payments, the price at the largest sale), which gives
+  payments below the least fixed point. Both halves run as one (n, 2m)
+  iteration, and each sweep yields society equity at both. The top-down
+  half is iterated until it has converged, and its iterate is the result.
 
 Both generators return society equity at the finished clearing.
 
@@ -76,27 +72,24 @@ halves have converged.
 ClearingStats.warm counts the calls that started from an evaluated point.
 
 max_iter bounds the sweeps plus the solve rounds of a call; a call still
-unfinished then raises ConvergenceError naming the residual and the
-payment bracket width (at constant price, the width the radius implies).
-Every sweep checks that the top-down iterates only fall, the bottom-up
-ones only rise and the lower bound stays below the upper one; a
-violation raises ModelError.
+unfinished then raises ConvergenceError naming the residual and the width
+of its last society equity bracket. Every sweep checks that the top-down
+iterates only fall, the bottom-up ones only rise and the lower bound
+stays below the upper one; a violation raises ModelError.
 
 Rounding in the payments grows with the obligations, so the checks that
 only raise scale with the largest obligation max(1, max pbar): the final
 residual check of the exact solve, and the slack by which a payment
-iterate may move the wrong way or cross the other bound. The same slack
-bounds the rounding of one sweep in the radius. Stopping tests stay
-absolute, and price checks keep the unscaled slack.
+iterate may move the wrong way or cross the other bound, which the radius
+also takes as one sweep's rounding. Stopping tests stay absolute, and
+price checks keep the unscaled slack.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import math
 import numbers
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,44 +288,6 @@ class LiabilityNetwork:
         """Total nominal obligations owed to node 0."""
         return float(self.nominal[1:, 0].sum())
 
-    @functools.cached_property
-    def _contraction(self) -> "_Contraction | None":
-        """The weights certifying that constant-price clearing contracts, or None if none do.
-
-        With A = relative[1:, 1:] and v = (I - A)^-1 1, every positive v
-        with A v <= theta v makes the clearing map a theta-contraction in
-        the v-weighted l1 norm. v need not be exact: theta is taken from the
-        computed v with the product A v rounded up. None when v is not finite
-        and positive or theta >= 1, as for a closed cycle.
-
-        Rounding never makes a bound too small: theta, slope, offset and gain
-        are each inflated by up = 1 + 4(n + 2) eps, more than the relative
-        error of an n-term sum of non-negative terms plus the few operations
-        around it. That covers A v in theta, sum(v) in offset, and the
-        per-sweep weighted sum ||p' - p||_v, whose error slope's extra
-        factor up absorbs.
-        """
-        n = self.n_firms
-        a_firms = self.relative[1:, 1:]
-        up = 1.0 + 4 * (n + 2) * np.finfo(float).eps
-        try:
-            v = np.linalg.solve(np.eye(n) - a_firms, np.ones(n))
-        except np.linalg.LinAlgError:
-            return None
-        if not (np.isfinite(v).all() and (v > 0).all()):
-            return None
-        theta = float((a_firms @ v / v).max()) * up
-        if not theta < 1.0:
-            return None
-        pay_slack = _MONO_SLACK * _payment_scale(self)
-        return _Contraction(
-            v=v,
-            theta=theta,
-            slope=theta / (1.0 - theta) * up,
-            offset=pay_slack * float(v.sum()) / (1.0 - theta) * up * up,
-            gain=float((self.relative[1:, 0] / v).max()) * up,
-        )
-
 
 def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
     """Load a network from an edge list CSV with header from,to,amount (node 0 = society).
@@ -447,25 +402,6 @@ class _Point:
     pi: np.ndarray | None = None
 
 
-class _Contraction(typing.NamedTuple):
-    """The certificate that a network's constant-price clearing contracts (its _contraction).
-
-    The clearing map is a theta-contraction in the v-weighted l1 norm, so
-    a sweep from p to p' bounds the distance to the fixed point p* by
-    ||p' - p*||_v <= slope * ||p' - p||_v + offset, and society equity
-    moves by at most gain times that. With delta = _MONO_SLACK * max(1,
-    max pbar) the rounding of one sweep, slope = theta / (1 - theta),
-    offset = delta * sum(v) / (1 - theta) and gain = max_j(relative[j, 0]
-    / v_j), each rounded up.
-    """
-
-    v: np.ndarray
-    theta: float
-    slope: float
-    offset: float
-    gain: float
-
-
 def _payment_scale(network: LiabilityNetwork) -> float:
     """max(1, largest obligation): the factor by which payment rounding checks scale."""
     return max(1.0, float(network.pbar.max()))
@@ -486,7 +422,7 @@ def _batch(cols: np.ndarray) -> np.ndarray:
 def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> ConvergenceError:
     return ConvergenceError(
         f"clearing did not converge within {max_iter} iterations "
-        f"(residual {residual:.3e} > tol {tol:.1e}, payment bracket width {width:.3e})"
+        f"(residual {residual:.3e} > tol {tol:.1e}, equity bracket width {width:.3e})"
     )
 
 
@@ -494,19 +430,39 @@ def _top_down(network: LiabilityNetwork, cash, tol: float, max_iter: int, stats:
               above, point: _Point):
     """Clear at constant price, yielding (lower, upper) society equity after every sweep.
 
-    cash (n, m) is every firm's outside assets. The payments p are iterated
-    down from the top (full payments), or from the elementwise minimum of
-    the top-down payments of the points above, and every iterate lies above
-    the fixed point. upper = e0 is society equity at p, and lower is
-    max(e0 - radius, 0), where radius (m,) bounds, per scenario, how far e0
-    lies above the equity at the fixed point: when the network contracts
-    (LiabilityNetwork._contraction) it is gain * (slope * ||p - previous||_v
-    + offset), otherwise inf.
+    cash (n, m) is every firm's outside assets c. The payments are iterated
+    down from full payment, or from the elementwise minimum of the top-down
+    payments of the points above, so every iterate lies above the fixed
+    point p*. upper = e0 is society equity at the iterate, lower = max(e0 -
+    radius, 0), and radius = h.|q - p| + offset for a sweep from q to p,
+    with h = A 1 each firm's share owed to other firms.
+
+    Proof that Y* = s.p* >= e0 - h.(q - p). With A = relative[1:, 1:], s =
+    relative[1:, 0], q >= p*, p = min(pbar, c + A'q), D = q - p and e = p -
+    p*: (1) min(pbar, .) is monotone and 1-Lipschitz, so e <= A'(q - p*) =
+    A'(D + e); (2) summed over firms, sum_j (1 - h_j) e_j <= h.D; (3) 1 - h_j
+    = s_j for a firm that owes something, and e_j = 0 for one that owes
+    nothing (pbar_j = 0), so s.e <= h.D. Equivalently, money is conserved:
+    at p* all outside cash ends with society or as solvent firms' equity,
+    so Y* >= sum(c) - sum(max(c + A'q - pbar, 0)) = sum(p) - h.q for every
+    q >= p*. No contraction is needed, so closed cycles are bounded too.
+
+    Rounding never makes the radius too small. With delta = _MONO_SLACK *
+    max(1, max pbar), the slack the monotonicity checks give one sweep, and
+    up = 1 + 4(n + 2) eps, offset = (2n delta + 2(n + 2) eps sum(pbar)) up.
+    Per firm, p may miss the exact map by delta, and q dip below p* by
+    delta, which the start max(q, p*) covers at a cost in h.q: n delta
+    each. The rows of the stored shares sum to 1 within (n + 2) eps, so 1 -
+    h_j misses s_j by that times p_j <= pbar_j; e0 = s.p and e0 - radius
+    round by as much again. h, |D| and h.|D| are each rounded within (n +
+    2) eps relatively, so h and h.|D| are multiplied by up, and the
+    offset's up covers their sum.
 
     Once the iteration has converged or _WARMUP_SWEEPS sweeps have run, the
-    default set of p seeds the exact solve of _clear_constant_price, and the
-    generator returns society equity at the fixed point. An iterate that
-    moves up raises ModelError, and so does a start that is no upper bound.
+    default set of p seeds the exact solve of _clear_constant_price, whose
+    iterates lie between p* and the last sweep, so its largest radius still
+    bounds them, and the generator returns society equity at p*. An iterate
+    that moves up, or a start that is no upper bound, raises ModelError.
     """
     stats.calls += 1
     stats.warm += bool(above)
@@ -515,13 +471,15 @@ def _top_down(network: LiabilityNetwork, cash, tol: float, max_iter: int, stats:
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     shares = network.relative[1:, 0]  # each firm's share owed to society
     pay_slack = _MONO_SLACK * _payment_scale(network)
-    contraction = network._contraction
+    eps = np.finfo(float).eps
+    up = 1.0 + 4 * (n + 2) * eps
+    owed_on = a_firms.sum(axis=1) * up  # h, rounded up
+    offset = (2 * n * pay_slack + 2 * (n + 2) * eps * float(network.pbar.sum())) * up
     p = np.repeat(pbar, m, axis=1)
     for start in above:  # the minimum of super-solutions is one
         np.minimum(p, start.p, out=p)
     point.p = p
     spare = np.empty_like(p)  # scratch for the next iterate
-    bound = radius = np.full(m, np.inf)  # bound: the v-norm distance to the fixed point
     limit = min(_WARMUP_SWEEPS, max_iter)
     sweeps = 0
 
@@ -533,9 +491,7 @@ def _top_down(network: LiabilityNetwork, cash, tol: float, max_iter: int, stats:
         if not change.max(initial=-np.inf) <= pay_slack:
             raise ModelError("clearing map is not monotone: a payment iterate increased")
         residual = float(np.abs(change, out=change).max(initial=0.0))
-        if contraction is not None:
-            bound = contraction.v @ change * contraction.slope + contraction.offset
-            radius = contraction.gain * bound
+        radius = owed_on @ change * up + offset
         p, spare = p_new, p
         point.p = p
         sweeps += 1
@@ -546,8 +502,7 @@ def _top_down(network: LiabilityNetwork, cash, tol: float, max_iter: int, stats:
             break
 
     del spare  # the exact solve allocates its own arrays
-    # every solve lies between the fixed point and p, so bound still bounds its distance
-    width = np.inf if contraction is None else float(bound.max(initial=0.0) / contraction.v.min())
+    width = float(radius.max(initial=0.0))
     residual = _clear_constant_price(network, cash, p, width, tol, max_iter, sweeps, stats)
     stats.max_residual = max(stats.max_residual, residual)
     return shares @ p
@@ -654,7 +609,7 @@ def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: f
             pi[:m] = price_top
             bracketing = rewind = False
         if sweeps >= max_iter:
-            raise _not_converged(max_iter, residual, tol, float((upper - lower).max()))
+            raise _not_converged(max_iter, residual, tol, float((shares @ (upper - lower)).max()))
 
     stats.max_residual = max(stats.max_residual, residual)
     return shares @ upper
@@ -675,8 +630,8 @@ def _clear_constant_price(network: LiabilityNetwork, cash, p, width: float, tol:
     firms p leaves short seed D, since a top-down iterate lies above the
     fixed point. Columns sharing a default set share one solve with a
     right-hand side each, and every solution lies between the fixed point
-    and the payments before it, so width, a bound on how far p lies above
-    the fixed point when the solve starts, still bounds it.
+    and the payments before it, so width, the equity bracket width when the
+    solve starts, still bounds it.
     A firm short by no more than the rounding slack counts as paying in
     full: the relative shares of a closed cycle that owes as much as it is
     owed can round so that A'pbar leaves its firms an ulp short, and a

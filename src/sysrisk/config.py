@@ -29,7 +29,7 @@ from .clearing import (
     make_inverse_demand,
     read_edge_csv,
 )
-from .errors import ConfigurationError, SysriskError
+from .errors import ConfigurationError, GenerationError, SysriskError
 from .netgen import NetworkGenSpec, sample_network
 from .riskmeasure import GridSpec
 from .scenarios import (
@@ -521,7 +521,10 @@ def build_run(resolved: dict) -> RunPlan:
     groups = GroupMap(resolved["model"]["groups"])
     sc = resolved["scenarios"]
     margins = [_build_margin(m) for m in sc["margins"]]
-    base = generate_scenarios(_copula(groups.n_firms, sc), margins, groups.group_sizes)
+    try:
+        base = generate_scenarios(_copula(groups.n_firms, sc), margins, groups.group_sizes)
+    except GenerationError as exc:  # a margin whose values overflow
+        _fail(f"scenarios.margins[{exc.group}]", str(exc))
 
     network = None
     if resolved["model"]["type"] == "aggregation":

@@ -200,7 +200,9 @@ def generate_scenarios(
     run of consecutive groups with equal margins is transformed as one
     block, in calls of at most 2**15 values (a call may end inside a row).
     Every transform is elementwise, so the values equal those of
-    transforming each row on its own, bit for bit.
+    transforming each row on its own, bit for bit. Values that are not all
+    finite raise GenerationError, whose group attribute is the index of the
+    first group with a non-finite value.
     """
     if len(group_margins) != len(group_sizes):
         raise ParameterError("one margin per group required")
@@ -217,7 +219,14 @@ def generate_scenarios(
         for lo in range(start, stop, _CHUNK):
             hi = min(lo + _CHUNK, stop)
             flat[lo:hi] = margin.transform(flat[lo:hi])
-    return ScenarioMatrix._take(values)
+    try:
+        return ScenarioMatrix._take(values)
+    except GenerationError:  # a margin overflowed: name the first group it reached
+        row = int(np.argmin(np.isfinite(values).all(axis=1)))
+        group = int(np.searchsorted(np.cumsum(group_sizes), row, side="right"))
+        error = GenerationError(f"the margin of group {group} gives non-finite values")
+        error.group = group
+        raise error from None
 
 
 def _bisect(tail, p: np.ndarray, steps: int) -> np.ndarray:

@@ -232,7 +232,7 @@ def clear_default_sets(nominal, cash):
             rhs = mp.matrix([cash[i] + mp.fsum(a[j][i] * p[j] for j in range(n)) for i in inside])
             try:
                 solved = mp.lu_solve(lhs, rhs)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, TypeError):  # mpmath raises TypeError on a zero column
                 continue
             for row, i in enumerate(inside):
                 p[i] = solved[row]

@@ -481,19 +481,27 @@ def test_closed_cycle_clears_at_full_payment():
     # three firms owe only each other, each as much as it is owed, and hold nothing: full
     # payment is the greatest fixed point, but the relative shares round so that one sweep
     # leaves a firm an ulp short, and a default set of the whole cycle would be singular.
-    # A fourth firm owes society one unit and holds two, so society is paid in full
+    # A fourth firm owes society one unit and holds two, so society is paid in full. Money
+    # is conserved on a closed cycle too: after one sweep the lower bound lies within the
+    # rounding offset (about 1e-11) of 1, so a verdict tied below 1 is decided at once
     nominal = np.zeros((5, 5))
     nominal[1:4, 1:4] = [[0.0, 0.9, 0.6], [0.6, 0.0, 0.9], [0.9, 0.6, 0.0]]
     nominal[4, 0] = 1.0
     net = LiabilityNetwork(nominal)
     pbar = net.pbar[1:]
     assert (net.relative[1:4, 1:4].T @ pbar[:3] < pbar[:3]).any()
-    assert net._contraction is None  # no contraction: the equity radius is infinite
     x = np.zeros((4, 2))
     x[3] = 2.0
-    model = NetworkValueModel(net, ScenarioMatrix(x), ScenarioMatrix(np.zeros_like(x)), UNIT_PRICE)
-    lower, upper = next(model.bounds_at([0.0]))
-    assert (upper == 1.0).all() and (lower == 0.0).all()  # exact after one sweep, yet unbounded
+
+    def model():
+        return NetworkValueModel(net, ScenarioMatrix(x), ScenarioMatrix(np.zeros_like(x)),
+                                 UNIT_PRICE)
+
+    lower, upper = next(model().bounds_at([0.0]))
+    assert (upper == 1.0).all() and (1.0 - 1e-10 < lower).all() and (lower < 1.0).all()
+    tied = model()
+    assert membership_oracle(tied, AcceptanceSpec("avar", lam=0.2, shift=1.0 - 1e-6))([0.0])
+    assert tied.stats.calls == tied.stats.decided == 1 and tied.stats.sweeps == 1
     result = clear(net, x[:, 0], np.zeros(4), UNIT_PRICE)
     assert result.p == pytest.approx(pbar, rel=1e-15)
 
@@ -726,8 +734,7 @@ def test_bracket_encloses_the_reference_after_every_sweep():
         s = model.scenarios_s.values
         stats, point = ClearingStats(), _Point(k)
         constant = isinstance(model.f, ConstantPrice)
-        if constant:  # a contracting network: the equity radius is finite
-            assert model.network._contraction is not None
+        if constant:
             clearing = _top_down(model.network, x + model.f.price * s, 1e-10, 100_000, stats, (),
                                  point)
         else:
@@ -769,14 +776,12 @@ def radius_encloses(net, cash, ref, atol):
 
 
 def test_radius_encloses_the_reference_when_theta_is_nearly_one():
-    # three firms owing 1 around a cycle, the first also 1e-7 to society: theta = 1 - 1/max v
-    # lies within 1e-6 of 1, and cash of order the leak leaves the cycle short
+    # three firms owing 1 around a cycle, the first also 1e-7 to society: the cycle passes on
+    # all but 1e-7 of what it receives, and cash of order the leak leaves it short
     nominal = np.zeros((4, 4))
     nominal[1, 2] = nominal[2, 3] = nominal[3, 1] = 1.0
     nominal[1, 0] = 1e-7
     net = LiabilityNetwork(nominal)
-    contraction = net._contraction
-    assert 1.0 - 1e-6 < contraction.theta < 1.0
     cash = np.random.default_rng(163).uniform(0.0, 1e-7, size=(3, 8))
     ref = np.column_stack([oracles.clear_default_sets(nominal, c) for c in cash.T])
     assert (ref < net.pbar[1:, None]).any()
@@ -786,13 +791,12 @@ def test_radius_encloses_the_reference_when_theta_is_nearly_one():
 
 
 def test_radius_encloses_the_reference_when_a_firm_owes_nothing():
-    # firm 2 owes nothing, so its weight is v = 1 exactly; it still receives payments
+    # firm 2 owes nothing, so it has no share to pass on; it still receives payments
     rng = np.random.default_rng(167)
     nominal = sparse_network(rng, 8).nominal.copy()
     nominal[2] = 0.0
     nominal[1, 2] = 1.0
     net = LiabilityNetwork(nominal)
-    assert net._contraction.v[1] == 1.0
     cash = shared_default_cash(rng, np.maximum(net.pbar[1:], 1.0), m=12)
     ref = oracles.clear_top_down(nominal, cash)
     assert (ref < net.pbar[1:, None]).any()
@@ -800,16 +804,55 @@ def test_radius_encloses_the_reference_when_a_firm_owes_nothing():
     assert gaps[-1].max() < gaps[0].max()
 
 
-def test_contraction_factor_is_one_minus_the_inverse_of_the_largest_weight():
-    # v = 1 + A v, so (A v)_j / v_j = 1 - 1 / v_j, largest where v is
-    rng = np.random.default_rng(173)
-    for n in (2, 7, 30):
-        net = random_network(rng, n)
-        v, theta = net._contraction.v, net._contraction.theta
-        a_firms = net.relative[1:, 1:]
-        assert np.allclose(v, 1.0 + a_firms @ v, rtol=1e-13) and (v >= 1.0).all()
-        assert theta == pytest.approx(1.0 - 1.0 / v.max(), rel=1e-12)
-        assert theta >= (a_firms @ v / v).max()
+def cyclic_network(rng, scale):
+    # firms 1-3 owe only each other, a closed cycle; firm 4 owes nothing; firms 5 and 6 owe
+    # society and any other node
+    nominal = np.zeros((7, 7))
+    nominal[1:4, 1:4] = rng.uniform(0.5, 2.0, size=(3, 3))
+    nominal[5:] = rng.uniform(0.0, 2.0, size=(2, 7)) * (rng.random((2, 7)) < 0.7)
+    nominal[5:, 0] = rng.uniform(0.2, 1.0, size=2)
+    np.fill_diagonal(nominal, 0.0)
+    return LiabilityNetwork(nominal * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_radius_encloses_the_reference_on_a_closed_cycle(scale):
+    # money conservation needs no contraction: after every sweep the lower bound stays below
+    # the exact equity, and after the last sweep it is positive. At the exact payments p*,
+    # society equity is the outside cash less the equity the solvent firms keep
+    rng = np.random.default_rng(179)
+    cycle_short = False
+    for _ in range(8):
+        net = cyclic_network(rng, scale)
+        pbar = net.pbar[1:]
+        cash = rng.uniform(0.0, 0.6, size=(6, 4)) * np.maximum(pbar, scale)[:, None]
+        ref = np.column_stack([oracles.clear_default_sets(net.nominal, c) for c in cash.T])
+        cycle_short |= (ref[:3] < pbar[:3, None]).any()
+        e0_ref = net.relative[1:, 0] @ ref
+        kept = np.maximum(cash + net.relative[1:, 1:].T @ ref - pbar[:, None], 0.0)
+        assert cash.sum(axis=0) - kept.sum(axis=0) == pytest.approx(e0_ref, rel=1e-13)
+        model = NetworkValueModel(net, ScenarioMatrix(cash), ScenarioMatrix(np.zeros_like(cash)),
+                                  UNIT_PRICE)
+        *swept, _ = model.bounds_at([0.0])
+        for lower, _ in swept:
+            assert (lower <= e0_ref + 1e-12 * max(1.0, pbar.max())).all()
+        assert (swept[-1][0] > 0.0).all()
+    assert cycle_short
+
+
+def test_radius_covers_the_rounding_of_society_equity():
+    # cash alone pays every obligation, so one sweep leaves the payments at pbar and the step
+    # at 0: the radius is the rounding offset alone. The shares and e0 still round, and
+    # without the offset some networks would put e0 above the exact equity, the sum of what
+    # society is owed
+    rng = np.random.default_rng(191)
+    for _ in range(60):
+        net = sparse_network(rng, int(rng.integers(2, 30)))
+        cash = np.repeat(net.pbar[1:, None], 3, axis=1)
+        model = NetworkValueModel(net, ScenarioMatrix(cash), ScenarioMatrix(np.zeros_like(cash)),
+                                  UNIT_PRICE)
+        lower, upper = next(model.bounds_at(np.zeros(model.n_groups)))
+        assert (lower < upper).all() and (lower <= math.fsum(net.nominal[1:, 0])).all()
 
 
 def test_bracketed_verdicts_match_the_finished_clearing():

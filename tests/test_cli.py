@@ -297,6 +297,34 @@ def test_bad_scenario_parameters_exit_2_without_a_manifest(tmp_path, capsys, sce
     assert not (outdir / "manifest.json").exists()
 
 
+OVERFLOWING_MARGIN = {"type": "shifted_lognormal", "mu": 800.0, "sigma": 1.0, "b": -1.0}
+
+
+@pytest.mark.parametrize("margins, index", [
+    ([OVERFLOWING_MARGIN, OVERFLOWING_MARGIN], 0),
+    ([{"type": "shifted_lognormal", "mu": 0.0, "b": -1.0}, OVERFLOWING_MARGIN], 1),
+])
+def test_a_margin_whose_values_overflow_is_named_by_its_config_path(tmp_path, capsys, margins,
+                                                                     index):
+    # every parameter is finite, so the config resolves; the values overflow when the
+    # scenarios are built, and the error names the first margin whose values are not finite
+    outdir = tmp_path / "out"
+    cfg = small_agg_cfg(outdir)
+    cfg["scenarios"]["margins"] = margins
+    cfg["model"]["groups"] = [1, 1]
+    cfg["grid"] = {"lower": [0.0, 0.0], "upper": [4.0, 4.0], "resolution": 3}
+    cfg["ear"] = {"weights": [[1.0, 1.0]]}
+    path = write_cfg(tmp_path, cfg)
+    expected = f"config error at scenarios.margins[{index}]: the margin of group {index} gives " \
+               "non-finite values"
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == f"invalid: {expected}\n"
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["error"] == expected
+
+
 def test_ear_weights_whose_cost_overflows_exit_2(tmp_path, capsys):
     outdir = tmp_path / "out"
     argv = ["run", "--preset", "agg_lognormal:sum", "--scenarios", "50", "--grid-res", "5",
@@ -572,7 +600,7 @@ def test_network_run_records_clearing_stats_and_replays(tmp_path):
 @pytest.mark.parametrize("preset, clearing", [
     # constant price: every call decided by the equity radius of its top-down iteration;
     # six calls start from an evaluated point with more capital
-    ("two_tier:C5", {"calls": 12, "decided": 12, "warm": 6, "sweeps": 40, "rounds": 0,
+    ("two_tier:C5", {"calls": 12, "decided": 12, "warm": 6, "sweeps": 37, "rounds": 0,
                      "solves": 0, "closest_tie": None}),
     # price impact: every call decided by its bracket
     ("three_tier:alpha=0.6", {"calls": 9, "decided": 9, "warm": 8, "sweeps": 21, "rounds": 0,

@@ -25,8 +25,9 @@ the changed cases in CHANGES.md:
 
 The record ends with a summary against the golden.json it replaces: the
 cases whose digests or exit code changed, those whose `stats` moved (with
-the keys that moved), and those whose oracle calls moved, with the totals
-before and after.
+the keys that moved, and for each moved counter its totals before and
+after), and those whose oracle calls moved, with the totals before and
+after.
 """
 
 from __future__ import annotations
@@ -111,23 +112,28 @@ def test_golden_covers_every_case(golden):
 
 
 def test_record_summary_names_what_moved():
-    def case(calls, digest="a", code=0, rounds=0):
+    def case(calls, digest="a", code=0, rounds=0, sweeps=4, tie=None):
         return {"exit_code": code, "oracle_calls": calls, "sha256": {"labels.csv": digest},
-                "stats": {"clearing": {"rounds": rounds, "solves": 0}}}
+                "stats": {"clearing": {"rounds": rounds, "solves": 0, "sweeps": sweeps,
+                                       "closest_tie": tie}}}
 
-    old = {"numpy": "1", "cases": {"p": case(10), "q": case(5), "r": case(7), "s": case(3),
-                                   "gone": case(1)}}
-    new = {"numpy": "1", "cases": {"p": case(8), "q": case(5, "b"), "r": case(7, code=4),
-                                   "s": case(3, rounds=2), "new": case(2)}}
+    old = {"numpy": "1", "cases": {"p": case(10, tie=0.5), "q": case(5), "r": case(7),
+                                   "s": case(3), "gone": case(1)}}
+    new = {"numpy": "1", "cases": {"p": case(8, sweeps=3), "q": case(5, "b"),
+                                   "r": case(7, code=4), "s": case(3, rounds=2, sweeps=1),
+                                   "new": case(2)}}
     new["cases"]["q"]["stats"] = None
     assert summary(old, new) == [
         "added: new",
         "removed: gone",
         "outputs or exit code changed: q",
         "outputs or exit code changed: r",
+        "stats changed (clearing.closest_tie, clearing.sweeps): p",
         "stats changed (stats): q",
-        "stats changed (clearing.rounds): s",
-        "stats moved in 2 of 4 common cases",
+        "stats changed (clearing.rounds, clearing.sweeps): s",
+        "stats moved in 3 of 4 common cases",
+        "clearing.rounds 0 -> 2 over 3 cases",
+        "clearing.sweeps 12 -> 8 over 3 cases",
         "oracle_calls 10 -> 8: p",
         "oracle_calls moved in 1 of 4 common cases, total 25 -> 23",
     ]
@@ -154,6 +160,13 @@ def summary(old: dict, new: dict) -> list[str]:
     stats = {c: keys for c, keys in stats.items() if keys}
     lines += [f"stats changed ({', '.join(keys)}): {c}" for c, keys in stats.items()]
     lines.append(f"stats moved in {len(stats)} of {len(common)} common cases")
+    for key in sorted({key for keys in stats.values() for key in keys}):
+        pairs = [(_leaves(before[c].get("stats")).get(key), _leaves(after[c].get("stats")).get(key))
+                 for c in common]
+        pairs = [pair for pair in pairs if all(_is_count(value) for value in pair)]
+        if pairs:  # a counter: its totals over the cases that record it in both
+            totals = [sum(pair[side] for pair in pairs) for side in (0, 1)]
+            lines.append(f"{key} {totals[0]} -> {totals[1]} over {len(pairs)} cases")
     calls = [c for c in common if before[c]["oracle_calls"] != after[c]["oracle_calls"]]
     lines += [f"oracle_calls {before[c]['oracle_calls']} -> {after[c]['oracle_calls']}: {c}"
               for c in calls]
@@ -169,6 +182,18 @@ def _moved(old, new, path: str) -> list[str]:
         return [key for name in sorted(old.keys() | new.keys())
                 for key in _moved(old.get(name), new.get(name), f"{path}.{name}")]
     return [] if old == new else [path.removeprefix("stats.")]
+
+
+def _leaves(stats, path: str = "stats") -> dict:
+    """The values of a stats block by dotted path, as _moved names them."""
+    if isinstance(stats, dict):
+        return {key: value for name, inner in stats.items()
+                for key, value in _leaves(inner, f"{path}.{name}").items()}
+    return {path.removeprefix("stats."): stats}
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def record() -> None:

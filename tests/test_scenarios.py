@@ -169,6 +169,17 @@ def test_nonfinite_generated_scenarios_rejected():
             generate_scenarios(CopulaSpec(2, 0.3, 4, seed=5), [margin], [2])
 
 
+def test_nonfinite_generated_scenarios_name_the_first_group_that_overflows():
+    # groups 1 and 2 share the overflowing margin, one block, and group 0 is finite
+    spec = CopulaSpec(5, 0.3, 4, seed=5)
+    fine, overflowing = ShiftedLognormal(mu=0.0), ShiftedLognormal(mu=800.0, sigma=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GenerationError, match="margin of group 1 gives non-finite") as info:
+            generate_scenarios(spec, [fine, overflowing, overflowing], [2, 1, 2])
+    assert info.value.group == 1
+
+
 def test_normals_equal_the_one_factor_formula():
     # the in-place construction against the textbook expression on a second stream of the seed
     spec = CopulaSpec(n_firms=6, pairwise_correlation=0.35, n_scenarios=301, seed=11)
