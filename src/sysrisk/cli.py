@@ -43,7 +43,7 @@ import numpy as np
 
 from ._version import __version__
 from .clearing import write_edge_csv
-from .config import build_run, config_hash, load_config, resolve_config
+from .config import _expect_mapping, build_run, config_hash, load_config, resolve_config
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -158,14 +158,16 @@ def _load_raw(args) -> dict:
 def _apply_overrides(raw: dict, args) -> dict:
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.scenarios is not None:
-        raw.setdefault("scenarios", {})["count"] = args.scenarios
-    if args.grid_res is not None:
-        raw.setdefault("grid", {})["resolution"] = _parse_grid_res(args.grid_res)
-    if args.out is not None:
-        raw.setdefault("output", {})["directory"] = args.out
-    if args.ear_weights is not None:
-        raw.setdefault("ear", {})["weights"] = _parse_ear_weights(args.ear_weights)
+    overrides = {
+        ("scenarios", "count"): args.scenarios,
+        ("grid", "resolution"): None if args.grid_res is None else _parse_grid_res(args.grid_res),
+        ("output", "directory"): args.out,
+        ("ear", "weights"): None if args.ear_weights is None else _parse_ear_weights(args.ear_weights),
+    }
+    for (section, key), value in overrides.items():
+        if value is not None:  # a null section is an empty one, as resolve_config reads it
+            raw[section] = _expect_mapping(raw.get(section) or {}, section)
+            raw[section][key] = value
     return raw
 
 
@@ -311,7 +313,7 @@ def cmd_validate(args) -> int:
             f"promised to society {plan.network.society_promised!r}"
         )
         print("inverse demand: OK")
-    print(f"acceptance: {cfg['acceptance']['criterion']}, effective shift {plan.effective_shift!r}")
+    print(f"acceptance: {cfg['acceptance']['criterion']}, effective shift {plan.acceptance.shift!r}")
     res = "x".join(str(r) for r in plan.grid.resolution)
     lo = [float(v) for v in plan.grid.lower]
     up = [float(v) for v in plan.grid.upper]
@@ -397,7 +399,7 @@ def cmd_run(args) -> int:
         )
         say(
             f"frontiers: {len(approx.inner_frontier)} inner, {len(approx.outer_frontier)} outer, "
-            f"certified spacing {[float(v) for v in approx.v]!r}"
+            f"certified spacing {[float(v) for v in approx.grid.spacing]!r}"
         )
 
         ear_results = []

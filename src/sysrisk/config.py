@@ -125,6 +125,10 @@ def _is_finite(value: int | float) -> bool:
         return False
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get_number(cfg: dict, path: str, key: str, default=None, required=False):
     if key not in cfg or cfg[key] is None:
         if required:
@@ -145,7 +149,7 @@ def _get_int(cfg: dict, path: str, key: str, default=None, required=False, minim
             _fail(f"{path}.{key}", "required value missing")
         return default
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(f"{path}.{key}", f"must be at least {minimum}, got {value}")
@@ -227,18 +231,60 @@ def _resolve_margin(mcfg, path: str) -> dict:
     return out
 
 
+def _fold_legacy(cfg: dict) -> dict:
+    """Rewrite, in place, the keys of older configs and manifests into today's schema.
+
+    threads (the search is sequential) is dropped; refine: F turns a resolution r into
+    (r - 1) F + 1; ubsr with the exp loss is the entropic risk at level -log z, and oce
+    with the avar utility is avar at utility_lam; the polynomial loss and the log1p
+    utility, which the criteria always use, are dropped. Only well-formed values are
+    rewritten: anything else is left for resolve_config to reject at its own path.
+    """
+    _get_int(cfg, "config", "threads", minimum=1)
+    refine = _get_int(cfg, "config", "refine", default=1, minimum=1)
+    cfg.pop("threads", None)
+    cfg.pop("refine", None)
+    grid = cfg.get("grid")
+    if refine > 1 and isinstance(grid, dict) and "resolution" in grid:
+        res = grid["resolution"]
+        scalar = not isinstance(res, (list, tuple))
+        axes = [(r - 1) * refine + 1 if _is_int(r) and r >= 2 else r for r in ([res] if scalar else res)]
+        grid["resolution"] = axes[0] if scalar else axes
+        if scalar and isinstance(grid.get("lower"), (list, tuple)):
+            axes *= len(grid["lower"])  # a scalar resolution holds for every axis
+        if all(_is_int(r) and r >= 2 for r in axes) and math.prod(axes) > _MAX_ENTRIES:
+            _fail("refine", f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
+    ac = cfg.get("acceptance")
+    if isinstance(ac, dict):
+        loss = _get_str(ac, "acceptance", "loss", choices={"exp", "polynomial"})
+        utility = _get_str(ac, "acceptance", "utility", choices={"log1p", "avar"})
+        if ac.get("criterion") == "oce" and utility == "avar":
+            _get_number(ac, "acceptance", "lam")  # a bad lam or level is rejected, not replaced
+            lam = _get_number(ac, "acceptance", "utility_lam", required=True)
+            if not 0.0 < lam < 1.0:
+                _fail("acceptance.utility_lam", f"must lie in (0, 1), got {lam}")
+            ac["criterion"], ac["lam"] = "avar", lam
+        if ac.get("criterion") == "ubsr" and loss == "exp":
+            _get_number(ac, "acceptance", "level")
+            z = _get_number(ac, "acceptance", "z")
+            if z is None or not z > 0:
+                _fail("acceptance.z", f"the exp loss needs a positive target z, got {z}")
+            ac["criterion"], ac["level"], ac["z"] = "entropic", -math.log(z), None
+        for key in ("loss", "utility", "utility_lam"):
+            ac.pop(key, None)
+    return cfg
+
+
 def resolve_config(cfg: dict) -> dict:
     """Validate a raw config and return the fully materialized equivalent.
 
-    All defaults are made explicit and every seed is fixed: the scenario seed
-    defaults to the master seed, the network seed to master + 1 so that the
-    two streams never overlap.
+    The keys of older configs and manifests are first rewritten into today's
+    schema (_fold_legacy), so the rest reads one schema. All defaults are made
+    explicit and every seed is fixed: the scenario seed defaults to the master
+    seed, the network seed to master + 1 so that the two streams never overlap.
     """
-    cfg = _expect_mapping(copy.deepcopy(cfg), "config")
-    known_top = {
-        "name", "seed", "threads", "refine", "scenarios", "model",
-        "acceptance", "grid", "ear", "output",
-    }
+    cfg = _fold_legacy(_expect_mapping(copy.deepcopy(cfg), "config"))
+    known_top = {"name", "seed", "scenarios", "model", "acceptance", "grid", "ear", "output"}
     _reject_unknown(cfg, "config", known_top, what="top-level keys")
 
     out: dict = {}
@@ -247,11 +293,6 @@ def resolve_config(cfg: dict) -> dict:
     if seed is None:
         seed = _fresh_seed()
     out["seed"] = seed
-    # threads changes nothing (the search is sequential); configs and manifests written
-    # with it still resolve, to the same config as without it
-    _get_int(cfg, "config", "threads", minimum=1)
-    # older configs and manifests carry refine: F; it folds into grid.resolution below
-    refine = _get_int(cfg, "config", "refine", default=1, minimum=1)
 
     # scenarios
     sc = _expect_mapping(cfg.get("scenarios", None) or {}, "scenarios")
@@ -276,9 +317,7 @@ def resolve_config(cfg: dict) -> dict:
     mtype = _get_str(mc, "model", "type", required=True, choices={"aggregation", "network"})
     rmodel["type"] = mtype
     groups = mc.get("groups")
-    if not isinstance(groups, list) or not groups or not all(
-        isinstance(g, int) and not isinstance(g, bool) and g >= 1 for g in groups
-    ):
+    if not isinstance(groups, list) or not groups or not all(_is_int(g) and g >= 1 for g in groups):
         _fail("model.groups", "expected a list of positive integers")
     rmodel["groups"] = list(groups)
     n_groups = len(groups)
@@ -373,25 +412,12 @@ def resolve_config(cfg: dict) -> dict:
     }
     for key in _ACCEPTANCE_FIELDS:
         racc[key] = _get_number(ac, "acceptance", key, default=None)
-    # older configs and manifests name a loss for ubsr and a utility for oce; both fold
-    # here, and log1p and polynomial, which the criteria now always use, are dropped
-    loss = _get_str(ac, "acceptance", "loss", choices={"exp", "polynomial"})
-    utility = _get_str(ac, "acceptance", "utility", choices={"log1p", "avar"})
-    if racc["criterion"] == "oce" and utility == "avar":  # the OCE with this utility is AV@R
-        lam = _get_number(ac, "acceptance", "utility_lam", required=True)
-        if not 0.0 < lam < 1.0:
-            _fail("acceptance.utility_lam", f"must lie in (0, 1), got {lam}")
-        racc["criterion"], racc["lam"] = "avar", lam
-    if racc["criterion"] == "ubsr" and loss == "exp":  # shortfall with e^t is entropic risk
-        if racc["z"] is None or not racc["z"] > 0:
-            _fail("acceptance.z", f"the exp loss needs a positive target z, got {racc['z']}")
-        racc["criterion"], racc["level"], racc["z"] = "entropic", -math.log(racc["z"]), None
     frac = _get_number(ac, "acceptance", "shift_fraction_of_promised", default=None)
     if frac is not None and mtype != "network":
         _fail("acceptance.shift_fraction_of_promised", "only valid for network models")
     racc["shift_fraction_of_promised"] = frac
-    _reject_unknown(ac, "acceptance", {"criterion", "shift", "shift_fraction_of_promised", "loss",
-                                       "utility", "utility_lam", *_ACCEPTANCE_FIELDS})
+    _reject_unknown(ac, "acceptance", {"criterion", "shift", "shift_fraction_of_promised",
+                                       *_ACCEPTANCE_FIELDS})
     try:  # surface criterion/parameter mismatches at validation time
         AcceptanceSpec(racc["criterion"], racc["shift"], **{k: racc[k] for k in _ACCEPTANCE_FIELDS})
     except Exception as exc:
@@ -404,19 +430,18 @@ def resolve_config(cfg: dict) -> dict:
     rgrid["lower"] = _number_list(gc.get("lower"), "grid.lower")
     rgrid["upper"] = _number_list(gc.get("upper"), "grid.upper")
     res = gc.get("resolution")
-    if isinstance(res, int) and not isinstance(res, bool):
+    if _is_int(res):
         res = [res] * len(rgrid["lower"])
     if not isinstance(res, (list, tuple)) or not res:
         _fail("grid.resolution", "expected an integer or a non-empty list of integers")
     for i, v in enumerate(res):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             _fail(f"grid.resolution[{i}]", f"expected an integer, got {v!r}")
         if v < 2:
             _fail(f"grid.resolution[{i}]", f"must be at least 2, got {v}")
-    rgrid["resolution"] = [(r - 1) * refine + 1 for r in res]
+    rgrid["resolution"] = list(res)
     rgrid["nonneg"] = _get_bool(gc, "grid", "nonneg", default=False)
-    fixed_raw = gc.get("fixed") or {}
-    fixed_raw = _expect_mapping(fixed_raw, "grid.fixed")
+    fixed_raw = _expect_mapping(gc.get("fixed") or {}, "grid.fixed")
     rfixed = {}
     for key, value in fixed_raw.items():
         try:  # an integral float is a group number too, a bool or a fraction is not
@@ -451,8 +476,7 @@ def resolve_config(cfg: dict) -> dict:
                 _fail(f"grid.fixed.{key}", f"network models take no negative capital, got {value}")
     _reject_unknown(gc, "grid", {"lower", "upper", "resolution", "nonneg", "fixed"})
     if math.prod(rgrid["resolution"]) > _MAX_ENTRIES:
-        _fail("refine" if refine > 1 else "grid.resolution",
-              f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
+        _fail("grid.resolution", f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
     try:
         GridSpec(rgrid["lower"], rgrid["upper"], rgrid["resolution"], rgrid["nonneg"])
     except Exception as exc:
@@ -512,7 +536,6 @@ class RunPlan:
     ear_weights: list
     network: LiabilityNetwork | None
     scenario_matrix: ScenarioMatrix
-    effective_shift: float
     model_stats: dict  # manifest name -> the model's work counters, filled as it runs
 
 
@@ -549,9 +572,7 @@ def build_run(resolved: dict) -> RunPlan:
                 _fail("model.network.edges_file", str(exc))
         demand_cfg = dict(net_cfg["inverse_demand"])
         f = make_inverse_demand(demand_cfg.pop("type"), **demand_cfg)
-        frac = sc["liquid_fraction"]
-        if frac is None:
-            frac = 1.0
+        frac = 1.0 if sc["liquid_fraction"] is None else sc["liquid_fraction"]
         model = NetworkValueModel(
             network,
             base.scaled(frac),
@@ -582,6 +603,5 @@ def build_run(resolved: dict) -> RunPlan:
         ear_weights=resolved["ear"]["weights"],
         network=network,
         scenario_matrix=base,
-        effective_shift=shift,
         model_stats={"aggregation" if network is None else "clearing": model.stats},
     )

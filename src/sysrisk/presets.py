@@ -16,10 +16,10 @@ Three preset families are provided:
   price impact, entropic acceptance at level 0.9, small-firm capital
   pinned to zero; variants sweep the liquid fraction alpha.
 
-Preset names are ``family`` or ``family:variant``; a space separator is
-accepted too (``"two_tier A1"``). ``preset_names()`` lists every
-canonical name. Every preset carries a fixed default master seed so it
-is reproducible as-is; pass a different seed to explore other draws.
+A preset is named ``family:variant``, exactly as ``preset_names()`` (and
+``sysrisk list-presets``) lists it; no other spelling is accepted. Every
+preset carries a fixed default master seed so it is reproducible as-is;
+pass a different seed to explore other draws.
 """
 
 from __future__ import annotations
@@ -35,13 +35,7 @@ _MU_Q75 = 0.6744897501960817
 
 _DEFAULT_SEED = 1
 
-_AGG_VARIANTS = (
-    "sum",
-    "loss_insensitive",
-    "loss_sensitive",
-    "exp_insensitive",
-    "exp_sensitive",
-)
+_AGG_VARIANTS = ("sum", "loss_insensitive", "loss_sensitive", "exp_insensitive", "exp_sensitive")
 
 # Link probabilities by variant, row-major over (large, small) groups:
 # ((q11, q12), (q21, q22)).
@@ -62,11 +56,7 @@ _TWO_TIER_Q = {
     "C6": ((0.60, 0.40), (0.60, 0.30)),
 }
 
-_THREE_TIER_ALPHAS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-
-
-def _alpha_token(alpha: float) -> str:
-    return f"alpha={alpha:g}"
+_THREE_TIER_VARIANTS = tuple(f"alpha={a:g}" for a in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
 
 
 def _agg_lognormal(variant: str) -> dict:
@@ -194,66 +184,25 @@ def _three_tier(variant: str) -> dict:
 
 
 _FAMILIES = {
-    "agg_lognormal": (_agg_lognormal, "sum", _AGG_VARIANTS),
-    "two_tier": (_two_tier, "A1", tuple(_TWO_TIER_Q)),
-    "three_tier": (
-        _three_tier,
-        _alpha_token(0.6),
-        tuple(_alpha_token(a) for a in _THREE_TIER_ALPHAS),
-    ),
+    "agg_lognormal": (_agg_lognormal, _AGG_VARIANTS),
+    "two_tier": (_two_tier, tuple(_TWO_TIER_Q)),
+    "three_tier": (_three_tier, _THREE_TIER_VARIANTS),
 }
 
 
 def preset_names() -> list:
-    """Canonical names of all built-in presets."""
-    return [
-        f"{family}:{variant}"
-        for family, (_, _, variants) in _FAMILIES.items()
-        for variant in variants
-    ]
-
-
-def _normalize_variant(family: str, token: str) -> str:
-    _, default, variants = _FAMILIES[family]
-    if not token:
-        return default
-    if family == "two_tier":
-        token = token.upper()
-    else:
-        token = token.lower()
-    if family == "three_tier" and token.startswith("alpha"):
-        raw = token[len("alpha"):].lstrip("=").rstrip("%")
-        try:
-            value = float(raw)
-        except ValueError:
-            value = None
-        if value is not None:
-            if value > 1.0:  # given in percent
-                value /= 100.0
-            token = _alpha_token(value)
-    if token not in variants:
-        raise ConfigurationError(
-            f"unknown {family} variant {token!r}; choose one of {list(variants)}"
-        )
-    return token
+    """Names of all built-in presets, the only names preset_config accepts."""
+    return [f"{family}:{v}" for family, (_, variants) in _FAMILIES.items() for v in variants]
 
 
 def preset_config(name: str) -> dict:
     """Return a fresh config dict for the named preset.
 
-    ``name`` is ``family`` or ``family:variant``; whitespace may replace
-    the colon. Unknown names raise ConfigurationError.
+    ``name`` is one of ``preset_names()``; any other name raises
+    ConfigurationError.
     """
-    if not isinstance(name, str) or not name.strip():
-        raise ConfigurationError("preset name must be a non-empty string")
-    parts = name.replace(":", " ").split()
-    family = parts[0]
-    if family not in _FAMILIES:
-        raise ConfigurationError(
-            f"unknown preset {family!r}; available families: {sorted(_FAMILIES)}"
-        )
-    if len(parts) > 2:
-        raise ConfigurationError(f"cannot parse preset name {name!r}")
-    variant = _normalize_variant(family, parts[1] if len(parts) == 2 else "")
-    builder = _FAMILIES[family][0]
+    family, _, variant = name.partition(":") if isinstance(name, str) else ("", "", "")
+    builder, variants = _FAMILIES.get(family, (None, ()))
+    if variant not in variants:
+        raise ConfigurationError(f"unknown preset {name!r}; `sysrisk list-presets` prints the names")
     return builder(variant)

@@ -164,7 +164,7 @@ class GridApproximation:
 
     inner_frontier holds the minimal acceptable lattice points, outer_frontier
     the maximal unacceptable ones, both as coordinate rows in lexicographic
-    order (index rows in *_indices). v is the grid spacing: the certified
+    order (index rows in *_indices). grid.spacing is the certified
     accuracy of the sandwich, which grid_search checks before it returns
     (a failed certificate raises ModelError). A box entirely inside or
     outside the acceptance region is flagged in degenerate and carries
@@ -177,7 +177,6 @@ class GridApproximation:
     outer_frontier: np.ndarray
     inner_indices: np.ndarray
     outer_indices: np.ndarray
-    v: np.ndarray
     oracle_calls: int
     degenerate: str | None
 
@@ -414,7 +413,6 @@ def _finalize(store: _LabelStore) -> GridApproximation:
         outer_frontier=_coords(store.axes, outer_idx),
         inner_indices=inner_idx,
         outer_indices=outer_idx,
-        v=grid.spacing,
         oracle_calls=store.calls,
         degenerate=degenerate,
     )

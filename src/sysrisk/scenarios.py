@@ -128,9 +128,9 @@ class ScenarioMatrix:
 
     The constructor copies the caller's values, so later writes to them do not
     reach the matrix. The matrices this package builds itself (the generator
-    and scaled) hand over a fresh array through _take, which wraps it
-    without a copy. Either way the values are checked to be 2-D and
-    finite, and they are read-only.
+    and scaled) hand over a fresh array, or a read-only view of zeros, through
+    _take, which wraps it without a copy. Either way the values are checked to
+    be 2-D and finite, and they are read-only.
     """
 
     def __init__(self, values):
@@ -163,11 +163,14 @@ class ScenarioMatrix:
         """Same draw with every value multiplied by a constant (e.g. liquid/illiquid split).
 
         A factor of 1 returns the matrix itself: it is immutable, and v * 1.0 == v bit for bit.
+        A factor of 0 returns a read-only zero-stride view of +0.0, which allocates nothing.
         """
         if factor < 0:
             raise ParameterError(f"scale factor must be >= 0, got {factor}")
         if factor == 1.0:
             return self
+        if factor == 0.0:
+            return ScenarioMatrix._take(np.broadcast_to(0.0, self.values.shape))
         return ScenarioMatrix._take(self.values * factor)
 
 

@@ -140,7 +140,7 @@ def test_criterion_3_half_space_sandwich_certification():
         assert np.all(inner <= 2.0 + spacing + 1e-12)
         assert np.all(outer < 2.0)
         assert np.all(outer >= 2.0 - spacing - 1e-12)
-        assert np.allclose(approx.v, spacing)
+        assert np.allclose(approx.grid.spacing, spacing)
     assert time.monotonic() - start < 1.0
 
 

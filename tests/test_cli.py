@@ -94,27 +94,9 @@ def test_every_preset_resolves(name):
     assert resolved["seed"] == 1  # fixed default keeps presets reproducible as-is
 
 
-def test_preset_default_variants():
-    assert preset_config("agg_lognormal")["name"] == "agg_lognormal:sum"
-    assert preset_config("two_tier")["name"] == "two_tier:A1"
-    assert preset_config("three_tier")["name"] == "three_tier:alpha=0.6"
-
-
 def test_preset_two_tier_b2_probabilities():
     gen = preset_config("two_tier:B2")["model"]["network"]["generate"]
     assert gen["probabilities"] == [[0.6, 0.2], [0.2, 0.1]]
-
-
-@pytest.mark.parametrize("spelling,canonical", [
-    ("two_tier b2", "two_tier:B2"),
-    ("two_tier:b4", "two_tier:B4"),
-    ("three_tier alpha=60%", "three_tier:alpha=0.6"),
-    ("three_tier:ALPHA=0.2", "three_tier:alpha=0.2"),
-    ("three_tier alpha0.8", "three_tier:alpha=0.8"),
-    ("agg_lognormal LOSS_SENSITIVE", "agg_lognormal:loss_sensitive"),
-])
-def test_preset_spelling_variants(spelling, canonical):
-    assert preset_config(spelling) == preset_config(canonical)
 
 
 def test_preset_returns_fresh_dicts():
@@ -129,10 +111,21 @@ def test_preset_returns_fresh_dicts():
 @pytest.mark.parametrize("bad", [
     "", "   ", 7, "four_tier", "two_tier:Z9", "two_tier A1 A2",
     "three_tier:alpha=0.3", "agg_lognormal:prod",
+    # other spellings of listed presets: a preset answers to its listed name only
+    "agg_lognormal", "two_tier", "three_tier", "two_tier b2", "two_tier:b4",
+    "three_tier alpha=60%", "three_tier:ALPHA=0.2", "three_tier alpha0.8",
+    "three_tier:alpha=0.60", "agg_lognormal LOSS_SENSITIVE", " two_tier:A1", "two_tier:A1:",
 ])
 def test_preset_rejects_unknown_names(bad):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="list-presets"):
         preset_config(bad)
+
+
+def test_run_with_an_unlisted_preset_name_exits_2_with_one_error_line(tmp_path, capsys):
+    assert main(["run", "--preset", "two_tier", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "two_tier" in err and "sysrisk list-presets" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +494,49 @@ def test_bad_override_syntax(tmp_path, capsys, flag, value):
     path = write_cfg(tmp_path, small_agg_cfg(tmp_path / "out"))
     assert main(["validate", "--config", path, flag, value]) == 2
     assert "invalid:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("section,flag,value", [
+    ("scenarios", "--scenarios", "30"),
+    ("grid", "--grid-res", "9"),
+    ("output", "--out", None),
+    ("ear", "--ear-weights", "1"),
+])
+def test_an_override_on_a_null_section_acts_as_on_an_absent_one(tmp_path, capsys, command,
+                                                                 section, flag, value):
+    # a bare `output:` line in YAML is null; the override fills it as it would a missing section
+    outdir = tmp_path / "out"
+    argv = [command, "--config", None, flag, value or str(outdir)]
+    results = []
+    for state in ("absent", None):
+        cfg = small_agg_cfg(outdir)
+        cfg.pop(section)
+        if state is None:
+            cfg[section] = None
+        argv[2] = write_cfg(tmp_path, cfg)
+        results.append((main(argv), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == (2 if section in ("scenarios", "grid") else 0)
+
+
+@pytest.mark.parametrize("command,prefix", [("validate", "invalid:"), ("run", "error:")])
+@pytest.mark.parametrize("section,flag,value", [
+    ("scenarios", "--scenarios", "30"),
+    ("grid", "--grid-res", "9"),
+    ("output", "--out", None),
+    ("ear", "--ear-weights", "1"),
+])
+def test_an_override_on_a_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, command, prefix,
+                                                                section, flag, value):
+    outdir = tmp_path / "out"
+    cfg = small_agg_cfg(outdir)
+    cfg[section] = [1]
+    argv = [command, "--config", write_cfg(tmp_path, cfg), flag, value or str(outdir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{prefix} config error at {section}: expected a mapping, got list"]
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------

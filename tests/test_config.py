@@ -747,7 +747,7 @@ def test_build_run_aggregation():
     assert isinstance(plan.model, AggregationValueModel)
     assert plan.network is None
     assert plan.scenario_matrix.values.shape == (2, 40)
-    assert plan.effective_shift == 0.0
+    assert plan.acceptance.shift == 0.0
     assert plan.acceptance.criterion == "avar"
     assert plan.acceptance.lam == 0.5
     assert plan.grid.lower == (0.0,)
@@ -800,8 +800,7 @@ def test_build_run_network_shift_fraction():
     cfg["acceptance"]["shift_fraction_of_promised"] = 0.5
     plan = build_run(resolve_config(cfg))
     expected = 0.1 + 0.5 * plan.network.society_promised
-    assert plan.effective_shift == pytest.approx(expected, abs=1e-12)
-    assert plan.acceptance.shift == plan.effective_shift
+    assert plan.acceptance.shift == pytest.approx(expected, abs=1e-12)
 
 
 def test_build_run_liquid_split():
@@ -816,6 +815,15 @@ def test_build_run_liquid_split():
     )
     k = np.array([0.5])
     assert np.array_equal(plan.model.samples_at(k), ref.samples_at(k))
+
+
+def test_two_tier_model_holds_no_illiquid_matrix():
+    # liquid fraction 1: the illiquid holdings are one shared +0.0, not an (n, m) array
+    cfg = preset_config("two_tier:B2")
+    cfg["scenarios"]["count"] = 50
+    s = build_run(resolve_config(cfg)).model.scenarios_s.values
+    assert s.shape == (100, 50) and s.strides == (0, 0) and not s.flags.writeable
+    assert not s.any() and not np.signbit(s).any()
 
 
 def test_build_run_liquid_default_is_all_liquid():

@@ -18,10 +18,20 @@ thread count: the matrix products of clearing round differently on one
 OpenBLAS thread than on two, which moves a residual of order 1e-14 (two_tier
 A4 at seed 3, grid 20) but no output the run writes.
 
-Rerecord only when an output change is intended, and name the reason and
-the changed cases in CHANGES.md:
+identity.json is the same record at full size (no --scenarios or --grid-res
+override) for every preset at seeds 1, 2 and 3, and each entry also holds the
+config_hash of the resolved config with output.directory left out (a run
+writes to a fresh directory). The suite checks its seed-1 cases; the full
+check runs all of them, then the seed-1 cases again in a fresh process on
+two OpenBLAS threads:
+
+    PYTHONPATH=src python tests/test_golden.py --identity
+
+Rerecord either only when an output change is intended, and name the reason
+and the changed cases in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --identity --record
 
 The record ends with a summary against the golden.json it replaces: the
 cases whose digests or exit code changed, those whose `stats` moved (with
@@ -36,6 +46,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -44,9 +56,12 @@ import numpy as np
 import pytest
 
 from sysrisk.cli import main
+from sysrisk.config import config_hash
 from sysrisk.presets import preset_names
 
 GOLDEN = Path(__file__).with_name("golden.json")
+IDENTITY = Path(__file__).with_name("identity.json")
+IDENTITY_SEEDS = (1, 2, 3)
 OUTPUTS = ("labels.csv", "inner_frontier.csv", "outer_frontier.csv", "ear.json")
 FINE = ("agg_lognormal:sum", "two_tier:B2", "three_tier:alpha=0.6")  # also at grid 19
 SECOND = (3, 20)  # seed and grid resolution of the second configuration
@@ -64,12 +79,27 @@ def case_id(preset: str, seed: int, grid_res: int) -> str:
 
 
 def run_case(preset: str, seed: int, grid_res: int, outdir: Path) -> dict:
-    argv = [
-        "run", "--preset", preset, "--seed", str(seed), "--scenarios", "150",
-        "--grid-res", str(grid_res), "--out", str(outdir),
-    ]
+    return _run(["--preset", preset, "--seed", str(seed), "--scenarios", "150",
+                 "--grid-res", str(grid_res)], outdir)[0]
+
+
+def identity_id(preset: str, seed: int) -> str:
+    return f"{preset} seed {seed}"
+
+
+def identity_case(preset: str, seed: int, outdir: Path) -> dict:
+    """The identity record of one full-size run."""
+    got, manifest = _run(["--preset", preset, "--seed", str(seed)], outdir)
+    resolved = manifest["resolved_config"]
+    del resolved["output"]["directory"]
+    got["config_hash"] = config_hash(resolved)
+    return got
+
+
+def _run(args: list[str], outdir: Path) -> tuple[dict, dict]:
+    """One in-process `sysrisk run`: its record and its manifest."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        code = main(["run", *args, "--out", str(outdir)])
     manifest = json.loads((outdir / "manifest.json").read_text())
     digests = {
         name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
@@ -83,7 +113,26 @@ def run_case(preset: str, seed: int, grid_res: int, outdir: Path) -> dict:
             stats["clearing"] = {key: value for key, value in stats["clearing"].items()
                                  if key != "max_residual"}
     return {"exit_code": code, "oracle_calls": manifest.get("oracle_calls"), "sha256": digests,
-            "stats": stats}
+            "stats": stats}, manifest
+
+
+def _mismatch(path: Path, record: dict, name: str, got: dict) -> str | None:
+    """Why a case differs from its entry in a record, or None when it matches."""
+    expected = record["cases"][name]
+    if got == expected:
+        return None
+    note = ""
+    if record["numpy"] != np.__version__:
+        note = (
+            f" ({path.name} was recorded with numpy {record['numpy']}, this is numpy "
+            f"{np.__version__}: the scenario streams may differ)"
+        )
+    moved = _moved(expected.get("stats"), got["stats"], "stats")
+    if moved:
+        note = f" (stats moved: {', '.join(moved)}){note}"
+    if expected.get("config_hash") != got.get("config_hash"):
+        note = f" (config_hash moved){note}"
+    return f"{name} differs from {path.name}{note}"
 
 
 @pytest.fixture(scope="module")
@@ -91,20 +140,27 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+@pytest.fixture(scope="module")
+def identity():
+    return json.loads(IDENTITY.read_text())
+
+
 @pytest.mark.parametrize("case", cases(), ids=[case_id(*c) for c in cases()])
 def test_golden_outputs(golden, case, tmp_path):
-    expected = golden["cases"][case_id(*case)]
-    got = run_case(*case, tmp_path)
-    note = ""
-    if golden["numpy"] != np.__version__:
-        note = (
-            f" (golden.json was recorded with numpy {golden['numpy']}, this is numpy "
-            f"{np.__version__}: the scenario streams may differ)"
-        )
-    moved = _moved(expected.get("stats"), got["stats"], "stats")
-    if moved:
-        note = f" (stats moved: {', '.join(moved)}){note}"
-    assert got == expected, f"{case_id(*case)} differs from golden.json{note}"
+    problem = _mismatch(GOLDEN, golden, case_id(*case), run_case(*case, tmp_path))
+    assert problem is None, problem
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_identity_at_seed_1(identity, preset, tmp_path):
+    problem = _mismatch(IDENTITY, identity, identity_id(preset, 1),
+                        identity_case(preset, 1, tmp_path))
+    assert problem is None, problem
+
+
+def test_identity_covers_every_case(identity):
+    assert sorted(identity["cases"]) == sorted(
+        identity_id(name, seed) for name in preset_names() for seed in IDENTITY_SEEDS)
 
 
 def test_golden_covers_every_case(golden):
@@ -154,6 +210,8 @@ def summary(old: dict, new: dict) -> list[str]:
     outputs = [c for c in common if (before[c]["sha256"], before[c]["exit_code"])
                != (after[c]["sha256"], after[c]["exit_code"])]
     lines += [f"outputs or exit code changed: {c}" for c in outputs]
+    lines += [f"config_hash changed: {c}" for c in common
+              if before[c].get("config_hash") != after[c].get("config_hash")]
     if not outputs:
         lines.append("outputs and exit codes: unchanged in every common case")
     stats = {c: _moved(before[c].get("stats"), after[c].get("stats"), "stats") for c in common}
@@ -196,19 +254,65 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def record() -> None:
+def _golden_runs() -> list:
+    """(case name, function of an output directory returning its record) per golden case."""
+    return [(case_id(*case), lambda out, case=case: run_case(*case, out)) for case in cases()]
+
+
+def _identity_runs(seeds=IDENTITY_SEEDS) -> list:
+    """(case name, function of an output directory returning its record) per identity case."""
+    return [(identity_id(name, seed), lambda out, name=name, seed=seed: identity_case(name, seed, out))
+            for name in preset_names() for seed in seeds]
+
+
+def record(path: Path, runs: list) -> None:
     doc = {"numpy": np.__version__, "cases": {}}
-    for case in cases():
+    for name, run in runs:
         with tempfile.TemporaryDirectory() as tmp:
-            doc["cases"][case_id(*case)] = run_case(*case, Path(tmp))
-        print(case_id(*case), doc["cases"][case_id(*case)]["oracle_calls"])
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {GOLDEN}")
+            doc["cases"][name] = run(Path(tmp))
+        print(name, doc["cases"][name]["oracle_calls"])
+    old = json.loads(path.read_text()) if path.exists() else {}
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path}")
     print("\n".join(summary(old, doc)))
 
 
+def check_identity(seeds=IDENTITY_SEEDS) -> bool:
+    """Run the identity cases of the given seeds, print each mismatch and a count; all match?"""
+    doc = json.loads(IDENTITY.read_text())
+    runs = _identity_runs(seeds)
+    failed = 0
+    for name, run in runs:
+        with tempfile.TemporaryDirectory() as tmp:
+            problem = _mismatch(IDENTITY, doc, name, run(Path(tmp)))
+        if problem:
+            failed += 1
+            print(problem)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"{len(runs) - failed} of {len(runs)} cases match {IDENTITY.name} "
+          f"(OPENBLAS_NUM_THREADS {threads})")
+    return not failed
+
+
+def check_identity_on_two_threads() -> bool:
+    """The seed-1 identity cases in a fresh process on two OpenBLAS threads (read at import)."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import test_golden; "
+            "sys.exit(0 if test_golden.check_identity((1,)) else 1)")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+USAGE = """usage: python tests/test_golden.py --record
+       python tests/test_golden.py --identity [--record]"""
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
-    record()
+    args = sys.argv[1:]
+    if args == ["--record"]:
+        record(GOLDEN, _golden_runs())
+    elif args == ["--identity", "--record"]:
+        record(IDENTITY, _identity_runs())
+    elif args == ["--identity"]:
+        ok = check_identity()
+        sys.exit(0 if check_identity_on_two_threads() and ok else 1)
+    else:
+        sys.exit(USAGE)

@@ -1,6 +1,6 @@
 """The README against the code: its complete config example resolves, its flags exist,
-every acceptance key and criterion it names is one a config may carry, and every name of
-its library surface is exported."""
+every acceptance key and criterion it names is one a config may carry, every preset it
+names is a listed one, and every name of its library surface is exported."""
 
 import argparse
 import re
@@ -9,7 +9,7 @@ from pathlib import Path
 import sysrisk
 from sysrisk.cli import build_parser
 from sysrisk.config import load_config, resolve_config
-from sysrisk.presets import preset_config
+from sysrisk.presets import preset_config, preset_names
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,6 +60,21 @@ def test_readme_criterion_keys_resolve():
         accepted |= set(block) | {v for v in block.values() if isinstance(v, str)}
     assert "loss" in named and "utility_lam" in named, "the paragraphs name no older spelling"
     assert named <= accepted, sorted(named - accepted)
+
+
+def test_readme_preset_names_are_listed():
+    # the presets it runs, sweeps and loads, and every backticked family:variant or
+    # family variant, are names preset_config accepts
+    text = re.sub(r"\\\n\s*", " ", README.read_text())  # join continued shell lines
+    names = preset_names()
+    families = "|".join(sorted({name.split(":")[0] for name in names}))
+    named = set(re.findall(r"--preset[ =]([^\s`]+)", text))
+    named |= set(re.findall(r'preset_config\("([^"]*)"\)', text))
+    for args in re.findall(r"sysrisk sweep((?: +[a-z][^\s`]*)+)", text):
+        named |= set(args.split())
+    named |= set(re.findall(rf"`((?:{families})[: ][^`]*)`", text))
+    assert {"two_tier:B2", "agg_lognormal:sum", "three_tier:alpha=0.6"} <= named
+    assert named <= set(names), sorted(named - set(names))
 
 
 def test_readme_library_names_are_exported():

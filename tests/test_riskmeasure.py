@@ -205,7 +205,7 @@ def test_membership_collapses_to_total_capital_for_insensitive_sum():
 def test_half_space_frontiers_exact():
     approx = grid_search(half_space(2.0), BOX04)
     assert approx.degenerate is None
-    assert np.array_equal(approx.v, [1.0, 1.0])
+    assert np.array_equal(approx.grid.spacing, [1.0, 1.0])
     assert np.array_equal(approx.inner_frontier, [[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
     assert np.array_equal(approx.outer_frontier, [[0.0, 1.0], [1.0, 0.0]])
     assert approx.oracle_calls < 25
@@ -235,7 +235,7 @@ def test_grid_search_sandwich_at_three_spacings():
     for res, h in ((5, 1.0), (9, 0.5), (17, 0.25)):
         grid = GridSpec([0.0, 0.0], [4.0, 4.0], res)
         approx = grid_search(half_space(2.0), grid)
-        assert np.allclose(approx.v, h)
+        assert np.allclose(approx.grid.spacing, h)
         inner_totals = approx.inner_frontier.sum(axis=1)
         outer_totals = approx.outer_frontier.sum(axis=1)
         # inner frontier sits on the true boundary, outer one spacing below

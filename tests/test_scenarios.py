@@ -241,7 +241,7 @@ def test_built_matrices_are_read_only():
     spec = CopulaSpec(n_firms=3, pairwise_correlation=0.2, n_scenarios=20, seed=13)
     generated = generate_scenarios(spec, [ShiftedLognormal(0.0)], [3])
     own = ScenarioMatrix(np.zeros((3, 20)))
-    for mat in (generated, own, generated.scaled(0.5)):
+    for mat in (generated, own, generated.scaled(0.5), generated.scaled(0.0)):
         assert not mat.values.flags.writeable
         with pytest.raises(ValueError):
             mat.values[0, 0] = 99.0
@@ -259,7 +259,8 @@ def test_scenario_matrix_shape_and_finiteness():
 def test_scenario_matrix_scaled():
     mat = ScenarioMatrix([[2.0, -4.0]])
     assert np.array_equal(mat.scaled(0.5).values, [[1.0, -2.0]])
-    assert np.all(mat.scaled(0.0).values == 0.0)
+    zero = mat.scaled(0.0).values  # +0.0 from one shared element, whatever the sign of v
+    assert np.array_equal(zero, [[0.0, 0.0]]) and zero.strides == (0, 0) and not np.signbit(zero).any()
     assert mat.scaled(1.0) is mat  # immutable, so the same values need no copy
     with pytest.raises(ParameterError):
         mat.scaled(-1.0)
