@@ -43,7 +43,7 @@ import numpy as np
 
 from ._version import __version__
 from .clearing import write_edge_csv
-from .config import _expect_mapping, build_run, config_hash, load_config, resolve_config
+from .config import _section, build_run, config_hash, load_config, resolve_config
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -166,7 +166,7 @@ def _apply_overrides(raw: dict, args) -> dict:
     }
     for (section, key), value in overrides.items():
         if value is not None:  # a null section is an empty one, as resolve_config reads it
-            raw[section] = _expect_mapping(raw.get(section) or {}, section)
+            raw[section] = _section(raw, section, section)
             raw[section][key] = value
     return raw
 

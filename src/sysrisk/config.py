@@ -14,13 +14,19 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
 
 from .acceptance import AcceptanceSpec
-from .aggregation import AggregationSpec, AggregationValueModel, GroupMap
+from .aggregation import (
+    AGGREGATION_KINDS,
+    AGGREGATION_MODES,
+    AggregationSpec,
+    AggregationValueModel,
+    GroupMap,
+)
 from .clearing import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -48,12 +54,7 @@ __all__ = [
     "build_run",
 ]
 
-_MARGIN_FIELDS = {
-    "shifted_lognormal": {"mu": None, "sigma": 1.0, "b": 0.0},
-    "scaled_beta": {"alpha": None, "beta": None, "scale": 1.0, "shift": 0.0},
-}
-
-_ACCEPTANCE_FIELDS = ("lam", "power", "z", "level")
+_MARGINS = {"shifted_lognormal": ShiftedLognormal, "scaled_beta": ScaledBeta}
 
 _MAX_ENTRIES = int(np.iinfo(np.intp).max)  # the most entries a numpy array can index
 _MAX_SEED = 2**64 - 1  # the scenario stream's Philox generator takes an unsigned 64-bit key
@@ -105,16 +106,30 @@ def _fail(path: str, message: str):
     raise ConfigurationError(f"config error at {path}: {message}")
 
 
-def _reject_unknown(cfg: dict, path: str, allowed, what: str = "keys") -> None:
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        _fail(path, f"unknown {what} {sorted(unknown)}")
-
-
 def _expect_mapping(cfg, path: str) -> dict:
     if not isinstance(cfg, dict):
         _fail(path, f"expected a mapping, got {type(cfg).__name__}")
     return cfg
+
+
+def _section(cfg: dict, key: str, path: str) -> dict:
+    """cfg[key] as a mapping: absent or null reads as empty, any other non-mapping fails at path."""
+    value = cfg.get(key)
+    return {} if value is None else _expect_mapping(value, path)
+
+
+def _fields(section: dict, path: str, readers: dict, what: str = "keys") -> dict:
+    """Every key of a section read by its reader(value, path); a key with no reader is unknown."""
+    out = {key: read(section.get(key), f"{path}.{key}") for key, read in readers.items()}
+    unknown = set(section) - set(readers)
+    if unknown:
+        _fail(path, f"unknown {what} {sorted(unknown, key=str)}")  # YAML keys may be ints too
+    return out
+
+
+def _as_is(value, path: str):
+    """The reader of a key that the caller checks once the whole section is read."""
+    return value
 
 
 def _is_finite(value: int | float) -> bool:
@@ -129,58 +144,57 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _get_number(cfg: dict, path: str, key: str, default=None, required=False):
-    if key not in cfg or cfg[key] is None:
-        if required:
-            _fail(f"{path}.{key}", "required value missing")
-        return default
-    value = cfg[key]
+def _reader(check):
+    """Readers made from check(value, path, **options): an absent or null value reads as
+    the default, or fails if the key is required."""
+    def make(default=None, required=False, **options):
+        def read(value, path: str):
+            if value is None:
+                if required:
+                    _fail(path, "required value missing")
+                return default
+            return check(value, path, **options)
+        return read
+    return make
+
+
+@_reader
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {value!r}")
+        _fail(path, f"expected a number, got {value!r}")
     if not _is_finite(value):
-        _fail(f"{path}.{key}", "value must be finite")
+        _fail(path, "value must be finite")
     return float(value)
 
 
-def _get_int(cfg: dict, path: str, key: str, default=None, required=False, minimum=None,
-             maximum=None):
-    if key not in cfg or cfg[key] is None:
-        if required:
-            _fail(f"{path}.{key}", "required value missing")
-        return default
-    value = cfg[key]
+@_reader
+def _int(value, path: str, minimum=None, maximum=None) -> int:
     if not _is_int(value):
-        _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
+        _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        _fail(f"{path}.{key}", f"must be at least {minimum}, got {value}")
+        _fail(path, f"must be at least {minimum}, got {value}")
     if maximum is not None and value > maximum:
-        _fail(f"{path}.{key}", f"must be at most {maximum}, got {value}")
+        _fail(path, f"must be at most {maximum}, got {value}")
     return int(value)
 
 
-def _get_bool(cfg: dict, path: str, key: str, default=False):
-    if key not in cfg or cfg[key] is None:
-        return default
-    value = cfg[key]
+@_reader
+def _bool(value, path: str) -> bool:
     if not isinstance(value, bool):
-        _fail(f"{path}.{key}", f"expected true/false, got {value!r}")
+        _fail(path, f"expected true/false, got {value!r}")
     return value
 
 
-def _get_str(cfg: dict, path: str, key: str, default=None, required=False, choices=None):
-    if key not in cfg or cfg[key] is None:
-        if required:
-            _fail(f"{path}.{key}", "required value missing")
-        return default
-    value = cfg[key]
+@_reader
+def _str(value, path: str, choices=None) -> str:
     if not isinstance(value, str):
-        _fail(f"{path}.{key}", f"expected a string, got {value!r}")
+        _fail(path, f"expected a string, got {value!r}")
     if choices is not None and value not in choices:
-        _fail(f"{path}.{key}", f"must be one of {sorted(choices)}, got {value!r}")
+        _fail(path, f"must be one of {sorted(choices)}, got {value!r}")
     return value
 
 
-def _number_list(value, path: str) -> list:
+def _number_list(value, path: str, size: int | None = None) -> list:
     if not isinstance(value, (list, tuple)) or not value:
         _fail(path, "expected a non-empty list of numbers")
     out = []
@@ -190,45 +204,96 @@ def _number_list(value, path: str) -> list:
         if not _is_finite(v):
             _fail(f"{path}[{i}]", "value must be finite")
         out.append(float(v))
+    if size is not None and len(out) != size:
+        _fail(path, f"expected {size} entries")
     return out
 
 
 def _matrix(value, path: str, size: int) -> list:
     if not isinstance(value, (list, tuple)) or len(value) != size:
         _fail(path, f"expected a {size}x{size} matrix")
-    return [_number_list(row, f"{path}[{i}]") for i, row in enumerate(value)]
+    return [_number_list(row, f"{path}[{i}]", size) for i, row in enumerate(value)]
+
+
+def _groups(value, path: str) -> list:
+    if not isinstance(value, list) or not value or not all(_is_int(g) and g >= 1 for g in value):
+        _fail(path, "expected a list of positive integers")
+    return list(value)
+
+
+def _resolve_margin(margin, path: str) -> dict:
+    """One margin: its type, then the fields of the type's spec with the spec's defaults."""
+    margin = _expect_mapping(margin, path)
+    read_type = _str(required=True, choices=_MARGINS)
+    spec = _MARGINS[read_type(margin.get("type"), f"{path}.type")]
+    out = _fields(margin, path, {"type": read_type, **{
+        f.name: _number(default=f.default, required=f.default is MISSING) for f in fields(spec)
+    }}, what="margin keys")
+    _checked(path, _margin, out)
+    return out
+
+
+def _margins(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty list (one margin per group)")
+    return [_resolve_margin(margin, f"{path}[{i}]") for i, margin in enumerate(value)]
 
 
 def _fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy % (2**63))
 
 
-def _build_margin(mcfg: dict):
-    if mcfg["type"] == "shifted_lognormal":
-        return ShiftedLognormal(mu=mcfg["mu"], sigma=mcfg["sigma"], b=mcfg["b"])
-    return ScaledBeta(
-        alpha=mcfg["alpha"], beta=mcfg["beta"], scale=mcfg["scale"], shift=mcfg["shift"]
-    )
+# ---------------------------------------------------------------------------
+# spec builders: resolve_config builds each spec once to check it, build_run to use it
 
 
-def _copula(n_firms: int, rsc: dict) -> CopulaSpec:
-    return CopulaSpec(n_firms=n_firms, pairwise_correlation=rsc["correlation"],
-                      n_scenarios=rsc["count"], seed=rsc["seed"])
+def _margin(margin: dict):
+    return _MARGINS[margin["type"]](**{key: v for key, v in margin.items() if key != "type"})
 
 
-def _resolve_margin(mcfg, path: str) -> dict:
-    mcfg = _expect_mapping(mcfg, path)
-    kind = _get_str(mcfg, path, "type", required=True, choices=set(_MARGIN_FIELDS))
-    fields = _MARGIN_FIELDS[kind]
-    out = {"type": kind}
-    for key, default in fields.items():
-        out[key] = _get_number(mcfg, path, key, default=default, required=default is None)
-    _reject_unknown(mcfg, path, {"type", *fields}, what="margin keys")
-    try:  # surface bad margin parameters at validation time
-        _build_margin(out)
-    except SysriskError as exc:
+def _copula(n_firms: int, sc: dict) -> CopulaSpec:
+    return CopulaSpec(n_firms=n_firms, pairwise_correlation=sc["correlation"],
+                      n_scenarios=sc["count"], seed=sc["seed"])
+
+
+def _network(group_sizes, gen: dict) -> NetworkGenSpec:
+    return NetworkGenSpec(group_sizes, q=gen["probabilities"], w=gen["weights"],
+                          w_society=gen["society_weights"], seed=gen["seed"])
+
+
+def _inverse_demand(demand: dict):
+    params = dict(demand)
+    return make_inverse_demand(params.pop("type"), **params)
+
+
+def _aggregation(agg: dict) -> AggregationSpec:
+    return AggregationSpec(**agg)
+
+
+def _acceptance(acc: dict, network: LiabilityNetwork | None = None) -> AcceptanceSpec:
+    """The criterion; shift_fraction_of_promised adds to the shift once the network is known."""
+    params = dict(acc)
+    frac = params.pop("shift_fraction_of_promised")
+    if frac is not None and network is not None:
+        params["shift"] += frac * network.society_promised
+    return AcceptanceSpec(**params)
+
+
+def _grid(grid: dict) -> GridSpec:
+    return GridSpec(grid["lower"], grid["upper"], grid["resolution"], grid["nonneg"],
+                    fixed={int(key) - 1: value for key, value in grid["fixed"].items()})
+
+
+def _checked(path: str, build, *args):
+    """build(*args), with a spec's rejection of its values reported as a config error at path."""
+    try:
+        return build(*args)
+    except (SysriskError, TypeError, ValueError) as exc:
         _fail(path, str(exc))
-    return out
+
+
+# ---------------------------------------------------------------------------
+# resolution
 
 
 def _fold_legacy(cfg: dict) -> dict:
@@ -240,8 +305,8 @@ def _fold_legacy(cfg: dict) -> dict:
     utility, which the criteria always use, are dropped. Only well-formed values are
     rewritten: anything else is left for resolve_config to reject at its own path.
     """
-    _get_int(cfg, "config", "threads", minimum=1)
-    refine = _get_int(cfg, "config", "refine", default=1, minimum=1)
+    _int(minimum=1)(cfg.get("threads"), "config.threads")
+    refine = _int(default=1, minimum=1)(cfg.get("refine"), "config.refine")
     cfg.pop("threads", None)
     cfg.pop("refine", None)
     grid = cfg.get("grid")
@@ -256,17 +321,17 @@ def _fold_legacy(cfg: dict) -> dict:
             _fail("refine", f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
     ac = cfg.get("acceptance")
     if isinstance(ac, dict):
-        loss = _get_str(ac, "acceptance", "loss", choices={"exp", "polynomial"})
-        utility = _get_str(ac, "acceptance", "utility", choices={"log1p", "avar"})
+        loss = _str(choices={"exp", "polynomial"})(ac.get("loss"), "acceptance.loss")
+        utility = _str(choices={"log1p", "avar"})(ac.get("utility"), "acceptance.utility")
         if ac.get("criterion") == "oce" and utility == "avar":
-            _get_number(ac, "acceptance", "lam")  # a bad lam or level is rejected, not replaced
-            lam = _get_number(ac, "acceptance", "utility_lam", required=True)
+            _number()(ac.get("lam"), "acceptance.lam")  # a bad lam or level is rejected, not replaced
+            lam = _number(required=True)(ac.get("utility_lam"), "acceptance.utility_lam")
             if not 0.0 < lam < 1.0:
                 _fail("acceptance.utility_lam", f"must lie in (0, 1), got {lam}")
             ac["criterion"], ac["lam"] = "avar", lam
         if ac.get("criterion") == "ubsr" and loss == "exp":
-            _get_number(ac, "acceptance", "level")
-            z = _get_number(ac, "acceptance", "z")
+            _number()(ac.get("level"), "acceptance.level")
+            z = _number()(ac.get("z"), "acceptance.z")
             if z is None or not z > 0:
                 _fail("acceptance.z", f"the exp loss needs a positive target z, got {z}")
             ac["criterion"], ac["level"], ac["z"] = "entropic", -math.log(z), None
@@ -279,157 +344,110 @@ def resolve_config(cfg: dict) -> dict:
     """Validate a raw config and return the fully materialized equivalent.
 
     The keys of older configs and manifests are first rewritten into today's
-    schema (_fold_legacy), so the rest reads one schema. All defaults are made
-    explicit and every seed is fixed: the scenario seed defaults to the master
-    seed, the network seed to master + 1 so that the two streams never overlap.
+    schema (_fold_legacy), so the rest reads one schema. Each section is read
+    with one reader per key, and a key without a reader is rejected; each spec
+    is built once as a check, by the builder that build_run uses. All defaults
+    are made explicit and every seed is fixed: the scenario seed defaults to the
+    master seed, the network seed to master + 1 so that the two streams never
+    overlap.
     """
     cfg = _fold_legacy(_expect_mapping(copy.deepcopy(cfg), "config"))
-    known_top = {"name", "seed", "scenarios", "model", "acceptance", "grid", "ear", "output"}
-    _reject_unknown(cfg, "config", known_top, what="top-level keys")
-
-    out: dict = {}
-    out["name"] = _get_str(cfg, "config", "name", default="run")
-    seed = _get_int(cfg, "config", "seed", default=None, minimum=0, maximum=_MAX_SEED)
-    if seed is None:
-        seed = _fresh_seed()
-    out["seed"] = seed
+    top = _fields(cfg, "config", {
+        "name": _str(default="run"),
+        "seed": _int(minimum=0, maximum=_MAX_SEED),
+        **dict.fromkeys(("scenarios", "model", "acceptance", "grid", "ear", "output"), _as_is),
+    }, what="top-level keys")
+    seed = _fresh_seed() if top["seed"] is None else top["seed"]
+    out: dict = {"name": top["name"], "seed": seed}
 
     # scenarios
-    sc = _expect_mapping(cfg.get("scenarios", None) or {}, "scenarios")
-    rsc: dict = {}
-    rsc["count"] = _get_int(sc, "scenarios", "count", required=True, minimum=1)
-    rsc["correlation"] = _get_number(sc, "scenarios", "correlation", default=0.0)
-    rsc["seed"] = _get_int(sc, "scenarios", "seed", default=seed, minimum=0, maximum=_MAX_SEED)
-    margins = sc.get("margins")
-    if not isinstance(margins, list) or not margins:
-        _fail("scenarios.margins", "expected a non-empty list (one margin per group)")
-    rsc["margins"] = [_resolve_margin(m, f"scenarios.margins[{i}]") for i, m in enumerate(margins)]
-    frac = _get_number(sc, "scenarios", "liquid_fraction", default=None)
+    rsc = _fields(_section(cfg, "scenarios", "scenarios"), "scenarios", {
+        "count": _int(required=True, minimum=1),
+        "correlation": _number(default=0.0),
+        "seed": _int(default=seed, minimum=0, maximum=_MAX_SEED),
+        "margins": _margins,
+        "liquid_fraction": _number(),
+    })
+    frac = rsc["liquid_fraction"]
     if frac is not None and not 0.0 <= frac <= 1.0:
         _fail("scenarios.liquid_fraction", f"must lie in [0, 1], got {frac}")
-    rsc["liquid_fraction"] = frac
-    _reject_unknown(sc, "scenarios", {"count", "correlation", "seed", "margins", "liquid_fraction"})
     out["scenarios"] = rsc
 
     # model
-    mc = _expect_mapping(cfg.get("model", None) or {}, "model")
-    rmodel: dict = {}
-    mtype = _get_str(mc, "model", "type", required=True, choices={"aggregation", "network"})
-    rmodel["type"] = mtype
-    groups = mc.get("groups")
-    if not isinstance(groups, list) or not groups or not all(_is_int(g) and g >= 1 for g in groups):
-        _fail("model.groups", "expected a list of positive integers")
-    rmodel["groups"] = list(groups)
+    mc = _section(cfg, "model", "model")
+    rmodel = _fields(mc, "model", {"type": _str(required=True, choices=("aggregation", "network")),
+                                   "groups": _groups, "aggregation": _as_is, "network": _as_is})
+    mtype, groups = rmodel["type"], rmodel["groups"]
     n_groups = len(groups)
     if sum(groups) * rsc["count"] > _MAX_ENTRIES:
         _fail("scenarios.count", f"a scenario matrix of {sum(groups)} firms (model.groups) "
               f"by this many scenarios exceeds the {_MAX_ENTRIES} entries of an array")
     if len(rsc["margins"]) != n_groups:
         _fail("scenarios.margins", f"{len(rsc['margins'])} margins for {n_groups} groups")
-    try:  # surface a bad correlation at validation time
-        _copula(sum(groups), rsc)
-    except SysriskError as exc:
-        _fail("scenarios.correlation", str(exc))
+    _checked("scenarios.correlation", _copula, sum(groups), rsc)
+    other = "network" if mtype == "aggregation" else "aggregation"
+    if other in mc:
+        _fail(f"model.{other}", f"not allowed for {mtype} models")
+    del rmodel[other]  # manifests keep type, groups, then the model's own section
 
     if mtype == "aggregation":
-        if "network" in mc:
-            _fail("model.network", "not allowed for aggregation models")
-        agg = _expect_mapping(mc.get("aggregation", None) or {}, "model.aggregation")
-        ragg = {
-            "kind": _get_str(agg, "model.aggregation", "kind", required=True,
-                             choices={"sum", "loss", "exp"}),
-            "mode": _get_str(agg, "model.aggregation", "mode", required=True,
-                             choices={"insensitive", "sensitive"}),
-            "theta": _get_number(agg, "model.aggregation", "theta", default=2.0),
-        }
-        _reject_unknown(agg, "model.aggregation", {"kind", "mode", "theta"})
-        rmodel["aggregation"] = ragg
+        rmodel["aggregation"] = _fields(_section(mc, "aggregation", "model.aggregation"),
+                                        "model.aggregation", {
+            "kind": _str(required=True, choices=AGGREGATION_KINDS),
+            "mode": _str(required=True, choices=AGGREGATION_MODES),
+            "theta": _number(default=AggregationSpec.theta),
+        })
+        _checked("model.aggregation", _aggregation, rmodel["aggregation"])
     else:
-        if "aggregation" in mc:
-            _fail("model.aggregation", "not allowed for network models")
-        net = _expect_mapping(mc.get("network", None) or {}, "model.network")
-        rnet: dict = {}
-        gen = net.get("generate")
-        edges_file = net.get("edges_file")
-        if (gen is None) == (edges_file is None):
+        net = _section(mc, "network", "model.network")
+        if (net.get("generate") is None) == (net.get("edges_file") is None):
             _fail("model.network", "exactly one of generate or edges_file is required")
-        if gen is not None:
-            gen = _expect_mapping(gen, "model.network.generate")
-            rgen = {
-                "seed": _get_int(gen, "model.network.generate", "seed",
-                                 default=seed + 1, minimum=0),
-                "probabilities": _matrix(gen.get("probabilities"),
-                                         "model.network.generate.probabilities", n_groups),
-                "weights": _matrix(gen.get("weights"),
-                                   "model.network.generate.weights", n_groups),
-                "society_weights": _number_list(gen.get("society_weights"),
-                                                "model.network.generate.society_weights"),
-            }
-            if len(rgen["society_weights"]) != n_groups:
-                _fail("model.network.generate.society_weights",
-                      f"expected {n_groups} entries")
-            _reject_unknown(gen, "model.network.generate",
-                            {"seed", "probabilities", "weights", "society_weights"})
-            rnet["generate"] = rgen
-            rnet["edges_file"] = None
-        else:
-            if not isinstance(edges_file, str):
-                _fail("model.network.edges_file", "expected a file path")
-            rnet["generate"] = None
-            rnet["edges_file"] = edges_file
-        demand = _expect_mapping(net.get("inverse_demand", None) or {"type": "constant"},
-                                 "model.network.inverse_demand")
-        dkind = _get_str(demand, "model.network.inverse_demand", "type", required=True)
-        params = {key: value for key, value in demand.items() if key != "type"}
-        try:  # surface unknown kinds and bad parameters at validation time
-            make_inverse_demand(dkind, **params)
-        except (SysriskError, TypeError, ValueError) as exc:
-            _fail("model.network.inverse_demand", str(exc))
-        rnet["inverse_demand"] = {"type": dkind, **params}
-        clearing = _expect_mapping(net.get("clearing", None) or {}, "model.network.clearing")
-        tol = _get_number(clearing, "model.network.clearing", "tol", default=DEFAULT_TOL)
-        if not tol > 0:
-            _fail("model.network.clearing.tol", f"must be positive, got {tol}")
-        rnet["clearing"] = {
-            "tol": tol,
-            "max_iter": _get_int(clearing, "model.network.clearing", "max_iter",
-                                 default=DEFAULT_MAX_ITER, minimum=1),
-        }
-        _reject_unknown(net, "model.network",
-                        {"generate", "edges_file", "inverse_demand", "clearing"})
-        rmodel["network"] = rnet  # manifests keep this insertion order of the keys
-    _reject_unknown(mc, "model", {"type", "groups", "aggregation", "network"})
+        rnet = _fields(net, "model.network", dict.fromkeys(
+            ("generate", "edges_file", "inverse_demand", "clearing"), _as_is))
+        if rnet["generate"] is not None:
+            path = "model.network.generate"
+            rnet["generate"] = _fields(_expect_mapping(rnet["generate"], path), path, {
+                "seed": _int(default=seed + 1, minimum=0),
+                "probabilities": lambda value, p: _matrix(value, p, n_groups),
+                "weights": lambda value, p: _matrix(value, p, n_groups),
+                "society_weights": lambda value, p: _number_list(value, p, n_groups),
+            })
+            _checked(path, _network, groups, rnet["generate"])
+        elif not isinstance(rnet["edges_file"], str):
+            _fail("model.network.edges_file", "expected a file path")
+        path = "model.network.inverse_demand"
+        demand = _section(net, "inverse_demand", path) or {"type": "constant"}
+        rnet["inverse_demand"] = {"type": _str(required=True)(demand.get("type"), f"{path}.type"),
+                                  **{key: v for key, v in demand.items() if key != "type"}}
+        _checked(path, _inverse_demand, rnet["inverse_demand"])
+        path = "model.network.clearing"
+        rnet["clearing"] = _fields(_section(net, "clearing", path), path, {
+            "tol": _number(default=DEFAULT_TOL),
+            "max_iter": _int(default=DEFAULT_MAX_ITER, minimum=1),
+        })
+        if not rnet["clearing"]["tol"] > 0:
+            _fail(f"{path}.tol", f"must be positive, got {rnet['clearing']['tol']}")
+        rmodel["network"] = rnet
     if rsc["liquid_fraction"] is not None and mtype != "network":
         _fail("scenarios.liquid_fraction", "only meaningful for network models")
     out["model"] = rmodel
 
-    # acceptance
-    ac = _expect_mapping(cfg.get("acceptance", None) or {}, "acceptance")
-    racc: dict = {
-        "criterion": _get_str(ac, "acceptance", "criterion", required=True,
-                              choices={"avar", "ubsr", "oce", "entropic"}),
-        "shift": _get_number(ac, "acceptance", "shift", default=0.0),
-    }
-    for key in _ACCEPTANCE_FIELDS:
-        racc[key] = _get_number(ac, "acceptance", key, default=None)
-    frac = _get_number(ac, "acceptance", "shift_fraction_of_promised", default=None)
-    if frac is not None and mtype != "network":
+    # acceptance: the criterion, then the spec's shift and parameters with its defaults
+    racc = _fields(_section(cfg, "acceptance", "acceptance"), "acceptance", {
+        "criterion": _str(required=True, choices=("avar", "ubsr", "oce", "entropic")),
+        **{f.name: _number(default=f.default) for f in fields(AcceptanceSpec)[1:]},
+        "shift_fraction_of_promised": _number(),
+    })
+    if racc["shift_fraction_of_promised"] is not None and mtype != "network":
         _fail("acceptance.shift_fraction_of_promised", "only valid for network models")
-    racc["shift_fraction_of_promised"] = frac
-    _reject_unknown(ac, "acceptance", {"criterion", "shift", "shift_fraction_of_promised",
-                                       *_ACCEPTANCE_FIELDS})
-    try:  # surface criterion/parameter mismatches at validation time
-        AcceptanceSpec(racc["criterion"], racc["shift"], **{k: racc[k] for k in _ACCEPTANCE_FIELDS})
-    except Exception as exc:
-        _fail("acceptance", str(exc))
+    _checked("acceptance", _acceptance, racc)
     out["acceptance"] = racc
 
     # grid
-    gc = _expect_mapping(cfg.get("grid", None) or {}, "grid")
-    rgrid: dict = {}
-    rgrid["lower"] = _number_list(gc.get("lower"), "grid.lower")
-    rgrid["upper"] = _number_list(gc.get("upper"), "grid.upper")
-    res = gc.get("resolution")
+    gc = _section(cfg, "grid", "grid")
+    rgrid = _fields(gc, "grid", {"lower": _number_list, "upper": _number_list, "resolution": _as_is,
+                                 "nonneg": _bool(default=False), "fixed": _as_is})
+    res = rgrid["resolution"]
     if _is_int(res):
         res = [res] * len(rgrid["lower"])
     if not isinstance(res, (list, tuple)) or not res:
@@ -440,10 +458,8 @@ def resolve_config(cfg: dict) -> dict:
         if v < 2:
             _fail(f"grid.resolution[{i}]", f"must be at least 2, got {v}")
     rgrid["resolution"] = list(res)
-    rgrid["nonneg"] = _get_bool(gc, "grid", "nonneg", default=False)
-    fixed_raw = _expect_mapping(gc.get("fixed") or {}, "grid.fixed")
-    rfixed = {}
-    for key, value in fixed_raw.items():
+    rfixed = rgrid["fixed"] = {}
+    for key, value in _section(gc, "fixed", "grid.fixed").items():
         try:  # an integral float is a group number too, a bool or a fraction is not
             if isinstance(key, bool) or isinstance(key, float) and not key.is_integer():
                 raise TypeError
@@ -457,7 +473,6 @@ def resolve_config(cfg: dict) -> dict:
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
             _fail("grid.fixed", f"pinned value for group {group_no} must be a finite number")
         rfixed[str(group_no)] = float(value)
-    rgrid["fixed"] = rfixed
     free_dims = n_groups - len(rfixed)
     if free_dims < 1:
         _fail("grid.fixed", "at least one group must remain free")
@@ -474,25 +489,20 @@ def resolve_config(cfg: dict) -> dict:
         for key, value in rfixed.items():
             if value < 0:
                 _fail(f"grid.fixed.{key}", f"network models take no negative capital, got {value}")
-    _reject_unknown(gc, "grid", {"lower", "upper", "resolution", "nonneg", "fixed"})
     if math.prod(rgrid["resolution"]) > _MAX_ENTRIES:
         _fail("grid.resolution", f"the searched lattice exceeds the {_MAX_ENTRIES} entries of an array")
-    try:
-        GridSpec(rgrid["lower"], rgrid["upper"], rgrid["resolution"], rgrid["nonneg"])
-    except Exception as exc:
-        _fail("grid", str(exc))
+    _checked("grid", _grid, rgrid)
     out["grid"] = rgrid
 
     # ear
-    ec = _expect_mapping(cfg.get("ear", None) or {}, "ear")
-    weights = ec.get("weights") or []
+    weights = _fields(_section(cfg, "ear", "ear"), "ear", {"weights": _as_is})["weights"]
+    if weights is None:
+        weights = []
     if not isinstance(weights, list):
         _fail("ear.weights", "expected a list of weight vectors")
     rweights = []
     for i, w in enumerate(weights):
-        vec = _number_list(w, f"ear.weights[{i}]")
-        if len(vec) != free_dims:
-            _fail(f"ear.weights[{i}]", f"expected {free_dims} entries")
+        vec = _number_list(w, f"ear.weights[{i}]", free_dims)
         if any(v <= 0 for v in vec):
             _fail(f"ear.weights[{i}]", "weights must be strictly positive")
         if not math.isfinite(sum(v * max(abs(lo), abs(hi))
@@ -500,18 +510,15 @@ def resolve_config(cfg: dict) -> dict:
             _fail(f"ear.weights[{i}]", "the weighted capital cost overflows on the grid box; "
                   "scale the weights down")
         rweights.append(vec)
-    _reject_unknown(ec, "ear", {"weights"})
     out["ear"] = {"weights": rweights}
 
     # output
-    oc = _expect_mapping(cfg.get("output", None) or {}, "output")
-    out["output"] = {
-        "directory": _get_str(oc, "output", "directory", default="out"),
-        "write_scenarios": _get_bool(oc, "output", "write_scenarios", default=False),
-        "write_network": _get_bool(oc, "output", "write_network", default=False),
-        "write_labels": _get_bool(oc, "output", "write_labels", default=True),
-    }
-    _reject_unknown(oc, "output", {"directory", "write_scenarios", "write_network", "write_labels"})
+    out["output"] = _fields(_section(cfg, "output", "output"), "output", {
+        "directory": _str(default="out"),
+        "write_scenarios": _bool(default=False),
+        "write_network": _bool(default=False),
+        "write_labels": _bool(default=True),
+    })
     return out
 
 
@@ -543,63 +550,39 @@ def build_run(resolved: dict) -> RunPlan:
     """Instantiate scenarios, model, criterion, and grid from a resolved config."""
     groups = GroupMap(resolved["model"]["groups"])
     sc = resolved["scenarios"]
-    margins = [_build_margin(m) for m in sc["margins"]]
     try:
-        base = generate_scenarios(_copula(groups.n_firms, sc), margins, groups.group_sizes)
+        base = generate_scenarios(_copula(groups.n_firms, sc), [_margin(m) for m in sc["margins"]],
+                                  groups.group_sizes)
     except GenerationError as exc:  # a margin whose values overflow
         _fail(f"scenarios.margins[{exc.group}]", str(exc))
 
     network = None
     if resolved["model"]["type"] == "aggregation":
-        agg = resolved["model"]["aggregation"]
-        spec = AggregationSpec(kind=agg["kind"], mode=agg["mode"], theta=agg["theta"])
-        model = AggregationValueModel(base, spec, groups)
+        model = AggregationValueModel(base, _aggregation(resolved["model"]["aggregation"]), groups)
     else:
         net_cfg = resolved["model"]["network"]
         if net_cfg["generate"] is not None:
-            gen = net_cfg["generate"]
-            network = sample_network(NetworkGenSpec(
-                group_sizes=groups.group_sizes,
-                q=gen["probabilities"],
-                w=gen["weights"],
-                w_society=gen["society_weights"],
-                seed=gen["seed"],
-            ))
+            network = sample_network(_network(groups.group_sizes, net_cfg["generate"]))
         else:
             try:
                 network = read_edge_csv(net_cfg["edges_file"], groups)
             except SysriskError as exc:
                 _fail("model.network.edges_file", str(exc))
-        demand_cfg = dict(net_cfg["inverse_demand"])
-        f = make_inverse_demand(demand_cfg.pop("type"), **demand_cfg)
         frac = 1.0 if sc["liquid_fraction"] is None else sc["liquid_fraction"]
         model = NetworkValueModel(
             network,
             base.scaled(frac),
             base.scaled(1.0 - frac),
-            f,
+            _inverse_demand(net_cfg["inverse_demand"]),
             tol=net_cfg["clearing"]["tol"],
             max_iter=net_cfg["clearing"]["max_iter"],
         )
 
-    acc = resolved["acceptance"]
-    shift = acc["shift"]
-    if acc["shift_fraction_of_promised"] is not None:
-        shift += acc["shift_fraction_of_promised"] * network.society_promised
-    spec = AcceptanceSpec(acc["criterion"], shift, **{k: acc[k] for k in _ACCEPTANCE_FIELDS})
-
-    grid = GridSpec(
-        resolved["grid"]["lower"],
-        resolved["grid"]["upper"],
-        resolved["grid"]["resolution"],
-        nonneg_constraint=resolved["grid"]["nonneg"],
-        fixed={int(key) - 1: value for key, value in resolved["grid"]["fixed"].items()},
-    )
     return RunPlan(
         config=resolved,
         model=model,
-        acceptance=spec,
-        grid=grid,
+        acceptance=_acceptance(resolved["acceptance"], network),
+        grid=_grid(resolved["grid"]),
         ear_weights=resolved["ear"]["weights"],
         network=network,
         scenario_matrix=base,

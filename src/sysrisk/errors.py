@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["SysriskError", "ParameterError", "GenerationError", "ConfigurationError", "ModelError",
+           "ConvergenceError", "DegenerateBoxError"]
+
 
 class SysriskError(Exception):
     """Base class for all package-specific errors."""

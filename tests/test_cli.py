@@ -530,12 +530,39 @@ def test_an_override_on_a_null_section_acts_as_on_an_absent_one(tmp_path, capsys
 def test_an_override_on_a_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, command, prefix,
                                                                 section, flag, value):
     outdir = tmp_path / "out"
-    cfg = small_agg_cfg(outdir)
-    cfg[section] = [1]
-    argv = [command, "--config", write_cfg(tmp_path, cfg), flag, value or str(outdir)]
+    for content in ([1], [], 0, False):  # a falsy one too: only an absent or null section is empty
+        cfg = small_agg_cfg(outdir)
+        cfg[section] = content
+        argv = [command, "--config", write_cfg(tmp_path, cfg), flag, value or str(outdir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{prefix} config error at {section}: expected a mapping, got "
+                                    f"{type(content).__name__}"]
+        assert not outdir.exists()
+
+
+@pytest.mark.parametrize("preset,where,value,fragment", [
+    ("two_tier:B2", ("network", "generate", "weights"), [[10.0], [2.0, 1.0]],
+     "model.network.generate.weights[0]: expected 2 entries"),
+    ("two_tier:B2", ("network", "generate", "probabilities"), [[0.6, 1.5], [0.2, 0.1]],
+     "model.network.generate: link probabilities must lie in [0, 1]"),
+    ("agg_lognormal:exp_sensitive", ("aggregation", "theta"), -1.0,
+     "model.aggregation: theta must be positive, got -1.0"),
+])
+@pytest.mark.parametrize("command,prefix", [("validate", "invalid:"), ("run", "error:")])
+def test_spec_errors_exit_2_before_any_output(tmp_path, capsys, command, prefix, preset, where,
+                                              value, fragment):
+    # these failed in build_run: a numpy traceback (exit 1) or a message with no config path,
+    # after run had written a manifest
+    cfg = preset_config(preset)
+    node = cfg["model"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    outdir = tmp_path / "out"
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(outdir)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == [f"{prefix} config error at {section}: expected a mapping, got list"]
+    assert capsys.readouterr().err.splitlines() == [f"{prefix} config error at {fragment}"]
     assert not outdir.exists()
 
 

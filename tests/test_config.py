@@ -284,6 +284,8 @@ def test_unknown_top_level_key():
     cfg = agg_config()
     cfg["extras"] = 1
     assert_rejects(cfg, "unknown top-level keys ['extras']")
+    cfg[1] = 2  # keys of two types, which do not sort together
+    assert_rejects(cfg, "unknown top-level keys [1, 'extras']")
 
 
 @pytest.mark.parametrize("path,fragment", [
@@ -317,6 +319,9 @@ def test_unknown_network_keys():
     cfg = net_config()
     cfg["model"]["network"]["generate"]["bogus"] = 1
     assert_rejects(cfg, "config error at model.network.generate: unknown keys")
+    cfg = net_config()
+    cfg["model"]["network"]["clearing"] = {"tol": 1e-9, "bogus": 1}
+    assert_rejects(cfg, "config error at model.network.clearing: unknown keys ['bogus']")
 
 
 def test_scenarios_count_required_and_positive():
@@ -420,6 +425,10 @@ def test_aggregation_section_validation():
     cfg = agg_config()
     cfg["model"]["aggregation"]["theta"] = "hot"
     assert_rejects(cfg, "expected a number")
+    for theta in (0.0, -1.0):
+        cfg = agg_config()
+        cfg["model"]["aggregation"] = {"kind": "exp", "mode": "sensitive", "theta": theta}
+        assert_rejects(cfg, f"config error at model.aggregation: theta must be positive, got {theta}")
 
 
 def test_liquid_fraction_rules():
@@ -460,6 +469,46 @@ def test_generate_section_validation():
     cfg = net_config()
     cfg["model"]["network"]["generate"]["seed"] = -1
     assert_rejects(cfg, "must be at least 0")
+    cfg = preset_config("two_tier:B2")  # a ragged row fails at the row, not in the sampler
+    cfg["model"]["network"]["generate"]["weights"] = [[10.0], [2.0, 1.0]]
+    assert_rejects(cfg, "config error at model.network.generate.weights[0]: expected 2 entries")
+    cfg = preset_config("two_tier:B2")
+    cfg["model"]["network"]["generate"]["probabilities"] = [[0.6, 0.2], [0.2]]
+    assert_rejects(cfg, "config error at model.network.generate.probabilities[1]: expected 2 entries")
+    for key, value, fragment in [  # the sampler's own checks, made at resolve time
+        ("probabilities", [[1.5]], "link probabilities must lie in [0, 1]"),
+        ("probabilities", [[-0.1]], "link probabilities must lie in [0, 1]"),
+        ("weights", [[-1.0]], "obligation weights must be non-negative"),
+        ("society_weights", [-2.0], "society weights must be non-negative"),
+    ]:
+        cfg = net_config()
+        cfg["model"]["network"]["generate"][key] = value
+        assert_rejects(cfg, f"config error at model.network.generate: {fragment}")
+
+
+@pytest.mark.parametrize("value", [[], 0, False, ""])
+@pytest.mark.parametrize("make,path", [
+    (agg_config, ("scenarios",)),
+    (agg_config, ("model",)),
+    (agg_config, ("model", "aggregation")),
+    (agg_config, ("acceptance",)),
+    (agg_config, ("grid",)),
+    (agg_config, ("ear",)),
+    (agg_config, ("output",)),
+    (agg_config, ("grid", "fixed")),
+    (net_config, ("model", "network")),
+    (net_config, ("model", "network", "inverse_demand")),
+    (net_config, ("model", "network", "clearing")),
+])
+def test_a_falsy_section_that_is_not_a_mapping_fails_at_its_path(make, path, value):
+    # only an absent or null section reads as empty
+    cfg = make()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert_rejects(cfg, f"config error at {'.'.join(path)}: expected a mapping, got "
+                        f"{type(value).__name__}")
 
 
 def test_clearing_section_validation():
@@ -672,9 +721,10 @@ def test_grid_box_errors_surface_at_resolve_time():
 
 
 def test_ear_weights_validation():
-    cfg = agg_config()
-    cfg["ear"] = {"weights": 3}
-    assert_rejects(cfg, "expected a list of weight vectors")
+    for weights in (3, 0, False, {}, ""):  # a falsy non-list is rejected too, not read as none
+        cfg = agg_config()
+        cfg["ear"] = {"weights": weights}
+        assert_rejects(cfg, "config error at ear.weights: expected a list of weight vectors")
     cfg = agg_config()
     cfg["ear"] = {"weights": [[1.0, 1.0]]}
     assert_rejects(cfg, "ear.weights[0]: expected 1 entries")
