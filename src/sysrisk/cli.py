@@ -230,6 +230,16 @@ def _run_stats(clock: _PhaseClock, plan=None) -> dict:
     return {"stats": stats}
 
 
+def _search_counts(approx) -> dict:
+    """The search's oracle calls and its floor, the number of frontier points.
+
+    No verdict propagates to a minimal acceptable or a maximal unacceptable
+    point from another point, so the search queried each of them itself.
+    """
+    floor = len(approx.inner_indices) + len(approx.outer_indices)
+    return {"oracle_calls": int(approx.oracle_calls), "search_floor": floor}
+
+
 def _drop_stdout() -> None:
     # the reader has gone: nothing more can be said on stdout, and every later flush
     # (the interpreter's own at exit among them) would raise again, so stdout writes
@@ -412,7 +422,7 @@ def cmd_run(args) -> int:
                 _finish_manifest(
                     manifest_path, manifest, "failed", started,
                     error=f"{exc}; {guidance}",
-                    oracle_calls=int(approx.oracle_calls),
+                    **_search_counts(approx),
                     **_run_stats(clock, plan),
                 )
                 print(f"error: {exc}\nguidance: {guidance}", file=sys.stderr)
@@ -430,7 +440,7 @@ def cmd_run(args) -> int:
 
         _finish_manifest(
             manifest_path, manifest, "completed", started,
-            oracle_calls=int(approx.oracle_calls),
+            **_search_counts(approx),
             lattice_points=int(approx.labels.size),
             acceptable_points=n_acc,
             degenerate=approx.degenerate,
@@ -443,7 +453,7 @@ def cmd_run(args) -> int:
         message = f"cannot write {exc.filename or outdir}: {exc.strerror or exc}"
         with contextlib.suppress(OSError):  # a manifest left at "running" still exits 2
             _finish_manifest(manifest_path, manifest, "failed", started, error=message,
-                             oracle_calls=int(approx.oracle_calls), **_run_stats(clock, plan))
+                             **_search_counts(approx), **_run_stats(clock, plan))
         print(f"error: {message}", file=sys.stderr)
         return 2
     say(f"wrote {outdir}/ ({', '.join(outputs)})")

@@ -688,8 +688,9 @@ def test_sensitive_aggregation_run_records_its_counters(tmp_path, capsys):
     assert main(["run", "--preset", "agg_lognormal:exp_sensitive", "--seed", "1",
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["oracle_calls"] == 28
-    assert manifest["stats"]["aggregation"] == {"calls": 28, "block_sums": 29, "tables": 2}
+    assert manifest["oracle_calls"] == 22
+    assert manifest["search_floor"] == 7  # 3 inner and 4 outer frontier points
+    assert manifest["stats"]["aggregation"] == {"calls": 22, "block_sums": 23, "tables": 2}
     assert "clearing" not in manifest["stats"]
 
 
@@ -938,6 +939,7 @@ def test_run_all_in_box_exits_4_with_guidance(tmp_path, capsys):
     assert "every lattice point is acceptable" in err
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+    assert manifest["search_floor"] == 0 < manifest["oracle_calls"]  # no frontier
 
 
 def test_run_all_out_box_exits_4_with_guidance(tmp_path, capsys):

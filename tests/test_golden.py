@@ -9,14 +9,15 @@ B1 and C1, one preset by construction, share them, so a change that moves
 the labels of one preset shows even where the first cannot tell it from
 another. golden.json holds, per case, the sha256 of labels.csv, both
 frontier CSVs and ear.json (null where the run writes no such file), the
-oracle calls, the exit code and the manifest `stats` without `seconds` and
-`clearing.max_residual` (so a change that moves only work counters, such as
-clearing rounds, shows), and the numpy version it was recorded with: a
-different numpy may draw different scenario streams, and a mismatch then
-says so. `seconds` depends on the clock and `max_residual` on the BLAS
-thread count: the matrix products of clearing round differently on one
-OpenBLAS thread than on two, which moves a residual of order 1e-14 (two_tier
-A4 at seed 3, grid 20) but no output the run writes.
+oracle calls, the search floor, the exit code and the manifest `stats`
+without `seconds` and `clearing.max_residual` (so a change that moves only
+work counters, such as clearing rounds, shows), and the numpy version it
+was recorded with: a different numpy may draw different scenario streams,
+and a mismatch then says so. `seconds` depends on the clock and
+`max_residual` on the BLAS thread count: the matrix products of clearing
+round differently on one OpenBLAS thread than on two, which moves a
+residual of order 1e-14 (two_tier A4 at seed 3, grid 20) but no output the
+run writes.
 
 identity.json is the same record at full size (no --scenarios or --grid-res
 override) for every preset at seeds 1, 2 and 3, and each entry also holds the
@@ -112,7 +113,8 @@ def _run(args: list[str], outdir: Path) -> tuple[dict, dict]:
         if "clearing" in stats:
             stats["clearing"] = {key: value for key, value in stats["clearing"].items()
                                  if key != "max_residual"}
-    return {"exit_code": code, "oracle_calls": manifest.get("oracle_calls"), "sha256": digests,
+    return {"exit_code": code, "oracle_calls": manifest.get("oracle_calls"),
+            "search_floor": manifest.get("search_floor"), "sha256": digests,
             "stats": stats}, manifest
 
 
@@ -165,6 +167,13 @@ def test_identity_covers_every_case(identity):
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden["cases"]) == sorted(case_id(*c) for c in cases())
+
+
+def test_search_floor_is_at_most_the_oracle_calls(golden, identity):
+    # the search queries every frontier point itself, so its floor bounds its calls
+    for doc in (golden, identity):
+        for name, case in doc["cases"].items():
+            assert 0 <= case["search_floor"] <= case["oracle_calls"], name
 
 
 def test_record_summary_names_what_moved():

@@ -77,7 +77,13 @@ def unit_grid(shape):
 
 def walk_bound(r1, r2):
     """The worst case stated in riskmeasure._walk for one r1 x r2 slice."""
-    return 3 * (r1 + r2) // 2
+    return 3 * (r1 + r2) // 2 + math.ceil(math.log2(r1)) + math.ceil(math.log2(r2)) - 3
+
+
+def two_by_two_staircase(r, start):
+    """An r x r truth whose threshold drops 2 every 2 columns from column start (0 or 1)."""
+    corners = [(start + 2 * k, r - 2 * k - 1) for k in range(r // 2)]
+    return oracles.upper_set_from_corners((r, r), corners)
 
 
 def assert_matches_truth(approx, truth):
@@ -289,11 +295,11 @@ def test_walk_call_bound_on_random_slices():
     for trial in range(60):
         shape = tuple(int(v) for v in rng.integers(2, 41, size=2))
         if trial % 3 == 0:
-            # a fine staircase of steps 2 wide and 2 high, the costliest galloping legs
+            # a fine staircase of steps 2 wide and 2 high, the costliest galloping legs,
+            # from column 0 or after an empty column 0 and so after the two bisecting legs
             r = int(rng.integers(4, 21))
             shape = (r, r)
-            corners = [(2 * k, r - 2 * k - 1) for k in range(r // 2)]
-            truth = oracles.upper_set_from_corners(shape, corners)
+            truth = two_by_two_staircase(r, trial % 2)
         else:
             truth = random_staircase(rng, shape, max_corners=12)
         grid = unit_grid(shape)
@@ -301,6 +307,33 @@ def test_walk_call_bound_on_random_slices():
         _walk(store)
         assert np.array_equal(store.labels, truth)
         assert store.calls <= walk_bound(*shape)
+
+
+def test_walk_worst_case_after_an_empty_first_column():
+    # the two bisecting legs cost more than 3/2 per step, so behind an empty column 0 the
+    # 2 x 2 staircase passes floor(3 (r1 + r2) / 2), the worst case of a walk that only gallops
+    grid = unit_grid((40, 40))
+    for start, calls in [(0, 117), (1, 124)]:
+        truth = two_by_two_staircase(40, start)
+        store = _LabelStore(staircase_oracle(truth, grid), grid)
+        _walk(store)
+        assert np.array_equal(store.labels, truth)
+        assert store.calls == calls
+    assert 3 * (40 + 40) // 2 == 120 < 124 <= walk_bound(40, 40) == 129
+
+
+def test_walk_bisects_until_a_threshold_is_known():
+    # the shape of agg_lognormal:exp_sensitive at seed 1: the first 20 columns hold no
+    # acceptable point. Galloping along the top row from column 0 and then down column 20
+    # from its top would take 28 calls; bisecting both legs takes 22
+    shape = (50, 50)
+    thresholds = np.array([50] * 20 + [22, 21] + [20] * 28)
+    truth = (np.arange(50) >= thresholds[:, None]).astype(np.int8)
+    grid = unit_grid(shape)
+    store = _LabelStore(staircase_oracle(truth, grid), grid)
+    _walk(store)
+    assert np.array_equal(store.labels, truth)
+    assert store.calls == 22
 
 
 def test_walk_gallops_past_long_flat_stretches():
