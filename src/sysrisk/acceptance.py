@@ -224,15 +224,19 @@ def _log_utility_slope(t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # criterion dispatch
 
+# each criterion's risk function and the spec fields it takes, in the function's order
+CRITERIA = {"avar": (avar, ("lam",)), "ubsr": (ubsr, ("power", "z")), "oce": (oce_rho, ()),
+            "entropic": (entropic_rho, ("level",))}
+
 
 @dataclass(frozen=True)
 class AcceptanceSpec:
     """Configured acceptance criterion.
 
-    criterion selects the risk functional; the remaining fields are its
-    parameters: lam for avar, power and z for ubsr, level for entropic (oce
-    has none). shift is added to the risk value before the sign test, in
-    the same currency units as the samples.
+    criterion selects the risk functional, and CRITERIA the fields it needs,
+    the only ones it may set: lam for avar, power and z for ubsr, level for
+    entropic (oce has none). shift is added to the risk value before the
+    sign test, in the same currency units as the samples.
     """
 
     criterion: str
@@ -245,29 +249,27 @@ class AcceptanceSpec:
     def __post_init__(self):
         if not np.isfinite(self.shift):
             raise ParameterError("shift must be finite")
-        if self.criterion == "avar":
-            if self.lam is None or not 0.0 < self.lam < 1.0:
-                raise ParameterError("avar criterion needs lam in (0, 1)")
-        elif self.criterion == "ubsr":
-            if self.power is None or self.z is None:
-                raise ParameterError("ubsr criterion needs a power and a target z")
-            _check_shortfall(self.power, self.z)
-        elif self.criterion == "entropic":
-            if self.level is None or not np.isfinite(self.level):
-                raise ParameterError("entropic criterion needs a finite level")
-        elif self.criterion != "oce":
+        if not (isinstance(self.criterion, str) and self.criterion in CRITERIA):
             raise ParameterError(f"unknown criterion {self.criterion!r}")
+        takes = CRITERIA[self.criterion][1]
+        for name in ("lam", "power", "z", "level"):
+            value = getattr(self, name)
+            if value is not None and name not in takes:
+                raise ParameterError(f"the {self.criterion} criterion takes no {name}, got {value}")
+            if value is None and name in takes:
+                raise ParameterError(f"the {self.criterion} criterion needs a {name}")
+        if self.criterion == "avar" and not 0.0 < self.lam < 1.0:
+            raise ParameterError("avar criterion needs lam in (0, 1)")
+        if self.criterion == "ubsr":
+            _check_shortfall(self.power, self.z)
+        if self.criterion == "entropic" and not np.isfinite(self.level):
+            raise ParameterError("entropic criterion needs a finite level")
 
 
 def rho(samples, spec: AcceptanceSpec) -> float:
     """Risk value of a sample vector under the configured criterion (shift not applied)."""
-    if spec.criterion == "avar":
-        return avar(samples, spec.lam)
-    if spec.criterion == "ubsr":
-        return ubsr(samples, spec.power, spec.z)
-    if spec.criterion == "oce":
-        return oce_rho(samples)
-    return entropic_rho(samples, spec.level)
+    function, names = CRITERIA[spec.criterion]
+    return function(samples, *(getattr(spec, name) for name in names))
 
 
 def is_acceptable(samples, spec: AcceptanceSpec) -> bool:

@@ -25,7 +25,11 @@ AGGREGATION_MODES = ("insensitive", "sensitive")
 
 @dataclass(frozen=True)
 class GroupMap:
-    """Partition of firms 1..n into contiguous groups sharing one capital level."""
+    """Partition of firms 1..n into contiguous groups sharing one capital level.
+
+    check(k) is the one test of the allocations every value model takes:
+    one finite entry per group.
+    """
 
     group_sizes: tuple[int, ...]
 
@@ -43,12 +47,20 @@ class GroupMap:
     def n_firms(self) -> int:
         return sum(self.group_sizes)
 
-    def expand(self, k) -> np.ndarray:
-        """Group allocation in R^l -> per-firm vector in R^n."""
-        k = np.asarray(k, dtype=float).ravel()
+    def check(self, k) -> np.ndarray:
+        """k as a fresh float vector, once it has one finite entry per group (else ParameterError)."""
+        k = np.array(k, dtype=float).ravel()
         if k.size != self.n_groups:
             raise ParameterError(f"allocation has {k.size} entries for {self.n_groups} groups")
-        return np.repeat(k, self.group_sizes)
+        finite = np.isfinite(k)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ParameterError(f"allocation entry {j} is not finite: {k[j]}")
+        return k
+
+    def expand(self, k) -> np.ndarray:
+        """Group allocation in R^l -> per-firm vector in R^n."""
+        return np.repeat(self.check(k), self.group_sizes)
 
     def firm_groups(self) -> np.ndarray:
         """Group index of each firm, in firm order."""
@@ -135,7 +147,9 @@ class AggregationValueModel:
     only the groups whose capital level changed since the previous call.
     The scenario matrix is read-only, so neither a table nor a kept block
     sum can go stale. The result differs from aggregating X + g(k) in one
-    pass only in rounding, i.e. in the last bits. stats counts the work.
+    pass only in rounding, i.e. in the last bits. The model keeps
+    scenarios, spec and groups as given, groups.check tests every k, and
+    stats counts the work.
     """
 
     def __init__(self, scenarios: ScenarioMatrix, spec: AggregationSpec, groups: GroupMap):
@@ -159,19 +173,9 @@ class AggregationValueModel:
             self._columns = np.arange(scenarios.n_scenarios)
             self._last = [(None, None)] * groups.n_groups  # (level, block sum) per group
 
-    @property
-    def n_groups(self) -> int:
-        return self.groups.n_groups
-
     def samples_at(self, k) -> np.ndarray:
-        """Per-scenario aggregate outcomes at group allocation k."""
-        k = np.asarray(k, dtype=float).ravel()
-        if k.size != self.n_groups:
-            raise ParameterError(f"allocation has {k.size} entries for {self.n_groups} groups")
-        finite = np.isfinite(k)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise ParameterError(f"allocation entry {j} is not finite: {k[j]}")
+        """Per-scenario aggregate outcomes at group allocation k, checked by groups.check."""
+        k = self.groups.check(k)
         self.stats.calls += 1
         if self._base is not None:
             return self._base + float(self._sizes @ k)

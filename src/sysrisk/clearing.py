@@ -249,7 +249,8 @@ class LiabilityNetwork:
 
     nominal[i, j] is the amount node i owes node j; node 0 is society.
     Society owes nothing (row 0 is zero), every diagonal entry is zero.
-    relative[i, j] is the fraction of i's total obligations owed to j.
+    pbar[i] is node i's total obligations, relative[i, j] the fraction owed
+    to j, and payment_scale = max(1, max pbar) scales the payment checks.
     """
 
     def __init__(self, nominal, groups: GroupMap | None = None):
@@ -274,8 +275,10 @@ class LiabilityNetwork:
         with np.errstate(invalid="ignore", divide="ignore"):
             rel = np.where(totals[:, None] > 0, mat / totals[:, None], 0.0)
         rel.setflags(write=False)
+        totals.setflags(write=False)  # payment_scale is read from it once
         self.nominal = mat
         self.pbar = totals  # row sums, totals[0] = 0
+        self.payment_scale = max(1.0, float(totals.max()))
         self.relative = rel
         self.groups = groups
 
@@ -402,11 +405,6 @@ class _Point:
     pi: np.ndarray | None = None
 
 
-def _payment_scale(network: LiabilityNetwork) -> float:
-    """max(1, largest obligation): the factor by which payment rounding checks scale."""
-    return max(1.0, float(network.pbar.max()))
-
-
 def _batch(cols: np.ndarray) -> np.ndarray:
     """Scenario columns for one solve of _clear_constant_price: cols, or a lone column twice.
 
@@ -470,7 +468,7 @@ def _top_down(network: LiabilityNetwork, cash, tol: float, max_iter: int, stats:
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     shares = network.relative[1:, 0]  # each firm's share owed to society
-    pay_slack = _MONO_SLACK * _payment_scale(network)
+    pay_slack = _MONO_SLACK * network.payment_scale
     eps = np.finfo(float).eps
     up = 1.0 + 4 * (n + 2) * eps
     owed_on = a_firms.sum(axis=1) * up  # h, rounded up
@@ -542,7 +540,7 @@ def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: f
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
     shares = network.relative[1:, 0]  # each firm's share owed to society
-    pay_slack = _MONO_SLACK * _payment_scale(network)
+    pay_slack = _MONO_SLACK * network.payment_scale
     p = np.zeros((n, 2 * m))
     p[:, :m] = pbar
     pi = np.repeat([price_top, price_floor], m)
@@ -644,7 +642,7 @@ def _clear_constant_price(network: LiabilityNetwork, cash, p, width: float, tol:
     """
     pbar = network.pbar[1:][:, None]  # (n, 1)
     a_firms = network.relative[1:, 1:]
-    scale = _payment_scale(network)
+    scale = network.payment_scale
     short = pbar - _MONO_SLACK * scale  # a firm paying less than this defaults
 
     def fixed_point_residual() -> float:
@@ -708,6 +706,10 @@ class NetworkValueModel:
     otherwise. It keeps the last _HISTORY evaluated points with their final
     iterates, and starts each clearing call from those with more and (with
     price impact) less capital.
+
+    Its attributes are network, scenarios_x, scenarios_s, f, tol, max_iter,
+    groups (the network's; groups.check tests every k), stats and
+    payment_tolerance, tol times network.payment_scale.
     """
 
     def __init__(
@@ -749,12 +751,7 @@ class NetworkValueModel:
             self._cash = price_top * scenarios_s.values
         self.stats = ClearingStats()  # summed over every call
         self._history = collections.deque(maxlen=_HISTORY)  # _Points, oldest first
-        # the clearing's share of a verdict's error budget, in units of society equity
-        self.payment_tolerance = tol * _payment_scale(network)
-
-    @property
-    def n_groups(self) -> int:
-        return self.groups.n_groups
+        self.payment_tolerance = tol * network.payment_scale  # in units of society equity
 
     def bounds_at(self, k):
         """Yield (lower, upper) society equity per scenario, tightening with every clearing sweep.
@@ -771,11 +768,7 @@ class NetworkValueModel:
         the bounds, and the finished Y does not depend on it. A call is
         remembered once its clearing has ended, decided or finished.
         """
-        k = np.array(k, dtype=float).ravel()  # kept with the point
-        finite = np.isfinite(k)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise ParameterError(f"allocation entry {j} is not finite: {k[j]}")
+        k = self.groups.check(k)  # a fresh copy, kept with the point
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
         x = self.scenarios_x.values + self.groups.expand(k)[:, None]

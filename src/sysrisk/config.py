@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 import yaml
 
-from .acceptance import AcceptanceSpec
+from .acceptance import CRITERIA, AcceptanceSpec
 from .aggregation import (
     AGGREGATION_KINDS,
     AGGREGATION_MODES,
@@ -300,10 +300,11 @@ def _fold_legacy(cfg: dict) -> dict:
     """Rewrite, in place, the keys of older configs and manifests into today's schema.
 
     threads (the search is sequential) is dropped; refine: F turns a resolution r into
-    (r - 1) F + 1; ubsr with the exp loss is the entropic risk at level -log z, and oce
-    with the avar utility is avar at utility_lam; the polynomial loss and the log1p
-    utility, which the criteria always use, are dropped. Only well-formed values are
-    rewritten: anything else is left for resolve_config to reject at its own path.
+    (r - 1) F + 1; ubsr with the exp loss is the entropic risk at level -log z, and the
+    power that loss ignored is dropped; oce with the avar utility is avar at utility_lam;
+    the polynomial loss and the log1p utility, which the criteria always use, are
+    dropped. Only well-formed values are rewritten: anything else is left for
+    resolve_config to reject at its own path.
     """
     _int(minimum=1)(cfg.get("threads"), "config.threads")
     refine = _int(default=1, minimum=1)(cfg.get("refine"), "config.refine")
@@ -331,10 +332,11 @@ def _fold_legacy(cfg: dict) -> dict:
             ac["criterion"], ac["lam"] = "avar", lam
         if ac.get("criterion") == "ubsr" and loss == "exp":
             _number()(ac.get("level"), "acceptance.level")
+            _number()(ac.get("power"), "acceptance.power")  # the exp loss ignored it
             z = _number()(ac.get("z"), "acceptance.z")
             if z is None or not z > 0:
                 _fail("acceptance.z", f"the exp loss needs a positive target z, got {z}")
-            ac["criterion"], ac["level"], ac["z"] = "entropic", -math.log(z), None
+            ac.update(criterion="entropic", level=-math.log(z), z=None, power=None)
         for key in ("loss", "utility", "utility_lam"):
             ac.pop(key, None)
     return cfg
@@ -434,7 +436,7 @@ def resolve_config(cfg: dict) -> dict:
 
     # acceptance: the criterion, then the spec's shift and parameters with its defaults
     racc = _fields(_section(cfg, "acceptance", "acceptance"), "acceptance", {
-        "criterion": _str(required=True, choices=("avar", "ubsr", "oce", "entropic")),
+        "criterion": _str(required=True, choices=CRITERIA),
         **{f.name: _number(default=f.default) for f in fields(AcceptanceSpec)[1:]},
         "shift_fraction_of_promised": _number(),
     })

@@ -32,9 +32,7 @@ class NetworkGenSpec:
     seed: int
 
     def __init__(self, group_sizes, q, w, w_society, seed):
-        sizes = tuple(int(v) for v in group_sizes)
-        if not sizes or any(v < 1 for v in sizes):
-            raise ParameterError(f"group sizes must be positive integers, got {group_sizes}")
+        sizes = GroupMap(group_sizes).group_sizes
         l = len(sizes)
         q_arr = np.asarray(q, dtype=float)
         w_arr = np.asarray(w, dtype=float)

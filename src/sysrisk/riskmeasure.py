@@ -419,7 +419,7 @@ def _finalize(store: _LabelStore) -> GridApproximation:
             stepped = o + 1
             if (stepped < res).all() and labels[tuple(stepped)] != ACCEPTABLE:
                 raise ModelError(
-                    f"sandwich certificate failed at lattice index {tuple(o)}: "
+                    f"sandwich certificate failed at lattice index {tuple(o.tolist())}: "
                     "point plus one spacing is inside the box but not acceptable"
                 )
 

@@ -289,7 +289,7 @@ def clear_batch(network, x, s, f, tol: float, max_iter: int):
     constant price the point holds no prices, and every price is f(0).
     """
     model = NetworkValueModel(network, ScenarioMatrix(x), ScenarioMatrix(s), f, tol, max_iter)
-    model.samples_at(np.zeros(model.n_groups))
+    model.samples_at(np.zeros(model.groups.n_groups))
     point = model._history[-1]
     m = model.scenarios_x.n_scenarios
     pi = np.full(m, float(f(0.0))) if point.pi is None else point.pi[:m]

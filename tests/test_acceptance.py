@@ -262,7 +262,7 @@ def test_criterion_7_axiom_property_suites():
 
         @property
         def n_groups(self):
-            return self.inner.n_groups
+            return self.inner.groups.n_groups
 
         def samples_at(self, k):
             return self.inner.samples_at(np.asarray(k, dtype=float) + self.offset)

@@ -1,6 +1,7 @@
 """Scalar risk functionals: pinned values, oracle cross-checks, axioms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +348,13 @@ def _count_passes(samples) -> int:
     return counter.passes
 
 
+def test_oce_that_does_not_settle_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(acceptance, "OCE_MAX_PASSES", 1)
+    with pytest.raises(ConvergenceError, match=r"^oce Newton iteration did not settle in 1 passes "
+                                               r"\(bracket \[0\.0, 0\.999999999\]\)$"):
+        oce_rho([0.0, 0.5, 1.0])
+
+
 @pytest.mark.parametrize("magnitude", [1e7, 1e9, 1e12, -1e7, -1e9, -1e12])
 def test_oce_returns_for_samples_of_large_magnitude(magnitude):
     # above about 8e6 the float spacing exceeds the eta tolerance, so a
@@ -431,6 +439,21 @@ def test_spec_dispatch_matches_direct_calls():
 )
 def test_spec_validation_rejects(kwargs):
     with pytest.raises(ParameterError):
+        AcceptanceSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"criterion": "oce", "shift": -10.0, "lam": 0.5, "power": 3.0, "level": 2.0},
+     "the oce criterion takes no lam, got 0.5"),
+    ({"criterion": "avar", "lam": 0.01, "z": -5.0}, "the avar criterion takes no z, got -5.0"),
+    ({"criterion": "ubsr", "power": 2.0, "z": 0.5, "level": 1.0},
+     "the ubsr criterion takes no level, got 1.0"),
+    ({"criterion": "entropic", "level": 0.9, "power": 2.0},
+     "the entropic criterion takes no power, got 2.0"),
+])
+def test_spec_rejects_a_parameter_its_criterion_does_not_take(kwargs, message):
+    # such a parameter would be recorded in the manifest and do nothing
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         AcceptanceSpec(**kwargs)
 
 

@@ -455,7 +455,7 @@ def test_exp_sensitive_preset_keeps_one_full_size_array_in_flight():
         model = plan.model
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        model.samples_at(np.zeros(model.n_groups))
+        model.samples_at(np.zeros(model.groups.n_groups))
         samples_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -535,5 +535,5 @@ def test_blend_superadditive_for_concave_aggregation(spec):
 
 def test_model_is_usable_through_base_class_name():
     model = AggregationValueModel(random_matrix(96, n_firms=2), SUM, GroupMap([1, 1]))
-    assert model.n_groups == 2
+    assert model.groups.n_groups == 2
     assert model.samples_at([0.0, 0.0]).shape == (40,)

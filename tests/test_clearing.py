@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from sysrisk import (
     validate_inverse_demand,
     write_edge_csv,
 )
+from sysrisk import clearing
 from sysrisk.clearing import (
+    _MONO_SLACK,
     _WARMUP_SWEEPS,
     _clear_constant_price,
     _paired,
@@ -159,6 +162,12 @@ def test_validate_rejects_nonpositive_price():
         validate_inverse_demand(f, 5.0)
 
 
+def test_validate_rejects_a_curve_that_returns_a_scalar():
+    with pytest.raises(ModelError,
+                       match="^inverse demand must map arrays to arrays of the same shape$"):
+        validate_inverse_demand(lambda y: 1.0, 5.0)
+
+
 def test_validate_zero_ymax_still_checks_unit_range():
     validate_inverse_demand(UNIT_PRICE, 0.0)
 
@@ -227,6 +236,8 @@ def test_nominal_matrix_is_immutable():
     net = two_firm_chain()
     with pytest.raises(ValueError):
         net.nominal[1, 0] = 9.0
+    with pytest.raises(ValueError):  # payment_scale, read from pbar once, cannot go stale
+        net.pbar[1] = 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +651,27 @@ def test_model_rejects_negative_capital():
         model.samples_at([-0.1, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_society_equity_outside_its_promised_range_is_a_model_error(monkeypatch, above):
+    # no clearing leaves this range; a fake clearing generator does, at once
+    model = make_model(np.random.default_rng(99))
+    cap = model.network.society_promised
+    y = np.full(25, cap + 1e-6 if above else -1e-6)
+
+    def fake_clearing(*args):
+        return y
+        yield  # a generator that finishes at once
+
+    monkeypatch.setattr(clearing, "_top_down", fake_clearing)
+    message = f"society equity left the range [0, {cap}] of its promised payments"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        model.samples_at([0.0, 0.0, 0.0])
+
+
 def test_model_group_expansion():
     rng = np.random.default_rng(109)
     model = make_model(rng, n=4, groups=GroupMap([2, 2]))
-    assert model.n_groups == 2
+    assert model.groups.n_groups == 2
     per_firm = make_model(np.random.default_rng(109), n=4, groups=GroupMap([1, 1, 1, 1]))
     # same capital per firm, expressed per group vs per firm
     a = model.samples_at([0.3, 0.7])
@@ -681,7 +709,7 @@ def test_make_network_cvm_group_override():
     sx = ScenarioMatrix(rng.uniform(0.0, 1.0, size=(4, 8)))
     ss = ScenarioMatrix(np.zeros((4, 8)))
     model = NetworkValueModel(LiabilityNetwork(net.nominal, GroupMap([1, 3])), sx, ss, UNIT_PRICE)
-    assert model.n_groups == 2
+    assert model.groups.n_groups == 2
     with pytest.raises(ConfigurationError):
         LiabilityNetwork(net.nominal, GroupMap([2, 1]))
 
@@ -726,7 +754,7 @@ def test_bracket_encloses_the_reference_after_every_sweep():
     rng = np.random.default_rng(61)
     for case in range(30):
         model = bracket_model(rng, BRACKET_CURVES[case % 3])
-        k = rng.uniform(0.0, 0.5, size=model.n_groups)
+        k = rng.uniform(0.0, 0.5, size=model.groups.n_groups)
         ref = reference_payments(model, k)
         m = ref.shape[1]
         e0_ref = model.network.relative[1:, 0] @ ref
@@ -768,7 +796,7 @@ def radius_encloses(net, cash, ref, atol):
     zero = np.zeros_like(cash)
     model = NetworkValueModel(net, ScenarioMatrix(cash), ScenarioMatrix(zero), UNIT_PRICE)
     gaps = []
-    for low, up in model.bounds_at(np.zeros(model.n_groups)):
+    for low, up in model.bounds_at(np.zeros(model.groups.n_groups)):
         assert (0.0 <= low).all() and (low <= e0_ref + atol).all() and (e0_ref <= up + 1e-9).all()
         if low is not up:  # the last pair is the finished clearing
             gaps.append(up - low)
@@ -851,7 +879,7 @@ def test_radius_covers_the_rounding_of_society_equity():
         cash = np.repeat(net.pbar[1:, None], 3, axis=1)
         model = NetworkValueModel(net, ScenarioMatrix(cash), ScenarioMatrix(np.zeros_like(cash)),
                                   UNIT_PRICE)
-        lower, upper = next(model.bounds_at(np.zeros(model.n_groups)))
+        lower, upper = next(model.bounds_at(np.zeros(model.groups.n_groups)))
         assert (lower < upper).all() and (lower <= math.fsum(net.nominal[1:, 0])).all()
 
 
@@ -860,7 +888,7 @@ def test_bracketed_verdicts_match_the_finished_clearing():
     decided = calls = 0
     for case in range(12):
         model = bracket_model(rng, BRACKET_CURVES[case % 3])
-        k = rng.uniform(0.0, 0.5, size=model.n_groups)
+        k = rng.uniform(0.0, 0.5, size=model.groups.n_groups)
         y = model.samples_at(k)
         for spec in CRITERIA:
             risk = rho(y, spec)
@@ -877,7 +905,7 @@ def test_verdicts_within_the_error_budget_fall_back_to_finished_clearing():
     rng = np.random.default_rng(71)
     for case in range(9):
         model = bracket_model(rng, BRACKET_CURVES[case % 3])
-        k = rng.uniform(0.0, 0.5, size=model.n_groups)
+        k = rng.uniform(0.0, 0.5, size=model.groups.n_groups)
         y = model.samples_at(k)
         for spec in CRITERIA:
             risk = rho(y, spec)
@@ -906,6 +934,42 @@ def test_inverted_bracket_is_a_model_error():
         with pytest.raises(ModelError, match=message):
             next(_paired(net, x, s, scripted(swept), top, floor, 1e-12, 100, ClearingStats(),
                          (), (), _Point(None)))
+
+
+def paired_first_sweep(prices, above=(), below=()):
+    # one paired sweep of two_firm_chain, f(0) = 1 and f(largest sale) = 0.5, whose curve
+    # returns the given (top-down, bottom-up) prices; above and below are (payments, prices)
+    # starts of the top-down and the bottom-up half
+    x = np.array([[0.5], [0.0]])
+    s = np.array([[1.0], [1.0]])
+    starts = [[_Point(None, np.tile(p, (1, 2)), np.array([pi, pi])) for p, pi in side]
+              for side in (above, below)]
+    return next(_paired(two_firm_chain(), x, s, lambda y: np.array(prices), 1.0, 0.5, 1e-12, 100,
+                        ClearingStats(), *starts, _Point(None)))
+
+
+def test_each_monotonicity_check_of_the_paired_sweep_is_reached_alone():
+    # each check is reached with the checks before it passing: prices that hold at f(0)
+    # and f(largest sale) leave the price checks quiet, so that only a start that is no
+    # bound moves a payment the wrong way
+    none_paid = np.zeros((2, 1))
+    all_paid = np.array([[2.0], [1.0]])  # the chain's obligations
+    prefix = "^clearing map is not monotone: a payment iterate "
+    with pytest.raises(ModelError, match=prefix + "increased$"):
+        paired_first_sweep([1.0, 0.5], above=[(none_paid, 1.0)])  # a top-down start below
+    with pytest.raises(ModelError, match=prefix + "decreased$"):
+        paired_first_sweep([1.0, 0.5], below=[(all_paid, 0.5)])  # a bottom-up start above
+    with pytest.raises(ModelError, match="^clearing map is not monotone: a price iterate "
+                                         "decreased$"):
+        paired_first_sweep([1.0, 0.4])  # the bottom-up price falls from f(largest sale)
+    # the bottom-up price never falls below its start, f(largest sale) or above, and the
+    # top-down one never below the bottom-up one, each up to the slack: so the floor check
+    # is reached alone only by a top-down price within twice the slack below the floor
+    with pytest.raises(ModelError, match="^clearing price fell below the inverse demand at the "
+                                         "largest sale$"):
+        paired_first_sweep([0.5 - 1.5 * _MONO_SLACK, 0.5 - 0.75 * _MONO_SLACK])
+    lower, upper = paired_first_sweep([0.5 - 0.75 * _MONO_SLACK, 0.5 - 0.75 * _MONO_SLACK])
+    assert (lower <= upper).all()  # within the slack of the floor is no error
 
 
 def two_group_model(rng, f, tol=1e-10, m=12):
@@ -975,7 +1039,7 @@ def test_a_start_that_is_no_bound_is_a_model_error():
     rng = np.random.default_rng(97)
     for f in (UNIT_PRICE, LinearSqrtPrice()):
         model = bracket_model(rng, f)
-        size = model.n_groups
+        size = model.groups.n_groups
 
         def evaluate(k, above=(), below=()):
             # clear k from the given points, remembered as points with more and less capital
@@ -1012,7 +1076,7 @@ def test_the_clearing_regime_is_fixed_per_model():
         assert (model._prices[0] == model._prices[1]) == isinstance(curve, ConstantPrice)
         built = len(scalar_calls)
         for _ in range(20):
-            list(model.bounds_at(rng.uniform(0.0, 0.5, size=model.n_groups)))
+            list(model.bounds_at(rng.uniform(0.0, 0.5, size=model.groups.n_groups)))
         assert len(scalar_calls) == built
 
 

@@ -261,6 +261,21 @@ def test_bad_loss_utility_or_power_exits_2_naming_the_key(tmp_path, capsys, acce
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("acceptance,message", [
+    ({"criterion": "oce", "shift": -10.0, "lam": 0.5, "power": 3, "level": 2},
+     "the oce criterion takes no lam, got 0.5"),
+    ({"criterion": "avar", "lam": 0.01, "z": -5}, "the avar criterion takes no z, got -5.0"),
+])
+def test_a_parameter_the_criterion_does_not_take_exits_2_without_output(tmp_path, capsys,
+                                                                      acceptance, message):
+    outdir = tmp_path / "out"
+    cfg = small_agg_cfg(outdir)
+    cfg["acceptance"] = acceptance
+    assert main(["run", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert f"config error at acceptance: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("where,path", [("seed", "config.seed"), ("scenarios.seed", "scenarios.seed")])
 def test_seed_past_64_bits_exits_2_without_a_manifest(tmp_path, capsys, where, path):
     outdir = tmp_path / "out"

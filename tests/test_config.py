@@ -563,6 +563,9 @@ def test_acceptance_named_loss_resolves():
     ({"criterion": "oce", "utility": "log1p", "shift": -10.0}, {"criterion": "oce", "shift": -10.0}),
     ({"criterion": "ubsr", "loss": "polynomial", "power": 2.0, "z": 0.5},
      {"criterion": "ubsr", "power": 2.0, "z": 0.5}),
+    # the exp loss ignored a power, which the entropic criterion does not take
+    ({"criterion": "ubsr", "loss": "exp", "power": 3.0, "z": 0.25},
+     {"criterion": "entropic", "level": -math.log(0.25)}),
     # a loss or utility the criterion never used was read and ignored, and still is
     ({"criterion": "avar", "lam": 0.5, "loss": "exp", "utility": "avar"},
      {"criterion": "avar", "lam": 0.5}),
@@ -598,6 +601,8 @@ def test_grid_bounds_must_be_lists_sized_to_free_dims():
     cfg = agg_config()
     cfg["grid"]["lower"] = 0.0
     assert_rejects(cfg, "grid.lower")
+    cfg["grid"]["lower"] = ["x"]
+    assert_rejects(cfg, "config error at grid.lower[0]: expected a finite number, got 'x'")
     cfg = agg_config_two_groups()
     cfg["grid"]["lower"] = [0.0]
     assert_rejects(cfg, "grid.lower: expected 2 entries (free groups), got 1")

@@ -176,6 +176,16 @@ def test_search_floor_is_at_most_the_oracle_calls(golden, identity):
             assert 0 <= case["search_floor"] <= case["oracle_calls"], name
 
 
+def test_manifest_counters_agree(golden, identity):
+    # the value model answers each oracle call once, and a call its bounds decided is a call
+    for doc in (golden, identity):
+        for name, case in doc["cases"].items():
+            (layer, counters), = case["stats"].items()
+            assert layer in ("aggregation", "clearing"), name
+            assert counters["calls"] == case["oracle_calls"], name
+            assert counters.get("decided", 0) <= counters["calls"], name
+
+
 def test_record_summary_names_what_moved():
     def case(calls, digest="a", code=0, rounds=0, sweeps=4, tie=None):
         return {"exit_code": code, "oracle_calls": calls, "sha256": {"labels.csv": digest},

@@ -112,6 +112,7 @@ def test_grid_spec_scalar_broadcast():
     assert g.resolution == (5, 5)
     mixed = GridSpec([0.0, 1.0], [4.0, 5.0], (5, 3))
     assert mixed.resolution == (5, 3)
+    assert GridSpec([0.0, 1.0], 4.0, 5).upper == (4.0, 4.0)
 
 
 def test_grid_spec_nonneg_clips_lower():
@@ -126,6 +127,8 @@ def test_grid_spec_validation():
         GridSpec([0.0], [0.0], 5)
     with pytest.raises(ParameterError):
         GridSpec([0.0], [4.0], 1)
+    with pytest.raises(ParameterError, match="^resolution has 3 entries for 2 dimensions$"):
+        GridSpec([0.0, 0.0], [4.0, 4.0], [5, 5, 5])
     with pytest.raises(ParameterError):
         GridSpec([0.0], [math.inf], 5)
     with pytest.raises(ParameterError, match="5 dimensions exceed the limit of 4"):
@@ -421,6 +424,17 @@ def test_finalize_rejects_unlabeled_points():
     store = _LabelStore(half_space(2.0), BOX04)
     store.query((2, 2))
     with pytest.raises(ModelError, match="unlabeled"):
+        _finalize(store)
+
+
+def test_finalize_rejects_a_failed_sandwich_certificate():
+    # the store's propagation never leaves such labels; set by hand, (0, 0) is maximal
+    # unacceptable while (1, 1), one spacing up, is not acceptable
+    store = _LabelStore(None, GridSpec([0.0, 0.0], [1.0, 1.0], 2))
+    store.labels[...] = [[UNACCEPTABLE, ACCEPTABLE], [ACCEPTABLE, UNACCEPTABLE]]
+    with pytest.raises(ModelError, match=r"^sandwich certificate failed at lattice index \(0, 0\): "
+                                         "point plus one spacing is inside the box but not "
+                                         "acceptable$"):
         _finalize(store)
 
 
