@@ -279,7 +279,7 @@ class _LabelStore:
         view = self.labels[region]
         if (view == conflict).any():
             raise ModelError(
-                f"membership oracle is not monotone: verdict at lattice index {tuple(idx)} "
+                f"membership oracle is not monotone: verdict at lattice index {tuple(map(int, idx))} "
                 "contradicts an already-established label"
             )
         view[...] = verdict

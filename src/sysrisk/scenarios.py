@@ -9,7 +9,7 @@ which the grid search relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import groupby
 from typing import Sequence, Union
 
@@ -112,12 +112,17 @@ class ScaledBeta:
     def transform(self, z: np.ndarray) -> np.ndarray:
         """Map normals z to the margin, elementwise.
 
-        Phi is _special.ndtr. beta_inverse_cdf bisects its start table (2 x 129
-        nodes, under a millisecond at (2, 5)) once per call, so a call should
-        carry many values: generate_scenarios passes up to 2**15 at a time.
+        Phi is _special.ndtr. Each call builds the start table of
+        beta_inverse_cdf (2 x 129 nodes bisected, under a millisecond at
+        (2, 5)), so a call should carry many values; generate_scenarios
+        builds one table per shape pair for all of its calls (see _apply).
         """
+        return self._apply(z, _inverse_table(self.alpha, self.beta))
+
+    def _apply(self, z: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """transform with the start table of (alpha, beta) given."""
         u = _special.ndtr(z)
-        return self.scale * beta_inverse_cdf(u, self.alpha, self.beta) + self.shift
+        return self.scale * _beta_inverse(u, self.alpha, self.beta, table) + self.shift
 
 
 MarginalSpec = Union[ShiftedLognormal, ScaledBeta]
@@ -202,10 +207,12 @@ def generate_scenarios(
     The fresh normals are transformed in place and become the matrix. Each
     run of consecutive groups with equal margins is transformed as one
     block, in calls of at most 2**15 values (a call may end inside a row).
-    Every transform is elementwise, so the values equal those of
-    transforming each row on its own, bit for bit. Values that are not all
-    finite raise GenerationError, whose group attribute is the index of the
-    first group with a non-finite value.
+    The beta start table is built once per (alpha, beta) of this call and
+    shared by every call of every group with those shapes, whatever their
+    scale and shift. Every transform is elementwise, so the values equal
+    those of transforming each row on its own, bit for bit. Values that are
+    not all finite raise GenerationError, whose group attribute is the index
+    of the first group with a non-finite value.
     """
     if len(group_margins) != len(group_sizes):
         raise ParameterError("one margin per group required")
@@ -216,12 +223,16 @@ def generate_scenarios(
     values = sample_equicorrelated_normals(copula)
     flat = values.reshape(-1)
     per_firm = [m for m, size in zip(group_margins, group_sizes) for _ in range(size)]
+    inverse_table = cache(_inverse_table)  # one start table per beta shape pair of this draw
     stop = 0
     for margin, rows in groupby(per_firm):
         start, stop = stop, stop + copula.n_scenarios * len(list(rows))
+        transform = margin.transform
+        if isinstance(margin, ScaledBeta):
+            transform = partial(margin._apply, table=inverse_table(margin.alpha, margin.beta))
         for lo in range(start, stop, _CHUNK):
             hi = min(lo + _CHUNK, stop)
-            flat[lo:hi] = margin.transform(flat[lo:hi])
+            flat[lo:hi] = transform(flat[lo:hi])
     try:
         return ScenarioMatrix._take(values)
     except GenerationError:  # a margin overflowed: name the first group it reached
@@ -279,8 +290,11 @@ def _newton_inverse(p: np.ndarray, a: float, b: float, nodes: np.ndarray) -> np.
     slope 1/a. Each step is Newton's, with Halley's second-order
     correction, which G's closed-form derivatives make cheap. Since p <= 1/2,
     I is needed only where it is at most about 1/2: one lower-tail
-    evaluation per step. Only elementwise operations are used, so a value
-    does not depend on the other values of the call.
+    evaluation per step. A step works in place on a few buffers, but each
+    operation is the one its commented formula names, in the same order, so
+    every value is bit for bit that of the formula written out. Only
+    elementwise operations are used, so a value does not depend on the other
+    values of the call.
     """
     lbeta = _special.betaln(a, b)
     with np.errstate(all="ignore"):  # p = 0 and underflowing I run through as inf/nan
@@ -298,15 +312,72 @@ def _newton_inverse(p: np.ndarray, a: float, b: float, nodes: np.ndarray) -> np.
             log_v = np.log(v)
             cdf = _special.lower_tail(a, b, v)
             log_cdf = np.log(cdf)
-            slope = np.exp(a * log_v + b * (log_v - r) - lbeta - log_cdf)  # G'(r)
-            step = (log_cdf - log_p) / slope
-            step /= 1.0 - 0.5 * step * (a - (a + b) * v - slope)  # G''/G' = a - (a+b)v - G'
-            step = np.where(cdf > 0, step, 0.0)
-            r = r - step
+            # G'(r) = exp(a log v + b (log v - r) - log B - log I)
+            slope = np.subtract(log_v, r)
+            slope *= b
+            log_v *= a
+            slope += log_v
+            slope -= lbeta
+            slope -= log_cdf
+            np.exp(slope, out=slope)
+            # step = G / G' / (1 - step G'' / (2 G')), with G''/G' = a - (a+b)v - G'
+            step = np.subtract(log_cdf, log_p, out=log_cdf)
+            step /= slope
+            halley = np.multiply(a + b, v)
+            np.subtract(a, halley, out=halley)
+            halley -= slope
+            np.multiply(0.5, step, out=slope)
+            slope *= halley
+            np.subtract(1.0, slope, out=slope)
+            step /= slope
+            np.copyto(step, 0.0, where=~(cdf > 0))
+            r -= step
         # expit(r) to second order about the v of the last step: that step corrects the
         # rounded v itself, so only the rounding of this sum remains
         v -= step * v * (1.0 - v) * (1.0 - 0.5 * step * (1.0 - 2.0 * v))
     return v
+
+
+def _solve_half(p: np.ndarray, a: float, b: float, nodes: np.ndarray, reflect: bool) -> np.ndarray:
+    """x with I_x(a, b) = p for p <= 1/2, or 1 - x when reflect, elementwise.
+
+    Newton from the table row `nodes` (see _newton_inverse); p = 0 gives x = 0
+    exactly. The residual |I_x(a, b) - p| is taken at the value the caller
+    gets back, so on a reflected half at 1 - (1 - x). Where it is not within
+    the tolerance, x is replaced by bisection to adjacent doubles (see
+    _bisect); a start that underflows or a degenerate table yields nan, and
+    a nan residual counts as outside.
+    """
+    x = _newton_inverse(p, a, b, nodes)
+    x[p == 0] = 0.0
+    if reflect:
+        x = 1.0 - x
+    residual = _special.lower_tail(a, b, 1.0 - x if reflect else x)
+    residual -= p
+    bad = np.flatnonzero(~(np.abs(residual) <= _BETA_TOL))
+    if bad.size:
+        fallback = _bisect(partial(_special.lower_tail, a, b), p.take(bad), 62)
+        x.put(bad, 1.0 - fallback if reflect else fallback)
+    return x
+
+
+def _beta_inverse(u, alpha: float, beta: float, table: np.ndarray):
+    """beta_inverse_cdf with its start table given, so that one table serves many calls."""
+    u_arr = np.asarray(u, dtype=float)
+    if (u_arr < 0).any() or (u_arr > 1).any() or not np.isfinite(u_arr).all():
+        raise ParameterError("u must lie in [0, 1]")
+    flat = u_arr.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _NEWTON_BLOCK):  # blocks bound the temporaries
+        target = flat[start:start + _NEWTON_BLOCK]
+        x = out[start:start + _NEWTON_BLOCK]
+        is_upper = target > 0.5  # one split per block, into index arrays
+        lower, upper = np.flatnonzero(~is_upper), np.flatnonzero(is_upper)
+        x.put(lower, _solve_half(target.take(lower), alpha, beta, table[0], False))
+        x.put(upper, _solve_half(1.0 - target.take(upper), beta, alpha, table[1], True))
+    if u_arr.ndim == 0:
+        return float(out[0])
+    return out.reshape(u_arr.shape)
 
 
 def beta_inverse_cdf(u, alpha: float, beta: float):
@@ -314,54 +385,24 @@ def beta_inverse_cdf(u, alpha: float, beta: float):
 
     Returns x in [0, 1] with I_x(alpha, beta) = u to absolute residual 1e-10;
     u = 0 gives 0 and u = 1 gives 1 exactly. Each call tabulates 2 x 129
-    inverses at fixed nodes in logit space (see _inverse_table), starts
-    every value from that table and polishes it by two Newton steps with
-    Halley's correction (see _newton_inverse), in blocks of 2**13 values:
-    three incomplete beta evaluations per value, residual
-    check included. Each u > 1/2 is reflected to p = 1 - u (exact in
-    float64) and solved for y = 1 - x under Beta(beta, alpha), so that both
-    tails keep full relative precision. The result depends on no other
-    value in u. Where the residual exceeds the tolerance, the value is
-    replaced by bisection to adjacent doubles on the same half (see _bisect).
-    Near-degenerate shapes (alpha or beta ~ 0.03) can make the tolerance
-    unattainable in float64 because the CDF jumps by more than 1e-10 between
-    adjacent representable x near an endpoint; one of the two adjacent
-    doubles that bracket the solution is returned in that case.
+    inverses at fixed nodes in logit space (see _inverse_table). Each block
+    of 2**13 values is split once, by index, into u <= 1/2 and u > 1/2. Each
+    u > 1/2 is reflected to p = 1 - u (exact in float64) and solved for
+    y = 1 - x under Beta(beta, alpha), so that both tails keep full relative
+    precision. Every value starts from the table and is polished by two
+    Newton steps with Halley's correction (see _newton_inverse): three
+    incomplete beta evaluations per value, residual check included. The
+    result depends on no other value in u. Where the residual exceeds the
+    tolerance, the value is replaced by bisection to adjacent doubles on the
+    same half (see _solve_half). Near-degenerate shapes (alpha or beta ~
+    0.03) can make the tolerance unattainable in float64 because the CDF
+    jumps by more than 1e-10 between adjacent representable x near an
+    endpoint; one of the two adjacent doubles that bracket the solution is
+    returned in that case.
     """
     if alpha <= 0 or beta <= 0:
         raise ParameterError("beta shape parameters must be positive")
-    u_arr = np.asarray(u, dtype=float)
-    if (u_arr < 0).any() or (u_arr > 1).any() or not np.isfinite(u_arr).all():
-        raise ParameterError("u must lie in [0, 1]")
-    table = _inverse_table(alpha, beta)
-    flat = u_arr.reshape(-1)
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _NEWTON_BLOCK):  # blocks bound the temporaries
-        target = flat[start:start + _NEWTON_BLOCK]
-        x = out[start:start + _NEWTON_BLOCK]
-        upper = target > 0.5
-        lower = ~upper
-        p_lower, p_upper = target[lower], 1.0 - target[upper]
-        x[lower] = _newton_inverse(p_lower, alpha, beta, table[0])
-        x[upper] = 1.0 - _newton_inverse(p_upper, beta, alpha, table[1])
-        x[target == 0] = 0.0
-        x[target == 1] = 1.0
-        # |I_x(alpha, beta) - u|, on the upper half as |I_{1-x}(beta, alpha) - (1 - u)|
-        residual = np.empty_like(target)
-        residual[lower] = _special.lower_tail(alpha, beta, x[lower]) - p_lower
-        residual[upper] = _special.lower_tail(beta, alpha, 1.0 - x[upper]) - p_upper
-        np.abs(residual, out=residual)
-        # a start that underflows or a degenerate table yields nan; a nan residual must count as bad
-        bad = ~(residual <= _BETA_TOL)
-        if bad.any():
-            bad_lower, bad_upper = bad & lower, bad & upper
-            x[bad_lower] = _bisect(partial(_special.lower_tail, alpha, beta),
-                                   target[bad_lower], 62)
-            x[bad_upper] = 1.0 - _bisect(partial(_special.lower_tail, beta, alpha),
-                                         1.0 - target[bad_upper], 62)
-    if u_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(u_arr.shape)
+    return _beta_inverse(u, alpha, beta, _inverse_table(alpha, beta))
 
 
 def write_scenario_csv(scenarios: ScenarioMatrix, path) -> None:

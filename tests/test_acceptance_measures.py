@@ -22,7 +22,7 @@ from sysrisk import (
     rho,
     ubsr,
 )
-from sysrisk.acceptance import OCE_ETA_TOL, TIE_TOLERANCE, UBSR_WIDTH_TOL
+from sysrisk.acceptance import OCE_ETA_TOL, TIE_TOLERANCE, UBSR_WIDTH_TOL, bracket_verdict
 from sysrisk.config import build_run, resolve_config
 from sysrisk.presets import preset_config
 from sysrisk.riskmeasure import grid_search
@@ -566,3 +566,22 @@ def test_avar_cash_invariance_property(samples, shift_steps):
 def test_oce_eta_tolerance_is_sub_grid():
     # the eta search tolerance must beat the dense oracle's final grid step
     assert OCE_ETA_TOL < 1e-6
+
+
+@pytest.mark.parametrize("spec", [AcceptanceSpec(criterion="oce"),
+                                  AcceptanceSpec(criterion="ubsr", power=2.0, z=1.0)],
+                         ids=["oce", "ubsr"])
+def test_bracket_verdict_leaves_a_tie_within_the_criterion_error_open(spec):
+    # lower = upper = one constant vector, so only slack and the criterion's own error
+    # (the oce Newton step, the ubsr bisection width) stand between rho + shift and the
+    # tie: a margin past slack but inside slack + own error is no verdict either way
+    y = np.full(40, 0.75)
+    slack = 1e-10
+    risk = rho(y, spec)
+    own = OCE_ETA_TOL if spec.criterion == "oce" else UBSR_WIDTH_TOL * max(1.0, abs(risk))
+    for factor in (0.5, 2.0):  # inside the budget, then past it
+        for sign in (1.0, -1.0):  # above the tie: unacceptable; below: acceptable
+            margin = sign * (slack + factor * own)
+            shifted = AcceptanceSpec(**{**spec.__dict__, "shift": TIE_TOLERANCE + margin - risk})
+            expected = None if factor < 1.0 else sign < 0
+            assert bracket_verdict(y, y, shifted, slack) == expected, (factor, sign)

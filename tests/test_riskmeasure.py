@@ -420,6 +420,16 @@ def test_labels_independent_of_evaluation_order():
         assert np.array_equal(approx.outer_frontier, reference.outer_frontier)
 
 
+def test_mark_names_a_contradicting_index_in_plain_ints():
+    # numpy indices, as np.unravel_index returns them, print as (2, 2), not (np.int64(2), ...)
+    store = _LabelStore(None, GridSpec([0.0, 0.0], [1.0, 1.0], 3))
+    store.mark((1, 1), ACCEPTABLE)
+    with pytest.raises(ModelError, match=r"^membership oracle is not monotone: verdict at lattice "
+                                         r"index \(2, 2\) contradicts an already-established "
+                                         "label$"):
+        store.mark(np.unravel_index(8, (3, 3)), UNACCEPTABLE)
+
+
 def test_finalize_rejects_unlabeled_points():
     store = _LabelStore(half_space(2.0), BOX04)
     store.query((2, 2))

@@ -23,6 +23,7 @@ from sysrisk import (
     sample_equicorrelated_normals,
     write_scenario_csv,
 )
+from sysrisk import scenarios
 
 MU_75 = 0.6744897501960817  # Phi^{-1}(0.75), pinned against the mpmath oracle
 
@@ -370,6 +371,55 @@ def test_beta_inverse_cdf_monotone_where_the_cdf_is_flat(a, b):
 def test_beta_inverse_cdf_matches_library_inverse(a, b):
     u = np.linspace(0.0, 1.0, 1001)
     assert np.abs(beta_inverse_cdf(u, a, b) - special.betaincinv(a, b, u)).max() <= 1e-12
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("a,b", TAIL_SHAPES)
+def test_beta_inverse_cdf_edge_values_do_not_depend_on_their_call(a, b):
+    # the median, both ends, the least subnormal and the last double below 1, in one call
+    u = np.array([0.5, 0.0, 1.0, 5e-324, 1.0 - 2.0**-53])
+    together = beta_inverse_cdf(u, a, b)
+    for ui, xi in zip(u, together):
+        assert bits(beta_inverse_cdf(ui, a, b)) == bits(xi), ui
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 5.0), (0.5, 0.5)])
+def test_beta_inverse_cdf_blocks_with_an_empty_half(a, b):
+    # a block of u <= 1/2 alone, then one of u > 1/2 alone, split at the block boundary
+    block = scenarios._NEWTON_BLOCK
+    rng = np.random.default_rng(29)
+    low = rng.uniform(0.0, 0.5, block)
+    low[:2] = 0.0, 0.5
+    high = np.nextafter(rng.uniform(0.5, 1.0, 300), 1.0)
+    high[:1] = 1.0
+    u = np.concatenate([low, high])
+    whole = beta_inverse_cdf(u, a, b)
+    assert np.array_equal(bits(beta_inverse_cdf(low, a, b)), bits(whole[:block]))
+    assert np.array_equal(bits(beta_inverse_cdf(high, a, b)), bits(whole[block:]))
+    assert np.array_equal(bits(beta_inverse_cdf(u[::-1], a, b)), bits(whole[::-1]))
+    for i in (0, 1, 2, block - 1, block, block + 1, len(u) - 1):
+        assert bits(beta_inverse_cdf(u[i], a, b)) == bits(whole[i]), i
+
+
+@pytest.mark.parametrize("chunk", [64, scenarios._CHUNK])
+def test_one_start_table_per_shape_pair_and_draw(monkeypatch, chunk):
+    # three Beta(2, 5) groups, each its own scale and shift and so its own run, with rows
+    # wider than a transform call: one table serves the whole draw however it is cut
+    built = []
+    inverse_table = scenarios._inverse_table
+    monkeypatch.setattr(scenarios, "_inverse_table",
+                        lambda a, b: built.append((a, b)) or inverse_table(a, b))
+    monkeypatch.setattr(scenarios, "_CHUNK", chunk)
+    margins = [ScaledBeta(2.0, 5.0, 0.14, 0.04), ShiftedLognormal(0.3),
+               ScaledBeta(2.0, 5.0, 0.3), ScaledBeta(2.0, 5.0, 1.0, -0.5)]
+    spec = CopulaSpec(6, 0.2, chunk + 7, seed=13)
+    values = generate_scenarios(spec, margins, [2, 1, 1, 2]).values
+    assert built == [(2.0, 5.0)]
+    normals = sample_equicorrelated_normals(spec)
+    assert np.array_equal(values[5], margins[3].transform(normals[5]))
 
 
 def test_beta_rows_do_not_depend_on_their_call():
