@@ -18,24 +18,24 @@ NetworkValueModel fixes its regime once, when it is built, from the price
 range its scenarios can reach, and each call runs one of two generators:
 
 - Constant price on the reachable range, f(0) == f(largest sale), as for
-  ConstantPrice or s == 0 (_top_down). The top-down iteration runs alone
-  on an (n, m) array. Money is conserved, so the last step of an iterate
-  bounds how far society equity there lies above the exact equity, on
-  every network, closed cycles included: each sweep yields, per scenario,
-  equity at the iterate and that minus a radius. The fixed point is
-  piecewise linear in the payments, and fictitious default finds it
-  exactly. Once the iteration has converged or _WARMUP_SWEEPS sweeps have
-  run, the default set of the iterate, which lies inside the true one,
-  seeds the solve: the scenario columns are grouped by default set, each
-  group takes one linear solve, and new defaults are added until the set
-  stops growing. tol, scaled by max(1, max pbar), bounds the final
-  fixed-point residual |min(pbar, x + pi*s + A'p) - p|. The iteration
-  alone would not do: its step shrinks by the spectral radius rho of the
-  defaulting firms' share matrix, so it takes about
-  log(pbar/tol)/(1 - rho) sweeps and stops up to tol/(1 - rho) above the
-  fixed point. A cycle of three firms that leaks 1e-4 of one obligation
-  to society needs about 7e5 sweeps; the solve clears it exactly in one
-  round.
+  ConstantPrice or s == 0 (_top_down, then _clear_constant_price). The
+  top-down iteration runs alone on an (n, m) array. Money is conserved, so
+  the last step of an iterate bounds how far society equity there lies
+  above the exact equity, on every network, closed cycles included: each
+  sweep yields, per scenario, equity at the iterate and that minus a
+  radius. The fixed point is piecewise linear in the payments, and
+  fictitious default finds it exactly. Once the iteration has converged or
+  _WARMUP_SWEEPS sweeps have run, the default set of the iterate, which
+  lies inside the true one, seeds the solve: the scenario columns are
+  grouped by default set, each group takes one linear solve, and new
+  defaults are added until the set stops growing. tol, scaled by max(1,
+  max pbar), bounds the final fixed-point residual |min(pbar, x + pi*s +
+  A'p) - p|. The iteration alone would not do: its step shrinks by the
+  spectral radius rho of the defaulting firms' share matrix, so it takes
+  about log(pbar/tol)/(1 - rho) sweeps and stops up to tol/(1 - rho) above
+  the fixed point. A cycle of three firms that leaks 1e-4 of one
+  obligation to society needs about 7e5 sweeps; the solve clears it
+  exactly in one round.
 - Price impact (_paired). Equilibria need not be unique (Cifuentes,
   Ferrucci and Shin, JEEA 2005), so the map is iterated as well up from
   the bottom (no payments, the price at the largest sale), which gives
@@ -43,7 +43,10 @@ range its scenarios can reach, and each call runs one of two generators:
   iteration, and each sweep yields society equity at both. The top-down
   half is iterated until it has converged, and its iterate is the result.
 
-Both generators return society equity at the finished clearing.
+Both generators return society equity at the finished clearing. They read
+the model's network, tol, max_iter and stats, and the facts a network
+derives once (LiabilityNetwork): firm_block, society_shares, obligations,
+pay_slack, the radius terms, and inflows, the one product with firm_block.
 
 The iteration has converged when its largest step in payments or price,
 over all its scenario columns, is at most tol. Every sweep works on all
@@ -52,24 +55,24 @@ slowest of its call, and the last bits of a price-impact result depend on
 the other scenarios of the call. The exact solve works on a lone column
 twice over (_batch).
 
-Warm starts. Clearing is monotone in capital as well, so the iterates of
-an evaluated allocation bound those of another (Tarski; Eisenberg and Noe):
+Warm starts. Clearing is monotone in capital as well, so the iterates of an
+evaluated allocation bound those of another (Tarski; Eisenberg and Noe):
 for k'' >= k, every top-down iterate U of k'' satisfies Phi_k(U) <=
 Phi_k''(U) <= U, so iterating k from U stays above k's greatest fixed
 point, and the firms U leaves short default at k too; dually, a bottom-up
 iterate of k' <= k lies below k's least fixed point. The minimum of such
 upper starts is one again, and so is the maximum of lower starts. A
-NetworkValueModel keeps the last _HISTORY evaluated points with their
-final payments (and, with price impact, prices), and starts each call
-from the minimum over the points with at least k capital in every group
-and, with price impact, the bottom-up half from the maximum over those
-with at most k; a price always goes with its payments. A warm start
-changes how many sweeps a verdict takes, never the verdict, and never the
-finished result: a constant-price call seeds the exact solve with the
+NetworkValueModel keeps the last _HISTORY evaluated points with their final
+payments (and, with price impact, prices) in _history, and each generator
+starts its call from the minimum over the points with at least k capital in
+every group and, with price impact, the bottom-up half from the maximum
+over those with at most k; a price always goes with its payments. A warm
+start changes how many sweeps a verdict takes, never the verdict, and never
+the finished result: a constant-price call seeds the exact solve with the
 default set of its warm top-down iterate, which lies inside the true one,
 and a price-impact call restarts its top-down half from the top once both
-halves have converged.
-ClearingStats.warm counts the calls that started from an evaluated point.
+halves have converged. ClearingStats.warm counts the calls that started
+from an evaluated point.
 
 max_iter bounds the sweeps plus the solve rounds of a call; a call still
 unfinished then raises ConvergenceError naming the residual and the width
@@ -251,6 +254,12 @@ class LiabilityNetwork:
     Society owes nothing (row 0 is zero), every diagonal entry is zero.
     pbar[i] is node i's total obligations, relative[i, j] the fraction owed
     to j, and payment_scale = max(1, max pbar) scales the payment checks.
+    The facts clearing reads are derived once, read-only: firm_block A =
+    relative[1:, 1:], society_shares s = relative[1:, 0], obligations =
+    pbar[1:] as an (n, 1) column, pay_slack = _MONO_SLACK * payment_scale,
+    society_promised, and the radius terms that NetworkValueModel._top_down
+    proves: round_up, interbank_share (h = A 1, rounded up) and
+    radius_offset. inflows(p) = A'p is the one product with A.
     """
 
     def __init__(self, nominal, groups: GroupMap | None = None):
@@ -275,21 +284,31 @@ class LiabilityNetwork:
         with np.errstate(invalid="ignore", divide="ignore"):
             rel = np.where(totals[:, None] > 0, mat / totals[:, None], 0.0)
         rel.setflags(write=False)
-        totals.setflags(write=False)  # payment_scale is read from it once
+        totals.setflags(write=False)  # the facts below are read from it once
         self.nominal = mat
         self.pbar = totals  # row sums, totals[0] = 0
         self.payment_scale = max(1.0, float(totals.max()))
         self.relative = rel
         self.groups = groups
+        self.society_promised = float(mat[1:, 0].sum())
+        self.firm_block = rel[1:, 1:]  # firm_block[i, j]: share of firm i+1 owed to firm j+1
+        self.society_shares = rel[1:, 0]  # each firm's share owed to society
+        self.obligations = totals[1:][:, None]  # (n, 1)
+        self.pay_slack = _MONO_SLACK * self.payment_scale
+        eps = np.finfo(float).eps
+        self.round_up = 1.0 + 4 * (n + 2) * eps
+        self.interbank_share = self.firm_block.sum(axis=1) * self.round_up  # h, rounded up
+        self.interbank_share.setflags(write=False)
+        self.radius_offset = ((2 * n * self.pay_slack + 2 * (n + 2) * eps * float(totals.sum()))
+                              * self.round_up)
 
     @property
     def n_firms(self) -> int:
         return self.nominal.shape[0] - 1
 
-    @property
-    def society_promised(self) -> float:
-        """Total nominal obligations owed to node 0."""
-        return float(self.nominal[1:, 0].sum())
+    def inflows(self, p, out=None) -> np.ndarray:
+        """A'p: what each firm receives from the other firms when they pay p (n, m)."""
+        return np.matmul(self.firm_block.T, p, out=out)
 
 
 def read_edge_csv(path, groups: GroupMap | None = None) -> LiabilityNetwork:
@@ -417,280 +436,6 @@ def _batch(cols: np.ndarray) -> np.ndarray:
     return np.repeat(cols, 2) if cols.size == 1 else cols
 
 
-def _not_converged(max_iter: int, residual: float, tol: float, width: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"clearing did not converge within {max_iter} iterations "
-        f"(residual {residual:.3e} > tol {tol:.1e}, equity bracket width {width:.3e})"
-    )
-
-
-def _top_down(network: LiabilityNetwork, cash, tol: float, max_iter: int, stats: ClearingStats,
-              above, point: _Point):
-    """Clear at constant price, yielding (lower, upper) society equity after every sweep.
-
-    cash (n, m) is every firm's outside assets c. The payments are iterated
-    down from full payment, or from the elementwise minimum of the top-down
-    payments of the points above, so every iterate lies above the fixed
-    point p*. upper = e0 is society equity at the iterate, lower = max(e0 -
-    radius, 0), and radius = h.|q - p| + offset for a sweep from q to p,
-    with h = A 1 each firm's share owed to other firms.
-
-    Proof that Y* = s.p* >= e0 - h.(q - p). With A = relative[1:, 1:], s =
-    relative[1:, 0], q >= p*, p = min(pbar, c + A'q), D = q - p and e = p -
-    p*: (1) min(pbar, .) is monotone and 1-Lipschitz, so e <= A'(q - p*) =
-    A'(D + e); (2) summed over firms, sum_j (1 - h_j) e_j <= h.D; (3) 1 - h_j
-    = s_j for a firm that owes something, and e_j = 0 for one that owes
-    nothing (pbar_j = 0), so s.e <= h.D. Equivalently, money is conserved:
-    at p* all outside cash ends with society or as solvent firms' equity,
-    so Y* >= sum(c) - sum(max(c + A'q - pbar, 0)) = sum(p) - h.q for every
-    q >= p*. No contraction is needed, so closed cycles are bounded too.
-
-    Rounding never makes the radius too small. With delta = _MONO_SLACK *
-    max(1, max pbar), the slack the monotonicity checks give one sweep, and
-    up = 1 + 4(n + 2) eps, offset = (2n delta + 2(n + 2) eps sum(pbar)) up.
-    Per firm, p may miss the exact map by delta, and q dip below p* by
-    delta, which the start max(q, p*) covers at a cost in h.q: n delta
-    each. The rows of the stored shares sum to 1 within (n + 2) eps, so 1 -
-    h_j misses s_j by that times p_j <= pbar_j; e0 = s.p and e0 - radius
-    round by as much again. h, |D| and h.|D| are each rounded within (n +
-    2) eps relatively, so h and h.|D| are multiplied by up, and the
-    offset's up covers their sum.
-
-    Once the iteration has converged or _WARMUP_SWEEPS sweeps have run, the
-    default set of p seeds the exact solve of _clear_constant_price, whose
-    iterates lie between p* and the last sweep, so its largest radius still
-    bounds them, and the generator returns society equity at p*. An iterate
-    that moves up, or a start that is no upper bound, raises ModelError.
-    """
-    stats.calls += 1
-    stats.warm += bool(above)
-    n, m = cash.shape
-    pbar = network.pbar[1:][:, None]  # (n, 1)
-    a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
-    shares = network.relative[1:, 0]  # each firm's share owed to society
-    pay_slack = _MONO_SLACK * network.payment_scale
-    eps = np.finfo(float).eps
-    up = 1.0 + 4 * (n + 2) * eps
-    owed_on = a_firms.sum(axis=1) * up  # h, rounded up
-    offset = (2 * n * pay_slack + 2 * (n + 2) * eps * float(network.pbar.sum())) * up
-    p = np.repeat(pbar, m, axis=1)
-    for start in above:  # the minimum of super-solutions is one
-        np.minimum(p, start.p, out=p)
-    point.p = p
-    spare = np.empty_like(p)  # scratch for the next iterate
-    limit = min(_WARMUP_SWEEPS, max_iter)
-    sweeps = 0
-
-    while True:
-        p_new = np.matmul(a_firms.T, p, out=spare)  # inflows
-        p_new += cash
-        np.minimum(p_new, pbar, out=p_new)
-        change = np.subtract(p_new, p, out=p)  # p is not needed any more
-        if not change.max(initial=-np.inf) <= pay_slack:
-            raise ModelError("clearing map is not monotone: a payment iterate increased")
-        residual = float(np.abs(change, out=change).max(initial=0.0))
-        radius = owed_on @ change * up + offset
-        p, spare = p_new, p
-        point.p = p
-        sweeps += 1
-        stats.sweeps += 1
-        e0 = shares @ p
-        yield np.maximum(e0 - radius, 0.0), e0
-        if residual <= tol or sweeps >= limit:
-            break
-
-    del spare  # the exact solve allocates its own arrays
-    width = float(radius.max(initial=0.0))
-    residual = _clear_constant_price(network, cash, p, width, tol, max_iter, sweeps, stats)
-    stats.max_residual = max(stats.max_residual, residual)
-    return shares @ p
-
-
-def _paired(network: LiabilityNetwork, x, s, f, price_top: float, price_floor: float, tol: float,
-            max_iter: int, stats: ClearingStats, above, below, point: _Point):
-    """Clear with price impact, yielding (lower, upper) society equity after every sweep.
-
-    x and s are (n, m) liquid and illiquid holdings, price_top = f(0) and
-    price_floor = f(largest sale). The payment/price map is monotone, so it
-    is iterated as one (n, 2m) array: columns [0, m) down from the top
-    (full payments, price f(0)), whose iterates lie above the greatest
-    fixed point, and columns [m, 2m) up from the bottom (no payments, the
-    price at the largest sale), whose iterates lie below the least one.
-    The top-down half starts at the elementwise minimum of the top-down
-    iterates of the points above, the bottom-up half at the maximum of the
-    bottom-up ones of the points below, each price with its payments.
-    After every paired sweep it yields society equity at the bottom-up and
-    at the top-down payments. Every sweep works on all 2m columns; column
-    updates never interact across scenarios. A half has converged when its
-    largest step over all its columns is at most tol.
-
-    The top-down half runs until it has converged, and the generator
-    returns society equity at its iterate. A top-down half that started
-    below the top runs on until both halves have converged and the bracket
-    cannot tighten any more, then restarts from the top, so that the result
-    does not depend on the start; it yields no pair after the restart.
-
-    Sweeps above max_iter raise ConvergenceError. An iterate that moves the
-    wrong way, or a lower bound above the upper one, raises ModelError, and
-    so does a start that is not a bound.
-    """
-    stats.calls += 1
-    stats.warm += bool(above or below)
-    n, m = x.shape
-    pbar = network.pbar[1:][:, None]  # (n, 1)
-    a_firms = network.relative[1:, 1:]  # a_firms[i, j]: share of firm i+1 owed to firm j+1
-    shares = network.relative[1:, 0]  # each firm's share owed to society
-    pay_slack = _MONO_SLACK * network.payment_scale
-    p = np.zeros((n, 2 * m))
-    p[:, :m] = pbar
-    pi = np.repeat([price_top, price_floor], m)
-    # the minimum of super-solutions is one, and so is the maximum of sub-solutions
-    for start in above:
-        np.minimum(p[:, :m], start.p[:, :m], out=p[:, :m])
-        np.minimum(pi[:m], start.pi[:m], out=pi[:m])
-    for start in below:
-        np.maximum(p[:, m:], start.p[:, m:], out=p[:, m:])
-        np.maximum(pi[m:], start.pi[m:], out=pi[m:])
-    point.p, point.pi = p, pi
-    spare = np.empty_like(p)  # scratch for the next iterate and the checks
-    x2 = np.concatenate([x, x], axis=1)
-    s2 = np.concatenate([s, s], axis=1)
-    sweeps = 0
-    bracketing = True
-    # a top-down iterate from a warm start converges to other last bits than one from the top
-    rewind = bool(above)
-
-    while True:
-        p_new = np.matmul(a_firms.T, p, out=spare)  # inflows
-        p_new += x2  # liquid resources
-        shortfall = np.maximum(pbar - p_new, 0.0)
-        sold = np.minimum(shortfall / pi, s2).sum(axis=0)
-        p_new += pi * s2
-        pi_new = np.asarray(f(sold), dtype=float)
-        if not (pi_new[:m] <= pi[:m] + _MONO_SLACK).all():
-            raise ModelError("clearing map is not monotone: a price iterate increased")
-        if not (pi_new[m:] >= pi[m:] - _MONO_SLACK).all():
-            raise ModelError("clearing map is not monotone: a price iterate decreased")
-        np.minimum(p_new, pbar, out=p_new)
-        change = np.subtract(p_new, p, out=p)  # p is not needed any more
-        rise = change.max(axis=0)
-        fall = -change.min(axis=0)
-        # iterates from the top only move down, iterates from the bottom only up
-        if not (rise[:m] <= pay_slack).all():
-            raise ModelError("clearing map is not monotone: a payment iterate increased")
-        if not (fall[m:] <= pay_slack).all():
-            raise ModelError("clearing map is not monotone: a payment iterate decreased")
-        step = np.maximum(np.maximum(rise, fall), np.abs(pi_new - pi))
-        pi[:] = pi_new
-        p, spare = p_new, p
-        point.p = p
-        lower, upper = p[:, m:], p[:, :m]
-        if not np.subtract(lower, upper, out=spare[:, :m]).max(initial=-np.inf) <= pay_slack:
-            raise ModelError(
-                "clearing bracket is inverted: a lower payment bound exceeds the upper"
-            )
-        if not (pi[m:] <= pi[:m] + _MONO_SLACK).all():
-            raise ModelError("clearing bracket is inverted: a lower price bound exceeds the upper")
-        if not (pi_new >= price_floor - _MONO_SLACK).all():
-            raise ModelError("clearing price fell below the inverse demand at the largest sale")
-        residual = float(step[:m].max(initial=0.0))
-        sweeps += 1
-        stats.sweeps += 1
-        if bracketing:
-            yield shares @ lower, shares @ upper
-
-        if not rewind and residual <= tol:
-            break  # the top-down half has converged
-        if rewind and step.max(initial=0.0) <= tol:
-            # both halves have converged: finish clearing from the top
-            p[:, :m] = pbar
-            pi[:m] = price_top
-            bracketing = rewind = False
-        if sweeps >= max_iter:
-            raise _not_converged(max_iter, residual, tol, float((shares @ (upper - lower)).max()))
-
-    stats.max_residual = max(stats.max_residual, residual)
-    return shares @ upper
-
-
-def _clear_constant_price(network: LiabilityNetwork, cash, p, width: float, tol: float,
-                          max_iter: int, sweeps: int, stats: ClearingStats) -> float:
-    """Solve for the greatest clearing payments in place, from a top-down iterate p (n, m).
-
-    Every firm's outside assets are the fixed cash (n, m). Fictitious
-    default: given a default set D inside the true one, the firms outside D
-    pay in full and those in D pay everything they have,
-
-        (I - A_DD') p_D = cash_D + A_{ND,D}' pbar_ND,
-
-    whose solution lies above the fixed point; firms it leaves short join D,
-    and once D stops growing the solution is the greatest fixed point. The
-    firms p leaves short seed D, since a top-down iterate lies above the
-    fixed point. Columns sharing a default set share one solve with a
-    right-hand side each, and every solution lies between the fixed point
-    and the payments before it, so width, the equity bracket width when the
-    solve starts, still bounds it.
-    A firm short by no more than the rounding slack counts as paying in
-    full: the relative shares of a closed cycle that owes as much as it is
-    owed can round so that A'pbar leaves its firms an ulp short, and a
-    default set made of such firms is singular.
-    sweeps plus solve rounds above max_iter raise ConvergenceError naming
-    the residual and width, and so does a final fixed-point
-    residual above tol times the payment scale; a system that is singular
-    all the same raises ModelError.
-    Returns that residual.
-    """
-    pbar = network.pbar[1:][:, None]  # (n, 1)
-    a_firms = network.relative[1:, 1:]
-    scale = network.payment_scale
-    short = pbar - _MONO_SLACK * scale  # a firm paying less than this defaults
-
-    def fixed_point_residual() -> float:
-        return float(np.abs(np.minimum(pbar, cash + a_firms.T @ p) - p).max(initial=0.0))
-
-    defaulted = p < short
-    todo = np.flatnonzero(defaulted.any(axis=0))  # columns whose default set may still grow
-    rounds = 0
-    while todo.size:
-        todo = _batch(todo)
-        if sweeps + rounds >= max_iter:
-            raise _not_converged(max_iter, fixed_point_residual(), tol, width)
-        d_todo = defaulted[:, todo]
-        p_todo = np.where(d_todo, 0.0, pbar)
-        rhs = cash[:, todo] + a_firms.T @ p_todo  # own cash plus full pay from solvent firms
-        keys = np.packbits(d_todo, axis=0)
-        keys = np.ascontiguousarray(keys.T).view(f"V{keys.shape[0]}").ravel()
-        _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-        # cols: the positions in todo of the columns that share one default set
-        for cols in np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1]):
-            cols = _batch(cols)
-            d = np.flatnonzero(d_todo[:, cols[0]])
-            try:
-                p_todo[d[:, None], cols] = np.linalg.solve(
-                    np.eye(d.size) - a_firms[d[:, None], d].T, rhs[d[:, None], cols]
-                )
-            except np.linalg.LinAlgError:
-                raise ModelError(
-                    f"clearing is singular: the defaulting firms {(d + 1).tolist()} "
-                    "leave no payment determined"
-                ) from None
-            stats.solves += 1
-        rounds += 1
-        stats.rounds += 1
-        p[:, todo] = p_todo
-        grown = (cash[:, todo] + a_firms.T @ p_todo < short) & ~d_todo
-        defaulted[:, todo] = d_todo | grown
-        todo = todo[grown.any(axis=0)]
-
-    residual = fixed_point_residual()
-    if not residual <= tol * scale:
-        raise ConvergenceError(
-            f"clearing fixed-point residual {residual:.3e} exceeds tol {tol:.1e} "
-            f"times the payment scale {scale:.3g} after {rounds} solve rounds"
-        )
-    return residual
-
-
 # ---------------------------------------------------------------------------
 # network value model
 
@@ -745,10 +490,13 @@ class NetworkValueModel:
         self.groups = network.groups
         price_top, price_floor = float(f(0.0)), float(f(largest_sale))  # the reachable price range
         self._prices = (price_top, price_floor)
-        # at constant price nonzero illiquid holdings count as cash, pi * s at every k
-        self._cash = None
-        if price_top == price_floor and scenarios_s.values.any():
-            self._cash = price_top * scenarios_s.values
+        # the regime as a function of (model, x, point): a bound method would make a cycle
+        self._clearing = NetworkValueModel._top_down
+        if price_top != price_floor:
+            self._clearing = NetworkValueModel._paired
+        elif scenarios_s.values.any():  # at constant price illiquid holdings count as cash
+            illiquid = price_top * scenarios_s.values  # pi * s at every k
+            self._clearing = lambda m, x, point: m._top_down(np.add(x, illiquid, out=x), point)
         self.stats = ClearingStats()  # summed over every call
         self._history = collections.deque(maxlen=_HISTORY)  # _Points, oldest first
         self.payment_tolerance = tol * network.payment_scale  # in units of society equity
@@ -771,20 +519,10 @@ class NetworkValueModel:
         k = self.groups.check(k)  # a fresh copy, kept with the point
         if (k < 0).any():
             raise ParameterError(f"capital allocations must be non-negative, got {k}")
-        x = self.scenarios_x.values + self.groups.expand(k)[:, None]
+        x = self.scenarios_x.values + np.repeat(k, self.groups.group_sizes)[:, None]
         point = _Point(k)
-        above = [e for e in self._history if (e.k >= k).all()]
-        if self._prices[0] == self._prices[1]:
-            if self._cash is not None:
-                x += self._cash
-            clearing = _top_down(self.network, x, self.tol, self.max_iter, self.stats, above,
-                                 point)
-        else:
-            below = [e for e in self._history if (e.k <= k).all()]
-            clearing = _paired(self.network, x, self.scenarios_s.values, self.f, *self._prices,
-                               self.tol, self.max_iter, self.stats, above, below, point)
         try:
-            y = yield from clearing
+            y = yield from self._clearing(self, x, point)
         except GeneratorExit:  # yield from has closed the clearing: point holds its last iterates
             self.stats.decided += 1
             self._history.append(point)
@@ -799,3 +537,264 @@ class NetworkValueModel:
         """Society equity per scenario at capital k: bounds_at(k) run to its end."""
         *_, (_, e0) = self.bounds_at(k)
         return e0
+
+    def _top_down(self, cash, point: _Point):
+        """Clear at constant price, yielding (lower, upper) society equity after every sweep.
+
+        cash (n, m) is every firm's outside assets c. The payments are iterated
+        down from full payment, or from the elementwise minimum of the top-down
+        payments of the remembered points with at least point.k in every group,
+        so every iterate lies above the fixed point p*. upper = e0 is society
+        equity at the iterate, lower = max(e0 - radius, 0), and radius = h.|q -
+        p| + offset for a sweep from q to p, with h = A 1 each firm's share owed
+        to other firms (network.interbank_share, rounded up).
+
+        Proof that Y* = s.p* >= e0 - h.(q - p). With A = network.firm_block, s =
+        network.society_shares, q >= p*, p = min(pbar, c + A'q), D = q - p and e
+        = p - p*: (1) min(pbar, .) is monotone and 1-Lipschitz, so e <= A'(q -
+        p*) = A'(D + e); (2) summed over firms, sum_j (1 - h_j) e_j <= h.D; (3) 1
+        - h_j = s_j for a firm that owes something, and e_j = 0 for one that owes
+        nothing (pbar_j = 0), so s.e <= h.D. Equivalently, money is conserved: at
+        p* all outside cash ends with society or as solvent firms' equity, so Y*
+        >= sum(c) - sum(max(c + A'q - pbar, 0)) = sum(p) - h.q for every q >= p*.
+        No contraction is needed, so closed cycles are bounded too.
+
+        Rounding never makes the radius too small. With delta = network.pay_slack
+        = _MONO_SLACK * max(1, max pbar), the slack the monotonicity checks give
+        one sweep, and up = network.round_up = 1 + 4(n + 2) eps, offset =
+        network.radius_offset = (2n delta + 2(n + 2) eps sum(pbar)) up. Per firm,
+        p may miss the exact map by delta, and q dip below p* by delta, which the
+        start max(q, p*) covers at a cost in h.q: n delta each. The rows of the
+        stored shares sum to 1 within (n + 2) eps, so 1 - h_j misses s_j by that
+        times p_j <= pbar_j; e0 = s.p and e0 - radius round by as much again. h,
+        |D| and h.|D| are each rounded within (n + 2) eps relatively, so h and
+        h.|D| are multiplied by up, and the offset's up covers their sum.
+
+        Once the iteration has converged or _WARMUP_SWEEPS sweeps have run, the
+        default set of p seeds the exact solve of _clear_constant_price, whose
+        iterates lie between p* and the last sweep, so its largest radius still
+        bounds them, and the generator returns society equity at p*. An iterate
+        that moves up, or a start that is no upper bound, raises ModelError.
+        """
+        net, stats = self.network, self.stats
+        above = [e for e in self._history if (e.k >= point.k).all()]
+        stats.calls += 1
+        stats.warm += bool(above)
+        p = np.repeat(net.obligations, cash.shape[1], axis=1)
+        for start in above:  # the minimum of super-solutions is one
+            np.minimum(p, start.p, out=p)
+        point.p = p
+        spare = np.empty_like(p)  # scratch for the next iterate
+        limit = min(_WARMUP_SWEEPS, self.max_iter)
+        sweeps = 0
+
+        while True:
+            p_new = net.inflows(p, out=spare)
+            p_new += cash
+            np.minimum(p_new, net.obligations, out=p_new)
+            change = np.subtract(p_new, p, out=p)  # p is not needed any more
+            if not change.max(initial=-np.inf) <= net.pay_slack:
+                raise ModelError("clearing map is not monotone: a payment iterate increased")
+            residual = float(np.abs(change, out=change).max(initial=0.0))
+            radius = net.interbank_share @ change * net.round_up + net.radius_offset
+            p, spare = p_new, p
+            point.p = p
+            sweeps += 1
+            stats.sweeps += 1
+            e0 = net.society_shares @ p
+            yield np.maximum(e0 - radius, 0.0), e0
+            if residual <= self.tol or sweeps >= limit:
+                break
+
+        del spare  # the exact solve allocates its own arrays
+        self._clear_constant_price(cash, p, float(radius.max(initial=0.0)), sweeps)
+        return net.society_shares @ p
+
+    def _paired(self, x, point: _Point):
+        """Clear with price impact, yielding (lower, upper) society equity after every sweep.
+
+        x (n, m) is the liquid holdings, scenarios_s the illiquid ones, and
+        _prices = (price_top, price_floor) = (f(0), f(largest sale)). The
+        payment/price map is monotone, so it is iterated as one (n, 2m) array:
+        columns [0, m) down from the top (full payments, price f(0)), whose
+        iterates lie above the greatest fixed point, and columns [m, 2m) up from
+        the bottom (no payments, the price at the largest sale), whose iterates
+        lie below the least one. The top-down half starts at the elementwise
+        minimum of the top-down iterates of the remembered points with at least
+        point.k in every group, the bottom-up half at the maximum of the
+        bottom-up ones of those with at most point.k, each price with its
+        payments. After every paired sweep it yields society equity
+        (network.society_shares) at the bottom-up and at the top-down payments.
+        Every sweep works on all 2m columns; column updates never interact
+        across scenarios. A half has converged when its largest step over all
+        its columns is at most tol.
+
+        The top-down half runs until it has converged, and the generator returns
+        society equity at its iterate. A top-down half that started below the
+        top runs on until both halves have converged and the bracket cannot
+        tighten any more, then restarts from the top, so that the result does
+        not depend on the start; it yields no pair after the restart.
+
+        Sweeps above max_iter raise ConvergenceError. An iterate that moves the
+        wrong way by more than network.pay_slack, or a lower bound above the
+        upper one, raises ModelError, and so does a start that is not a bound.
+        """
+        net, stats, tol = self.network, self.stats, self.tol
+        above = [e for e in self._history if (e.k >= point.k).all()]
+        below = [e for e in self._history if (e.k <= point.k).all()]
+        stats.calls += 1
+        stats.warm += bool(above or below)
+        n, m = x.shape
+        price_top, price_floor = self._prices
+        p = np.zeros((n, 2 * m))
+        p[:, :m] = net.obligations
+        pi = np.repeat([price_top, price_floor], m)
+        # the minimum of super-solutions is one, and so is the maximum of sub-solutions
+        for start in above:
+            np.minimum(p[:, :m], start.p[:, :m], out=p[:, :m])
+            np.minimum(pi[:m], start.pi[:m], out=pi[:m])
+        for start in below:
+            np.maximum(p[:, m:], start.p[:, m:], out=p[:, m:])
+            np.maximum(pi[m:], start.pi[m:], out=pi[m:])
+        point.p, point.pi = p, pi
+        spare = np.empty_like(p)  # scratch for the next iterate and the checks
+        x2 = np.concatenate([x, x], axis=1)
+        s2 = np.concatenate([self.scenarios_s.values, self.scenarios_s.values], axis=1)
+        sweeps = 0
+        bracketing = True
+        # a top-down iterate from a warm start converges to other last bits than one from the top
+        rewind = bool(above)
+
+        while True:
+            p_new = net.inflows(p, out=spare)
+            p_new += x2  # liquid resources
+            shortfall = np.maximum(net.obligations - p_new, 0.0)
+            sold = np.minimum(shortfall / pi, s2).sum(axis=0)
+            p_new += pi * s2
+            pi_new = np.asarray(self.f(sold), dtype=float)
+            if not (pi_new[:m] <= pi[:m] + _MONO_SLACK).all():
+                raise ModelError("clearing map is not monotone: a price iterate increased")
+            if not (pi_new[m:] >= pi[m:] - _MONO_SLACK).all():
+                raise ModelError("clearing map is not monotone: a price iterate decreased")
+            np.minimum(p_new, net.obligations, out=p_new)
+            change = np.subtract(p_new, p, out=p)  # p is not needed any more
+            rise = change.max(axis=0)
+            fall = -change.min(axis=0)
+            # iterates from the top only move down, iterates from the bottom only up
+            if not (rise[:m] <= net.pay_slack).all():
+                raise ModelError("clearing map is not monotone: a payment iterate increased")
+            if not (fall[m:] <= net.pay_slack).all():
+                raise ModelError("clearing map is not monotone: a payment iterate decreased")
+            step = np.maximum(np.maximum(rise, fall), np.abs(pi_new - pi))
+            pi[:] = pi_new
+            p, spare = p_new, p
+            point.p = p
+            lower, upper = p[:, m:], p[:, :m]
+            if not np.subtract(lower, upper, out=spare[:, :m]).max(initial=-np.inf) <= net.pay_slack:
+                raise ModelError("clearing bracket is inverted: "
+                                 "a lower payment bound exceeds the upper")
+            if not (pi[m:] <= pi[:m] + _MONO_SLACK).all():
+                raise ModelError("clearing bracket is inverted: "
+                                 "a lower price bound exceeds the upper")
+            if not (pi_new >= price_floor - _MONO_SLACK).all():
+                raise ModelError("clearing price fell below the inverse demand at the largest sale")
+            residual = float(step[:m].max(initial=0.0))
+            sweeps += 1
+            stats.sweeps += 1
+            if bracketing:
+                yield net.society_shares @ lower, net.society_shares @ upper
+
+            if not rewind and residual <= tol:
+                break  # the top-down half has converged
+            if rewind and step.max(initial=0.0) <= tol:
+                # both halves have converged: finish clearing from the top
+                p[:, :m] = net.obligations
+                pi[:m] = price_top
+                bracketing = rewind = False
+            if sweeps >= self.max_iter:
+                raise self._not_converged(residual,
+                                          float((net.society_shares @ (upper - lower)).max()))
+
+        stats.max_residual = max(stats.max_residual, residual)
+        return net.society_shares @ upper
+
+    def _clear_constant_price(self, cash, p, width: float, sweeps: int) -> None:
+        """Solve for the greatest clearing payments in place, from a top-down iterate p (n, m).
+
+        Every firm's outside assets are the fixed cash (n, m). Fictitious
+        default: given a default set D inside the true one, the firms outside D
+        pay in full and those in D pay everything they have,
+
+            (I - A_DD') p_D = cash_D + A_{ND,D}' pbar_ND,
+
+        with A = network.firm_block, whose products all go through
+        network.inflows, and pbar = network.obligations. The solution lies above
+        the fixed point; firms it leaves short join D, and once D stops growing
+        the solution is the greatest fixed point. The firms p leaves short seed
+        D, since a top-down iterate lies above the fixed point. Columns sharing
+        a default set share one solve with a right-hand side each, and every
+        solution lies between the fixed point and the payments before it, so
+        width, the equity bracket width when the solve starts, still bounds it.
+        A firm short by no more than network.pay_slack counts as paying in full:
+        the relative shares of a closed cycle that owes as much as it is owed
+        can round so that A'pbar leaves its firms an ulp short, and a default
+        set made of such firms is singular. sweeps, those before the solve, plus
+        solve rounds above max_iter raise ConvergenceError naming the residual
+        and width, and so does a final fixed-point residual above tol times the
+        payment scale; a system that is singular all the same raises ModelError.
+        That residual goes to stats.max_residual.
+        """
+        net, stats = self.network, self.stats
+        short = net.obligations - net.pay_slack  # a firm paying less than this defaults
+
+        def fixed_point_residual() -> float:
+            change = np.minimum(net.obligations, cash + net.inflows(p)) - p
+            return float(np.abs(change).max(initial=0.0))
+
+        defaulted = p < short
+        todo = np.flatnonzero(defaulted.any(axis=0))  # columns whose default set may still grow
+        rounds = 0
+        while todo.size:
+            todo = _batch(todo)
+            if sweeps + rounds >= self.max_iter:
+                raise self._not_converged(fixed_point_residual(), width)
+            d_todo = defaulted[:, todo]
+            p_todo = np.where(d_todo, 0.0, net.obligations)
+            rhs = cash[:, todo] + net.inflows(p_todo)  # own cash plus full pay from solvent firms
+            keys = np.packbits(d_todo, axis=0)
+            keys = np.ascontiguousarray(keys.T).view(f"V{keys.shape[0]}").ravel()
+            _, group, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+            # cols: the positions in todo of the columns that share one default set
+            for cols in np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1]):
+                cols = _batch(cols)
+                d = np.flatnonzero(d_todo[:, cols[0]])
+                try:
+                    p_todo[d[:, None], cols] = np.linalg.solve(
+                        np.eye(d.size) - net.firm_block[d[:, None], d].T, rhs[d[:, None], cols]
+                    )
+                except np.linalg.LinAlgError:
+                    raise ModelError(
+                        f"clearing is singular: the defaulting firms {(d + 1).tolist()} "
+                        "leave no payment determined"
+                    ) from None
+                stats.solves += 1
+            rounds += 1
+            stats.rounds += 1
+            p[:, todo] = p_todo
+            grown = (cash[:, todo] + net.inflows(p_todo) < short) & ~d_todo
+            defaulted[:, todo] = d_todo | grown
+            todo = todo[grown.any(axis=0)]
+
+        residual = fixed_point_residual()
+        if not residual <= self.tol * net.payment_scale:
+            raise ConvergenceError(
+                f"clearing fixed-point residual {residual:.3e} exceeds tol {self.tol:.1e} "
+                f"times the payment scale {net.payment_scale:.3g} after {rounds} solve rounds"
+            )
+        stats.max_residual = max(stats.max_residual, residual)
+
+    def _not_converged(self, residual: float, width: float) -> ConvergenceError:
+        return ConvergenceError(
+            f"clearing did not converge within {self.max_iter} iterations "
+            f"(residual {residual:.3e} > tol {self.tol:.1e}, equity bracket width {width:.3e})"
+        )

@@ -3,13 +3,13 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sysrisk import (
     AcceptanceSpec,
-    ClearingStats,
     ConfigurationError,
     ConstantPrice,
     ConvergenceError,
@@ -20,6 +20,7 @@ from sysrisk import (
     LinearCapPrice,
     LinearSqrtPrice,
     ModelError,
+    NetworkGenSpec,
     NetworkValueModel,
     ParameterError,
     ScenarioMatrix,
@@ -28,20 +29,15 @@ from sysrisk import (
     is_acceptable,
     make_inverse_demand,
     membership_oracle,
+    preset_config,
     read_edge_csv,
+    resolve_config,
     rho,
+    sample_network,
     validate_inverse_demand,
     write_edge_csv,
 )
-from sysrisk import clearing
-from sysrisk.clearing import (
-    _MONO_SLACK,
-    _WARMUP_SWEEPS,
-    _clear_constant_price,
-    _paired,
-    _Point,
-    _top_down,
-)
+from sysrisk.clearing import _MONO_SLACK, _WARMUP_SWEEPS, _Point
 import oracles
 from oracles import ClearingResult, clear, equity
 
@@ -238,6 +234,32 @@ def test_nominal_matrix_is_immutable():
         net.nominal[1, 0] = 9.0
     with pytest.raises(ValueError):  # payment_scale, read from pbar once, cannot go stale
         net.pbar[1] = 9.0
+    for fact in (net.firm_block, net.society_shares, net.obligations, net.interbank_share):
+        with pytest.raises(ValueError):  # the facts clearing reads, derived once, stay as derived
+            fact[0] = 9.0
+
+
+def preset_network(name):
+    # the network a preset draws, without its scenarios
+    cfg = resolve_config(preset_config(name))
+    gen = cfg["model"]["network"]["generate"]
+    return sample_network(NetworkGenSpec(cfg["model"]["groups"], q=gen["probabilities"],
+                                         w=gen["weights"], w_society=gen["society_weights"],
+                                         seed=gen["seed"]))
+
+
+@pytest.mark.parametrize("preset", ["two_tier:B2", "three_tier:alpha=0.6"])
+def test_radius_terms_bound_their_exact_values(preset):
+    # h = A 1 is rounded up: in every row no less than the exact sum of the stored shares, which
+    # the float row sum alone misses from below in 21 of the 100 rows of two_tier:B2 and in 114
+    # of the 300 of three_tier:alpha=0.6; the offset is no less than its exact terms, which it
+    # misses from below without its own rounding up on three_tier:alpha=0.6
+    net = preset_network(preset)
+    for row, h in zip(net.firm_block, net.interbank_share):
+        assert Fraction(h) >= sum(map(Fraction, row))
+    n, eps = net.n_firms, Fraction(np.finfo(float).eps)
+    terms = 2 * n * Fraction(net.pay_slack) + 2 * (n + 2) * eps * sum(map(Fraction, net.pbar))
+    assert Fraction(net.radius_offset) >= terms
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +324,17 @@ def test_convergence_error_carries_residual():
         clear(net, [0.5, 0.2], [0.0, 0.0], UNIT_PRICE, max_iter=1)
 
 
+def scripted_chain(f, top, floor):
+    # a price-impact model of two_firm_chain on one scenario, x = (0.5, 0) and s = (1, 1),
+    # whose curve f and price range, f(0) = top and f(largest sale) = floor, replace a valid
+    # curve's once it is built: a model refuses a curve that breaks the monotone map
+    x = ScenarioMatrix(np.array([[0.5], [0.0]]))
+    s = ScenarioMatrix(np.array([[1.0], [1.0]]))
+    model = NetworkValueModel(two_firm_chain(), x, s, LinearSqrtPrice(), tol=1e-12, max_iter=100)
+    model.f, model._prices = f, (top, floor)
+    return model
+
+
 def test_clearing_rejects_non_monotone_price_map():
     # a price that rises with sales breaks the monotone map; models refuse such
     # curves up front, the bracket's per-sweep checks refuse them too
@@ -314,8 +347,7 @@ def test_clearing_rejects_non_monotone_price_map():
     with pytest.raises(ModelError, match="non-increasing"):
         NetworkValueModel(two_firm_chain(), ScenarioMatrix(x), ScenarioMatrix(s), rising)
     with pytest.raises(ModelError, match="price iterate increased"):
-        next(_paired(two_firm_chain(), x, s, rising, rising(0.0), rising(2.0), 1e-12, 100,
-                     ClearingStats(), (), (), _Point(None)))
+        next(scripted_chain(rising, rising(0.0), rising(2.0)).bounds_at([0.0]))
 
 
 def sparse_network(rng, n):
@@ -348,9 +380,10 @@ def exact_after_one_sweep(net, cash):
     # which holds far fewer defaults than the warm-up sweeps of a bracket leave
     pbar = net.pbar[1:][:, None]
     p = np.minimum(pbar, cash + net.relative[1:, 1:].T @ pbar)
-    stats = ClearingStats()
-    residual = _clear_constant_price(net, cash, p, math.inf, 1e-10, 1000, 1, stats)
-    return p, residual, stats
+    model = NetworkValueModel(net, ScenarioMatrix(cash), ScenarioMatrix(np.zeros_like(cash)),
+                              UNIT_PRICE, tol=1e-10, max_iter=1000)
+    model._clear_constant_price(cash, p, math.inf, 1)
+    return p, model.stats.max_residual, model.stats
 
 
 def assert_clears_like(net, cash, reference):
@@ -654,15 +687,14 @@ def test_model_rejects_negative_capital():
 @pytest.mark.parametrize("above", [False, True])
 def test_society_equity_outside_its_promised_range_is_a_model_error(monkeypatch, above):
     # no clearing leaves this range; a fake clearing generator does, at once
-    model = make_model(np.random.default_rng(99))
-    cap = model.network.society_promised
-    y = np.full(25, cap + 1e-6 if above else -1e-6)
-
     def fake_clearing(*args):
         return y
         yield  # a generator that finishes at once
 
-    monkeypatch.setattr(clearing, "_top_down", fake_clearing)
+    monkeypatch.setattr(NetworkValueModel, "_top_down", fake_clearing)  # before the regime is fixed
+    model = make_model(np.random.default_rng(99))
+    cap = model.network.society_promised
+    y = np.full(25, cap + 1e-6 if above else -1e-6)
     message = f"society equity left the range [0, {cap}] of its promised payments"
     with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         model.samples_at([0.0, 0.0, 0.0])
@@ -760,14 +792,12 @@ def test_bracket_encloses_the_reference_after_every_sweep():
         e0_ref = model.network.relative[1:, 0] @ ref
         x = model.scenarios_x.values + model.groups.expand(k)[:, None]
         s = model.scenarios_s.values
-        stats, point = ClearingStats(), _Point(k)
+        stats, point = model.stats, _Point(k)
         constant = isinstance(model.f, ConstantPrice)
         if constant:
-            clearing = _top_down(model.network, x + model.f.price * s, 1e-10, 100_000, stats, (),
-                                 point)
+            clearing = model._top_down(x + model.f.price * s, point)
         else:
-            clearing = _paired(model.network, x, s, model.f, *model._prices, 1e-10, 100_000,
-                               stats, (), (), point)
+            clearing = model._paired(x, point)
         while True:
             try:
                 lower, upper = next(clearing)
@@ -787,6 +817,36 @@ def test_bracket_encloses_the_reference_after_every_sweep():
             assert (lower <= e0_ref + 1e-9).all() and (e0_ref <= upper + 1e-9).all()
         assert lower is upper and np.max(np.abs(upper - e0_ref)) <= 1e-8
         assert np.max(np.abs(model._history[-1].p[:, :m] - ref)) <= 1e-8
+
+
+def test_clearing_multiplies_by_the_firm_block_only_through_inflows(monkeypatch):
+    # every product with A' goes through LiabilityNetwork.inflows: one per sweep and, at constant
+    # price, two per solve round and one for the final residual; recording them moves no bit
+    rng = np.random.default_rng(67)
+    for f in (UNIT_PRICE, LinearSqrtPrice()):
+        model = bracket_model(rng, f)
+        net = model.network
+        plain = NetworkValueModel(LiabilityNetwork(net.nominal, net.groups), model.scenarios_x,
+                                  model.scenarios_s, f)
+        products = []
+
+        def recorded(p, out=None, inflows=net.inflows):
+            products.append(p.shape)
+            return inflows(p, out)
+
+        monkeypatch.setattr(net, "inflows", recorded)
+        k = rng.uniform(0.0, 0.5, size=model.groups.n_groups)
+        assert np.array_equal(model.samples_at(k), plain.samples_at(k))
+        point, reference = model._history[-1], plain._history[-1]
+        assert np.array_equal(point.p, reference.p)
+        assert (point.pi is None) == (reference.pi is None) == (f is UNIT_PRICE)
+        stats = model.stats
+        if f is UNIT_PRICE:
+            assert stats.rounds >= 1
+            assert len(products) == stats.sweeps + 2 * stats.rounds + 1
+        else:
+            assert np.array_equal(point.pi, reference.pi)
+            assert len(products) == stats.sweeps
 
 
 def radius_encloses(net, cash, ref, atol):
@@ -919,10 +979,6 @@ def test_verdicts_within_the_error_budget_fall_back_to_finished_clearing():
 def test_inverted_bracket_is_a_model_error():
     # each half moves the right way, yet the bottom-up price starts or ends above the
     # top-down one; no non-increasing curve does this, so the curve is scripted
-    net = two_firm_chain()
-    x = np.array([[0.5], [0.0]])
-    s = np.array([[1.0], [1.0]])
-
     def scripted(swept):
         return lambda y: np.array(swept)
 
@@ -932,20 +988,18 @@ def test_inverted_bracket_is_a_model_error():
     ]
     for top, floor, swept, message in cases:
         with pytest.raises(ModelError, match=message):
-            next(_paired(net, x, s, scripted(swept), top, floor, 1e-12, 100, ClearingStats(),
-                         (), (), _Point(None)))
+            next(scripted_chain(scripted(swept), top, floor).bounds_at([0.0]))
 
 
 def paired_first_sweep(prices, above=(), below=()):
     # one paired sweep of two_firm_chain, f(0) = 1 and f(largest sale) = 0.5, whose curve
     # returns the given (top-down, bottom-up) prices; above and below are (payments, prices)
-    # starts of the top-down and the bottom-up half
-    x = np.array([[0.5], [0.0]])
-    s = np.array([[1.0], [1.0]])
-    starts = [[_Point(None, np.tile(p, (1, 2)), np.array([pi, pi])) for p, pi in side]
-              for side in (above, below)]
-    return next(_paired(two_firm_chain(), x, s, lambda y: np.array(prices), 1.0, 0.5, 1e-12, 100,
-                        ClearingStats(), *starts, _Point(None)))
+    # starts of the top-down and the bottom-up half, remembered at capital 1 and -1
+    model = scripted_chain(lambda y: np.array(prices), 1.0, 0.5)
+    for k, side in ((1.0, above), (-1.0, below)):
+        model._history.extend(_Point(np.array([k]), np.tile(p, (1, 2)), np.array([pi, pi]))
+                              for p, pi in side)
+    return next(model.bounds_at([0.0]))
 
 
 def test_each_monotonicity_check_of_the_paired_sweep_is_reached_alone():
